@@ -150,37 +150,55 @@ class StructureConstants:
         r = math.isqrt(self.m)
         if r * r != self.m:
             violations.append(f"dimension {self.m} is not a perfect square")
-        lefts = self.basis_left_matrices()
-        # associativity for all basis triples is equivalent to
-        # L(a_i) L(a_j) = L(a_i a_j) for all pairs
-        for i in range(self.m):
-            for j in range(self.m):
-                prod = lefts[i] @ lefts[j]
-                expected = self.left_regular_of_product(i, j)
-                if prod != expected:
-                    violations.append(
-                        f"associativity fails on the pair (a_{i}, a_{j})"
-                    )
+        for i, j in self._associativity_failures():
+            violations.append(f"associativity fails on the pair (a_{i}, a_{j})")
         try:
             self.find_identity()
         except NoIdentityError:
             violations.append("no two-sided identity element")
         return violations
 
-    def left_regular_of_product(self, i: int, j: int) -> ExactMatrix:
-        acc = ExactMatrix.zeros(self.field, self.m, self.m)
-        lefts = self.basis_left_matrices()
-        for k in range(self.m):
-            c = self.gamma[i][j][k]
-            if not scalar_is_zero(c):
-                acc = acc + lefts[k].scaled(c)
-        return acc
+    def _associativity_failures(self) -> list[tuple[int, int]]:
+        """Pairs (i, j) with (a_i a_j) a_k != a_i (a_j a_k) for some k.
+
+        That is L(a_i) L(a_j) != L(a_i a_j), compared column by column on
+        the structure constants in O(m^5) scalar operations.  Over Q the
+        table is first scaled by the lcm of its denominators; both sides
+        scale by its square, so the failing pairs stay the same and all
+        arithmetic is on ints.
+        """
+        m = self.m
+        gamma = self.gamma
+        if self.field.is_rational:
+            den = math.lcm(*(x.denominator for gi in gamma for gij in gi for x in gij))
+            gamma = [
+                [[x.numerator * (den // x.denominator) for x in gij] for gij in gi]
+                for gi in gamma
+            ]
+        # nonzero (index, value) pairs of each product a_i a_j
+        nz = [[[(s, x) for s, x in enumerate(gij) if x] for gij in gi] for gi in gamma]
+        failures = []
+        for i in range(m):
+            nz_i = nz[i]
+            for j in range(m):
+                nz_ij, nz_j = nz_i[j], nz[j]
+                for k in range(m):
+                    # int 0 starts both sums; QuadScalar adds and compares with it
+                    lhs = [0] * m
+                    for r, c in nz_ij:
+                        for s, x in nz[r][k]:
+                            lhs[s] += c * x
+                    rhs = [0] * m
+                    for r, c in nz_j[k]:
+                        for s, x in nz_i[r]:
+                            rhs[s] += c * x
+                    if lhs != rhs:
+                        failures.append((i, j))
+                        break
+        return failures
 
     def element(self, coords: Sequence) -> "AlgebraElement":
         return AlgebraElement(self, coords)
-
-    def zero_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, [self.field.zero()] * self.m)
 
     def __eq__(self, other):
         if not isinstance(other, StructureConstants):
@@ -335,7 +353,8 @@ def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> Isomorphi
     )
 
 
-def _verify_witness(table: StructureConstants, images: Sequence[ExactMatrix]):
+def _multiplicativity_failures(table: StructureConstants, images: Sequence[ExactMatrix]):
+    """Basis pairs (i, j) with phi(a_i) phi(a_j) != sum_k gamma_ijk phi(a_k)."""
     n = table.n
     for i in range(table.m):
         for j in range(table.m):
@@ -346,9 +365,13 @@ def _verify_witness(table: StructureConstants, images: Sequence[ExactMatrix]):
                 if not scalar_is_zero(c):
                     acc = acc + images[k].scaled(c)
             if prod != acc:
-                raise InternalError(
-                    f"multiplicativity fails on the basis pair ({i}, {j})"
-                )
+                yield i, j
+
+
+def _verify_witness(table: StructureConstants, images: Sequence[ExactMatrix]):
+    n = table.n
+    for i, j in _multiplicativity_failures(table, images):
+        raise InternalError(f"multiplicativity fails on the basis pair ({i}, {j})")
     e = table.find_identity()
     phi_e = ExactMatrix.zeros(table.field, n, n)
     for k in range(table.m):
@@ -364,19 +387,7 @@ def witness_residual(table: StructureConstants, witness: IsomorphismWitness):
     Returns the number of basis pairs with a nonzero defect (always 0 for
     witnesses produced by build_isomorphism; exposed for external checking).
     """
-    bad = 0
-    n = table.n
-    for i in range(table.m):
-        for j in range(table.m):
-            prod = witness.images[i] @ witness.images[j]
-            acc = ExactMatrix.zeros(table.field, n, n)
-            for k in range(table.m):
-                c = table.gamma[i][j][k]
-                if not scalar_is_zero(c):
-                    acc = acc + witness.images[k].scaled(c)
-            if prod != acc:
-                bad += 1
-    return bad
+    return sum(1 for _ in _multiplicativity_failures(table, witness.images))
 
 
 def matrix_units_table(n: int, field: Field = None) -> StructureConstants:
@@ -398,22 +409,24 @@ def matrix_units_table(n: int, field: Field = None) -> StructureConstants:
     return StructureConstants(field, gamma)
 
 
-def regular_trace(table: StructureConstants, x: Sequence):
-    """Trace of the left regular representation of x."""
-    return table.left_regular(x).trace()
-
-
 def trace_gram(table: StructureConstants, basis_elems: Sequence[AlgebraElement]) -> ExactMatrix:
-    """Gram matrix [Tr(L_{b_i b_j})] of the regular trace form."""
-    k = len(basis_elems)
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            prod = table.multiply(basis_elems[i].coords, basis_elems[j].coords)
-            row.append(regular_trace(table, prod))
-        rows.append(row)
-    return ExactMatrix(table.field, rows)
+    """Gram matrix [Tr(L_{b_i b_j})] of the regular trace form.
+
+    Computed as B^T T B in O(m^3) operations: the columns of B are the
+    coordinates of the b_i, and T_kl = Tr(L_{a_k a_l}) = sum_r gamma_klr t_r
+    with t_r = Tr(L_{a_r}) = sum_j gamma_rjj.
+    """
+    zero = table.field.zero()
+    t = [sum((g_r[j][j] for j in range(table.m)), zero) for g_r in table.gamma]
+    T = [[_dot(g_kl, t, zero) for g_kl in g_k] for g_k in table.gamma]
+    cols = [b.coords for b in basis_elems]
+    TB = [[_dot(c, row, zero) for row in T] for c in cols]
+    return ExactMatrix(table.field, [[_dot(c, u, zero) for u in TB] for c in cols])
+
+
+def _dot(x: Sequence, y: Sequence, zero):
+    """Bilinear dot product, skipping the zero entries of x."""
+    return sum((a * b for a, b in zip(x, y) if a), zero)
 
 
 def reduced_trace_gram(table: StructureConstants, basis_elems: Sequence[AlgebraElement]) -> ExactMatrix:

@@ -87,6 +87,15 @@ def _read_json(path: str):
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _read_checked(path: str, schema: str):
+    """Read JSON and reject it unless it matches the shipped schema."""
+    obj = _read_json(path)
+    problems = serialize.check_schema(obj, serialize.load_schema(schema))
+    if problems:
+        raise InputError(f"not a valid {schema} document: " + "; ".join(problems[:3]))
+    return obj
+
+
 def _write_json(obj, path: str):
     text = json.dumps(obj, indent=2)
     if path == "-":
@@ -154,7 +163,7 @@ def gen(size, field_name, height, seed, output):
 @handle_errors
 def split(path, engine, dynamic_pruning, precision_bits, seed, threads, output, human):
     """Find a rank-one element and an explicit isomorphism."""
-    table = serialize.algebra_from_json(_read_json(path))
+    table = serialize.algebra_from_json(_read_checked(path, "algebra"))
     problems = validate(table)
     if problems:
         raise InputError("invalid structure constants: " + "; ".join(problems[:3]))
@@ -185,7 +194,7 @@ def split(path, engine, dynamic_pruning, precision_bits, seed, threads, output, 
 @handle_errors
 def verify(path):
     """Re-check a split result in exact arithmetic."""
-    problems = serialize.verify_result_json(_read_json(path))
+    problems = serialize.verify_result_json(_read_checked(path, "result"))
     if problems:
         click.echo(json.dumps({"valid": False, "problems": problems}))
         sys.exit(2)
@@ -199,7 +208,7 @@ def verify(path):
 @handle_errors
 def order(path, output, human):
     """Compute a maximal order and print its basis and discriminant."""
-    table = serialize.algebra_from_json(_read_json(path))
+    table = serialize.algebra_from_json(_read_checked(path, "algebra"))
     problems = validate(table)
     if problems:
         raise InputError("invalid structure constants: " + "; ".join(problems[:3]))
@@ -222,7 +231,7 @@ def lll(path, delta, output):
     """LLL-reduce a rational lattice basis."""
     from fractions import Fraction
 
-    basis = serialize.lattice_from_json(_read_json(path))
+    basis = serialize.lattice_from_json(_read_checked(path, "lattice"))
     reduced = lll_reduce(basis, Fraction(delta))
     payload = serialize.lattice_to_json(reduced)
     payload["orthogonality_defect"] = orthogonality_defect(reduced)
@@ -238,7 +247,7 @@ def lll(path, delta, output):
 @handle_errors
 def enumerate(path, bound, threads, output):
     """List all short vector classes up to the bound, in norm order."""
-    basis = serialize.lattice_from_json(_read_json(path))
+    basis = serialize.lattice_from_json(_read_checked(path, "lattice"))
     gram = basis.gram()
     if threads > 1:
         merged = []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import InputError
 
@@ -243,14 +243,6 @@ def scalar_is_zero(x: Scalar) -> bool:
     return x == 0
 
 
-def scalar_conj(x: Scalar) -> Scalar:
-    return x.conjugate() if isinstance(x, QuadScalar) else x
-
-
-def scalar_field(x: Scalar) -> Field:
-    return Field(x.d) if isinstance(x, QuadScalar) else QQ
-
-
 def as_rational(x: Scalar) -> Fraction:
     """Extract a Fraction from a scalar known to be rational."""
     if isinstance(x, QuadScalar):
@@ -395,15 +387,6 @@ class ExactMatrix:
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
 
-    def conj_transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.field,
-            [
-                [scalar_conj(self.entries[i][j]) for i in range(self.rows)]
-                for j in range(self.cols)
-            ],
-        )
-
     def trace(self):
         if self.rows != self.cols:
             raise InputError("trace of a non-square matrix")
@@ -543,7 +526,3 @@ def kernel_basis(M: ExactMatrix) -> list:
 def solve_linear(M: ExactMatrix, rhs: Sequence):
     """Particular solution of M x = rhs, or None when the system is inconsistent."""
     return M.solve(rhs)
-
-
-def rational_matrix(entries: Iterable[Iterable[Rat]]) -> ExactMatrix:
-    return ExactMatrix(QQ, [list(r) for r in entries])

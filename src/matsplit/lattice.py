@@ -438,6 +438,7 @@ def short_vectors(
 
     if k:
         descend(k - 1, bound_sq)
+    descend = None  # the closure refers to itself; break the cycle
     canonical = []
     for coeffs, nsq in results:
         lead = next(c for c in coeffs if c)

@@ -179,13 +179,6 @@ class ZLattice:
         cols += [[x * (den // other.den) for x in c] for c in other.cols]
         return ZLattice(self.dim, den, cols)
 
-    def det_abs(self) -> Fraction:
-        prod = 1
-        for j, c in enumerate(self.cols):
-            r = next(i for i in range(self.dim) if c[i] != 0)
-            prod *= abs(c[r])
-        return Fraction(prod, self.den**self.dim)
-
     def __eq__(self, other):
         if not isinstance(other, ZLattice):
             return NotImplemented
@@ -1022,14 +1015,15 @@ def _is_probable_prime(n: int) -> bool:
 def factor_integer(n: int, budget: int = 10**6) -> dict[int, int]:
     """Prime factorization by trial division within the budget.
 
-    Raises FactorBudgetError when a composite cofactor survives division by
-    every prime up to the budget.
+    Trial division stops at min(budget, 2^20).  Raises FactorBudgetError
+    when a composite cofactor survives division by every prime up to there.
     """
     n = abs(n)
     if n == 0:
         raise InputError("cannot factor zero")
     out: dict[int, int] = {}
-    for p in _prime_list(max(2, min(budget, 1 << 20))):
+    limit = max(2, min(budget, 1 << 20))
+    for p in _prime_list(limit):
         if p * p > n:
             break
         while n % p == 0:
@@ -1044,7 +1038,7 @@ def factor_integer(n: int, budget: int = 10**6) -> dict[int, int]:
                 out[root] = out.get(root, 0) + 2
             else:
                 raise FactorBudgetError(
-                    f"cofactor {n} resists trial division up to {budget}"
+                    f"cofactor {n} resists trial division up to {limit}"
                 )
     return out
 

@@ -153,10 +153,6 @@ def tau(d: int) -> int:
     return t + 1
 
 
-def _round_frac(x: Fraction) -> int:
-    return round(x)
-
-
 def nearest_integer(x: QuadScalar) -> QuadScalar:
     """Nearest ring-of-integers element to an exact field element.
 

@@ -1,8 +1,10 @@
 """Structure constant algebras: validation, rank test, isomorphism witness."""
 
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from matsplit.algebra import (
     build_isomorphism,
     find_identity,
     ideal_rank,
+    left_regular,
     matrix_units_table,
     multiply,
     reduced_trace_gram,
@@ -20,8 +23,9 @@ from matsplit.algebra import (
     witness_residual,
 )
 from matsplit.errors import InputError, NoIdentityError
-from matsplit.exactnum import QQ, ExactMatrix
+from matsplit.exactnum import EISENSTEIN, GAUSS, QQ, ExactMatrix, QuadScalar
 from matsplit.fixtures import quaternion_table
+from matsplit.orders import initial_order
 from matsplit.splitter import generate_instance
 
 
@@ -219,3 +223,106 @@ class TestTraceGram:
         t = StructureConstants(QQ, [[[1]]])
         g = trace_gram(t, [AlgebraElement(t, [1])])
         assert g.entries == ((Fraction(1),),)
+
+
+# -- differential tests of the exact kernels against definitional oracles ---
+
+FIELDS = {"Q": QQ, "gauss": GAUSS, "eisenstein": EISENSTEIN}
+
+
+def _random_scalar(field, rng):
+    a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if field.is_rational:
+        return a
+    return QuadScalar(field.d, a, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
+def _rescaled(table, scales):
+    """The same algebra on the basis c_i a_i: gamma_ijk becomes c_i c_j / c_k gamma_ijk."""
+    c = [table.field.coerce(x) for x in scales]
+    m = table.m
+    return StructureConstants(
+        table.field,
+        [[[c[i] * c[j] / c[k] * table.gamma[i][j][k] for k in range(m)] for j in range(m)]
+         for i in range(m)],
+    )
+
+
+def _perturbed(table, i, j, k, delta):
+    gamma = [[list(row) for row in plane] for plane in table.gamma]
+    gamma[i][j][k] = gamma[i][j][k] + delta
+    return StructureConstants(table.field, gamma)
+
+
+def _associativity_oracle(table):
+    """Pairs (i, j) with (a_i a_j) a_k != a_i (a_j a_k) for some k, by brute force."""
+    e = [unit(table, j).coords for j in range(table.m)]
+    mul = table.multiply
+    return [
+        (i, j)
+        for i in range(table.m)
+        for j in range(table.m)
+        if any(
+            mul(mul(e[i], e[j]), e[k]) != mul(e[i], mul(e[j], e[k]))
+            for k in range(table.m)
+        )
+    ]
+
+
+def _definitional_gram(table, basis):
+    return ExactMatrix(
+        table.field,
+        [[left_regular(bi * bj).trace() for bj in basis] for bi in basis],
+    )
+
+
+def _to_sympy(x):
+    if isinstance(x, QuadScalar):
+        return sympy.Rational(x.a) + sympy.Rational(x.b) * sympy.sqrt(-x.d)
+    return sympy.Rational(x)
+
+
+class TestKernelsAgainstOracles:
+    @pytest.mark.parametrize(
+        "n, field, seed",
+        [(2, field, seed) for field in sorted(FIELDS) for seed in (0, 1, 2)] + [(3, "Q", 7)],
+    )
+    def test_trace_gram_matches_definition(self, n, field, seed):
+        rng = random.Random(seed)
+        table = generate_instance(n, FIELDS[field], 10, seed).table
+        for k in (1, 3, table.m):
+            basis = [
+                AlgebraElement(table, [_random_scalar(table.field, rng) for _ in range(table.m)])
+                for _ in range(k)
+            ]
+            assert trace_gram(table, basis) == _definitional_gram(table, basis)
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_validate_matches_triple_oracle(self, field, seed):
+        rng = random.Random(100 + seed)
+        table = generate_instance(2, FIELDS[field], 10, seed).table
+        m = table.m
+        # denominators all over the table, so that clearing them matters
+        table = _rescaled(table, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m)])
+        delta = _random_scalar(table.field, rng) + Fraction(1, 7)
+        bad = _perturbed(table, rng.randrange(m), rng.randrange(m), rng.randrange(m), delta)
+        pairs = _associativity_oracle(bad)
+        assert pairs
+        reported = [v for v in validate(bad) if v.startswith("associativity")]
+        assert reported == [f"associativity fails on the pair (a_{i}, a_{j})" for i, j in pairs]
+        assert _associativity_oracle(table) == []
+        assert validate(table) == []
+
+    @pytest.mark.parametrize(
+        "n, field, seed",
+        [(2, "Q", 0), (2, "Q", 5), (3, "Q", 1), (3, "Q", 2), (2, "gauss", 3), (2, "eisenstein", 4)],
+    )
+    def test_discriminant_matches_sympy_determinant(self, n, field, seed):
+        table = generate_instance(n, FIELDS[field], 10, seed).table
+        order = initial_order(table)
+        gram = _definitional_gram(table, order.elements())
+        expected = sympy.Matrix(
+            [[_to_sympy(x) for x in row] for row in gram.entries]
+        ).det() / sympy.Integer(n) ** table.m
+        assert sympy.expand(_to_sympy(order.discriminant) - expected) == 0

@@ -176,6 +176,33 @@ class TestFixtures:
         assert result.exit_code == 4
 
 
+class TestMalformedInput:
+    """JSON of the wrong shape is rejected at the boundary with exit 4."""
+
+    @staticmethod
+    def assert_exit_4(runner, args, payload):
+        result = runner.invoke(main, args, input=json.dumps(payload))
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    def test_verify_empty_object(self, runner):
+        self.assert_exit_4(runner, ["verify"], {})
+
+    def test_verify_algebra_not_an_object(self, runner):
+        self.assert_exit_4(runner, ["verify"], {"algebra": 1})
+
+    def test_lll_basis_not_a_list(self, runner):
+        self.assert_exit_4(runner, ["lll"], {"basis": 1})
+
+    def test_enumerate_basis_not_a_list(self, runner):
+        self.assert_exit_4(runner, ["enumerate", "--bound", "1"], {"basis": 1})
+
+    @pytest.mark.parametrize("command", ["split", "order"])
+    def test_algebra_not_an_object(self, runner, command):
+        self.assert_exit_4(runner, [command], [])
+
+
 class TestSeedsAndCodes:
     def test_env_seed_override(self, runner):
         a = run_ok(runner, ["gen", "--n", "2"], env={"MATSPLIT_SEED": "5"}).output

@@ -1,5 +1,6 @@
 """Lattice machinery: LLL, duals, constants, enumeration, tensor products."""
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -265,6 +266,17 @@ class TestEnumeration:
 
         with pytest.raises(EnumerationBudgetError):
             short_vectors(z2_basis().gram(), 50.0, budget=10)
+
+    def test_listing_leaves_no_reference_cycle(self):
+        gram = a2_basis().gram()
+        gc.collect()
+        gc.disable()
+        try:
+            vecs = short_vectors(gram, 2.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert vecs
 
 
 def _qform(gram, coeffs):

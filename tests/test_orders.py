@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from matsplit.algebra import matrix_units_table
 from matsplit.errors import FactorBudgetError, InputError
@@ -213,6 +214,13 @@ class TestMaximalOrder:
         # a cofactor with two large prime factors cannot be certified
         with pytest.raises(FactorBudgetError):
             factor_integer(1_000_003 * 1_000_033, budget=1000)
+
+    def test_factor_budget_error_reports_the_limit_used(self):
+        # trial division is capped at 2^20 whatever the budget says
+        p = sympy.nextprime(1 << 20)
+        q = sympy.nextprime(p)
+        with pytest.raises(FactorBudgetError, match=f"up to {1 << 20}$"):
+            factor_integer(p * q, budget=10**7)
 
     def test_factor_integer_smooth(self):
         assert factor_integer(720) == {2: 4, 3: 2, 5: 1}
