@@ -36,6 +36,7 @@ class StructureConstants:
         self.gamma = tuple(coerced)
         self._left_mats: list[ExactMatrix] | None = None
         self._identity: tuple | None = None
+        self._int_gamma: tuple[list, int] | None = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -119,27 +120,81 @@ class StructureConstants:
         return ExactMatrix(self.field, rows)
 
     def find_identity(self) -> "AlgebraElement":
-        """Two-sided identity by exact linear solve; raises when none exists."""
-        if self._identity is not None:
-            return AlgebraElement(self, self._identity)
-        # stack the equations e * a_j = a_j and a_j * e = a_j for all j
-        rows = []
-        rhs = []
-        rights = [self.right_regular(_unit(self, j)) for j in range(self.m)]
-        lefts = self.basis_left_matrices()
-        for j in range(self.m):
-            for k in range(self.m):
-                rows.append([rights[j].entries[k][i] for i in range(self.m)])
-                rhs.append(self.field.one() if k == j else self.field.zero())
-        for j in range(self.m):
-            for k in range(self.m):
-                rows.append([lefts[j].entries[k][i] for i in range(self.m)])
-                rhs.append(self.field.one() if k == j else self.field.zero())
-        sol = ExactMatrix(self.field, rows).solve(rhs)
-        if sol is None:
+        """The two-sided identity; raises NoIdentityError when none exists.
+
+        e = sum_i e_i a_i must solve sum_i e_i gamma_ijk = [j == k] (that is
+        e a_j = a_j) and sum_i e_i gamma_jik = [j == k] (a_j e = a_j).  The
+        scan reduces these 2m^2 equations one at a time against the pivot
+        rows kept so far and stops at m pivots.  A two-sided identity is
+        unique when it exists (e = e e' = e'), so it is the solution of those
+        m rows, and substituting that solution into all 2m^2 equations, in
+        O(m^3) integer operations over Q, decides whether it is one.
+        """
+        if self._identity is None:
+            self._identity = self._solve_identity()
+        return AlgebraElement(self, self._identity)
+
+    def _solve_identity(self) -> tuple:
+        m = self.m
+        G, d = self._integral_gamma()
+        zero, one = self.field.zero(), self.field.one()
+
+        def equations():
+            for j in range(m):
+                for k in range(m):
+                    yield [G[i][j][k] for i in range(m)], d if j == k else 0
+            for j in range(m):
+                for k in range(m):
+                    yield [G[j][i][k] for i in range(m)], d if j == k else 0
+
+        # (column, row scaled to 1 there, right-hand side); each row is zero
+        # in the columns of the pivots kept before it
+        pivots = []
+        for row, rhs in equations():
+            for c, p, b in pivots:
+                f = row[c]
+                if f:
+                    row = [x - f * y for x, y in zip(row, p)]
+                    rhs = rhs - f * b
+            c = next((c for c, x in enumerate(row) if x), None)
+            if c is None:
+                if rhs:
+                    raise NoIdentityError("the table has no two-sided identity")
+                continue
+            inv = one / row[c]
+            pivots.append((c, [inv * x for x in row], inv * rhs))
+            if len(pivots) == m:
+                break
+        if len(pivots) < m:
             raise NoIdentityError("the table has no two-sided identity")
-        self._identity = sol
-        return AlgebraElement(self, sol)
+        e = [zero] * m
+        for c, p, b in reversed(pivots):
+            # the other nonzero columns of p are pivots kept later, solved already
+            e[c] = b - sum((x * e[k] for k, x in enumerate(p) if x and k != c), zero)
+        E, de = _integral(self.field, e)
+        nz = [(i, x) for i, x in enumerate(E) if x]
+        for j in range(m):
+            for k in range(m):
+                want = d * de if j == k else 0
+                if (
+                    sum(x * G[i][j][k] for i, x in nz) != want
+                    or sum(x * G[j][i][k] for i, x in nz) != want
+                ):
+                    raise NoIdentityError("the table has no two-sided identity")
+        return tuple(self.field.coerce(x) for x in e)
+
+    def _integral_gamma(self) -> tuple[list, int]:
+        """The table as nested lists G[i][j][k] and the scale d with G = d * gamma.
+
+        Over Q, d is the lcm of the denominators and G holds ints; over a
+        quadratic field G is gamma itself and d = 1.
+        """
+        if self._int_gamma is None:
+            m = self.m
+            flat, d = _integral(self.field, [x for gi in self.gamma for gij in gi for x in gij])
+            G = [[flat[(i * m + j) * m:(i * m + j + 1) * m] for j in range(m)] for i in range(m)]
+            self._int_gamma = (G, d)
+        return self._int_gamma
 
     def validate(self) -> list[str]:
         """All associativity identities plus identity existence, exactly.
@@ -168,13 +223,7 @@ class StructureConstants:
         arithmetic is on ints.
         """
         m = self.m
-        gamma = self.gamma
-        if self.field.is_rational:
-            den = math.lcm(*(x.denominator for gi in gamma for gij in gi for x in gij))
-            gamma = [
-                [[x.numerator * (den // x.denominator) for x in gij] for gij in gi]
-                for gi in gamma
-            ]
+        gamma, _ = self._integral_gamma()
         # nonzero (index, value) pairs of each product a_i a_j
         nz = [[[(s, x) for s, x in enumerate(gij) if x] for gij in gi] for gi in gamma]
         failures = []
@@ -209,10 +258,15 @@ class StructureConstants:
         return f"StructureConstants(dim={self.m} over {self.field})"
 
 
-def _unit(table: StructureConstants, j: int) -> tuple:
-    v = [table.field.zero()] * table.m
-    v[j] = table.field.one()
-    return tuple(v)
+def _integral(field: Field, values: Sequence) -> tuple[list, int]:
+    """Over Q: the values times the lcm D of their denominators, as ints, and D.
+
+    Over a quadratic field the values come back unchanged with D = 1.
+    """
+    if not field.is_rational:
+        return list(values), 1
+    D = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (D // x.denominator) for x in values], D
 
 
 class AlgebraElement:
@@ -345,7 +399,11 @@ def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> Isomorphi
                 raise InternalError("left ideal is not invariant; invalid input?")
             cols.append(sol)
         images.append(ExactMatrix.from_columns(table.field, cols))
-    _verify_witness(table, images)
+    problems = witness_problems(table, images)
+    if problems.pairs:
+        raise InternalError(f"multiplicativity fails on the basis pair {problems.pairs[0]}")
+    if problems.identity_fails:
+        raise InternalError("phi(1) is not the identity matrix")
     return IsomorphismWitness(
         left_ideal_basis=tuple(AlgebraElement(table, c) for c in basis_cols),
         images=tuple(images),
@@ -353,32 +411,56 @@ def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> Isomorphi
     )
 
 
-def _multiplicativity_failures(table: StructureConstants, images: Sequence[ExactMatrix]):
-    """Basis pairs (i, j) with phi(a_i) phi(a_j) != sum_k gamma_ijk phi(a_k)."""
-    n = table.n
-    for i in range(table.m):
-        for j in range(table.m):
-            prod = images[i] @ images[j]
-            acc = ExactMatrix.zeros(table.field, n, n)
-            for k in range(table.m):
-                c = table.gamma[i][j][k]
-                if not scalar_is_zero(c):
-                    acc = acc + images[k].scaled(c)
-            if prod != acc:
-                yield i, j
+@dataclass(frozen=True)
+class WitnessProblems:
+    """What witness_problems found wrong with a set of images."""
+
+    pairs: tuple  # basis pairs (i, j), row-major, with phi(a_i) phi(a_j) != phi(a_i a_j)
+    identity_fails: bool  # phi(1) != I; checked only when every pair holds
 
 
-def _verify_witness(table: StructureConstants, images: Sequence[ExactMatrix]):
-    n = table.n
-    for i, j in _multiplicativity_failures(table, images):
-        raise InternalError(f"multiplicativity fails on the basis pair ({i}, {j})")
-    e = table.find_identity()
-    phi_e = ExactMatrix.zeros(table.field, n, n)
-    for k in range(table.m):
-        if not scalar_is_zero(e.coords[k]):
-            phi_e = phi_e + images[k].scaled(e.coords[k])
-    if phi_e != ExactMatrix.identity(table.field, n):
-        raise InternalError("phi(1) is not the identity matrix")
+def witness_problems(table: StructureConstants, images: Sequence[ExactMatrix]) -> WitnessProblems:
+    """Exact check that a_i -> images[i] is a unital homomorphism A -> M_n(K).
+
+    Multiplicativity phi(a_i) phi(a_j) = sum_k gamma_ijk phi(a_k) is checked
+    on every basis pair, then phi(1) = I.  Over Q the arithmetic is on ints:
+    with P_k the images times the lcm D of their denominators and G the table
+    times the lcm d of its own, each pair checks d P_i P_j = D sum_k G_ijk P_k.
+    Raises InputError unless there are m images, each n x n over the table's
+    field, and NoIdentityError when every pair holds but the table has no
+    identity.
+    """
+    n, m = table.n, table.m
+    if len(images) != m or any(
+        M.field != table.field or M.rows != n or M.cols != n for M in images
+    ):
+        raise InputError(f"a witness needs {m} images of shape {n} x {n} over {table.field}")
+    nn = n * n
+    flat, D = _integral(table.field, [x for M in images for row in M.entries for x in row])
+    P = [flat[k * nn:(k + 1) * nn] for k in range(m)]
+    rows = [[Pk[r * n:(r + 1) * n] for r in range(n)] for Pk in P]
+    cols = [[Pk[c::n] for c in range(n)] for Pk in P]
+
+    def combination(coeffs):
+        acc = [0] * nn
+        for c, Pk in zip(coeffs, P):
+            if c:
+                acc = [a + c * x for a, x in zip(acc, Pk)]
+        return acc
+
+    G, d = table._integral_gamma()
+    pairs = []
+    for i in range(m):
+        for j in range(m):
+            lhs = [d * sum(a * b for a, b in zip(r, c)) for r in rows[i] for c in cols[j]]
+            if lhs != [D * a for a in combination(G[i][j])]:
+                pairs.append((i, j))
+    identity_fails = False
+    if not pairs:
+        E, de = _integral(table.field, table.find_identity().coords)
+        eye = [de * D if r == c else 0 for r in range(n) for c in range(n)]
+        identity_fails = combination(E) != eye
+    return WitnessProblems(tuple(pairs), identity_fails)
 
 
 def witness_residual(table: StructureConstants, witness: IsomorphismWitness):
@@ -387,7 +469,7 @@ def witness_residual(table: StructureConstants, witness: IsomorphismWitness):
     Returns the number of basis pairs with a nonzero defect (always 0 for
     witnesses produced by build_isomorphism; exposed for external checking).
     """
-    return sum(1 for _ in _multiplicativity_failures(table, witness.images))
+    return len(witness_problems(table, witness.images).pairs)
 
 
 def matrix_units_table(n: int, field: Field = None) -> StructureConstants:

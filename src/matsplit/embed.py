@@ -49,7 +49,7 @@ class Embedding:
         for i, c in enumerate(coords):
             s = _scalar_to_mp(c)
             if s != 0:
-                out += s * self.images[i]
+                out += self.images[i] * s
         return out
 
 
@@ -266,14 +266,14 @@ def _measure_residual(table: StructureConstants, images) -> mpf:
                 g = table.gamma[i][j][k]
                 s = _scalar_to_mp(g)
                 if s != 0:
-                    acc += s * images[k]
+                    acc += images[k] * s
             worst = max(worst, _frob(images[i] * images[j] - acc))
     e = table.find_identity()
     phi_e = mpmath.zeros(n, n)
     for k in range(m):
         s = _scalar_to_mp(e.coords[k])
         if s != 0:
-            phi_e += s * images[k]
+            phi_e += images[k] * s
     worst = max(worst, _frob(phi_e - mpmath.eye(n)))
     return worst
 

@@ -436,9 +436,11 @@ def short_vectors(
                 xi += step
         x[level] = 0
 
-    if k:
-        descend(k - 1, bound_sq)
-    descend = None  # the closure refers to itself; break the cycle
+    try:
+        if k:
+            descend(k - 1, bound_sq)
+    finally:
+        descend = None  # the closure refers to itself; break the cycle
     canonical = []
     for coeffs, nsq in results:
         lead = next(c for c in coeffs if c)

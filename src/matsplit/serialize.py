@@ -16,11 +16,11 @@ from typing import Any
 from .algebra import (
     AlgebraElement,
     StructureConstants,
-    find_identity,
     ideal_rank,
+    witness_problems,
 )
 from .errors import InputError
-from .exactnum import QQ, ExactMatrix, Field, QuadScalar, scalar_is_zero
+from .exactnum import QQ, ExactMatrix, Field, QuadScalar
 from .lattice import LatticeBasis
 from .orders import Order
 
@@ -67,7 +67,11 @@ def field_from_json(obj) -> Field:
     if obj["type"] == "Q":
         return QQ
     if obj["type"] == "imag_quad":
-        return Field(int(obj["d"]))
+        try:
+            d = int(obj["d"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError("an imag_quad field needs an integer d") from exc
+        return Field(d)
     raise InputError(f"unknown field type {obj['type']!r}")
 
 
@@ -189,23 +193,11 @@ def verify_result_json(obj) -> list[str]:
     if len(images) != table.m:
         problems.append("wrong number of image matrices")
         return problems
-    for i in range(table.m):
-        for j in range(table.m):
-            prod = images[i] @ images[j]
-            acc = ExactMatrix.zeros(table.field, n, n)
-            for k in range(table.m):
-                g = table.gamma[i][j][k]
-                if not scalar_is_zero(g):
-                    acc = acc + images[k].scaled(g)
-            if prod != acc:
-                problems.append(f"multiplicativity fails at basis pair ({i}, {j})")
-                return problems
-    e = find_identity(table)
-    phi_e = ExactMatrix.zeros(table.field, n, n)
-    for k in range(table.m):
-        if not scalar_is_zero(e.coords[k]):
-            phi_e = phi_e + images[k].scaled(e.coords[k])
-    if phi_e != ExactMatrix.identity(table.field, n):
+    found = witness_problems(table, images)
+    if found.pairs:
+        i, j = found.pairs[0]
+        problems.append(f"multiplicativity fails at basis pair ({i}, {j})")
+    elif found.identity_fails:
         problems.append("phi(1) is not the identity")
     return problems
 

@@ -7,10 +7,12 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from matsplit.algebra import (
     AlgebraElement,
     StructureConstants,
+    WitnessProblems,
     build_isomorphism,
     find_identity,
     ideal_rank,
@@ -20,6 +22,7 @@ from matsplit.algebra import (
     reduced_trace_gram,
     trace_gram,
     validate,
+    witness_problems,
     witness_residual,
 )
 from matsplit.errors import InputError, NoIdentityError
@@ -121,6 +124,18 @@ class TestIdentity:
     def test_no_identity_reported(self):
         # the 1-dim algebra with a*a = 0 has no unit
         t = StructureConstants(QQ, [[[0]]])
+        with pytest.raises(NoIdentityError):
+            find_identity(t)
+
+    def test_zero_algebra_has_no_identity(self):
+        with pytest.raises(NoIdentityError):
+            find_identity(StructureConstants(QQ, [[[0] * 4] * 4] * 4))
+
+    def test_left_identities_without_a_right_identity(self):
+        # a_i a_j = a_j: every a_i is a left identity, and a_j e = e for all j,
+        # so no e is a right identity; the m pivot rows still fix a candidate
+        t = StructureConstants(QQ, [[[int(j == k) for k in range(4)] for j in range(4)]] * 4)
+        assert validate(t) == ["no two-sided identity element"]
         with pytest.raises(NoIdentityError):
             find_identity(t)
 
@@ -326,3 +341,108 @@ class TestKernelsAgainstOracles:
             [[_to_sympy(x) for x in row] for row in gram.entries]
         ).det() / sympy.Integer(n) ** table.m
         assert sympy.expand(_to_sympy(order.discriminant) - expected) == 0
+
+
+def _sympy_field(field):
+    """The field as a sympy domain, with a converter from matsplit scalars."""
+    if field.is_rational:
+        return sympy.QQ, lambda x: sympy.QQ(x.numerator, x.denominator)
+    K = sympy.QQ.algebraic_field(sympy.sqrt(-field.d))
+    root = K.from_sympy(sympy.sqrt(-field.d))
+    return K, lambda x: K.convert(sympy.Rational(x.a)) + K.convert(sympy.Rational(x.b)) * root
+
+
+def _identity_oracle(table):
+    """Coordinates of the identity from sympy's rref of the stacked 2m^2 x m system.
+
+    None when the system has no unique solution.
+    """
+    K, conv = _sympy_field(table.field)
+    m, g = table.m, table.gamma
+    rows = [[g[i][j][k] for i in range(m)] + [int(j == k)] for j in range(m) for k in range(m)]
+    rows += [[g[j][i][k] for i in range(m)] + [int(j == k)] for j in range(m) for k in range(m)]
+    entries = [[conv(table.field.coerce(x)) for x in r] for r in rows]
+    rref, pivots = DomainMatrix(entries, (2 * m * m, m + 1), K).rref()
+    if tuple(pivots) != tuple(range(m)):
+        return None
+    return [row[m] for row in rref.to_list()[:m]]
+
+
+def _witness_oracle(table, images):
+    """witness_problems by brute force on ExactMatrix products and sums."""
+    n = table.n
+    zero = ExactMatrix.zeros(table.field, n, n)
+
+    def phi(coords):
+        acc = zero
+        for c, M in zip(coords, images):
+            acc = acc + M.scaled(c)
+        return acc
+
+    pairs = tuple(
+        (i, j)
+        for i in range(table.m)
+        for j in range(table.m)
+        if images[i] @ images[j] != phi(table.gamma[i][j])
+    )
+    identity_fails = not pairs and phi(find_identity(table).coords) != ExactMatrix.identity(
+        table.field, n
+    )
+    return WitnessProblems(pairs, identity_fails)
+
+
+class TestIdentityAndWitnessAgainstOracles:
+    @pytest.mark.parametrize(
+        "n, field, seed",
+        [(2, "Q", 0), (2, "Q", 1), (3, "Q", 2), (2, "gauss", 3), (2, "eisenstein", 4)],
+    )
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_find_identity_matches_sympy_solve(self, n, field, seed, perturb):
+        rng = random.Random(200 + seed)
+        table = generate_instance(n, FIELDS[field], 10, seed).table
+        m = table.m
+        table = _rescaled(table, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m)])
+        if perturb:
+            delta = _random_scalar(table.field, rng) + Fraction(1, 7)
+            table = _perturbed(table, rng.randrange(m), rng.randrange(m), rng.randrange(m), delta)
+        expected = _identity_oracle(table)
+        if expected is None:
+            with pytest.raises(NoIdentityError):
+                find_identity(table)
+        else:
+            _, conv = _sympy_field(table.field)
+            assert [conv(x) for x in find_identity(table).coords] == expected
+        assert expected is not None or perturb
+
+    @pytest.mark.parametrize(
+        "n, field, seed", [(2, "Q", 5), (3, "Q", 6), (2, "gauss", 7), (2, "eisenstein", 8)]
+    )
+    def test_witness_problems_matches_brute_force(self, n, field, seed):
+        rng = random.Random(300 + seed)
+        inst = generate_instance(n, FIELDS[field], 10, seed)
+        m = inst.table.m
+        # the basis c_i a_i maps to c_i phi(a_i); denominators on both sides
+        scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m)]
+        table = _rescaled(inst.table, scales)
+        hidden = [
+            inst.hidden_matrix(unit(inst.table, k).coords).scaled(c) for k, c in enumerate(scales)
+        ]
+        assert witness_problems(table, hidden) == _witness_oracle(table, hidden)
+        assert witness_problems(table, hidden) == WitnessProblems((), False)
+        for _ in range(3):
+            k, r, c = rng.randrange(m), rng.randrange(n), rng.randrange(n)
+            rows = [list(row) for row in hidden[k].entries]
+            rows[r][c] = rows[r][c] + Fraction(1, 3)
+            tampered = hidden[:k] + [ExactMatrix(table.field, rows)] + hidden[k + 1:]
+            found = witness_problems(table, tampered)
+            assert found.pairs
+            assert found == _witness_oracle(table, tampered)
+        zeros = [ExactMatrix.zeros(table.field, n, n)] * m
+        assert witness_problems(table, zeros) == WitnessProblems((), True)
+        assert _witness_oracle(table, zeros) == WitnessProblems((), True)
+
+    def test_witness_problems_rejects_wrong_shapes(self, m2):
+        good = [ExactMatrix.identity(QQ, 2)] * 4
+        for bad in (good[:3], [ExactMatrix.identity(QQ, 1)] * 4, [ExactMatrix.identity(GAUSS, 2)] * 4):
+            with pytest.raises(InputError):
+                witness_problems(m2, bad)

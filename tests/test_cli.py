@@ -202,6 +202,27 @@ class TestMalformedInput:
     def test_algebra_not_an_object(self, runner, command):
         self.assert_exit_4(runner, [command], [])
 
+    def test_quadratic_field_without_d(self, runner):
+        algebra = algebra_to_json(quaternion_table(1, 1))
+        algebra["field"] = {"type": "imag_quad"}
+        self.assert_exit_4(runner, ["split"], algebra)
+
+    @pytest.fixture(scope="class")
+    def split_payload(self):
+        runner = CliRunner()
+        gen = run_ok(runner, ["gen", "--n", "2", "--seed", "11"])
+        return json.loads(run_ok(runner, ["split", "--seed", "11"], input=gen.output).output)
+
+    @pytest.mark.parametrize(
+        "image",
+        [[["1"]], [["1", "0"], ["0"]]],
+        ids=["one_by_one", "ragged"],
+    )
+    def test_verify_image_of_the_wrong_shape(self, runner, split_payload, image):
+        payload = json.loads(json.dumps(split_payload))
+        payload["witness"]["images"][0] = image
+        self.assert_exit_4(runner, ["verify"], payload)
+
 
 class TestSeedsAndCodes:
     def test_env_seed_override(self, runner):

@@ -69,6 +69,28 @@ class TestSplitNumeric:
         assert emb.is_complex
 
 
+class TestMpmathOperandOrder:
+    """Scalar times matrix must be written matrix * scalar.
+
+    With the scalar on the left, mpf.__mul__ first fails to convert the
+    matrix and formats repr(matrix) into a TypeError it then discards.
+    """
+
+    @pytest.mark.parametrize("field", [QQ, Field(1)], ids=["Q", "gauss"])
+    def test_no_matrix_is_formatted(self, monkeypatch, field):
+        t = matrix_units_table(2, field)
+        o = maximal_order(t)
+
+        def refuse(self):
+            raise AssertionError("an mpmath matrix was formatted")
+
+        monkeypatch.setattr(mpmath.matrix, "__repr__", refuse)
+        emb = split_numeric(t, o, 128, seed=3)
+        lat = embed_order(emb, o)
+        assert float(emb.residual) < 1e-25
+        assert lat.dimension == (4 if field.is_rational else 8)
+
+
 class TestEmbedOrder:
     def test_matrix_units_are_frobenius_orthonormal(self):
         t = matrix_units_table(2)

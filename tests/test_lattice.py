@@ -278,6 +278,19 @@ class TestEnumeration:
             gc.enable()
         assert vecs
 
+    def test_budget_exhaustion_leaves_no_reference_cycle(self):
+        from matsplit.errors import EnumerationBudgetError
+
+        gram = z2_basis().gram()
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(EnumerationBudgetError):
+                short_vectors(gram, 50.0, budget=10)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 def _qform(gram, coeffs):
     acc = Fraction(0)
