@@ -48,7 +48,6 @@ from .lattice import (
     box_enumerate,
     c_m,
     dual_basis,
-    enumerate_short,
     hermite_gamma,
     lenstra_coefficient_bounds,
     lll_reduce,
@@ -80,6 +79,7 @@ from .splitter import (
     SplitResult,
     dynamic_bound_update,
     generate_instance,
+    split,
     split_imag_quad,
     split_over_Q,
 )

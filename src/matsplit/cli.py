@@ -3,12 +3,11 @@
 All commands emit machine-readable JSON by default; ``--human`` switches to
 a readable summary.  Exit codes: 0 success, 2 promise violation (the input
 is not a full matrix algebra), 3 precision or budget exhaustion, 4 bad
-input.  MATSPLIT_SEED overrides the default seed.
+input, usage errors included.  MATSPLIT_SEED overrides the default seed.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -17,7 +16,7 @@ import sys
 import click
 
 from . import fixtures as fixture_catalog
-from . import serialize
+from . import serialize, splitter
 from .algebra import validate
 from .errors import (
     BudgetError,
@@ -49,7 +48,6 @@ from .quadfield import (
     r_lambda_upper,
     tau,
 )
-from .splitter import SplitConfig, generate_instance, split_imag_quad, split_over_Q
 
 
 def _default_seed() -> int:
@@ -63,18 +61,6 @@ def _exit_code(exc: MatsplitError) -> int:
     if isinstance(exc, (PrecisionError, BudgetError)):
         return 3
     return 4
-
-
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except MatsplitError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(_exit_code(exc))
-
-    return wrapper
 
 
 def _read_json(path: str):
@@ -124,7 +110,33 @@ def _random_integral_lattice(rng, rank, entry=5) -> LatticeBasis:
             continue
 
 
-@click.group()
+class _Group(click.Group):
+    """Maps every command's errors to the exit codes above.
+
+    Usage errors (unknown flag, bad choice, missing option) exit 4 like any
+    other bad input: click's own code for them, 2, means a promise
+    violation here.
+    """
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = 4
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 4
+            raise
+        except MatsplitError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(_exit_code(exc))
+
+
+@click.group(cls=_Group)
 def main():
     """Explicit isomorphisms of full matrix algebras."""
 
@@ -141,11 +153,10 @@ def main():
 @click.option("--height", type=int, default=10, show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--output", default="-", show_default=True)
-@handle_errors
 def gen(size, field_name, height, seed, output):
     """Generate a scrambled full matrix algebra as structure constants."""
     seed = _default_seed() if seed is None else seed
-    inst = generate_instance(size, field_name, height, seed)
+    inst = splitter.generate_instance(size, field_name, height, seed)
     _write_json(serialize.algebra_to_json(inst.table), output)
 
 
@@ -157,28 +168,22 @@ def gen(size, field_name, height, seed, output):
 @click.option("--dynamic-pruning", is_flag=True)
 @click.option("--precision-bits", type=int, default=128, show_default=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--output", default="-", show_default=True)
 @click.option("--human", is_flag=True)
-@handle_errors
-def split(path, engine, dynamic_pruning, precision_bits, seed, threads, output, human):
+def split(path, engine, dynamic_pruning, precision_bits, seed, output, human):
     """Find a rank-one element and an explicit isomorphism."""
     table = serialize.algebra_from_json(_read_checked(path, "algebra"))
     problems = validate(table)
     if problems:
         raise InputError("invalid structure constants: " + "; ".join(problems[:3]))
     seed = _default_seed() if seed is None else seed
-    config = SplitConfig(
+    config = splitter.SplitConfig(
         seed=seed,
         precision_bits=precision_bits,
         engine=engine,
         dynamic_pruning=dynamic_pruning,
-        threads=threads,
     )
-    if table.field.is_rational:
-        result = split_over_Q(table, config)
-    else:
-        result = split_imag_quad(table, config)
+    result = splitter.split(table, config)
     if human:
         st = result.stats
         click.echo(f"rank-one element found at Frobenius norm {st.found_norm:.6f}")
@@ -191,7 +196,6 @@ def split(path, engine, dynamic_pruning, precision_bits, seed, threads, output, 
 
 @main.command()
 @click.option("--input", "path", default="-", show_default=True)
-@handle_errors
 def verify(path):
     """Re-check a split result in exact arithmetic."""
     problems = serialize.verify_result_json(_read_checked(path, "result"))
@@ -205,7 +209,6 @@ def verify(path):
 @click.option("--input", "path", default="-", show_default=True)
 @click.option("--output", default="-", show_default=True)
 @click.option("--human", is_flag=True)
-@handle_errors
 def order(path, output, human):
     """Compute a maximal order and print its basis and discriminant."""
     table = serialize.algebra_from_json(_read_checked(path, "algebra"))
@@ -226,13 +229,10 @@ def order(path, output, human):
 @click.option("--input", "path", default="-", show_default=True)
 @click.option("--delta", default="3/4", show_default=True)
 @click.option("--output", default="-", show_default=True)
-@handle_errors
 def lll(path, delta, output):
     """LLL-reduce a rational lattice basis."""
-    from fractions import Fraction
-
     basis = serialize.lattice_from_json(_read_checked(path, "lattice"))
-    reduced = lll_reduce(basis, Fraction(delta))
+    reduced = lll_reduce(basis, serialize.rational_from_str(delta))
     payload = serialize.lattice_to_json(reduced)
     payload["orthogonality_defect"] = orthogonality_defect(reduced)
     payload["unimodular_history"] = [list(r) for r in reduced.unimodular_history]
@@ -242,21 +242,11 @@ def lll(path, delta, output):
 @main.command()
 @click.option("--input", "path", default="-", show_default=True)
 @click.option("--bound", type=float, required=True, help="Norm bound.")
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--output", default="-", show_default=True)
-@handle_errors
-def enumerate(path, bound, threads, output):
+def enumerate(path, bound, output):
     """List all short vector classes up to the bound, in norm order."""
     basis = serialize.lattice_from_json(_read_checked(path, "lattice"))
-    gram = basis.gram()
-    if threads > 1:
-        merged = []
-        for part in range(threads):
-            merged.extend(short_vectors(gram, bound, partition=(part, threads)))
-        merged.sort(key=lambda cv: (cv[1], cv[0]))
-        vecs = merged
-    else:
-        vecs = short_vectors(gram, bound)
+    vecs = short_vectors(basis.gram(), bound)
     payload = {
         "count": len(vecs),
         "vectors": [
@@ -273,7 +263,6 @@ def enumerate(path, bound, threads, output):
 @click.option("--hermite", type=int, default=None, help="Hermite constant gamma_n.")
 @click.option("--minfloor", type=int, default=None, help="Minimal rank floor up to r.")
 @click.option("--human", is_flag=True)
-@handle_errors
 def constants(kappa_d, gammah, cm_m, hermite, minfloor, human):
     """Report the named constants, exactly where exact values exist."""
     out = {}
@@ -319,7 +308,6 @@ def constants(kappa_d, gammah, cm_m, hermite, minfloor, human):
               help="Rank cap for --random lattices.")
 @click.option("--seed", type=int, default=None)
 @click.option("--human", is_flag=True)
-@handle_errors
 def tensor_experiment(left, right, bound, randomize, rankmax, seed, human):
     """Minimal tensor norms by matrix rank, with the rank floor audit."""
     if randomize:
@@ -358,7 +346,6 @@ def tensor_experiment(left, right, bound, randomize, rankmax, seed, human):
 @main.command()
 @click.option("--name", required=True)
 @click.option("--output", default="-", show_default=True)
-@handle_errors
 def fixture(name, output):
     """Dump a named fixture as JSON."""
     kind, obj = fixture_catalog.fixture(name)

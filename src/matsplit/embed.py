@@ -391,5 +391,6 @@ def rationalize(embedded: EmbeddedLattice, target_denominator: int) -> LatticeBa
     cols = []
     for vec in embedded.basis_vectors:
         cols.append(tuple(Fraction(int(mpmath.nint(x * q)), q) for x in vec))
-    perturbation = float(embedded.error_radius) + 1.0 / q
+    # int / int, not 1.0 / q: q = 2^1024 and above has no float value
+    perturbation = float(embedded.error_radius) + 1 / q
     return LatticeBasis(cols, perturbation=perturbation)

@@ -387,15 +387,12 @@ def short_vectors(
     gram: Sequence[Sequence[Fraction]],
     norm_bound,
     budget: int | None = None,
-    partition: tuple[int, int] | None = None,
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """All +-classes of nonzero vectors with norm <= norm_bound, sorted.
 
     Returns (coefficients, squared norm) pairs ordered by norm then
     lexicographic coefficients; each class is represented with its first
-    nonzero coefficient positive.  ``partition=(index, count)`` keeps only
-    the classes whose leading (last) coefficient falls in the given residue
-    class; the union over all residues is exactly the full output.
+    nonzero coefficient positive.
     """
     k = len(gram)
     bound_sq = _norm_bound_sq(norm_bound)
@@ -446,21 +443,8 @@ def short_vectors(
         lead = next(c for c in coeffs if c)
         if lead > 0:
             canonical.append((coeffs, nsq))
-    if partition is not None:
-        idx, count = partition
-        canonical = [cv for cv in canonical if cv[0][k - 1] % count == idx]
     canonical.sort(key=lambda cv: (cv[1], cv[0]))
     return canonical
-
-
-def enumerate_short(
-    gram,
-    norm_bound,
-    budget: int | None = None,
-    partition: tuple[int, int] | None = None,
-):
-    """Stream of (coefficients, squared norm) in nondecreasing norm order."""
-    yield from short_vectors(gram, norm_bound, budget=budget, partition=partition)
 
 
 @dataclass

@@ -459,51 +459,6 @@ def _order_from_zlattice(table: StructureConstants, lat: ZLattice) -> Order:
 
 def initial_order(table: StructureConstants) -> Order:
     """A starting order: scaled basis plus identity, closed under products."""
-    if table.field.is_rational:
-        return _initial_order_q(table)
-    return _initial_order_ok(table)
-
-
-def _scalar_denominator(x) -> int:
-    if isinstance(x, QuadScalar):
-        return x.denominator()
-    return Fraction(x).denominator
-
-
-def _initial_order_q(table: StructureConstants) -> Order:
-    m = table.m
-    ell = 1
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                d = _scalar_denominator(table.gamma[i][j][k])
-                ell = ell * d // math.gcd(ell, d)
-    e = table.find_identity()
-    gens = []
-    for i in range(m):
-        gens.append(tuple(Fraction(ell) if k == i else Fraction(0) for k in range(m)))
-    gens.append(tuple(Fraction(x) for x in e.coords))
-    lat = ZLattice.from_rational_columns(gens, m)
-    lat = _close_under_multiplication_q(table, lat)
-    return _order_from_zlattice(table, lat)
-
-
-def _close_under_multiplication_q(table: StructureConstants, lat: ZLattice) -> ZLattice:
-    for _ in range(64):
-        basis = lat.basis_fractions()
-        missing = []
-        for bi in basis:
-            for bj in basis:
-                prod = table.multiply(bi, bj)
-                if not lat.contains(prod):
-                    missing.append(tuple(Fraction(x) for x in prod))
-        if not missing:
-            return lat
-        lat = lat.sum(ZLattice.from_rational_columns(missing, lat.dim))
-    raise InternalError("multiplicative closure did not stabilize")
-
-
-def _initial_order_ok(table: StructureConstants) -> Order:
     m = table.m
     field = table.field
     ell = 1
@@ -517,20 +472,34 @@ def _initial_order_ok(table: StructureConstants) -> Order:
     for i in range(m):
         gens.append(tuple(field.coerce(ell if k == i else 0) for k in range(m)))
     gens.append(tuple(field.coerce(x) for x in e.coords))
-    cols = _ok_triangular(field, gens, m)
+    # a basis of the span of some vectors, and the membership test for it:
+    # Hermite form over Z, Euclidean column reduction over O_K
+    if field.is_rational:
+        def span(vecs):
+            lat = ZLattice.from_rational_columns(vecs, m)
+            return lat.basis_fractions(), lat.contains
+    else:
+        def span(vecs):
+            cols = _ok_triangular(field, vecs, m)
+            return cols, lambda v: _ok_contains(field, cols, v)
+    cols, contains = span(gens)
     for _ in range(64):
         missing = []
         for bi in cols:
             for bj in cols:
                 prod = table.multiply(bi, bj)
-                if not _ok_contains(field, cols, prod):
+                if not contains(prod):
                     missing.append(tuple(prod))
         if not missing:
-            break
-        cols = _ok_triangular(field, list(cols) + missing, m)
-    else:
-        raise InternalError("multiplicative closure did not stabilize")
-    return Order(table, ExactMatrix.from_columns(field, [list(c) for c in cols]))
+            return Order(table, ExactMatrix.from_columns(field, [list(c) for c in cols]))
+        cols, contains = span(list(cols) + missing)
+    raise InternalError("multiplicative closure did not stabilize")
+
+
+def _scalar_denominator(x) -> int:
+    if isinstance(x, QuadScalar):
+        return x.denominator()
+    return Fraction(x).denominator
 
 
 # Euclidean column reduction over the ring of integers of Q(sqrt(-d))
@@ -1050,13 +1019,15 @@ def maximal_order(
 ) -> Order:
     """Saturate the initial order at every prime whose square divides the
     discriminant; over Q and a split algebra the fixpoint has |disc| = 1.
+    Over Q(i) and Q(sqrt(-3)) the saturation runs on the rank-2m integral
+    restriction, which is converted back to a ring-of-integers basis.
 
     When ``disc_trace`` is a list, the absolute discriminant is appended
     after the initial construction and after each prime's saturation.
     """
-    if not table.field.is_rational:
-        return _maximal_order_ok(table, factor_budget, disc_trace)
     order = initial_order(table)
+    if not table.field.is_rational:
+        _, order = restrict_order(order)
     disc = as_rational(order.discriminant)
     if disc == 0:
         raise PromiseViolation("degenerate trace form: the algebra is not semisimple")
@@ -1069,6 +1040,8 @@ def maximal_order(
         order = _saturate_at_prime(order, p)
         if disc_trace is not None:
             disc_trace.append(abs(int(as_rational(order.discriminant))))
+    if not table.field.is_rational:
+        return _restricted_to_k(table, order)
     return order
 
 
@@ -1185,21 +1158,3 @@ def _enlarge_ok_order(order: Order, p: int) -> Order:
     _, rest = restrict_order(order)
     enlarged = enlarge_at_p(rest, p)
     return _restricted_to_k(table, enlarged)
-
-
-def _maximal_order_ok(
-    table: StructureConstants, factor_budget: int, disc_trace: list | None = None
-) -> Order:
-    order0 = initial_order(table)
-    rt, rest = restrict_order(order0)
-    disc = as_rational(rest.discriminant)
-    if disc == 0:
-        raise PromiseViolation("degenerate trace form: the algebra is not semisimple")
-    if disc_trace is not None:
-        disc_trace.append(abs(int(disc)))
-    factors = factor_integer(int(disc), factor_budget)
-    for p in sorted(q for q, e in factors.items() if e >= 2):
-        rest = _saturate_at_prime(rest, p)
-        if disc_trace is not None:
-            disc_trace.append(abs(int(as_rational(rest.discriminant))))
-    return _restricted_to_k(table, rest)

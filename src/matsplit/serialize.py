@@ -87,11 +87,18 @@ def algebra_to_json(table: StructureConstants) -> dict:
     }
 
 
+def _is_grid(obj, m: int, depth: int) -> bool:
+    """True when obj is ``depth`` levels of nested lists, each of length m."""
+    if depth == 0:
+        return True
+    return isinstance(obj, list) and len(obj) == m and all(_is_grid(x, m, depth - 1) for x in obj)
+
+
 def algebra_from_json(obj) -> StructureConstants:
     field = field_from_json(obj.get("field"))
     m = int(obj.get("dim", 0))
     gamma = obj.get("gamma")
-    if not isinstance(gamma, list) or len(gamma) != m:
+    if not _is_grid(gamma, m, 3):
         raise InputError("gamma grid does not match the declared dimension")
     grid = [
         [[scalar_from_json(field, gamma[i][j][k]) for k in range(m)] for j in range(m)]

@@ -1,10 +1,11 @@
-"""End-to-end rank-one search pipelines.
+"""The split pipeline: one algorithm, three search policies.
 
-Over Q: maximal order, numerical embedding, rational approximation, LLL,
-then short-vector enumeration; the first vector whose exact ideal rank is
-one yields the isomorphism.  Over Q(i) and Q(sqrt(-3)) the order embeds
-into R^8 and only the minimal-norm class needs testing.  Floating point
-steers the search; every accepted answer is verified in exact arithmetic.
+Maximal order, numerical embedding, rational approximation and LLL are
+shared by every field.  Only the search for a rank-one element differs:
+over Q short vectors are walked by norm (or, with the box engine, inside a
+Lenstra coefficient box); over Q(i) and Q(sqrt(-3)) the order embeds into
+R^8 and only the minimal-norm class needs testing.  Floating point steers
+the search; every accepted answer is verified in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .lattice import (
     box_enumerate,
     c_m,
     hermite_gamma,
+    lenstra_coefficient_bounds,
     lll_reduce,
     orthogonality_defect,
     short_vectors,
@@ -50,16 +52,21 @@ class SplitConfig:
     max_precision_bits: int = 4096
     factor_budget: int = 10**6
     enumeration_budget: int = 10**6
-    engine: str = "ordered"  # "ordered" or "box"
-    dynamic_pruning: bool = False
-    rational_denominator: int | None = None
-    threads: int = 1
+    engine: str = "ordered"  # "ordered" or "box"; "box" is for Q only
+    dynamic_pruning: bool = False  # shrinks the box online; needs engine="box"
 
     def __post_init__(self):
         if self.engine not in ("ordered", "box"):
             raise InputError(f"unknown engine {self.engine!r}")
+        if self.dynamic_pruning and self.engine != "box":
+            raise InputError("dynamic pruning needs the box engine")
         if self.precision_bits < 64:
             raise InputError("precision_bits must be at least 64")
+        if self.precision_bits > self.max_precision_bits:
+            raise InputError(
+                f"precision_bits {self.precision_bits} exceeds "
+                f"max_precision_bits {self.max_precision_bits}"
+            )
         if self.factor_budget <= 0 or self.enumeration_budget <= 0:
             raise InputError("budgets must be positive")
 
@@ -87,35 +94,94 @@ class SplitResult:
     stats: SplitStats
 
 
-class _Lifter:
+def _lifter(table, reduced: LatticeBasis, zbasis_elements):
     """Maps enumeration coefficient vectors to exact algebra elements."""
+    history, k, field = reduced.unimodular_history, reduced.rank, table.field
 
-    def __init__(self, table, reduced: LatticeBasis, zbasis_elements):
-        self.table = table
-        self.history = reduced.unimodular_history
-        self.zbasis = zbasis_elements
-        self.k = reduced.rank
-
-    def element(self, coeffs: Sequence[int]) -> AlgebraElement:
-        zc = [
-            sum(self.history[i][j] * coeffs[j] for j in range(self.k))
-            for i in range(self.k)
-        ]
-        coords = [self.table.field.zero()] * self.table.m
-        for i, c in enumerate(zc):
+    def lift(coeffs: Sequence[int]) -> AlgebraElement:
+        coords = [field.zero()] * table.m
+        for i in range(k):
+            c = sum(history[i][j] * coeffs[j] for j in range(k))
             if c:
-                cc = self.table.field.coerce(c)
-                coords = [a + cc * b for a, b in zip(coords, self.zbasis[i].coords)]
-        return AlgebraElement(self.table, coords)
+                cc = field.coerce(c)
+                coords = [a + cc * b for a, b in zip(coords, zbasis_elements[i].coords)]
+        return AlgebraElement(table, coords)
+
+    return lift
 
 
-def _prepare_lattice(table, order, config: SplitConfig, precision_bits: int):
-    emb = split_numeric(table, order, precision_bits, seed=config.seed)
+def split(
+    table: StructureConstants,
+    config: SplitConfig | None = None,
+    order: Order | None = None,
+) -> SplitResult:
+    """Rank-one element and explicit isomorphism A -> M_n(K).
+
+    K = Q needs n <= 43 and searches with ``config.engine``; K = Q(i) or
+    Q(sqrt(-3)) needs n = 2 and rank-tests the minimal-norm class.  The
+    numerical stage is retried at doubled precision up to
+    ``config.max_precision_bits``.  ``order`` skips the maximal order
+    computation (and leaves ``disc_trace`` empty).
+    """
+    config = config or SplitConfig()
+    field = table.field
+    n = table.n  # raises InputError for non-square dimension
+    if field.is_rational:
+        if n > MAX_RATIONAL_SIZE:
+            raise InputError(
+                f"n = {n} exceeds {MAX_RATIONAL_SIZE}; minimal vectors are "
+                "no longer guaranteed to have rank one"
+            )
+        search = _search_box if config.engine == "box" else _search_ordered
+    else:
+        if field.d not in (1, 3):
+            raise InputError("the quadratic-field pipeline needs d = 1 or d = 3")
+        if n != 2:
+            raise InputError("the quadratic-field pipeline is for 2x2 algebras")
+        if config.engine != "ordered":
+            raise InputError("the box engine is for algebras over Q")
+        search = _search_minimal_class
+    table.find_identity()
+    start = time.monotonic()
+    disc_trace: list = []
+    if order is None:
+        order = maximal_order(table, config.factor_budget, disc_trace=disc_trace)
+    precision = config.precision_bits
+    while True:
+        try:
+            emb = split_numeric(table, order, precision, seed=config.seed)
+            break
+        except PrecisionError:
+            if 2 * precision > config.max_precision_bits:
+                raise
+            precision *= 2
     embedded = embed_order(emb, order)
-    denom = config.rational_denominator or 2 ** max(48, precision_bits // 2)
-    basis = rationalize(embedded, denom)
-    reduced = lll_reduce(basis)
-    return emb, embedded, basis, reduced
+    reduced = lll_reduce(rationalize(embedded, 2 ** max(48, precision // 2)))
+    slack = 2.0 ** (-(precision // 4))
+    pert = (reduced.perturbation or 0.0) * reduced.rank
+    lift = _lifter(table, reduced, embedded.zbasis_elements)
+    element, nsq, policy_stats = search(
+        table, config, reduced, reduced.gram(), lift, slack, pert
+    )
+    witness = build_isomorphism(table, element)
+    found_norm = math.sqrt(float(nsq))
+    return SplitResult(
+        rank_one_element=element,
+        witness=witness,
+        stats=SplitStats(
+            engine=config.engine,
+            dynamic_pruning=config.dynamic_pruning,
+            precision_bits=precision,
+            found_norm=found_norm,
+            disc_trace=disc_trace,
+            wall_time=time.monotonic() - start,
+            # over Q(i) and Q(sqrt(-3)) the bound is the class cut, which
+            # the minimal class meets by construction
+            norm_bound_satisfied=not field.is_rational
+            or found_norm <= hermite_gamma(n)[0] * (1 + slack) + pert,
+            **policy_stats,
+        ),
+    )
 
 
 def split_over_Q(
@@ -123,60 +189,30 @@ def split_over_Q(
     config: SplitConfig | None = None,
     order: Order | None = None,
 ) -> SplitResult:
-    """Rank-one element and explicit isomorphism for a split algebra over Q."""
-    config = config or SplitConfig()
+    """``split`` for an algebra over Q."""
     if not table.field.is_rational:
         raise InputError("split_over_Q needs an algebra over Q")
-    n = table.n  # raises InputError for non-square dimension
-    if n > MAX_RATIONAL_SIZE:
-        raise InputError(
-            f"n = {n} exceeds {MAX_RATIONAL_SIZE}; minimal vectors are "
-            "no longer guaranteed to have rank one"
-        )
-    table.find_identity()
-    start = time.monotonic()
-    disc_trace: list = []
-    if order is None:
-        order = maximal_order(table, config.factor_budget, disc_trace=disc_trace)
-    precision = config.precision_bits
-    last_error: Exception | None = None
-    while precision <= config.max_precision_bits:
-        try:
-            emb, embedded, basis, reduced = _prepare_lattice(
-                table, order, config, precision
-            )
-            return _search_rational(
-                table, order, config, precision, reduced, embedded, disc_trace, start
-            )
-        except PrecisionError as exc:
-            last_error = exc
-            precision *= 2
-    raise last_error or PrecisionError("precision insufficient")
+    return split(table, config, order)
 
 
-def _search_rational(table, order, config, precision, reduced, embedded, disc_trace, start):
-    n = table.n
-    slack = 2.0 ** (-(precision // 4))
-    pert = (reduced.perturbation or 0.0) * reduced.rank
-    gamma_bound = berge_martinet_upper(n)
-    lifter = _Lifter(table, reduced, embedded.zbasis_elements)
-    if config.engine == "ordered":
-        return _run_ordered(
-            table, config, precision, reduced, lifter, gamma_bound, slack, pert,
-            disc_trace, start,
-        )
-    return _run_box(
-        table, config, precision, reduced, lifter, gamma_bound, slack, pert,
-        disc_trace, start,
-    )
+def split_imag_quad(
+    table: StructureConstants,
+    config: SplitConfig | None = None,
+    order: Order | None = None,
+) -> SplitResult:
+    """``split`` for a 2x2 algebra over Q(i) or Q(sqrt(-3))."""
+    if table.field.is_rational:
+        raise InputError("split_imag_quad needs d = 1 or d = 3")
+    return split(table, config, order)
 
 
-def _run_ordered(
-    table, config, precision, reduced, lifter, gamma_bound, slack, pert,
-    disc_trace, start,
-):
-    gram = reduced.gram()
-    full_bound = gamma_bound * (1 + slack) + pert
+# Each search policy returns (rank-one element, its squared norm, the
+# SplitStats fields the policy determines) or raises PromiseViolation.
+
+
+def _search_ordered(table, config, reduced, gram, lift, slack, pert):
+    """Short vectors by norm, up a three-rung ladder of bounds."""
+    full_bound = berge_martinet_upper(table.n) * (1 + slack) + pert
     # start at the shortest reduced vector: by the rank-one property of
     # minimal vectors this almost always suffices, and it keeps skewed
     # embeddings from flooding the enumeration
@@ -187,47 +223,27 @@ def _run_ordered(
         vecs = short_vectors(gram, bound, budget=config.enumeration_budget)
         for coeffs, nsq in vecs:
             nodes += 1
-            element = lifter.element(coeffs)
+            element = lift(coeffs)
             if ideal_rank(element, table.n) == 1:
-                witness = build_isomorphism(table, element)
-                found_norm = math.sqrt(float(nsq))
-                return SplitResult(
-                    rank_one_element=element,
-                    witness=witness,
-                    stats=SplitStats(
-                        engine="ordered",
-                        dynamic_pruning=False,
-                        precision_bits=precision,
-                        nodes_visited=nodes,
-                        found_norm=found_norm,
-                        norm_bound=full_bound,
-                        disc_trace=disc_trace,
-                        wall_time=time.monotonic() - start,
-                        norm_bound_satisfied=found_norm
-                        <= hermite_gamma(table.n)[0] * (1 + slack) + pert,
-                    ),
-                )
+                return element, nsq, {"nodes_visited": nodes, "norm_bound": full_bound}
     raise PromiseViolation(
         "enumeration exhausted without a rank-one element; "
         "the input algebra is most likely not split"
     )
 
 
-def _run_box(
-    table, config, precision, reduced, lifter, gamma_bound, slack, pert,
-    disc_trace, start,
-):
-    gram = reduced.gram()
+def _search_box(table, config, reduced, gram, lift, slack, pert):
+    """The literal coefficient box with Lenstra bounds; the shortest
+    rank-one element inside it wins."""
     k = reduced.rank
     norms = [math.sqrt(float(gram[i][i])) for i in range(k)]
     defect = orthogonality_defect(reduced)
-    cap = gamma_bound * (1 + slack) + pert
-    static_bounds = [int(math.floor(defect * cap / nm)) for nm in norms]
+    cap = berge_martinet_upper(table.n) * (1 + slack) + pert
+    static_bounds = lenstra_coefficient_bounds(defect, cap, norms)
     state = {"d": math.inf}
 
     def dyn_bounds():
-        val = min(state["d"], cap)
-        return [int(math.floor(defect * val / nm)) for nm in norms]
+        return lenstra_coefficient_bounds(defect, min(state["d"], cap), norms)
 
     stats = BoxStats()
     best = None  # (norm_sq, coeffs, element)
@@ -239,7 +255,7 @@ def _run_box(
     )
     for coeffs in gen:
         nsq = _quadratic_form(gram, coeffs)
-        element = lifter.element(coeffs)
+        element = lift(coeffs)
         r = ideal_rank(element, table.n)
         if r == 0:
             continue
@@ -253,29 +269,13 @@ def _run_box(
             "box enumeration exhausted without a rank-one element; "
             "the input algebra is most likely not split"
         )
-    nsq, coeffs, element = best
-    witness = build_isomorphism(table, element)
-    found_norm = math.sqrt(float(nsq))
-    cm = c_m(k)
-    cm_flat_nodes = (2 * int(cm) + 1) ** k
-    return SplitResult(
-        rank_one_element=element,
-        witness=witness,
-        stats=SplitStats(
-            engine="box",
-            dynamic_pruning=config.dynamic_pruning,
-            precision_bits=precision,
-            nodes_visited=stats.nodes,
-            found_norm=found_norm,
-            norm_bound=cap,
-            disc_trace=disc_trace,
-            wall_time=time.monotonic() - start,
-            norm_bound_satisfied=found_norm
-            <= hermite_gamma(table.n)[0] * (1 + slack) + pert,
-            box_nodes_static=_box_volume(static_bounds),
-            box_nodes_cm_flat=cm_flat_nodes,
-        ),
-    )
+    nsq, _, element = best
+    return element, nsq, {
+        "nodes_visited": stats.nodes,
+        "norm_bound": cap,
+        "box_nodes_static": _box_volume(static_bounds),
+        "box_nodes_cm_flat": (2 * int(c_m(k)) + 1) ** k,
+    }
 
 
 def _box_volume(bounds: Sequence[int]) -> int:
@@ -307,50 +307,11 @@ def dynamic_bound_update(d_current: float, norm_c: float, rank_c: int) -> float:
     return min(d_current, g * g / math.sqrt(rank_c) * norm_c)
 
 
-def split_imag_quad(
-    table: StructureConstants,
-    config: SplitConfig | None = None,
-    order: Order | None = None,
-) -> SplitResult:
-    """Rank-one search for 2x2 algebras over Q(i) or Q(sqrt(-3)).
-
-    The order lattice lives in R^8; every vector in the minimal-norm class
-    (up to the precision slack) is rank-tested exactly, in norm-then-lex
-    order, and the first rank-one element wins.  Over Q(sqrt(-3)) the first
-    minimal vector is already the answer; over Q(i) at least one member of
-    the class is.
-    """
-    config = config or SplitConfig()
-    field = table.field
-    if field.is_rational or field.d not in (1, 3):
-        raise InputError("split_imag_quad needs d = 1 or d = 3")
-    if table.n != 2:
-        raise InputError("the quadratic-field pipeline is for 2x2 algebras")
-    table.find_identity()
-    start = time.monotonic()
-    disc_trace: list = []
-    if order is None:
-        order = maximal_order(table, config.factor_budget, disc_trace=disc_trace)
-    precision = config.precision_bits
-    last_error: Exception | None = None
-    while precision <= config.max_precision_bits:
-        try:
-            emb, embedded, basis, reduced = _prepare_lattice(
-                table, order, config, precision
-            )
-            return _search_minimal_class(
-                table, config, precision, reduced, embedded, disc_trace, start
-            )
-        except PrecisionError as exc:
-            last_error = exc
-            precision *= 2
-    raise last_error or PrecisionError("precision insufficient")
-
-
-def _search_minimal_class(table, config, precision, reduced, embedded, disc_trace, start):
-    slack = 2.0 ** (-(precision // 4))
-    pert = (reduced.perturbation or 0.0) * reduced.rank
-    gram = reduced.gram()
+def _search_minimal_class(table, config, reduced, gram, lift, slack, pert):
+    """Every vector of the minimal-norm class (up to the precision slack),
+    rank-tested exactly in norm-then-lex order; the first rank-one element
+    wins.  Over Q(sqrt(-3)) the first minimal vector is already the answer;
+    over Q(i) at least one member of the class is."""
     start_bound = math.sqrt(min(float(gram[i][i]) for i in range(reduced.rank)))
     vecs = short_vectors(
         gram, start_bound * (1 + slack) + pert, budget=config.enumeration_budget
@@ -360,30 +321,14 @@ def _search_minimal_class(table, config, precision, reduced, embedded, disc_trac
     lam_sq = float(vecs[0][1])
     class_cut = lam_sq * (1 + slack) ** 2 + 2 * pert
     minimal_class = [cv for cv in vecs if float(cv[1]) <= class_cut]
-    lifter = _Lifter(table, reduced, embedded.zbasis_elements)
-    nodes = 0
-    for coeffs, nsq in minimal_class:
-        nodes += 1
-        element = lifter.element(coeffs)
+    for nodes, (coeffs, nsq) in enumerate(minimal_class, 1):
+        element = lift(coeffs)
         if ideal_rank(element, table.n) == 1:
-            witness = build_isomorphism(table, element)
-            found_norm = math.sqrt(float(nsq))
-            return SplitResult(
-                rank_one_element=element,
-                witness=witness,
-                stats=SplitStats(
-                    engine="ordered",
-                    dynamic_pruning=False,
-                    precision_bits=precision,
-                    nodes_visited=nodes,
-                    found_norm=found_norm,
-                    norm_bound=math.sqrt(class_cut),
-                    disc_trace=disc_trace,
-                    wall_time=time.monotonic() - start,
-                    norm_bound_satisfied=True,
-                    minimal_class_size=len(minimal_class),
-                ),
-            )
+            return element, nsq, {
+                "nodes_visited": nodes,
+                "norm_bound": math.sqrt(class_cut),
+                "minimal_class_size": len(minimal_class),
+            }
     raise PromiseViolation(
         "no minimal-norm vector has rank one; the algebra violates the "
         "split promise"

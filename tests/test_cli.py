@@ -1,8 +1,10 @@
 """Command line surface: every subcommand, exit codes, schemas, round trips."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -142,15 +144,6 @@ class TestLatticeCommands:
         payload = json.loads(result.output)
         assert payload["count"] == 4  # e1, e2, e1 +- e2 classes
 
-    def test_enumerate_threads_merge(self, runner):
-        reduced = {"dim": 2, "basis": [["1", "0"], ["0", "1"]]}
-        one = run_ok(runner, ["enumerate", "--bound", "2.0"], input=json.dumps(reduced))
-        four = run_ok(
-            runner, ["enumerate", "--bound", "2.0", "--threads", "4"],
-            input=json.dumps(reduced),
-        )
-        assert json.loads(one.output) == json.loads(four.output)
-
     def test_tensor_experiment(self, runner):
         result = run_ok(runner, ["tensor-experiment"])
         payload = json.loads(result.output)
@@ -207,6 +200,33 @@ class TestMalformedInput:
         algebra["field"] = {"type": "imag_quad"}
         self.assert_exit_4(runner, ["split"], algebra)
 
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            (["split"], {"field": {"type": "Q"}, "dim": 1, "gamma": [[]]}),
+            (["order"], {"field": {"type": "Q"}, "dim": 4, "gamma": [[["1"]], [], [], []]}),
+        ],
+        ids=["split_empty_row", "order_short_planes"],
+    )
+    def test_ragged_gamma(self, runner, command, payload):
+        self.assert_exit_4(runner, command, payload)
+
+    def test_lll_delta_not_a_rational(self, runner):
+        self.assert_exit_4(runner, ["lll", "--delta", "abc"], TestLatticeCommands.LATTICE)
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            (["split", "--precision-bits", "8192"], "Q"),
+            (["split", "--dynamic-pruning"], "Q"),
+            (["split", "--engine", "box"], "gauss"),
+        ],
+        ids=["precision_above_max", "pruning_without_box", "box_over_gauss"],
+    )
+    def test_split_settings_that_cannot_be_honoured(self, runner, args, field):
+        gen = run_ok(runner, ["gen", "--n", "2", "--field", field, "--height", "0"])
+        self.assert_exit_4(runner, args, json.loads(gen.output))
+
     @pytest.fixture(scope="class")
     def split_payload(self):
         runner = CliRunner()
@@ -222,6 +242,54 @@ class TestMalformedInput:
         payload = json.loads(json.dumps(split_payload))
         payload["witness"]["images"][0] = image
         self.assert_exit_4(runner, ["verify"], payload)
+
+
+class TestUsageErrors:
+    """Click's usage errors exit 4 like other bad input, not 2, which
+    this CLI reserves for promise violations."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["split", "--threads", "4"],
+            ["enumerate", "--bound", "2", "--threads", "4"],
+            ["split", "--engine", "foo"],
+            ["no-such-command"],
+        ],
+        ids=["split_threads", "enumerate_threads", "bad_engine", "unknown_command"],
+    )
+    def test_exit_4_with_usage_on_stderr(self, runner, args):
+        result = runner.invoke(main, args, input="{}")
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        assert "Usage:" in result.stderr
+        assert "Traceback" not in result.output
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        for segment in line.split("|"):
+            words = shlex.split(segment.split(">")[0])
+            if words and words[0] == "matsplit":
+                yield words[1:]
+
+
+class TestReadmeCommands:
+    """Every command and option in the README's command line examples exists."""
+
+    @pytest.mark.parametrize("words", list(_readme_command_lines()), ids=" ".join)
+    def test_command_and_options_exist(self, words):
+        command = main.commands.get(words[0])
+        assert command is not None, f"no command {words[0]!r}"
+        known = {opt for param in command.params for opt in param.opts + param.secondary_opts}
+        for word in words[1:]:
+            if word.startswith("--"):
+                assert word.split("=")[0] in known, f"{words[0]} has no option {word}"
+
+    def test_the_block_is_found(self):
+        assert len(list(_readme_command_lines())) >= 10
 
 
 class TestSeedsAndCodes:

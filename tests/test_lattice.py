@@ -248,15 +248,6 @@ class TestEnumeration:
             if n1 == n2:
                 assert c1 < c2
 
-    def test_partition_union_is_exact(self):
-        gram = a2_basis().gram()
-        full = short_vectors(gram, 2.0)
-        merged = []
-        for part in range(3):
-            merged.extend(short_vectors(gram, 2.0, partition=(part, 3)))
-        merged.sort(key=lambda cv: (cv[1], cv[0]))
-        assert merged == full
-
     def test_non_positive_definite_rejected(self):
         with pytest.raises(InputError):
             short_vectors([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]], 1)

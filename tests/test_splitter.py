@@ -20,6 +20,7 @@ from matsplit.splitter import (
     dynamic_bound_update,
     generate_instance,
     instance_from_base_change,
+    split,
     split_imag_quad,
     split_over_Q,
 )
@@ -144,6 +145,60 @@ class TestSplitImagQuad:
             split_imag_quad(matrix_units_table(2, QQ))
         with pytest.raises(InputError):
             split_imag_quad(matrix_units_table(2, Field(5)))
+
+
+class TestSplit:
+    # Values recorded before split_over_Q and split_imag_quad became one
+    # pipeline; a change to the bound ladder, the class cut or the tie
+    # order of the searches shows up here.
+    GOLDEN = [
+        ("Q", 42, {}, ["3", "-12", "1", "-4"], 1, [1], None),
+        ("Q", 3, {"engine": "box", "dynamic_pruning": True},
+         ["1", "0", "-1", "-1/2"], 7, [256, 1], None),
+        ("gauss", 13, {}, ["0", "-1/2+1/2*sqrt(-1)", "0", "0"], 1, [1024, 256], 2),
+        ("eisenstein", 1, {}, ["0", "0", "1/2+1/2*sqrt(-3)", "0"], 1, [81, 81], 3),
+    ]
+
+    @pytest.mark.parametrize(
+        "field,seed,options,element,nodes,disc_trace,class_size",
+        GOLDEN,
+        ids=["Q-42", "Q-3-box-pruned", "gauss-13", "eisenstein-1"],
+    )
+    def test_golden_results(self, field, seed, options, element, nodes, disc_trace, class_size):
+        inst = generate_instance(2, field, 10, seed=seed)
+        res = split(inst.table, SplitConfig(seed=seed, **options))
+        assert [str(c) for c in res.rank_one_element.coords] == element
+        assert res.stats.nodes_visited == nodes
+        assert res.stats.disc_trace == disc_trace
+        assert res.stats.minimal_class_size == class_size
+
+    def test_precision_beyond_the_float_range(self):
+        # 2048 bits round at denominator 2^1024, which no float can hold
+        inst = generate_instance(2, QQ, 10, seed=3)
+        high = split(inst.table, SplitConfig(seed=3, precision_bits=2048))
+        low = split(inst.table, SplitConfig(seed=3))
+        assert high.stats.precision_bits == 2048
+        assert high.rank_one_element.coords == low.rank_one_element.coords
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"precision_bits": 8192},
+            {"precision_bits": 256, "max_precision_bits": 128},
+            {"dynamic_pruning": True},
+            {"engine": "fast"},
+        ],
+        ids=["precision-above-default-max", "precision-above-max", "pruning-without-box",
+             "unknown-engine"],
+    )
+    def test_config_rejects_settings_it_cannot_honour(self, options):
+        with pytest.raises(InputError):
+            SplitConfig(**options)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_box_engine_is_for_Q_only(self, d):
+        with pytest.raises(InputError):
+            split(matrix_units_table(2, Field(d)), SplitConfig(engine="box"))
 
 
 class TestGenerateInstance:
