@@ -21,6 +21,8 @@ class StructureConstants:
 
     def __init__(self, field: Field, gamma: Sequence[Sequence[Sequence]]):
         m = len(gamma)
+        if m == 0:
+            raise InputError("an algebra needs at least one basis element")
         coerced = []
         for i in range(m):
             if len(gamma[i]) != m:
@@ -435,32 +437,46 @@ def witness_problems(table: StructureConstants, images: Sequence[ExactMatrix]) -
         M.field != table.field or M.rows != n or M.cols != n for M in images
     ):
         raise InputError(f"a witness needs {m} images of shape {n} x {n} over {table.field}")
-    nn = n * n
     flat, D = _integral(table.field, [x for M in images for row in M.entries for x in row])
-    P = [flat[k * nn:(k + 1) * nn] for k in range(m)]
-    rows = [[Pk[r * n:(r + 1) * n] for r in range(n)] for Pk in P]
-    cols = [[Pk[c::n] for c in range(n)] for Pk in P]
-
-    def combination(coeffs):
-        acc = [0] * nn
-        for c, Pk in zip(coeffs, P):
-            if c:
-                acc = [a + c * x for a, x in zip(acc, Pk)]
-        return acc
-
+    P = [flat[k * n * n:(k + 1) * n * n] for k in range(m)]
     G, d = table._integral_gamma()
-    pairs = []
-    for i in range(m):
-        for j in range(m):
-            lhs = [d * sum(a * b for a, b in zip(r, c)) for r in rows[i] for c in cols[j]]
-            if lhs != [D * a for a in combination(G[i][j])]:
-                pairs.append((i, j))
+    pairs = tuple((i, j) for i, j, lhs, rhs in _pair_sides(P, G, d, D, n) if lhs != rhs)
     identity_fails = False
     if not pairs:
         E, de = _integral(table.field, table.find_identity().coords)
-        eye = [de * D if r == c else 0 for r in range(n) for c in range(n)]
-        identity_fails = combination(E) != eye
-    return WitnessProblems(tuple(pairs), identity_fails)
+        identity_fails = _combination(E, P) != _scaled_eye(n, de * D)
+    return WitnessProblems(pairs, identity_fails)
+
+
+def _pair_sides(P: Sequence[list], coeffs: Sequence, d, D, n: int):
+    """Both sides of d P_i P_j = D sum_k coeffs[i][j][k] P_k, for every basis pair.
+
+    Each P_k is an n x n matrix as a flat row-major list.  The products run
+    over the first len(coeffs) matrices and the combinations over all of
+    them.  Yields (i, j, lhs, rhs), row-major in (i, j).
+    """
+    m = len(coeffs)
+    rows = [[Pk[r * n:(r + 1) * n] for r in range(n)] for Pk in P[:m]]
+    cols = [[Pk[c::n] for c in range(n)] for Pk in P[:m]]
+    for i in range(m):
+        for j in range(m):
+            lhs = [d * sum(a * b for a, b in zip(r, c)) for r in rows[i] for c in cols[j]]
+            yield i, j, lhs, [D * a for a in _combination(coeffs[i][j], P)]
+
+
+def _combination(coeffs: Sequence, P: Sequence[list]) -> list:
+    """sum_k coeffs[k] P_k over flat lists, skipping zero coefficients."""
+    # int 0 starts the sums; QuadScalar adds and compares with it
+    acc = [0] * len(P[0])
+    for c, Pk in zip(coeffs, P):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, Pk)]
+    return acc
+
+
+def _scaled_eye(n: int, s) -> list:
+    """s times the n x n identity, flat row-major."""
+    return [s if r == c else 0 for r in range(n) for c in range(n)]
 
 
 def witness_residual(table: StructureConstants, witness: IsomorphismWitness):

@@ -10,6 +10,7 @@ search sees the short vectors it needs.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,8 +18,16 @@ from typing import Sequence
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import mpf_shift, to_int
 
-from .algebra import AlgebraElement, StructureConstants
+from .algebra import (
+    AlgebraElement,
+    StructureConstants,
+    _combination,
+    _integral,
+    _pair_sides,
+    _scaled_eye,
+)
 from .errors import InputError, PrecisionError, PromiseViolation
 from .exactnum import ExactMatrix, QuadScalar
 from .lattice import LatticeBasis
@@ -59,17 +68,6 @@ def _scalar_to_mp(x):
                    (mpf(x.b.numerator) / x.b.denominator) * mpmath.sqrt(x.d))
     f = Fraction(x)
     return mpf(f.numerator) / f.denominator
-
-
-def _frob(mat: mpmath.matrix):
-    acc = mpf(0)
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            v = mat[i, j]
-            acc += (v.real if isinstance(v, mpc) else v) ** 2 + (
-                v.imag**2 if isinstance(v, mpc) else 0
-            )
-    return mpmath.sqrt(acc)
 
 
 def _exact_to_mp_matrix(M: ExactMatrix) -> mpmath.matrix:
@@ -256,26 +254,92 @@ def _embedding_from_eigenvalue(table, coords, lam, n, precision_bits):
 
 
 def _measure_residual(table: StructureConstants, images) -> mpf:
-    m = table.m
+    """Largest Frobenius defect of a_i -> images[i] as a unital homomorphism.
+
+    Every basis pair is checked for phi(a_i) phi(a_j) = sum_k gamma_ijk
+    phi(a_k), then phi(1) = I, on Python ints: each image entry is rounded
+    once to an int at scale D = 2^F, F the working precision.  Over Q the
+    table enters exactly as its integral form (G, d).  Over Q(i) and
+    Q(sqrt(-3)) a complex matrix X + iY is written as the real matrix
+    [[X, -Y], [Y, X]], which keeps products and doubles squared norms, and
+    gamma_ijk = g + ih enters as fixed-point g and h at scale 2^F against the
+    images of a_k and of i a_k.  The squared defects are compared exactly and
+    one square root is taken at the end.
+    """
+    F = mp.prec
+    D = 1 << F
     n = images[0].rows
-    worst = mpf(0)
-    for i in range(m):
-        for j in range(m):
-            acc = mpmath.zeros(n, n)
-            for k in range(m):
-                g = table.gamma[i][j][k]
-                s = _scalar_to_mp(g)
-                if s != 0:
-                    acc += images[k] * s
-            worst = max(worst, _frob(images[i] * images[j] - acc))
-    e = table.find_identity()
-    phi_e = mpmath.zeros(n, n)
-    for k in range(m):
-        s = _scalar_to_mp(e.coords[k])
-        if s != 0:
-            phi_e += images[k] * s
-    worst = max(worst, _frob(phi_e - mpmath.eye(n)))
-    return worst
+    field = table.field
+    e = table.find_identity().coords
+    if field.is_rational:
+        P = [[_fixed(x._mpf_, F) for row in M.tolist() for x in row] for M in images]
+        G, d = table._integral_gamma()
+        E, de = _integral(field, e)
+        size, fold = n, 1
+    else:
+        parts = [_fixed_parts(M, F) for M in images]
+        P = [_realified(X, Y, n) for X, Y in parts]
+        P += [_realified([-y for y in Y], X, n) for X, Y in parts]
+        G = [[_fixed_complex(gij, F) for gij in gi] for gi in table.gamma]
+        d = D
+        E, de = _fixed_complex(e, F), D
+        size, fold = 2 * n, 2
+    pair_sq = max(
+        sum((a - b) ** 2 for a, b in zip(lhs, rhs))
+        for _, _, lhs, rhs in _pair_sides(P, G, d, D, size)
+    )
+    eye = _scaled_eye(size, de * D)
+    identity_sq = sum((a - b) ** 2 for a, b in zip(_combination(E, P), eye))
+    worst = max(
+        Fraction(pair_sq, fold * (d * D * D) ** 2),
+        Fraction(identity_sq, fold * (de * D) ** 2),
+    )
+    return mpmath.sqrt(mpf(worst.numerator) / worst.denominator)
+
+
+def _fixed(x: tuple, F: int) -> int:
+    """The mpf value x (as its raw tuple) times 2^F, rounded to the nearest int."""
+    return to_int(mpf_shift(x, F), "n")
+
+
+def _fixed_parts(M: mpmath.matrix, F: int) -> tuple[list, list]:
+    """Real and imaginary parts of M at scale 2^F, each flat row-major."""
+    X, Y = [], []
+    for row in M.tolist():
+        for v in row:
+            if isinstance(v, mpc):
+                re, im = v._mpc_
+                X.append(_fixed(re, F))
+                Y.append(_fixed(im, F))
+            else:
+                X.append(_fixed(v._mpf_, F))
+                Y.append(0)
+    return X, Y
+
+
+def _realified(X: list, Y: list, n: int) -> list:
+    """[[X, -Y], [Y, X]] flat row-major: the real form of X + iY."""
+    out = []
+    for r in range(n):
+        out += X[r * n:(r + 1) * n] + [-y for y in Y[r * n:(r + 1) * n]]
+    for r in range(n):
+        out += Y[r * n:(r + 1) * n] + X[r * n:(r + 1) * n]
+    return out
+
+
+def _fixed_complex(values, F: int) -> list:
+    """Real parts, then imaginary parts, of a + b sqrt(-d) at scale 2^F.
+
+    Each part is rounded toward zero, so the imaginary part b sqrt(d) 2^F
+    is exact up to one unit with no floating point.
+    """
+    return [_fixed_sqrt(x.a, 1, F) for x in values] + [_fixed_sqrt(x.b, x.d, F) for x in values]
+
+
+def _fixed_sqrt(q: Fraction, d: int, F: int) -> int:
+    """q sqrt(d) 2^F rounded toward zero."""
+    r = math.isqrt((d * q.numerator * q.numerator << 2 * F) // (q.denominator * q.denominator))
+    return -r if q < 0 else r
 
 
 def embedding_from_images(
@@ -310,7 +374,6 @@ class EmbeddedLattice:
 
     dimension: int
     basis_vectors: list  # list of lists of mpf
-    gram: list  # list of lists of mpf
     error_radius: object
     zbasis_elements: tuple  # exact AlgebraElements matching basis_vectors
 
@@ -337,17 +400,9 @@ def embed_order(embedding: Embedding, order: Order) -> EmbeddedLattice:
         dim = len(vectors[0])
         if len(vectors) != dim:
             raise InputError("order lattice is not full rank in the embedding space")
-        gram = [[mpf(0)] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i, dim):
-                s = mpf(0)
-                for a, b in zip(vectors[i], vectors[j]):
-                    s += a * b
-                gram[i][j] = gram[j][i] = s
         return EmbeddedLattice(
             dimension=dim,
             basis_vectors=vectors,
-            gram=gram,
             error_radius=embedding.error_radius * (1 + scale),
             zbasis_elements=tuple(elements),
         )

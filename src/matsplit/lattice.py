@@ -377,7 +377,11 @@ def lenstra_coefficient_bounds(c: float, v_norm: float, basis_norms: Sequence[fl
 
 
 def _norm_bound_sq(norm_bound) -> Fraction:
-    b = Fraction(norm_bound)
+    try:
+        b = Fraction(norm_bound)
+    except (ValueError, OverflowError):
+        # nan and +-inf have no Fraction value
+        raise InputError(f"norm bound must be a finite number, not {norm_bound!r}") from None
     if b < 0:
         raise InputError("negative norm bound")
     return b * b

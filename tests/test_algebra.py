@@ -79,6 +79,10 @@ class TestValidate:
         t = StructureConstants(QQ, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
         assert any("perfect square" in v for v in validate(t))
 
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(InputError):
+            StructureConstants(QQ, [])
+
 
 class TestMultiply:
     def test_matrix_unit_products(self, m2):

@@ -211,6 +211,21 @@ class TestMalformedInput:
     def test_ragged_gamma(self, runner, command, payload):
         self.assert_exit_4(runner, command, payload)
 
+    @pytest.mark.parametrize("command", ["split", "order"])
+    def test_zero_dimensional_algebra(self, runner, command):
+        self.assert_exit_4(runner, [command], {"field": {"type": "Q"}, "dim": 0, "gamma": []})
+
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+    def test_enumerate_non_finite_bound(self, runner, bound):
+        reduced = {"dim": 2, "basis": [["1", "0"], ["0", "1"]]}
+        self.assert_exit_4(runner, ["enumerate", "--bound", bound], reduced)
+
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_tensor_experiment_non_finite_bound(self, runner, bound):
+        result = runner.invoke(main, ["tensor-experiment", "--bound", bound])
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_lll_delta_not_a_rational(self, runner):
         self.assert_exit_4(runner, ["lll", "--delta", "abc"], TestLatticeCommands.LATTICE)
 

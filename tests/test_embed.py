@@ -9,6 +9,8 @@ import pytest
 from matsplit.algebra import matrix_units_table
 from matsplit.embed import (
     EmbeddedLattice,
+    _measure_residual,
+    _scalar_to_mp,
     embed_order,
     embedding_from_images,
     rationalize,
@@ -19,6 +21,7 @@ from matsplit.exactnum import QQ, ExactMatrix, Field
 from matsplit.fixtures import gaussian_lambda_order, quaternion_table
 from matsplit.lattice import lll_reduce, short_vectors
 from matsplit.orders import Order, initial_order, maximal_order
+from matsplit.splitter import generate_instance
 
 
 def standard_images(field, n):
@@ -36,6 +39,11 @@ def standard_images(field, n):
                 )
             )
     return units
+
+
+def dot_products(vectors):
+    """Gram matrix of mpf vectors."""
+    return [[mpmath.fsum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors]
 
 
 class TestSplitNumeric:
@@ -69,6 +77,105 @@ class TestSplitNumeric:
         assert emb.is_complex
 
 
+def oracle_residual(table, images):
+    """Brute-force Frobenius defect of a_i -> images[i], one mpmath matrix per term."""
+    n = images[0].rows
+
+    def frob(M):
+        return mpmath.sqrt(mpmath.fsum(abs(M[i, j]) ** 2 for i in range(n) for j in range(n)))
+
+    worst = mpmath.mpf(0)
+    for i in range(table.m):
+        for j in range(table.m):
+            acc = images[i] * images[j]
+            for k, g in enumerate(table.gamma[i][j]):
+                acc -= images[k] * _scalar_to_mp(g)
+            worst = max(worst, frob(acc))
+    acc = -mpmath.eye(n)
+    for k, c in enumerate(table.find_identity().coords):
+        acc += images[k] * _scalar_to_mp(c)
+    return max(worst, frob(acc))
+
+
+def _residual_cases():
+    """(table, exact images) over each field: the standard table and a
+    scrambled one with non-integral structure constants."""
+    cases = {}
+    for name, field in [("Q", QQ), ("gauss", Field(1)), ("eisenstein", Field(3))]:
+        cases[f"{name}-standard"] = (
+            lambda field=field: (matrix_units_table(2, field), standard_images(field, 2))
+        )
+    for name, n, seed in [("Q", 2, 3), ("Q", 3, 5), ("gauss", 2, 6), ("eisenstein", 2, 1)]:
+        cases[f"{name}-n{n}-scrambled"] = lambda name=name, n=n, seed=seed: _scrambled(name, n, seed)
+    return cases
+
+
+def _scrambled(name, n, seed):
+    inst = generate_instance(n, name, 10, seed=seed)
+    t = inst.table
+    values = [x for gi in t.gamma for gij in gi for x in gij]
+    if t.field.is_rational:
+        assert t._integral_gamma()[1] > 1  # gamma has denominators
+    else:
+        assert any(x.b != 0 for x in values)  # gamma has imaginary parts
+        assert any(x.a.denominator > 1 or x.b.denominator > 1 for x in values)
+    unit = [t.field.zero()] * t.m
+    images = [inst.hidden_matrix(unit[:k] + [t.field.one()] + unit[k + 1:]) for k in range(t.m)]
+    return t, images
+
+
+RESIDUAL_CASES = _residual_cases()
+RESIDUAL_PREC = 128
+
+
+class TestResidualOracle:
+    """The integer residual kernel against a brute-force mpmath residual."""
+
+    @staticmethod
+    def images_of(case):
+        table, exact = RESIDUAL_CASES[case]()
+        emb = embedding_from_images(table, exact, RESIDUAL_PREC)
+        return table, emb
+
+    @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+    def test_exact_images_residual_near_zero(self, case):
+        table, emb = self.images_of(case)
+        assert emb.residual < mpmath.mpf(2) ** -(RESIDUAL_PREC + 8)
+
+    @pytest.mark.parametrize(
+        "case,move",
+        [
+            (case, move)
+            for case in sorted(RESIDUAL_CASES)
+            # images over Q are real
+            for move in ["2^-40", "1"] + ([] if case.startswith("Q") else ["i*2^-40"])
+        ],
+    )
+    def test_moved_entry_matches_the_oracle(self, case, move):
+        table, emb = self.images_of(case)
+        with mpmath.workprec(RESIDUAL_PREC + 32):
+            step = {"2^-40": mpmath.mpf(2) ** -40, "1": mpmath.mpf(1),
+                    "i*2^-40": mpmath.mpc(0, mpmath.mpf(2) ** -40)}[move]
+            images = [M.copy() for M in emb.images]
+            k = table.m - 1
+            images[k][0, 1] += step
+            got = _measure_residual(table, images)
+        with mpmath.workprec(2 * RESIDUAL_PREC):
+            want = oracle_residual(table, images)
+            assert want > mpmath.mpf(2) ** -42
+            assert abs(got - want) <= want * mpmath.mpf(10) ** -20
+            # rounding the images to the working precision is the only slack
+            assert got >= want - mpmath.mpf(2) ** -RESIDUAL_PREC
+
+    @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+    def test_zero_images_fail_only_the_identity(self, case):
+        table, emb = self.images_of(case)
+        with mpmath.workprec(RESIDUAL_PREC + 32):
+            zero = [mpmath.zeros(emb.n, emb.n) for _ in range(table.m)]
+            got = _measure_residual(table, zero)
+            assert abs(got - mpmath.sqrt(emb.n)) < mpmath.mpf(10) ** -30
+
+
 class TestMpmathOperandOrder:
     """Scalar times matrix must be written matrix * scalar.
 
@@ -97,19 +204,21 @@ class TestEmbedOrder:
         o = maximal_order(t)
         emb = embedding_from_images(t, standard_images(QQ, 2), 128)
         lat = embed_order(emb, o)
+        gram = dot_products(lat.basis_vectors)
         for i in range(4):
             for j in range(4):
                 expect = 1.0 if i == j else 0.0
-                assert abs(float(lat.gram[i][j]) - expect) < 1e-30
+                assert abs(float(gram[i][j]) - expect) < 1e-30
 
     def test_gram_is_symmetric(self):
         t = matrix_units_table(2)
         o = maximal_order(t)
         emb = split_numeric(t, o, 128, seed=9)
         lat = embed_order(emb, o)
+        gram = dot_products(lat.basis_vectors)
         for i in range(4):
             for j in range(4):
-                assert lat.gram[i][j] == lat.gram[j][i]
+                assert gram[i][j] == gram[j][i]
 
     def test_gaussian_fixture_minimal_gram_diagonal(self):
         o = gaussian_lambda_order()
@@ -164,7 +273,6 @@ class TestRationalize:
         lat = EmbeddedLattice(
             dimension=1,
             basis_vectors=[[mpmath.pi]],
-            gram=[[mpmath.pi**2]],
             error_radius=mpmath.mpf(0),
             zbasis_elements=(),
         )
@@ -182,7 +290,6 @@ class TestRationalize:
         lat = EmbeddedLattice(
             dimension=2,
             basis_vectors=vecs,
-            gram=[[mpmath.mpf(1), mpmath.mpf("0.5")], [mpmath.mpf("0.5"), mpmath.mpf(1)]],
             error_radius=mpmath.mpf(0),
             zbasis_elements=(),
         )

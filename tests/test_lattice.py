@@ -248,6 +248,11 @@ class TestEnumeration:
             if n1 == n2:
                 assert c1 < c2
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound_rejected(self, bound):
+        with pytest.raises(InputError):
+            short_vectors(z2_basis().gram(), bound)
+
     def test_non_positive_definite_rejected(self):
         with pytest.raises(InputError):
             short_vectors([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]], 1)
