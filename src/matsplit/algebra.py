@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, InternalError, NoIdentityError, PromiseViolation
-from .exactnum import ExactMatrix, Field, scalar_is_zero
+from .exactnum import ExactMatrix, Field, int_gauss_jordan, scalar_is_zero
 
 
 class StructureConstants:
@@ -406,6 +406,11 @@ def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> Isomorphi
         raise InternalError(f"multiplicativity fails on the basis pair {problems.pairs[0]}")
     if problems.identity_fails:
         raise InternalError("phi(1) is not the identity matrix")
+    if problems.not_injective:
+        raise PromiseViolation(
+            "the images of the basis are linearly dependent: A -> M_n(K) is not "
+            "injective, so the algebra is not simple"
+        )
     return IsomorphismWitness(
         left_ideal_basis=tuple(AlgebraElement(table, c) for c in basis_cols),
         images=tuple(images),
@@ -419,13 +424,18 @@ class WitnessProblems:
 
     pairs: tuple  # basis pairs (i, j), row-major, with phi(a_i) phi(a_j) != phi(a_i a_j)
     identity_fails: bool  # phi(1) != I; checked only when every pair holds
+    not_injective: bool  # the m images are linearly dependent
 
 
 def witness_problems(table: StructureConstants, images: Sequence[ExactMatrix]) -> WitnessProblems:
-    """Exact check that a_i -> images[i] is a unital homomorphism A -> M_n(K).
+    """Exact check that a_i -> images[i] is an isomorphism A -> M_n(K).
 
     Multiplicativity phi(a_i) phi(a_j) = sum_k gamma_ijk phi(a_k) is checked
-    on every basis pair, then phi(1) = I.  Over Q the arithmetic is on ints:
+    on every basis pair, then phi(1) = I, and the m = n^2 images must be
+    linearly independent: a unital multiplicative linear bijection is an
+    isomorphism, while a non-simple algebra such as K^4 has unital
+    homomorphisms to M_2(K) that are not injective.  Over Q the arithmetic
+    is on ints:
     with P_k the images times the lcm D of their denominators and G the table
     times the lcm d of its own, each pair checks d P_i P_j = D sum_k G_ijk P_k.
     Raises InputError unless there are m images, each n x n over the table's
@@ -445,7 +455,11 @@ def witness_problems(table: StructureConstants, images: Sequence[ExactMatrix]) -
     if not pairs:
         E, de = _integral(table.field, table.find_identity().coords)
         identity_fails = _combination(E, P) != _scaled_eye(n, de * D)
-    return WitnessProblems(pairs, identity_fails)
+    if table.field.is_rational:
+        rank = len(int_gauss_jordan(P)[1])
+    else:
+        rank = ExactMatrix(table.field, P).rank()
+    return WitnessProblems(pairs, identity_fails, rank < m)
 
 
 def _pair_sides(P: Sequence[list], coeffs: Sequence, d, D, n: int):

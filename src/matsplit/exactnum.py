@@ -505,6 +505,36 @@ class ExactMatrix:
         return ExactMatrix(self.field, [row[n:] for row in m[:n]])
 
 
+def int_gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) Gauss-Jordan form of an integer matrix.
+
+    Returns the reduced rows and the pivot columns; the rank is the number
+    of pivots.  Every entry stays a minor of the input, so each division is
+    exact.  Each pivot column ends as d times a unit vector, d the last
+    pivot: reducing [M | I] for a nonsingular square M leaves [d I | d M^-1].
+    """
+    a = [list(r) for r in rows]
+    ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top, d = a[r], a[r][c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(d * x - f * y) // prev for x, y in zip(row, top)]
+        prev = d
+        pivots.append(c)
+    return a, pivots
+
+
 # -- module level operations (the public surface) ----------------------------
 
 

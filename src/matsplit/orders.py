@@ -16,6 +16,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .algebra import AlgebraElement, StructureConstants, trace_gram
@@ -25,7 +26,7 @@ from .errors import (
     InternalError,
     PromiseViolation,
 )
-from .exactnum import QQ, ExactMatrix, Field, QuadScalar, as_rational
+from .exactnum import QQ, ExactMatrix, Field, QuadScalar, as_rational, int_gauss_jordan
 from .quadfield import nearest_integer
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,8 @@ def hnf_columns(columns: Sequence[Sequence[int]], dim: int) -> list[list[int]]:
     """Canonical column Hermite form of the integer span of the columns.
 
     Returns the pivot columns (full rank expected callers get dim columns);
-    pivots are positive and earlier columns are reduced modulo later pivots.
+    column j is zero above row j, pivots are positive and earlier columns
+    are reduced modulo later pivots.  The form is unique for the lattice.
     """
     work = [list(c) for c in columns if any(c)]
     result: list[list[int]] = []
@@ -48,71 +50,51 @@ def hnf_columns(columns: Sequence[Sequence[int]], dim: int) -> list[list[int]]:
         while len(live) > 1:
             live.sort(key=lambda c: abs(c[r]))
             a = live[0]
+            ar = a[r]
             for c in live[1:]:
-                q = round(Fraction(c[r], a[r]))
+                # nearest integer to c[r] / a[r]
+                q = (2 * c[r] + ar) // (2 * ar)
                 if q:
-                    for i in range(dim):
-                        c[i] -= q * a[i]
+                    c[:] = [x - q * y for x, y in zip(c, a)]
             live = [c for c in work if c[r] != 0]
         piv = live[0]
         if piv[r] < 0:
-            for i in range(dim):
-                piv[i] = -piv[i]
+            piv[:] = [-x for x in piv]
         work.remove(piv)
         work = [c for c in work if any(c)]
         # reduce row r of previously found pivot columns into [0, piv[r])
         for c in result:
             q = c[r] // piv[r]
             if q:
-                for i in range(dim):
-                    c[i] -= q * piv[i]
+                c[:] = [x - q * y for x, y in zip(c, piv)]
         result.append(piv)
     return result
 
 
-def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Basis of {x in Z^ncols : M x = 0} via tracked column reduction."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    U = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    # column reduction: for each row, clear all but one entry
-    used_cols: set[int] = set()
-    for r in range(nrows):
-        live = [j for j in range(ncols) if j not in used_cols and m[r][j] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda j: abs(m[r][j]))
-            a = live[0]
-            for j in live[1:]:
-                q = round(Fraction(m[r][j], m[r][a]))
-                if q:
-                    for i in range(nrows):
-                        m[i][j] -= q * m[i][a]
-                    for i in range(ncols):
-                        U[i][j] -= q * U[i][a]
-            live = [j for j in range(ncols) if j not in used_cols and m[r][j] != 0]
-        used_cols.add(live[0])
-    kernel = []
-    for j in range(ncols):
-        if j in used_cols:
-            continue
-        if all(m[r][j] == 0 for r in range(nrows)):
-            kernel.append([U[i][j] for i in range(ncols)])
-    return kernel
-
-
 def congruence_kernel(rows: Sequence[Sequence[int]], q: int, dim: int) -> list[list[int]]:
-    """HNF basis of the lattice {w in Z^dim : rows * w = 0 mod q}."""
-    nrows = len(rows)
-    aug = [list(r) + [q if i == t else 0 for t in range(nrows)] for i, r in enumerate(rows)]
-    ker = integer_kernel(aug, dim + nrows)
-    gens = [v[:dim] for v in ker]
-    gens += [[q if i == t else 0 for i in range(dim)] for t in range(dim)]
-    basis = hnf_columns(gens, dim)
-    if len(basis) != dim:
+    """HNF basis of the lattice {w in Z^dim : rows * w = 0 mod q}.
+
+    That lattice is q R^* for R = rowspan(rows) + q Z^dim, R^* the dual
+    lattice.  With H a Hermite basis of R, its basis vectors x_s solve
+    H^T x_s = q e_s; they are integral because q Z^dim lies in R.
+    """
+    gens = [[x % q for x in r] for r in rows]
+    gens += [[q if i == s else 0 for i in range(dim)] for s in range(dim)]
+    H = hnf_columns(gens, dim)
+    if len(H) != dim:
         raise InternalError("congruence kernel lost full rank")
-    return basis
+    duals = []
+    for s in range(dim):
+        # back-substitution: row j of H^T is column j of H, zero before j
+        x = [0] * dim
+        for j in range(dim - 1, -1, -1):
+            hj = H[j]
+            acc = (q if j == s else 0) - sum(hj[i] * x[i] for i in range(j + 1, dim))
+            x[j], rem = divmod(acc, hj[j])
+            if rem:
+                raise InternalError("dual lattice basis is not integral")
+        duals.append(x)
+    return hnf_columns(duals, dim)
 
 
 class ZLattice:
@@ -140,38 +122,27 @@ class ZLattice:
 
     @classmethod
     def from_rational_columns(cls, columns: Sequence[Sequence[Fraction]], dim: int) -> "ZLattice":
-        den = 1
         fracs = [[Fraction(x) for x in c] for c in columns]
-        for c in fracs:
-            for x in c:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        ints = [[int(x * den) for x in c] for c in fracs]
+        den = math.lcm(1, *(x.denominator for c in fracs for x in c))
+        ints = [[x.numerator * (den // x.denominator) for x in c] for c in fracs]
         return cls(dim, den, ints)
 
     def basis_fractions(self) -> list[tuple[Fraction, ...]]:
         return [tuple(Fraction(x, self.den) for x in c) for c in self.cols]
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        target = [Fraction(x) * self.den for x in vec]
-        coefs = self._solve(target)
-        return coefs is not None and all(c.denominator == 1 for c in coefs)
-
-    def _solve(self, target: list[Fraction]):
-        # triangular back-substitution against the HNF column structure
-        cols = [list(c) for c in self.cols]
-        t = list(target)
-        coefs = [Fraction(0)] * self.dim
-        for j in range(self.dim):
-            # pivot row of column j: first nonzero entry
-            r = next(i for i in range(self.dim) if cols[j][i] != 0)
-            c = Fraction(t[r], cols[j][r])
-            coefs[j] = c
+        # forward substitution: column j of the Hermite basis starts at row j
+        t = [Fraction(x) * self.den for x in vec]
+        if any(x.denominator != 1 for x in t):
+            return False
+        t = [x.numerator for x in t]
+        for j, col in enumerate(self.cols):
+            c, rem = divmod(t[j], col[j])
+            if rem:
+                return False
             if c:
-                for i in range(self.dim):
-                    t[i] -= c * cols[j][i]
-        if any(t):
-            return None
-        return coefs
+                t = [a - c * b for a, b in zip(t, col)]
+        return True
 
     def sum(self, other: "ZLattice") -> "ZLattice":
         den = self.den * other.den // math.gcd(self.den, other.den)
@@ -346,16 +317,32 @@ def _poly_eval(f: list[int], a: int, p: int) -> int:
 
 
 class Order:
-    """Unital multiplicatively closed full lattice in a structure-constant algebra."""
+    """Unital multiplicatively closed full lattice in a structure-constant algebra.
+
+    Over Q the order also keeps its basis on integers: den and the columns
+    C = den * basis_matrix, and the pair (E, d) with C^-1 = E / d, d > 0.
+    Order coordinates and the multiplication table are then integer work.
+    """
 
     def __init__(self, table: StructureConstants, basis_matrix: ExactMatrix):
         if basis_matrix.rows != table.m or basis_matrix.cols != table.m:
             raise InputError("order basis must be square of the algebra dimension")
         self.table = table
         self.basis_matrix = basis_matrix
-        self._inv = basis_matrix.inverse()
         self._mult_table: list[list[tuple]] | None = None
+        self._int_table: list[list[list[int]]] | None = None
+        self._products: tuple[list, int] | None = None
+        self._radicals: dict[int, list[list[int]]] = {}
         self._disc = None
+        if table.field.is_rational:
+            cols = basis_matrix.columns()
+            den = math.lcm(1, *(x.denominator for c in cols for x in c))
+            C = [[x.numerator * (den // x.denominator) for x in c] for c in cols]
+            E, d = _int_inverse(C)
+            self._int = (den, C, E, d)
+        else:
+            self._int = None
+            self._inv = basis_matrix.inverse()
 
     # coordinates of order basis element j in the a-basis
     def element(self, j: int) -> AlgebraElement:
@@ -365,28 +352,61 @@ class Order:
         return [self.element(j) for j in range(self.table.m)]
 
     def to_order_coords(self, coords: Sequence) -> tuple:
-        return self._inv.mul_vector(coords)
-
-    def from_order_coords(self, vec: Sequence) -> tuple:
-        return self.basis_matrix.mul_vector(vec)
+        if self._int is None:
+            return self._inv.mul_vector(coords)
+        den, _, E, d = self._int
+        w, D = _int_vector(coords)
+        return tuple(Fraction(den * _int_dot(row, w), d * D) for row in E)
 
     def contains(self, coords: Sequence) -> bool:
-        return all(_is_integral_scalar(x) for x in self.to_order_coords(coords))
+        if self._int is None:
+            return all(_is_integral_scalar(x) for x in self.to_order_coords(coords))
+        den, _, E, d = self._int
+        w, D = _int_vector(coords)
+        return all(den * _int_dot(row, w) % (d * D) == 0 for row in E)
 
     def multiplication_table(self) -> list[list[tuple]]:
         """Products of basis pairs in order coordinates; entries are integral."""
         if self._mult_table is None:
-            m = self.table.m
-            cols = [self.basis_matrix.column(j) for j in range(m)]
-            tab = []
-            for i in range(m):
-                row = []
-                for j in range(m):
-                    prod = self.table.multiply(cols[i], cols[j])
-                    row.append(self.to_order_coords(prod))
-                tab.append(row)
-            self._mult_table = tab
+            if self._int is None:
+                cols = self.basis_matrix.columns()
+                self._mult_table = [
+                    [self.to_order_coords(self.table.multiply(x, y)) for y in cols]
+                    for x in cols
+                ]
+            else:
+                N, s = self._product_numerators()
+                self._mult_table = [[tuple(Fraction(x, s) for x in v) for v in row] for row in N]
         return self._mult_table
+
+    def _product_numerators(self) -> tuple[list[list[list[int]]], int]:
+        """(N, s) with N[i][j] / s the order coordinates of b_i b_j, over Q.
+
+        With b_i = C_i / den and the table G / dG, b_i b_j has a-coordinates
+        P_ij / (den^2 dG) for P_ij = sum_rs C_i[r] C_j[s] G[r][s], and order
+        coordinates E P_ij / (den dG d).
+        """
+        if self._products is None:
+            den, C, E, d = self._int
+            G, dG = self.table._integral_gamma()
+            m = self.table.m
+            N = []
+            for Ci in C:
+                # Y[s] = sum_r C_i[r] G[r][s], the a-coordinates of den dG b_i a_s
+                Y = [[0] * m for _ in range(m)]
+                for r, x in enumerate(Ci):
+                    if x:
+                        Y = [[a + x * g for a, g in zip(ys, gs)] for ys, gs in zip(Y, G[r])]
+                row = []
+                for Cj in C:
+                    P = [0] * m
+                    for y, ys in zip(Cj, Y):
+                        if y:
+                            P = [a + y * b for a, b in zip(P, ys)]
+                    row.append([_int_dot(e, P) for e in E])
+                N.append(row)
+            self._products = (N, den * dG * d)
+        return self._products
 
     def verify(self) -> list[str]:
         """Exact closure and unitality violations (empty for a genuine order)."""
@@ -435,6 +455,28 @@ def _is_integral_scalar(x) -> bool:
     if isinstance(x, QuadScalar):
         return x.is_integral()
     return Fraction(x).denominator == 1
+
+
+def _int_vector(coords: Sequence) -> tuple[list[int], int]:
+    """(w, D) with coords = w / D, w integral and D the lcm of the denominators."""
+    fracs = [Fraction(x) for x in coords]
+    D = math.lcm(1, *(x.denominator for x in fracs))
+    return [x.numerator * (D // x.denominator) for x in fracs], D
+
+
+def _int_dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(x, y) if a)
+
+
+def _int_inverse(cols: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(E, d) with M^-1 = E / d and d > 0, for M the matrix with these columns."""
+    m = len(cols)
+    rows = [[cols[j][i] for j in range(m)] + [int(i == k) for k in range(m)] for i in range(m)]
+    red, pivots = int_gauss_jordan(rows)
+    if pivots != list(range(m)):
+        raise InputError("matrix is singular")
+    sign = 1 if red[0][0] > 0 else -1
+    return [[sign * x for x in row[m:]] for row in red], sign * red[0][0]
 
 
 def _trace_divisor(m: int) -> int:
@@ -550,83 +592,40 @@ def _ok_contains(field: Field, triangular_cols, vec) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _order_int_mult(order: Order):
-    """Integer structure constants of the order basis, as nested ints."""
-    tab = order.multiplication_table()
-    m = order.table.m
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            vec = []
-            for x in tab[i][j]:
-                if isinstance(x, QuadScalar):
-                    raise InternalError("integer multiplication needs a rational order")
-                fx = Fraction(x)
-                if fx.denominator != 1:
-                    raise InternalError("order multiplication table is not integral")
-                vec.append(int(fx))
-            row.append(vec)
-        out.append(row)
-    return out
+def _order_int_mult(order: Order) -> list[list[list[int]]]:
+    """Integer structure constants c[i][j][k] of the order basis."""
+    if order._int_table is None:
+        if order._int is None:
+            raise InternalError("integer multiplication needs a rational order")
+        N, s = order._product_numerators()
+        if any(x % s for row in N for v in row for x in v):
+            raise InternalError("order multiplication table is not integral")
+        order._int_table = [[[x // s for x in v] for v in row] for row in N]
+    return order._int_table
 
 
-def _int_mult_vectors(c, x: Sequence[int], y: Sequence[int]) -> list[int]:
-    m = len(c)
-    out = [0] * m
-    for i in range(m):
-        xi = x[i]
-        if not xi:
-            continue
-        ci = c[i]
-        for j in range(m):
-            yj = y[j]
-            if not yj:
-                continue
-            cij = ci[j]
-            f = xi * yj
-            for k in range(m):
-                if cij[k]:
-                    out[k] += f * cij[k]
-    return out
+def _flat_constants(c) -> list[list[int]]:
+    """The structure constants k-major: flat[k][i * m + j] = c[i][j][k]."""
+    return [list(col) for col in zip(*(cij for ci in c for cij in ci))]
 
 
-def _int_left_matrix(c, x: Sequence[int]) -> list[list[int]]:
-    m = len(c)
-    rows = [[0] * m for _ in range(m)]
-    for i in range(m):
-        xi = x[i]
-        if not xi:
-            continue
-        ci = c[i]
-        for j in range(m):
-            cij = ci[j]
-            for k in range(m):
-                if cij[k]:
-                    rows[k][j] += xi * cij[k]
-    return rows
+def _int_mult_vectors(flat, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """The product xy in order coordinates, with ``flat`` from _flat_constants."""
+    f = [a * b for a in x for b in y]
+    return [sum(map(mul, f, col)) for col in flat]
 
 
-def _trace_power_mod(mat: list[list[int]], e: int, mod: int) -> int:
-    m = len(mat)
-    cur = [[x % mod for x in row] for row in mat]
+def _int_power_mod(flat, x: Sequence[int], e: int, mod: int) -> list[int]:
+    """x^e (e >= 1) in the order, coordinates reduced mod ``mod``."""
+    base = [v % mod for v in x]
     result = None
-    base = cur
-
-    def matmul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(m)) % mod for j in range(m)]
-            for i in range(m)
-        ]
-
-    ee = e
-    while ee:
-        if ee & 1:
-            result = base if result is None else matmul(result, base)
-        ee >>= 1
-        if ee:
-            base = matmul(base, base)
-    return sum(result[i][i] for i in range(m)) % mod
+    while True:
+        if e & 1:
+            result = base if result is None else [v % mod for v in _int_mult_vectors(flat, result, base)]
+        e >>= 1
+        if not e:
+            return result
+        base = [v % mod for v in _int_mult_vectors(flat, base, base)]
 
 
 def p_radical(order: Order, p: int) -> list[list[int]]:
@@ -634,31 +633,61 @@ def p_radical(order: Order, p: int) -> list[list[int]]:
 
     Stage 0 is the kernel of the trace form; for p not exceeding the
     dimension further stages cut by the functions x -> Tr(M_{xy}^(p^j))/p^j
-    mod p, which are linear on the previous stage.  Returns integer vectors
-    whose residues span the radical.
+    mod p.  Left multiplication is a homomorphism, so Tr(M_z^(p^j)) =
+    <t, z^(p^j)> with t the trace vector t_k = Tr(M_{b_k}); the power is
+    taken in the order modulo p^(2j+1).  The function z -> Tr(M_z^(p^j))/p^j
+    mod p is linear on the previous stage, an ideal (Ronyai 1990; Cohen,
+    Ivanyos and Wales 1997), so it is powered out once per echelon basis
+    vector of that stage and read off the pivot coordinates of each xy.
+    Returns integer vectors whose residues span the radical, a fresh list
+    each call; the order remembers its radical at each p.
     """
     if p < 2 or any(p % k == 0 for k in range(2, min(p, 1 + math.isqrt(p)))):
         raise InputError(f"{p} is not prime")
-    if not order.table.field.is_rational:
-        _, rest_order = restrict_order(order)
-        return p_radical(rest_order, p)
+    if p not in order._radicals:
+        if not order.table.field.is_rational:
+            _, rest_order = restrict_order(order)
+            order._radicals[p] = p_radical(rest_order, p)
+        else:
+            order._radicals[p] = _radical_mod_p(order, p)
+    return [list(v) for v in order._radicals[p]]
+
+
+def _radical_mod_p(order: Order, p: int) -> list[list[int]]:
     c = _order_int_mult(order)
     m = order.table.m
+    flat = _flat_constants(c)
+    # right[y][k][i] = c[i][y][k]: the matrix of x -> x b_y
+    right = [[col[y::m] for col in flat] for y in range(m)]
+    trace = [sum(c[k][j][j] for j in range(m)) for k in range(m)]
     current = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
     j = 0
     while p**j <= m and current:
         pj = p**j
-        modulus = p ** (j + 1)
+        modulus = p ** (2 * j + 1)
+        # g(z) = Tr(M_z^pj)/pj mod p on the echelon basis of the stage V;
+        # xy lies in V, so g(xy) is the pivot coordinates of xy against g
+        ech, pivots = _fp_rref(current, p)
+        ech = ech[: len(pivots)]
+        g = [0] * m
+        for row, col in zip(ech, pivots):
+            t = _int_dot(trace, _int_power_mod(flat, row, pj, modulus)) % modulus
+            if t % pj:
+                raise InternalError("trace-of-power divisibility failed")
+            g[col] = (t // pj) % p
         rows = []
         for y in range(m):
-            yvec = [1 if t == y else 0 for t in range(m)]
             row = []
             for x in current:
-                xy = _int_mult_vectors(c, x, yvec)
-                t = _trace_power_mod(_int_left_matrix(c, xy), pj, modulus * pj)
-                if t % pj:
-                    raise InternalError("trace-of-power divisibility failed")
-                row.append((t // pj) % p)
+                xy = [sum(map(mul, x, r)) % p for r in right[y]]
+                rest = xy
+                for e, col in zip(ech, pivots):
+                    if rest[col]:
+                        f = rest[col]
+                        rest = [(a - f * b) % p for a, b in zip(rest, e)]
+                if any(rest):
+                    raise InternalError("a radical stage is not an ideal mod p")
+                row.append(_int_dot(g, xy) % p)
             rows.append(row)
         ker = _fp_kernel(rows, len(current), p)
         current = [
@@ -681,67 +710,42 @@ def _ideal_lattice(order: Order, p: int, extra_vectors: list[list[int]]) -> list
     return hnf_columns(gens, m)
 
 
-def _adjugate(cols: list[list[int]], dim: int) -> tuple[list[list[int]], int]:
-    mat = ExactMatrix(QQ, [[Fraction(cols[j][i]) for j in range(dim)] for i in range(dim)])
-    det = mat.det()
-    inv = mat.inverse()
-    adj_rows = []
-    for i in range(dim):
-        adj_rows.append([int(inv.entries[i][j] * det) for j in range(dim)])
-    return adj_rows, int(det)
-
-
 def _idealizer(order: Order, ideal_cols: list[list[int]], p: int, side: str) -> Order:
     """O_l(I) or O_r(I) for an ideal p*Lambda <= I <= Lambda, as a new Order."""
-    c = _order_int_mult(order)
+    flat = _flat_constants(_order_int_mult(order))
     m = order.table.m
-    adj, det = _adjugate(ideal_cols, m)
-    if det < 0:
-        adj = [[-x for x in row] for row in adj]
-        det = -det
+    # adj = det * I^-1 on order coordinates, so x is in I iff adj x = 0 mod det
+    adj, det = _int_inverse(ideal_cols)
     Q = p * det
     stacked = []
-    for t in range(m):
-        u = [ideal_cols[t][i] for i in range(m)]
-        if side == "left":
-            # condition x * u in I: right multiplication matrix of u
-            mat = _int_right_matrix(c, u)
-        else:
-            mat = _int_left_matrix(c, u)
-        for row_a in range(m):
-            stacked.append(
-                [
-                    sum(adj[row_a][k] * mat[k][col] for k in range(m)) % Q
-                    for col in range(m)
-                ]
-            )
+    for u in ideal_cols:
+        # the left order needs x u in I, the right order u x in I
+        cols = _mult_columns(flat, u, side)
+        for row_a in adj:
+            stacked.append([_int_dot(row_a, col) % Q for col in cols])
     W = congruence_kernel(stacked, Q, m)
-    # new basis in a-coordinates: OrderBasis * W / p
-    new_cols = []
-    for col in W:
-        vec = order.from_order_coords([Fraction(x, p) for x in col])
-        new_cols.append(vec)
-    lat = ZLattice.from_rational_columns([tuple(map(Fraction, v)) for v in new_cols], m)
-    new_order = _order_from_zlattice(order.table, lat)
+    # new basis in a-coordinates: OrderBasis * W / p = C W / (p den)
+    den, C, _, _ = order._int
+    gens = []
+    for w in W:
+        v = [0] * m
+        for x, col in zip(w, C):
+            if x:
+                v = [a + x * b for a, b in zip(v, col)]
+        gens.append(v)
+    new_order = _order_from_zlattice(order.table, ZLattice(m, p * den, gens))
     for j in range(m):
         if not new_order.contains(order.basis_matrix.column(j)):
             raise InternalError("idealizer lost the original order")
     return new_order
 
 
-def _int_right_matrix(c, x: Sequence[int]) -> list[list[int]]:
-    m = len(c)
-    rows = [[0] * m for _ in range(m)]
-    for j in range(m):
-        xj = x[j]
-        if not xj:
-            continue
-        for i in range(m):
-            cij = c[i][j]
-            for k in range(m):
-                if cij[k]:
-                    rows[k][i] += xj * cij[k]
-    return rows
+def _mult_columns(flat, u: Sequence[int], side: str) -> list[list[int]]:
+    """Columns b_i u (side "left") or u b_i (side "right") of x -> x u or x -> u x."""
+    m = len(u)
+    if side == "left":
+        return [[sum(map(mul, u, col[i * m:(i + 1) * m])) for col in flat] for i in range(m)]
+    return [[sum(map(mul, u, col[i::m])) for col in flat] for i in range(m)]
 
 
 def enlarge_at_p(order: Order, p: int) -> Order:
@@ -792,8 +796,10 @@ def _minimal_ideal_refinement(order: Order, p: int) -> Order:
     if sdim == 0:
         return order
 
+    flat = _flat_constants(c)
+
     def smul(a, b):
-        return project(_int_mult_vectors(c, unproject(a), unproject(b)))
+        return project(_int_mult_vectors(flat, unproject(a), unproject(b)))
 
     e_ord = order.to_order_coords(order.table.find_identity().coords)
     e_int = [int(Fraction(x)) % p for x in e_ord]
@@ -1049,20 +1055,14 @@ def _saturate_at_prime(order: Order, p: int) -> Order:
     # each pass strictly enlarges, so the index bound caps the iterations
     for _ in range(256):
         nxt = enlarge_at_p(order, p)
-        if not nxt.same_lattice(order):
-            order = nxt
-            continue
-        rad = p_radical(order, p)
-        ideal = _ideal_lattice(order, p, rad)
-        nxt = _idealizer(order, ideal, p, "right")
-        if not nxt.same_lattice(order):
-            order = nxt
-            continue
-        nxt = _minimal_ideal_refinement(order, p)
-        if not nxt.same_lattice(order):
-            order = nxt
-            continue
-        return order
+        if nxt.same_lattice(order):
+            ideal = _ideal_lattice(order, p, p_radical(order, p))
+            nxt = _idealizer(order, ideal, p, "right")
+        if nxt.same_lattice(order):
+            nxt = _minimal_ideal_refinement(order, p)
+        if nxt.same_lattice(order):
+            return order
+        order = nxt
     raise InternalError(f"saturation at p = {p} failed to stabilize")
 
 

@@ -96,7 +96,9 @@ def _is_grid(obj, m: int, depth: int) -> bool:
 
 def algebra_from_json(obj) -> StructureConstants:
     field = field_from_json(obj.get("field"))
-    m = int(obj.get("dim", 0))
+    m = obj.get("dim")
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise InputError(f"algebra dim must be an integer, got {m!r}")
     gamma = obj.get("gamma")
     if not _is_grid(gamma, m, 3):
         raise InputError("gamma grid does not match the declared dimension")
@@ -206,6 +208,8 @@ def verify_result_json(obj) -> list[str]:
         problems.append(f"multiplicativity fails at basis pair ({i}, {j})")
     elif found.identity_fails:
         problems.append("phi(1) is not the identity")
+    if found.not_injective:
+        problems.append("the images are linearly dependent, so phi is not injective")
     return problems
 
 

@@ -392,7 +392,10 @@ def _witness_oracle(table, images):
     identity_fails = not pairs and phi(find_identity(table).coords) != ExactMatrix.identity(
         table.field, n
     )
-    return WitnessProblems(pairs, identity_fails)
+    K, conv = _sympy_field(table.field)
+    flat = [[conv(x) for row in M.entries for x in row] for M in images]
+    not_injective = DomainMatrix(flat, (len(images), n * n), K).rank() < table.m
+    return WitnessProblems(pairs, identity_fails, not_injective)
 
 
 class TestIdentityAndWitnessAgainstOracles:
@@ -432,7 +435,7 @@ class TestIdentityAndWitnessAgainstOracles:
             inst.hidden_matrix(unit(inst.table, k).coords).scaled(c) for k, c in enumerate(scales)
         ]
         assert witness_problems(table, hidden) == _witness_oracle(table, hidden)
-        assert witness_problems(table, hidden) == WitnessProblems((), False)
+        assert witness_problems(table, hidden) == WitnessProblems((), False, False)
         for _ in range(3):
             k, r, c = rng.randrange(m), rng.randrange(n), rng.randrange(n)
             rows = [list(row) for row in hidden[k].entries]
@@ -442,8 +445,8 @@ class TestIdentityAndWitnessAgainstOracles:
             assert found.pairs
             assert found == _witness_oracle(table, tampered)
         zeros = [ExactMatrix.zeros(table.field, n, n)] * m
-        assert witness_problems(table, zeros) == WitnessProblems((), True)
-        assert _witness_oracle(table, zeros) == WitnessProblems((), True)
+        assert witness_problems(table, zeros) == WitnessProblems((), True, True)
+        assert _witness_oracle(table, zeros) == WitnessProblems((), True, True)
 
     def test_witness_problems_rejects_wrong_shapes(self, m2):
         good = [ExactMatrix.identity(QQ, 2)] * 4

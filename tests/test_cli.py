@@ -9,6 +9,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from matsplit.algebra import (
+    StructureConstants,
+    WitnessProblems,
+    build_isomorphism,
+    ideal_rank,
+    witness_problems,
+)
 from matsplit.cli import _exit_code, main
 from matsplit.errors import (
     EnumerationBudgetError,
@@ -17,11 +24,14 @@ from matsplit.errors import (
     PrecisionError,
     PromiseViolation,
 )
+from matsplit.exactnum import GAUSS, QQ, ExactMatrix, Field
 from matsplit.fixtures import quaternion_table
 from matsplit.serialize import (
     algebra_to_json,
     check_schema,
     load_schema,
+    matrix_to_json,
+    vector_to_json,
     verify_result_json,
 )
 
@@ -257,6 +267,77 @@ class TestMalformedInput:
         payload = json.loads(json.dumps(split_payload))
         payload["witness"]["images"][0] = image
         self.assert_exit_4(runner, ["verify"], payload)
+
+
+    @pytest.mark.parametrize("dim", ["x", 1.5, True], ids=["string", "float", "bool"])
+    def test_verify_algebra_dim_not_an_int(self, runner, split_payload, dim):
+        payload = json.loads(json.dumps(split_payload))
+        payload["algebra"]["dim"] = dim
+        self.assert_exit_4(runner, ["verify"], payload)
+
+
+def _forged(family: str, field: Field):
+    """A non-simple algebra of dimension 4 with a unital multiplicative map to
+    M_2(K) that is not injective: (table, images, rank one element)."""
+    gamma = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    if family == "K^4":
+        # e_i e_j = delta_ij e_i; phi(e_1) = I, the rest to 0
+        for i in range(4):
+            gamma[i][i][i] = 1
+        images = [[[1, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+        element = [1, 1, 0, 0]
+    elif family == "T2+K":
+        # E11, E12, E22 of the upper triangular matrices, then f with f^2 = f
+        for i, j, k in [(0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2), (3, 3, 3)]:
+            gamma[i][j][k] = 1
+        images = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]]]
+        element = [1, 0, 0, 0]
+    else:
+        # K[x]/(x^4) on 1, x, x^2, x^3; x -> E12
+        for i in range(4):
+            for j in range(4 - i):
+                gamma[i][j][i + j] = 1
+        images = [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+        element = [0, 0, 1, 0]
+    table = StructureConstants(field, gamma)
+    return table, [ExactMatrix(field, M) for M in images], table.element(element)
+
+
+class TestForgedWitnesses:
+    """A unital multiplicative witness from a non-simple algebra must not verify."""
+
+    @pytest.fixture(scope="class")
+    def payloads(self):
+        runner = CliRunner()
+        out = {}
+        for name in ("Q", "gauss"):
+            gen = run_ok(runner, ["gen", "--n", "2", "--field", name, "--seed", "1"])
+            split = run_ok(runner, ["split", "--seed", "1"], input=gen.output)
+            out[name] = json.loads(split.output)
+        return out
+
+    @pytest.mark.parametrize("family", ["K^4", "T2+K", "K[x]/(x^4)"])
+    @pytest.mark.parametrize("name,field", [("Q", QQ), ("gauss", GAUSS)])
+    def test_verify_exits_2(self, runner, payloads, family, name, field):
+        table, images, element = _forged(family, field)
+        found = witness_problems(table, images)
+        assert found == WitnessProblems((), False, True)
+        assert ideal_rank(element) == 1
+        payload = json.loads(json.dumps(payloads[name]))
+        payload["algebra"] = algebra_to_json(table)
+        payload["witness"]["images"] = [matrix_to_json(M) for M in images]
+        payload["rank_one_element"] = vector_to_json(element.coords)
+        problems = verify_result_json(payload)
+        assert problems == ["the images are linearly dependent, so phi is not injective"]
+        result = runner.invoke(main, ["verify"], input=json.dumps(payload))
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.output) == {"valid": False, "problems": problems}
+
+    @pytest.mark.parametrize("field", [QQ, GAUSS])
+    def test_build_isomorphism_rejects_a_non_simple_algebra(self, field):
+        table, _, element = _forged("K^4", field)
+        with pytest.raises(PromiseViolation, match="not injective"):
+            build_isomorphism(table, element)
 
 
 class TestUsageErrors:

@@ -1,17 +1,22 @@
 """Order construction, radicals mod p, and maximal order saturation."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
 
-from matsplit.algebra import matrix_units_table
-from matsplit.errors import FactorBudgetError, InputError
+from matsplit.algebra import StructureConstants, matrix_units_table
+from matsplit.errors import FactorBudgetError, InputError, InternalError
 from matsplit.exactnum import QQ, ExactMatrix, Field, as_rational
 from matsplit.fixtures import quaternion_table
 from matsplit.orders import (
     Order,
     ZLattice,
+    _fp_kernel,
+    _order_int_mult,
+    congruence_kernel,
     enlarge_at_p,
     factor_integer,
     initial_order,
@@ -263,3 +268,219 @@ class TestQuadraticFieldOrders:
         t = matrix_units_table(2, Field(1))
         o = initial_order(t)
         assert enlarge_at_p(o, 2).same_lattice(o)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles for the integer saturation kernels
+# ---------------------------------------------------------------------------
+
+
+def _reference_int_table(order):
+    """c[i][j] = B^-1 (b_i b_j) through the Fraction inverse of the basis."""
+    inv = order.basis_matrix.inverse()
+    cols = order.basis_matrix.columns()
+    table = [[inv.mul_vector(order.table.multiply(x, y)) for y in cols] for x in cols]
+    assert all(v.denominator == 1 for row in table for vec in row for v in vec)
+    return [[[int(v) for v in vec] for vec in row] for row in table]
+
+
+def _reference_left_matrix(c, x):
+    m = len(c)
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                rows[k][j] += x[i] * c[i][j][k]
+    return rows
+
+
+def _reference_trace_power_mod(mat, e, mod):
+    """Tr(mat^e) mod ``mod`` by repeated squaring of the m x m matrix."""
+    m = len(mat)
+
+    def matmul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(m)) % mod for j in range(m)] for i in range(m)]
+
+    result, base = None, [[x % mod for x in row] for row in mat]
+    while e:
+        if e & 1:
+            result = base if result is None else matmul(result, base)
+        e >>= 1
+        if e:
+            base = matmul(base, base)
+    return sum(result[i][i] for i in range(m)) % mod
+
+
+def _reference_radical(order, p):
+    """The matrix-power radical: Tr(M_{xy}^(p^j)) from the left matrix of xy."""
+    c = _reference_int_table(order)
+    m = order.table.m
+    current = [[int(i == j) for i in range(m)] for j in range(m)]
+    j = 0
+    while p**j <= m and current:
+        pj = p**j
+        rows = []
+        for y in range(m):
+            row = []
+            for x in current:
+                xy = [sum(x[i] * c[i][y][k] for i in range(m)) for k in range(m)]
+                t = _reference_trace_power_mod(_reference_left_matrix(c, xy), pj, p * pj * pj)
+                assert t % pj == 0
+                row.append((t // pj) % p)
+            rows.append(row)
+        ker = _fp_kernel(rows, len(current), p)
+        current = [
+            [sum(coef[t] * current[t][i] for t in range(len(current))) % p for i in range(m)]
+            for coef in ker
+        ]
+        j += 1
+    return current
+
+
+def _scrambled(order, rng):
+    """The same lattice on a random non-triangular basis (a unimodular change)."""
+    cols = [list(c) for c in order.basis_matrix.columns()]
+    m = len(cols)
+    for _ in range(3 * m):
+        a, b = rng.sample(range(m), 2)
+        k = rng.choice([-2, -1, 1, 2])
+        cols[a] = [x + k * y for x, y in zip(cols[a], cols[b])]
+    return Order(order.table, ExactMatrix.from_columns(QQ, cols))
+
+
+def _z_plus(order, p):
+    """The suborder Z + p Lambda."""
+    m = order.table.m
+    gens = [[p * x for x in c] for c in order.basis_matrix.columns()]
+    gens.append(order.table.find_identity().coords)
+    lat = ZLattice.from_rational_columns(gens, m)
+    return Order(order.table, ExactMatrix.from_columns(QQ, [list(c) for c in lat.basis_fractions()]))
+
+
+def _oracle_orders():
+    rng = random.Random(2024)
+    out = []
+    # initial orders of scrambled instances that are not maximal at 2 or 3
+    for n, seed in [(2, 3), (2, 5), (2, 8), (3, 5), (3, 9)]:
+        init = initial_order(generate_instance(n, QQ, 10, seed).table)
+        out += [(f"Q{n}-{seed}", init), (f"Q{n}-{seed}-rebased", _scrambled(init, rng))]
+    # Z + p Lambda for maximal Lambda
+    for n, seed in [(2, 1), (3, 3)]:
+        init = initial_order(generate_instance(n, QQ, 10, seed).table)
+        out += [(f"Q{n}-{seed}-Z+{p}L", _z_plus(init, p)) for p in (2, 3, 5)]
+        out.append((f"Q{n}-{seed}-Z+2L-rebased", _scrambled(_z_plus(init, 2), rng)))
+    for name in ("gauss", "eisenstein"):
+        _, rest = restrict_order(initial_order(generate_instance(2, name, 5, 4).table))
+        out += [(name, rest), (name + "-Z+2L", _z_plus(rest, 2))]
+    return out
+
+
+ORACLE_ORDERS = _oracle_orders()
+
+
+class TestIntegerKernelsAgainstOracles:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("name,order", ORACLE_ORDERS, ids=[n for n, _ in ORACLE_ORDERS])
+    def test_radical_matches_the_matrix_power_reference(self, name, order, p):
+        # a fresh Order, so the memoized radical of an earlier test is not reused
+        fresh = Order(order.table, order.basis_matrix)
+        expected = _reference_radical(fresh, p)
+        assert p_radical(fresh, p) == expected
+        # the memoized second answer is equal and a separate list
+        again = p_radical(fresh, p)
+        assert again == expected
+        if again:
+            again[0][0] += 1
+            assert p_radical(fresh, p) == expected
+
+    def test_the_oracle_orders_run_the_later_stages(self):
+        # a nonzero radical after stage 0 at p <= m means the loop over
+        # p^j <= m reaches j >= 1
+        staged = {p: 0 for p in (2, 3, 5)}
+        for _, order in ORACLE_ORDERS:
+            c = _reference_int_table(order)
+            m = order.table.m
+            for p in staged:
+                gram = [[sum(c[i][j][k] * sum(c[k][t][t] for t in range(m)) for k in range(m)) % p
+                         for j in range(m)] for i in range(m)]
+                if _fp_kernel(gram, m, p) and p <= m:
+                    staged[p] += 1
+        assert staged[2] >= 3 and staged[3] >= 3 and staged[5] >= 1
+
+    @pytest.mark.parametrize("name,order", ORACLE_ORDERS, ids=[n for n, _ in ORACLE_ORDERS])
+    def test_integer_table_matches_fractions(self, name, order):
+        assert _order_int_mult(order) == _reference_int_table(order)
+        rng = random.Random(len(name))
+        inv = order.basis_matrix.inverse()
+        for _ in range(5):
+            v = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(order.table.m)]
+            assert order.to_order_coords(v) == inv.mul_vector(v)
+            assert order.contains(v) == all(x.denominator == 1 for x in inv.mul_vector(v))
+
+    def test_non_integral_product_raises(self, m2):
+        half = Fraction(1, 2)
+        lat = suborder(m2, [(1, 0, 0, 0), (0, half, 0, 0), (0, 0, half, 0), (0, 0, 0, 1)])
+        with pytest.raises(InternalError, match="not integral"):
+            _order_int_mult(lat)
+        assert "product b_1 b_2 leaves the lattice" in lat.verify()
+
+    def test_singular_basis_is_rejected(self, m2):
+        with pytest.raises(InputError, match="singular"):
+            suborder(m2, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1)])
+
+    def test_failed_divisibility_raises(self):
+        # a unital but non-associative table: Tr(z^2) is odd for some z in
+        # the kernel of the trace form mod 2
+        gamma = [
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[0, 1, 0, 0], [-2, 1, 0, 3], [6, -2, -1, 0], [-3, 3, 0, -2]],
+            [[0, 0, 1, 0], [0, 0, -4, -4], [-3, -1, 4, -6], [-1, -1, 1, -4]],
+            [[0, 0, 0, 1], [-1, -2, -2, 0], [6, 2, 2, -2], [4, -2, 3, -2]],
+        ]
+        fake = Order(StructureConstants(QQ, gamma), ExactMatrix.identity(QQ, 4))
+        with pytest.raises(InternalError, match="divisibility"):
+            p_radical(fake, 2)
+
+    def test_a_stage_that_is_no_ideal_raises(self):
+        gamma = [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [2, 1, 6], [-2, 0, 0]],
+            [[0, 0, 1], [1, 2, -6], [-4, -6, 2]],
+        ]
+        fake = Order(StructureConstants(QQ, gamma), ExactMatrix.identity(QQ, 3))
+        with pytest.raises(InternalError, match="not an ideal"):
+            p_radical(fake, 2)
+
+    def test_congruence_kernel_matches_enumeration(self):
+        rng = random.Random(7)
+        for _ in range(150):
+            dim, q = rng.randint(1, 3), rng.randint(2, 12)
+            rows = [[rng.randint(-20, 20) for _ in range(dim)] for _ in range(rng.randint(1, 4))]
+            basis = congruence_kernel(rows, q, dim)
+            assert len(basis) == dim
+            brute = {
+                w for w in product(range(q), repeat=dim)
+                if all(sum(a * x for a, x in zip(r, w)) % q == 0 for r in rows)
+            }
+            # the residues mod q of the lattice the basis spans
+            span = {(0,) * dim}
+            for col in basis:
+                span = {tuple((s + k * x) % q for s, x in zip(v, col)) for v in span for k in range(q)}
+            assert span == brute
+            assert basis == sorted(basis, key=lambda c: next(i for i, x in enumerate(c) if x))
+
+    def test_zlattice_membership_matches_fractions(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            dim = rng.randint(1, 4)
+            cols = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
+                    for _ in range(dim + 1)]
+            try:
+                lat = ZLattice.from_rational_columns(cols, dim)
+            except InputError:
+                continue
+            B = ExactMatrix.from_columns(QQ, [list(c) for c in lat.basis_fractions()])
+            for _ in range(5):
+                v = [Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3])) for _ in range(dim)]
+                coefs = B.solve(v)
+                assert lat.contains(v) == all(x.denominator == 1 for x in coefs)
