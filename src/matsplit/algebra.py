@@ -435,9 +435,9 @@ def witness_problems(table: StructureConstants, images: Sequence[ExactMatrix]) -
     linearly independent: a unital multiplicative linear bijection is an
     isomorphism, while a non-simple algebra such as K^4 has unital
     homomorphisms to M_2(K) that are not injective.  Over Q the arithmetic
-    is on ints:
-    with P_k the images times the lcm D of their denominators and G the table
-    times the lcm d of its own, each pair checks d P_i P_j = D sum_k G_ijk P_k.
+    is on ints: with P_k the images times the lcm D of their denominators
+    and G the table times the lcm d of its own, each pair checks
+    d P_i P_j = D sum_k G_ijk P_k.
     Raises InputError unless there are m images, each n x n over the table's
     field, and NoIdentityError when every pair holds but the table has no
     identity.
