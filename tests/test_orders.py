@@ -15,6 +15,8 @@ from matsplit.orders import (
     Order,
     ZLattice,
     _fp_kernel,
+    _ideal_lattice,
+    _idealizer,
     _order_int_mult,
     congruence_kernel,
     enlarge_at_p,
@@ -484,3 +486,38 @@ class TestIntegerKernelsAgainstOracles:
                 v = [Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3])) for _ in range(dim)]
                 coefs = B.solve(v)
                 assert lat.contains(v) == all(x.denominator == 1 for x in coefs)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize(
+        "name,p", [("Q2-3", 2), ("Q2-8", 3), ("Q2-1-Z+5L", 5), ("gauss", 2), ("eisenstein-Z+2L", 2)]
+    )
+    def test_idealizer_matches_enumeration(self, name, p, side):
+        # I = p Lambda + Lambda b (side "left") or p Lambda + b Lambda (side
+        # "right") is a one-sided ideal, so its left (right) order lies
+        # between Lambda and Lambda / p: Lambda plus the cosets w / p,
+        # w in [0, p)^m, with (w / p) I in I (or I (w / p) in I)
+        order = dict(ORACLE_ORDERS)[name]
+        m = order.table.m
+        c = _reference_int_table(order)
+
+        def times(x, y):
+            return [sum(x[i] * y[j] * c[i][j][k] for i in range(m) for j in range(m)) for k in range(m)]
+
+        rng = random.Random(m * p)
+        b = [rng.randint(-3, 3) for _ in range(m)]
+        units = [[int(i == j) for i in range(m)] for j in range(m)]
+        sided = [times(e, b) if side == "left" else times(b, e) for e in units]
+        ideal = _ideal_lattice(order, p, sided)
+        I = ZLattice(m, 1, ideal)
+        gens = [[p * x for x in e] for e in units]
+        for w in product(range(p), repeat=m):
+            pairs = [(w, u) if side == "left" else (u, w) for u in ideal]
+            if all(I.contains([Fraction(x, p) for x in times(a, b)]) for a, b in pairs):
+                gens.append(list(w))
+        # back to a-coordinates: B gens / p
+        B = order.basis_matrix
+        expected = ZLattice.from_rational_columns(
+            [[x / p for x in B.mul_vector(g)] for g in gens], m
+        )
+        got = _idealizer(order, ideal, p, side)
+        assert ZLattice.from_rational_columns(got.basis_matrix.columns(), m) == expected
