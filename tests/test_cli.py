@@ -268,7 +268,6 @@ class TestMalformedInput:
         payload["witness"]["images"][0] = image
         self.assert_exit_4(runner, ["verify"], payload)
 
-
     @pytest.mark.parametrize("dim", ["x", 1.5, True], ids=["string", "float", "bool"])
     def test_verify_algebra_dim_not_an_int(self, runner, split_payload, dim):
         payload = json.loads(json.dumps(split_payload))
