@@ -3,11 +3,12 @@
 Over Q the saturation works on integer lattices in the a-basis: find the
 radical of Lambda/p Lambda, pass to the left (or right) order of the
 corresponding ideal, and when that stalls refine along the minimal
-two-sided ideals of the semisimple quotient.  Orders over Q(i) and
-Q(sqrt(-3)) go through their rank-2m integral restriction, are saturated
-there, and come back to a ring-of-integers basis by Euclidean column
-reduction; a maximal integral order in an algebra with quadratic center is
-automatically a maximal module over the ring of integers of the center.
+two-sided ideals of the semisimple quotient.  Over Q(i) and Q(sqrt(-3))
+the initial order is built on the rank-2m restriction of scalars, is
+saturated there like a rational order, and comes back to a
+ring-of-integers basis once, by Euclidean column reduction; a maximal
+integral order in an algebra with quadratic center is automatically a
+maximal module over the ring of integers of the center.
 """
 
 from __future__ import annotations
@@ -131,11 +132,14 @@ class ZLattice:
         return [tuple(Fraction(x, self.den) for x in c) for c in self.cols]
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        # forward substitution: column j of the Hermite basis starts at row j
-        t = [Fraction(x) * self.den for x in vec]
-        if any(x.denominator != 1 for x in t):
+        return self.contains_int(*_int_vector(vec))
+
+    def contains_int(self, w: Sequence[int], D: int) -> bool:
+        """Whether w / D lies in the lattice, for an integer vector w."""
+        if any(x * self.den % D for x in w):
             return False
-        t = [x.numerator for x in t]
+        t = [x * self.den // D for x in w]
+        # forward substitution: column j of the Hermite basis starts at row j
         for j, col in enumerate(self.cols):
             c, rem = divmod(t[j], col[j])
             if rem:
@@ -389,22 +393,7 @@ class Order:
         if self._products is None:
             den, C, E, d = self._int
             G, dG = self.table._integral_gamma()
-            m = self.table.m
-            N = []
-            for Ci in C:
-                # Y[s] = sum_r C_i[r] G[r][s], the a-coordinates of den dG b_i a_s
-                Y = [[0] * m for _ in range(m)]
-                for r, x in enumerate(Ci):
-                    if x:
-                        Y = [[a + x * g for a, g in zip(ys, gs)] for ys, gs in zip(Y, G[r])]
-                row = []
-                for Cj in C:
-                    P = [0] * m
-                    for y, ys in zip(Cj, Y):
-                        if y:
-                            P = [a + y * b for a, b in zip(P, ys)]
-                    row.append([_int_dot(e, P) for e in E])
-                N.append(row)
+            N = [[[_int_dot(e, P) for e in E] for P in row] for row in _int_products(C, G)]
             self._products = (N, den * dG * d)
         return self._products
 
@@ -468,6 +457,31 @@ def _int_dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(x, y) if a)
 
 
+def _int_products(C: Sequence[Sequence[int]], G) -> list[list[list[int]]]:
+    """P[i][j] = sum_rs C_i[r] C_j[s] G[r][s] for integer structure constants G.
+
+    For vectors c_i = C_i / den in a table with constants G / dG, c_i c_j
+    has a-coordinates P[i][j] / (den^2 dG).
+    """
+    m = len(G)
+    out = []
+    for Ci in C:
+        # Y[s] = sum_r C_i[r] G[r][s], the a-coordinates of den dG c_i a_s
+        Y = [[0] * m for _ in range(m)]
+        for r, x in enumerate(Ci):
+            if x:
+                Y = [[a + x * g for a, g in zip(ys, gs)] for ys, gs in zip(Y, G[r])]
+        row = []
+        for Cj in C:
+            P = [0] * m
+            for y, ys in zip(Cj, Y):
+                if y:
+                    P = [a + y * b for a, b in zip(P, ys)]
+            row.append(P)
+        out.append(row)
+    return out
+
+
 def _int_inverse(cols: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """(E, d) with M^-1 = E / d and d > 0, for M the matrix with these columns."""
     m = len(cols)
@@ -500,48 +514,35 @@ def _order_from_zlattice(table: StructureConstants, lat: ZLattice) -> Order:
 
 
 def initial_order(table: StructureConstants) -> Order:
-    """A starting order: scaled basis plus identity, closed under products."""
-    m = table.m
-    field = table.field
-    ell = 1
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                d = _scalar_denominator(table.gamma[i][j][k])
-                ell = ell * d // math.gcd(ell, d)
-    e = table.find_identity()
-    gens = []
-    for i in range(m):
-        gens.append(tuple(field.coerce(ell if k == i else 0) for k in range(m)))
-    gens.append(tuple(field.coerce(x) for x in e.coords))
-    # a basis of the span of some vectors, and the membership test for it:
-    # Hermite form over Z, Euclidean column reduction over O_K
-    if field.is_rational:
-        def span(vecs):
-            lat = ZLattice.from_rational_columns(vecs, m)
-            return lat.basis_fractions(), lat.contains
+    """The order that saturation starts from: ell a_i and e, closed under products.
+
+    ell is the lcm of the denominators of gamma, so (ell a_i)(ell a_j) is an
+    integral combination of the ell a_k.  Over Q(i) and Q(sqrt(-3)) the order
+    lives in ``restricted_table(table)``: the generators are ell u_k for all
+    2m unit vectors, e and omega e.  omega e is central and acts as omega,
+    so the closure is an O_K-module, the restriction of the O_K-order that
+    ell a_i and e generate.  The closure runs on the integer Hermite basis.
+    """
+    e = table.find_identity().coords
+    if table.field.is_rational:
+        rt, gens = table, [e]
     else:
-        def span(vecs):
-            cols = _ok_triangular(field, vecs, m)
-            return cols, lambda v: _ok_contains(field, cols, v)
-    cols, contains = span(gens)
+        field = table.field
+        rt = restricted_table(table)
+        gens = [restrict_coords(field, e), restrict_coords(field, [field.omega() * x for x in e])]
+    m = rt.m
+    G, ell = rt._integral_gamma()
+    gens += [[ell if k == i else 0 for k in range(m)] for i in range(m)]
+    lat = ZLattice.from_rational_columns(gens, m)
     for _ in range(64):
-        missing = []
-        for bi in cols:
-            for bj in cols:
-                prod = table.multiply(bi, bj)
-                if not contains(prod):
-                    missing.append(tuple(prod))
+        scale = lat.den * lat.den * ell
+        missing = [
+            P for row in _int_products(lat.cols, G) for P in row if not lat.contains_int(P, scale)
+        ]
         if not missing:
-            return Order(table, ExactMatrix.from_columns(field, [list(c) for c in cols]))
-        cols, contains = span(list(cols) + missing)
+            return _order_from_zlattice(rt, lat)
+        lat = ZLattice(m, scale, [[lat.den * ell * x for x in c] for c in lat.cols] + missing)
     raise InternalError("multiplicative closure did not stabilize")
-
-
-def _scalar_denominator(x) -> int:
-    if isinstance(x, QuadScalar):
-        return x.denominator()
-    return Fraction(x).denominator
 
 
 # Euclidean column reduction over the ring of integers of Q(sqrt(-d))
@@ -571,20 +572,6 @@ def _ok_triangular(field: Field, columns, dim: int):
     if len(result) != dim:
         raise InputError("generators do not span a full module")
     return [tuple(c) for c in result]
-
-
-def _ok_contains(field: Field, triangular_cols, vec) -> bool:
-    t = [field.coerce(x) for x in vec]
-    dim = len(t)
-    for col in triangular_cols:
-        r = next(i for i in range(dim) if not col[i].is_zero())
-        c = t[r] / col[r]
-        if not c.is_zero():
-            for i in range(dim):
-                t[i] = t[i] - c * col[i]
-        if not c.is_integral():
-            return False
-    return all(x.is_zero() for x in t)
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +631,10 @@ def p_radical(order: Order, p: int) -> list[list[int]]:
     """
     if p < 2 or any(p % k == 0 for k in range(2, min(p, 1 + math.isqrt(p)))):
         raise InputError(f"{p} is not prime")
+    if not order.table.field.is_rational:
+        raise InputError("the radical needs an order over Q; saturate the restriction of scalars")
     if p not in order._radicals:
-        if not order.table.field.is_rational:
-            _, rest_order = restrict_order(order)
-            order._radicals[p] = p_radical(rest_order, p)
-        else:
-            order._radicals[p] = _radical_mod_p(order, p)
+        order._radicals[p] = _radical_mod_p(order, p)
     return [list(v) for v in order._radicals[p]]
 
 
@@ -754,8 +739,6 @@ def enlarge_at_p(order: Order, p: int) -> Order:
     The result is strictly larger exactly when this step can see the
     non-maximality; a stalled step is handled by maximal_order's refinement.
     """
-    if not order.table.field.is_rational:
-        return _enlarge_ok_order(order, p)
     rad = p_radical(order, p)
     ideal = _ideal_lattice(order, p, rad)
     return _idealizer(order, ideal, p, "left")
@@ -1025,20 +1008,22 @@ def maximal_order(
 ) -> Order:
     """Saturate the initial order at every prime whose square divides the
     discriminant; over Q and a split algebra the fixpoint has |disc| = 1.
-    Over Q(i) and Q(sqrt(-3)) the saturation runs on the rank-2m integral
-    restriction, which is converted back to a ring-of-integers basis.
+    Over Q(i) and Q(sqrt(-3)) the initial order is the rank-2m integral
+    restriction; it is saturated there and converted back to a
+    ring-of-integers basis once, at the end.
 
     When ``disc_trace`` is a list, the absolute discriminant is appended
     after the initial construction and after each prime's saturation.
     """
     order = initial_order(table)
-    if not table.field.is_rational:
-        _, order = restrict_order(order)
     disc = as_rational(order.discriminant)
     if disc == 0:
         raise PromiseViolation("degenerate trace form: the algebra is not semisimple")
     if disc.denominator != 1:
-        raise InternalError("order discriminant must be an integer")
+        # every order of M_n(K), or of its restriction, has integral reduced traces
+        raise PromiseViolation(
+            f"order discriminant {disc} is not an integer: not a full matrix algebra"
+        )
     if disc_trace is not None:
         disc_trace.append(abs(int(disc)))
     factors = factor_integer(int(disc), factor_budget)
@@ -1127,21 +1112,6 @@ def lift_coords(field: Field, coords: Sequence[Fraction]) -> tuple[QuadScalar, .
     )
 
 
-def restrict_order(order: Order) -> tuple[StructureConstants, Order]:
-    """Integral rank-2m form of an order over Q(i) or Q(sqrt(-3))."""
-    table = order.table
-    field = table.field
-    rt = restricted_table(table)
-    omega = field.omega()
-    gens = []
-    for j in range(table.m):
-        col = order.basis_matrix.column(j)
-        gens.append(restrict_coords(field, col))
-        gens.append(restrict_coords(field, [omega * x for x in col]))
-    lat = ZLattice.from_rational_columns(gens, 2 * table.m)
-    return rt, _order_from_zlattice(rt, lat)
-
-
 def _restricted_to_k(table: StructureConstants, rest_order: Order) -> Order:
     field = table.field
     m = table.m
@@ -1151,10 +1121,3 @@ def _restricted_to_k(table: StructureConstants, rest_order: Order) -> Order:
         cols_k.append(lift_coords(field, col))
     basis = _ok_triangular(field, cols_k, m)
     return Order(table, ExactMatrix.from_columns(field, [list(c) for c in basis]))
-
-
-def _enlarge_ok_order(order: Order, p: int) -> Order:
-    table = order.table
-    _, rest = restrict_order(order)
-    enlarged = enlarge_at_p(rest, p)
-    return _restricted_to_k(table, enlarged)

@@ -28,7 +28,7 @@ from matsplit.algebra import (
 from matsplit.errors import InputError, NoIdentityError
 from matsplit.exactnum import EISENSTEIN, GAUSS, QQ, ExactMatrix, QuadScalar
 from matsplit.fixtures import quaternion_table
-from matsplit.orders import initial_order
+from matsplit.orders import _restricted_to_k, initial_order
 from matsplit.splitter import generate_instance
 
 
@@ -338,13 +338,24 @@ class TestKernelsAgainstOracles:
         [(2, "Q", 0), (2, "Q", 5), (3, "Q", 1), (3, "Q", 2), (2, "gauss", 3), (2, "eisenstein", 4)],
     )
     def test_discriminant_matches_sympy_determinant(self, n, field, seed):
+        # over Q(i) and Q(sqrt(-3)) the initial order lives in the restriction
         table = generate_instance(n, FIELDS[field], 10, seed).table
-        order = initial_order(table)
-        gram = _definitional_gram(table, order.elements())
-        expected = sympy.Matrix(
-            [[_to_sympy(x) for x in row] for row in gram.entries]
-        ).det() / sympy.Integer(n) ** table.m
-        assert sympy.expand(_to_sympy(order.discriminant) - expected) == 0
+        _assert_discriminant_matches_sympy(initial_order(table), n)
+
+    def test_discriminant_of_a_non_maximal_k_order_matches_sympy(self):
+        table = generate_instance(2, EISENSTEIN, 10, 7).table
+        order = _restricted_to_k(table, initial_order(table))
+        assert order.table is table and order.discriminant.norm() != 1
+        _assert_discriminant_matches_sympy(order, 2)
+
+
+def _assert_discriminant_matches_sympy(order, n):
+    """det of the definitional trace Gram of the order basis, over n^m."""
+    gram = _definitional_gram(order.table, order.elements())
+    expected = sympy.Matrix(
+        [[_to_sympy(x) for x in row] for row in gram.entries]
+    ).det() / sympy.Integer(n) ** order.table.m
+    assert sympy.simplify(_to_sympy(order.discriminant) - expected) == 0
 
 
 def _sympy_field(field):

@@ -116,6 +116,15 @@ class TestPipelines:
         result = runner.invoke(main, ["split"], input=json.dumps(bad))
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("args", [["split", "--seed", "1"], ["order"]])
+    def test_non_integral_discriminant_exit_2(self, runner, args):
+        # Q^4 passes validate, but its discriminant 1/16 is not an integer,
+        # which no order of M_2(Q) can have
+        table, _, _ = _forged("K^4", QQ)
+        result = runner.invoke(main, args, input=json.dumps(algebra_to_json(table)))
+        assert result.exit_code == 2, result.output
+        assert "order discriminant 1/16 is not an integer" in result.output
+
     def test_division_quaternions_exit_2(self, runner):
         table = algebra_to_json(quaternion_table(-1, -1))
         result = runner.invoke(main, ["split", "--seed", "1"], input=json.dumps(table))
@@ -239,6 +248,10 @@ class TestMalformedInput:
     def test_lll_delta_not_a_rational(self, runner):
         self.assert_exit_4(runner, ["lll", "--delta", "abc"], TestLatticeCommands.LATTICE)
 
+    def test_rational_with_an_exponent(self, runner):
+        # 3e-1 lies in (1/4, 1), but "1e10000000" would take seconds to parse
+        self.assert_exit_4(runner, ["lll", "--delta", "3e-1"], TestLatticeCommands.LATTICE)
+
     @pytest.mark.parametrize(
         "args,field",
         [
@@ -272,6 +285,32 @@ class TestMalformedInput:
     def test_verify_algebra_dim_not_an_int(self, runner, split_payload, dim):
         payload = json.loads(json.dumps(split_payload))
         payload["algebra"]["dim"] = dim
+        self.assert_exit_4(runner, ["verify"], payload)
+
+    @pytest.fixture(scope="class")
+    def gauss_payload(self):
+        runner = CliRunner()
+        gen = run_ok(runner, ["gen", "--n", "2", "--field", "gauss", "--seed", "2"])
+        return json.loads(run_ok(runner, ["split", "--seed", "2"], input=gen.output).output)
+
+    @pytest.mark.parametrize("command", ["verify", "split", "order"])
+    @pytest.mark.parametrize("part", [None, True, 1.5, 2], ids=["null", "bool", "float", "int"])
+    def test_quadratic_scalar_part_not_a_string(self, runner, gauss_payload, command, part):
+        payload = json.loads(json.dumps(gauss_payload))
+        payload["algebra"]["gamma"][0][0][0] = {"a": part, "b": "0"}
+        self.assert_exit_4(runner, [command], payload if command == "verify" else payload["algebra"])
+
+    @pytest.mark.parametrize("where", ["algebra", "top"])
+    @pytest.mark.parametrize("d", [1.5, True, "1", 7, 2**64 + 1], ids=["float", "bool", "string", "seven", "huge"])
+    def test_verify_field_d_not_supported(self, runner, gauss_payload, where, d):
+        payload = json.loads(json.dumps(gauss_payload))
+        (payload["algebra"] if where == "algebra" else payload)["field"]["d"] = d
+        self.assert_exit_4(runner, ["verify"], payload)
+
+    @pytest.mark.parametrize("entry", ["x", "1/0", None, 1.5], ids=["word", "zero_den", "null", "float"])
+    def test_verify_left_ideal_basis_not_rationals(self, runner, split_payload, entry):
+        payload = json.loads(json.dumps(split_payload))
+        payload["witness"]["left_ideal_basis"][0][0] = entry
         self.assert_exit_4(runner, ["verify"], payload)
 
 

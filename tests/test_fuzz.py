@@ -1,0 +1,109 @@
+"""Boundary fuzzing: one mutated leaf or key of a valid document, through the CLI.
+
+Every mutant of a valid algebra (``split`` and ``order``) and of a valid
+split result (``verify``), over Q and over Q(i), must exit 0, 2, 3 or 4
+without a traceback.  A mutated result may verify only when its algebra
+and its images are the ones that were split.
+"""
+
+import copy
+import json
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matsplit.cli import main
+
+# what a leaf or key is replaced by; "delete" removes it, "wrap" nests it
+# one level deeper
+MUTATIONS = [
+    "delete", "wrap", None, True, False, 1.5, float("inf"), "1/0", "x", "",
+    10**40, -(10**40), str(10**40), "1" * 5000, [], {},
+]
+
+
+def _documents():
+    runner = CliRunner()
+    docs = {}
+    for field, seed in (("Q", 3), ("gauss", 2)):
+        gen = runner.invoke(main, ["gen", "--n", "2", "--field", field, "--seed", str(seed)])
+        split = runner.invoke(main, ["split", "--seed", str(seed)], input=gen.output)
+        assert gen.exit_code == 0 and split.exit_code == 0, split.output
+        docs[f"algebra-{field}"] = json.loads(gen.output)
+        docs[f"result-{field}"] = json.loads(split.output)
+    return docs
+
+
+def _paths(obj, prefix=()):
+    """The path of every node below obj: dict keys and list indices."""
+    if isinstance(obj, (dict, list)):
+        for key, child in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield prefix + (key,)
+            yield from _paths(child, prefix + (key,))
+
+
+DOCS = _documents()
+PATHS = {name: list(_paths(doc)) for name, doc in DOCS.items()}
+
+
+def _mutate(doc, path, mutation):
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if mutation == "delete":
+        del parent[key]
+    elif mutation == "wrap":
+        parent[key] = [parent[key]]
+    else:
+        parent[key] = copy.deepcopy(mutation)
+    return out
+
+
+@st.composite
+def mutants(draw, kind):
+    name = draw(st.sampled_from([n for n in sorted(DOCS) if n.startswith(kind)]))
+    path = draw(st.sampled_from(PATHS[name]))
+    return name, _mutate(DOCS[name], path, draw(st.sampled_from(MUTATIONS)))
+
+
+def _run(args, payload):
+    result = CliRunner().invoke(main, args, input=json.dumps(payload))
+    assert result.exit_code in (0, 2, 3, 4), (result.exit_code, result.exception, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    return result
+
+
+FUZZ = settings(
+    max_examples=500,
+    derandomize=True,
+    database=None,
+    deadline=None,
+)
+
+
+@FUZZ
+@given(mutant=mutants("algebra"), command=st.sampled_from([["split", "--seed", "1"], ["order"]]))
+def test_mutated_algebra_exits_cleanly(mutant, command):
+    _run(command, mutant[1])
+
+
+@FUZZ
+@given(mutant=mutants("result"))
+def test_mutated_result_exits_cleanly(mutant):
+    name, payload = mutant
+    result = _run(["verify"], payload)
+    if result.exit_code == 0:
+        original = DOCS[name]
+        assert payload["algebra"] == original["algebra"]
+        assert payload["witness"]["images"] == original["witness"]["images"]
+
+
+@pytest.mark.parametrize("name", sorted(DOCS))
+def test_the_unmutated_documents_pass(name):
+    args = ["verify"] if name.startswith("result") else ["order"]
+    assert _run(args, DOCS[name]).exit_code == 0

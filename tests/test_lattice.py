@@ -7,13 +7,16 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
-from matsplit.errors import InputError
+from matsplit.errors import InputError, InternalError
 from matsplit.exactnum import QQ, ExactMatrix
 from matsplit.fixtures import a2_basis, a2_dual_basis, z2_basis
 from matsplit.lattice import (
     BoxStats,
     LatticeBasis,
+    _certify_lll,
     berge_martinet_upper,
     box_enumerate,
     c_m,
@@ -34,6 +37,7 @@ from matsplit.lattice import (
     tensor_product,
     trace_product_check,
 )
+from matsplit.orders import hnf_columns
 
 SQRT3 = math.sqrt(3)
 
@@ -99,6 +103,38 @@ class TestLLL:
     def test_dependent_columns_rejected(self):
         with pytest.raises(InputError):
             lll_reduce(LatticeBasis([(1, 2), (2, 4)]))
+
+
+class TestLLLAgainstSympy:
+    """lll_reduce and sympy's DomainMatrix.lll must span the same lattice."""
+
+    @staticmethod
+    def _bases():
+        rng = random.Random(20240607)
+        for rank in range(2, 10):
+            for _ in range(3):
+                rows = [[rng.randint(-20, 20) for _ in range(rank)] for _ in range(rank)]
+                if DomainMatrix([[ZZ(x) for x in r] for r in rows], (rank, rank), ZZ).det() != 0:
+                    yield rows
+
+    def test_same_lattice_as_sympy_and_certified(self):
+        rejected = 0
+        for rows in self._bases():
+            rank = len(rows)
+            ours = lll_reduce(LatticeBasis(rows))
+            theirs = DomainMatrix([[ZZ(x) for x in r] for r in rows], (rank, rank), ZZ).lll()
+            their_rows = [[int(x) for x in r] for r in theirs.to_list()]
+            our_rows = [[int(x) for x in c] for c in ours.columns]
+            expected = hnf_columns(rows, rank)
+            assert hnf_columns(our_rows, rank) == hnf_columns(their_rows, rank) == expected
+            _certify_lll(ours, Fraction(3, 4))
+            _certify_lll(LatticeBasis(their_rows), Fraction(3, 4))
+            try:
+                _certify_lll(LatticeBasis(rows), Fraction(3, 4))
+            except InternalError:
+                rejected += 1
+        # the certificate has teeth: none of the random inputs is reduced
+        assert rejected == 24
 
 
 class TestDefectAndDual:

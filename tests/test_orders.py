@@ -1,5 +1,6 @@
 """Order construction, radicals mod p, and maximal order saturation."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -9,7 +10,7 @@ import sympy
 
 from matsplit.algebra import StructureConstants, matrix_units_table
 from matsplit.errors import FactorBudgetError, InputError, InternalError
-from matsplit.exactnum import QQ, ExactMatrix, Field, as_rational
+from matsplit.exactnum import QQ, ExactMatrix, Field, QuadScalar, as_rational
 from matsplit.fixtures import quaternion_table
 from matsplit.orders import (
     Order,
@@ -17,14 +18,16 @@ from matsplit.orders import (
     _fp_kernel,
     _ideal_lattice,
     _idealizer,
+    _ok_triangular,
     _order_int_mult,
+    _restricted_to_k,
     congruence_kernel,
     enlarge_at_p,
     factor_integer,
     initial_order,
     maximal_order,
     p_radical,
-    restrict_order,
+    restrict_coords,
     restricted_table,
 )
 from matsplit.splitter import generate_instance, instance_from_base_change
@@ -61,6 +64,54 @@ class TestZLattice:
         assert s.contains([1, 1]) and s.contains([2, 0])
 
 
+def _reference_initial_lattice(table):
+    """The initial order by Fraction products, as a ZLattice in the restriction.
+
+    Over Q: ell a_i and e, closed with ``table.multiply``.  Over Q(i) and
+    Q(sqrt(-3)): the same generators closed as an O_K-module with the
+    Euclidean column reduction ``_ok_triangular``, then restricted to Z by
+    the coordinates of each basis vector b and of omega b.
+    """
+    field, m = table.field, table.m
+    ell = math.lcm(*(
+        x.denominator() if isinstance(x, QuadScalar) else x.denominator
+        for gi in table.gamma for gij in gi for x in gij
+    ))
+    gens = [[ell if k == i else 0 for k in range(m)] for i in range(m)]
+    gens.append(list(table.find_identity().coords))
+
+    def span(vecs):
+        if field == QQ:
+            lat = ZLattice.from_rational_columns(vecs, m)
+            return lat, [list(c) for c in lat.basis_fractions()]
+        cols = [list(c) for c in _ok_triangular(field, vecs, m)]
+        restricted = [restrict_coords(field, c) for c in cols]
+        restricted += [restrict_coords(field, [field.omega() * x for x in c]) for c in cols]
+        return ZLattice.from_rational_columns(restricted, 2 * m), cols
+
+    lat, cols = span(gens)
+    while True:
+        nxt, cols = span(cols + [list(table.multiply(x, y)) for x in cols for y in cols])
+        if nxt == lat:
+            return lat
+        lat = nxt
+
+
+def _initial_corpus():
+    half = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, Fraction(1, 2)]]
+    out = [(f"Q2-{s}", generate_instance(2, QQ, 10, s).table) for s in range(1, 9)]
+    out += [(f"Q3-{s}", generate_instance(3, QQ, 10, s).table) for s in range(1, 5)]
+    out.append(("Q2-half", instance_from_base_change(matrix_units_table(2), half, QQ).table))
+    out += [(f"quaternion({a},{a})", quaternion_table(a, a)) for a in (-1, 1)]
+    for d, name in ((1, "gauss"), (3, "eisenstein")):
+        out += [(f"{name}-{s}", generate_instance(2, name, 5, s).table) for s in range(1, 7)]
+        out.append((f"{name}-units", matrix_units_table(2, Field(d))))
+    return out
+
+
+INITIAL_CORPUS = _initial_corpus()
+
+
 class TestInitialOrder:
     def test_standard_table_gives_the_unit_lattice(self, m2):
         o = initial_order(m2)
@@ -86,6 +137,13 @@ class TestInitialOrder:
         o = initial_order(t)
         assert o.verify() == []
         assert abs(as_rational(o.discriminant)) == 16
+
+    @pytest.mark.parametrize("name,table", INITIAL_CORPUS, ids=[n for n, _ in INITIAL_CORPUS])
+    def test_integer_closure_matches_the_fraction_closure(self, name, table):
+        got = initial_order(table)
+        assert got.table.field == QQ and got.table.m == table.m * (1 if table.field == QQ else 2)
+        lattice = ZLattice.from_rational_columns(got.basis_matrix.columns(), got.table.m)
+        assert lattice == _reference_initial_lattice(table)
 
 
 class TestPRadical:
@@ -246,8 +304,7 @@ class TestQuadraticFieldOrders:
     @pytest.mark.parametrize("d", [1, 3])
     def test_restriction_discriminant_is_the_field_power(self, d):
         t = matrix_units_table(2, Field(d))
-        o = initial_order(t)
-        _, rest = restrict_order(o)
+        rest = initial_order(t)
         D = 4 if d == 1 else 3
         assert abs(as_rational(rest.discriminant)) == D**4
 
@@ -267,9 +324,13 @@ class TestQuadraticFieldOrders:
         assert o.discriminant.norm() == 1
 
     def test_enlarge_on_k_order_roundtrips(self):
+        # saturation runs on the restriction only; a K-order is refused
         t = matrix_units_table(2, Field(1))
-        o = initial_order(t)
-        assert enlarge_at_p(o, 2).same_lattice(o)
+        o = _restricted_to_k(t, initial_order(t))
+        with pytest.raises(InputError, match="order over Q"):
+            enlarge_at_p(o, 2)
+        with pytest.raises(InputError, match="order over Q"):
+            p_radical(o, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +433,7 @@ def _oracle_orders():
         out += [(f"Q{n}-{seed}-Z+{p}L", _z_plus(init, p)) for p in (2, 3, 5)]
         out.append((f"Q{n}-{seed}-Z+2L-rebased", _scrambled(_z_plus(init, 2), rng)))
     for name in ("gauss", "eisenstein"):
-        _, rest = restrict_order(initial_order(generate_instance(2, name, 5, 4).table))
+        rest = initial_order(generate_instance(2, name, 5, 4).table)
         out += [(name, rest), (name + "-Z+2L", _z_plus(rest, 2))]
     return out
 
