@@ -39,6 +39,7 @@ class StructureConstants:
         self._left_mats: list[ExactMatrix] | None = None
         self._identity: tuple | None = None
         self._int_gamma: tuple[list, int] | None = None
+        self._gram_det = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -197,6 +198,12 @@ class StructureConstants:
             G = [[flat[(i * m + j) * m:(i * m + j + 1) * m] for j in range(m)] for i in range(m)]
             self._int_gamma = (G, d)
         return self._int_gamma
+
+    def _trace_gram_det(self):
+        """det T of the trace Gram T_kl = Tr(L_{a_k a_l}) of the a-basis, computed once."""
+        if self._gram_det is None:
+            self._gram_det = ExactMatrix(self.field, _trace_matrix(self)).det()
+        return self._gram_det
 
     def validate(self) -> list[str]:
         """All associativity identities plus identity existence, exactly.
@@ -375,32 +382,27 @@ def ideal_rank(C: AlgebraElement, n: int | None = None) -> int:
 def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> IsomorphismWitness:
     """Explicit isomorphism A -> M_n(K) from a rank one element C.
 
-    Takes the left ideal A*C (dimension n), expresses left multiplication by
-    each basis element on it, and verifies multiplicativity on all basis
-    pairs plus unitality, all in exact arithmetic.
+    phi(a_i) is left multiplication by a_i on the left ideal A*C (dimension
+    n), checked exactly by witness_problems.  The columns of the right
+    regular matrix of C are the a_k C; the first n rows X of its reduced
+    echelon form give a_k C = sum_t X[t][k] w_t over the pivot columns
+    w_t = a_{p_t} C.  By associativity a_i w_t = (a_i a_{p_t}) C =
+    sum_k gamma_{i p_t k} a_k C, so column t of phi(a_i) is
+    sum_k gamma_{i p_t k} X[.][k]; on a table that is not associative these
+    images fail the check.
     """
     n = table.n
     if ideal_rank(C, n) != 1:
         raise InputError("build_isomorphism requires a rank one element")
-    # columns of the right regular matrix span A*C; its echelon pivots
-    # index an independent column subset
     rmat = table.right_regular(C.coords)
-    _, pivots = rmat._echelon()
+    X, pivots = rmat._echelon()
     if len(pivots) != n:
         raise InternalError("left ideal dimension changed between rank and basis")
-    basis_cols = [rmat.column(p) for p in pivots]
-    W = ExactMatrix.from_columns(table.field, basis_cols)
-    images = []
-    for i in range(table.m):
-        li = table.basis_left_matrices()[i]
-        cols = []
-        for j in range(n):
-            target = li.mul_vector(basis_cols[j])
-            sol = W.solve(target)
-            if sol is None:
-                raise InternalError("left ideal is not invariant; invalid input?")
-            cols.append(sol)
-        images.append(ExactMatrix.from_columns(table.field, cols))
+    zero = table.field.zero()
+    images = [
+        ExactMatrix(table.field, [[_dot(gi[p], row, zero) for p in pivots] for row in X[:n]])
+        for gi in table.gamma
+    ]
     problems = witness_problems(table, images)
     if problems.pairs:
         raise InternalError(f"multiplicativity fails on the basis pair {problems.pairs[0]}")
@@ -412,7 +414,7 @@ def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> Isomorphi
             "injective, so the algebra is not simple"
         )
     return IsomorphismWitness(
-        left_ideal_basis=tuple(AlgebraElement(table, c) for c in basis_cols),
+        left_ideal_basis=tuple(AlgebraElement(table, rmat.column(p)) for p in pivots),
         images=tuple(images),
         rank_one_element=C,
     )
@@ -529,11 +531,17 @@ def trace_gram(table: StructureConstants, basis_elems: Sequence[AlgebraElement])
     with t_r = Tr(L_{a_r}) = sum_j gamma_rjj.
     """
     zero = table.field.zero()
-    t = [sum((g_r[j][j] for j in range(table.m)), zero) for g_r in table.gamma]
-    T = [[_dot(g_kl, t, zero) for g_kl in g_k] for g_k in table.gamma]
+    T = _trace_matrix(table)
     cols = [b.coords for b in basis_elems]
     TB = [[_dot(c, row, zero) for row in T] for c in cols]
     return ExactMatrix(table.field, [[_dot(c, u, zero) for u in TB] for c in cols])
+
+
+def _trace_matrix(table: StructureConstants) -> list[list]:
+    """T_kl = Tr(L_{a_k a_l}) = sum_r gamma_klr t_r with t_r = sum_j gamma_rjj."""
+    zero = table.field.zero()
+    t = [sum((g_r[j][j] for j in range(table.m)), zero) for g_r in table.gamma]
+    return [[_dot(g_kl, t, zero) for g_kl in g_k] for g_k in table.gamma]
 
 
 def _dot(x: Sequence, y: Sequence, zero):

@@ -246,7 +246,7 @@ def lll(path, delta, output):
 def enumerate(path, bound, output):
     """List all short vector classes up to the bound, in norm order."""
     basis = serialize.lattice_from_json(_read_checked(path, "lattice"))
-    vecs = short_vectors(basis.gram(), bound)
+    vecs = short_vectors(basis.gram(), bound, budget=splitter.SplitConfig.enumeration_budget)
     payload = {
         "count": len(vecs),
         "vectors": [

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import EnumerationBudgetError, InputError, InternalError
+from .exactnum import QQ, ExactMatrix, int_gauss_jordan
 
 Vec = tuple[Fraction, ...]
 
@@ -62,7 +63,7 @@ class LatticeBasis:
 
     def det_sq(self) -> Fraction:
         """Square of the lattice determinant (Gram determinant)."""
-        return _det_fraction(self.gram())
+        return ExactMatrix(QQ, self.gram()).det()
 
     def vector(self, coeffs: Sequence[int]) -> Vec:
         out = [Fraction(0)] * self.ambient_dim
@@ -79,30 +80,6 @@ class LatticeBasis:
 
 def _dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def _det_fraction(g: list[list[Fraction]]) -> Fraction:
-    n = len(g)
-    m = [row[:] for row in g]
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] * inv
-                m[r] = [m[r][j] - f * m[c][j] for j in range(n)]
-    return det
 
 
 def gram_schmidt(gram: Sequence[Sequence[Fraction]]):
@@ -260,8 +237,6 @@ def dual_basis(basis: LatticeBasis) -> LatticeBasis:
     """Dual lattice basis (inverse transpose); requires a full-rank square basis."""
     if basis.rank != basis.ambient_dim:
         raise InputError("dual basis requires a full-rank lattice")
-    from .exactnum import QQ, ExactMatrix
-
     B = ExactMatrix.from_columns(QQ, [list(c) for c in basis.columns])
     Binv = B.inverse()
     cols = [Binv.row(i) for i in range(basis.rank)]
@@ -272,8 +247,6 @@ def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
     """True when the two bases span the same lattice."""
     if a.ambient_dim != b.ambient_dim or a.rank != b.rank:
         return False
-    from .exactnum import QQ, ExactMatrix
-
     A = ExactMatrix.from_columns(QQ, [list(c) for c in a.columns])
     B = ExactMatrix.from_columns(QQ, [list(c) for c in b.columns])
     if a.rank != a.ambient_dim:
@@ -396,7 +369,8 @@ def short_vectors(
 
     Returns (coefficients, squared norm) pairs ordered by norm then
     lexicographic coefficients; each class is represented with its first
-    nonzero coefficient positive.
+    nonzero coefficient positive.  Raises EnumerationBudgetError once more
+    than ``budget`` nodes, at any level, have been visited.
     """
     k = len(gram)
     bound_sq = _norm_bound_sq(norm_bound)
@@ -409,8 +383,6 @@ def short_vectors(
 
     def descend(level: int, remaining: Fraction):
         nonlocal visited
-        if budget is not None and visited > budget:
-            raise EnumerationBudgetError("short vector enumeration budget exceeded")
         c = centers[level]
         # scan the contiguous admissible range outward from the center
         start = -c
@@ -424,6 +396,8 @@ def short_vectors(
                     break
                 x[level] = xi
                 visited += 1
+                if budget is not None and visited > budget:
+                    raise EnumerationBudgetError("short vector enumeration budget exceeded")
                 if level == 0:
                     if any(x):
                         norm_sq = bound_sq - (remaining - used)
@@ -534,29 +508,6 @@ class TensorExperimentReport:
         return math.sqrt(float(self.min_norm_sq_by_rank[r]))
 
 
-def _int_matrix_rank(rows: list[list[int]]) -> int:
-    m = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 def min_norm_by_matrix_rank(
     L: LatticeBasis,
     M: LatticeBasis,
@@ -589,7 +540,7 @@ def min_norm_by_matrix_rank(
         rows = [
             kron_coeffs[i * M.rank : (i + 1) * M.rank] for i in range(L.rank)
         ]
-        r = _int_matrix_rank(rows)
+        r = len(int_gauss_jordan(rows)[1])
         if r == 0:
             continue
         if r not in by_rank or nsq < by_rank[r]:
@@ -623,8 +574,8 @@ def trace_product_check(A, B) -> bool:
     for i in range(n):
         for k in range(n):
             tr += a[i][k] * b[k][i]
-    det_a = _det_fraction(a)
-    det_b = _det_fraction(b)
+    det_a = ExactMatrix(QQ, a).det()
+    det_b = ExactMatrix(QQ, b).det()
     if tr < 0:
         return False
     return tr**n >= Fraction(n) ** n * det_a * det_b

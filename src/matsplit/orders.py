@@ -20,7 +20,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .algebra import AlgebraElement, StructureConstants, trace_gram
+from .algebra import AlgebraElement, StructureConstants
 from .errors import (
     FactorBudgetError,
     InputError,
@@ -419,14 +419,19 @@ class Order:
         The regular trace is divided by n for an algebra of dimension n^2
         over its base field, or by n = sqrt(m/2) for the rank-2m rational
         restriction of a quadratic one, so that maximal orders of split
-        algebras over Q land exactly on discriminant +-1.
+        algebras over Q land exactly on discriminant +-1.  With T the trace
+        Gram of the a-basis and B the basis matrix that is
+        det(B^T T B / div) = det(T) det(B)^2 / div^m; over Q, C = den B has
+        the inverse E / d with d = |det C|.
         """
         if self._disc is None:
-            g = trace_gram(self.table, self.elements())
-            div = _trace_divisor(self.table.m)
-            if div > 1:
-                g = g.scaled(Fraction(1, div))
-            self._disc = g.det()
+            m = self.table.m
+            if self._int is None:
+                det_b = self.basis_matrix.det()
+            else:
+                den, _, _, d = self._int
+                det_b = Fraction(d, den**m)
+            self._disc = self.table._trace_gram_det() * det_b * det_b / _trace_divisor(m) ** m
         return self._disc
 
     def same_lattice(self, other: "Order") -> bool:
@@ -1031,9 +1036,15 @@ def maximal_order(
         order = _saturate_at_prime(order, p)
         if disc_trace is not None:
             disc_trace.append(abs(int(as_rational(order.discriminant))))
-    if not table.field.is_rational:
-        return _restricted_to_k(table, order)
-    return order
+    if table.field.is_rational:
+        return order
+    k_order = _restricted_to_k(table, order)
+    if not k_order.discriminant.is_integral():
+        # traces of orders of M_n(K) lie in O_K; K^4 over Q(i) restricts to disc 1
+        raise PromiseViolation(
+            f"order discriminant {k_order.discriminant} is not integral: not a full matrix algebra"
+        )
+    return k_order
 
 
 def _saturate_at_prime(order: Order, p: int) -> Order:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from matsplit import algebra
 from matsplit.algebra import (
     AlgebraElement,
     StructureConstants,
@@ -25,10 +26,10 @@ from matsplit.algebra import (
     witness_problems,
     witness_residual,
 )
-from matsplit.errors import InputError, NoIdentityError
+from matsplit.errors import InputError, InternalError, NoIdentityError, PromiseViolation
 from matsplit.exactnum import EISENSTEIN, GAUSS, QQ, ExactMatrix, QuadScalar
 from matsplit.fixtures import quaternion_table
-from matsplit.orders import _restricted_to_k, initial_order
+from matsplit.orders import Order, _restricted_to_k, initial_order, maximal_order
 from matsplit.splitter import generate_instance
 
 
@@ -339,8 +340,19 @@ class TestKernelsAgainstOracles:
     )
     def test_discriminant_matches_sympy_determinant(self, n, field, seed):
         # over Q(i) and Q(sqrt(-3)) the initial order lives in the restriction
-        table = generate_instance(n, FIELDS[field], 10, seed).table
-        _assert_discriminant_matches_sympy(initial_order(table), n)
+        inst = generate_instance(n, FIELDS[field], 10, seed)
+        _assert_discriminant_matches_sympy(initial_order(inst.table), n)
+        # the image of M_n(Z), or of M_n(O_K) as a K-order over Q(i) and Q(sqrt(-3))
+        _assert_discriminant_matches_sympy(Order(inst.table, inst.base_change.inverse()), n)
+
+    @pytest.mark.parametrize("n, field, seed", [(3, "Q", 8), (2, "gauss", 3), (2, "eisenstein", 4)])
+    def test_maximal_order_discriminant_matches_sympy(self, n, field, seed):
+        order = maximal_order(generate_instance(n, FIELDS[field], 10, seed).table)
+        if order.table.field.is_rational:
+            den, _, _, d = order._int
+            # both factors of |det B| = d / den^m differ from 1
+            assert den > 1 and d > 1
+        _assert_discriminant_matches_sympy(order, n)
 
     def test_discriminant_of_a_non_maximal_k_order_matches_sympy(self):
         table = generate_instance(2, EISENSTEIN, 10, 7).table
@@ -464,3 +476,56 @@ class TestIdentityAndWitnessAgainstOracles:
         for bad in (good[:3], [ExactMatrix.identity(QQ, 1)] * 4, [ExactMatrix.identity(GAUSS, 2)] * 4):
             with pytest.raises(InputError):
                 witness_problems(m2, bad)
+
+
+class TestWitnessAgainstSolves:
+    @pytest.mark.parametrize(
+        "n, field, seed",
+        [(2, "Q", 1), (2, "Q", 2), (3, "Q", 3), (3, "Q", 4), (2, "gauss", 5), (2, "eisenstein", 6)],
+    )
+    def test_images_match_one_solve_per_column(self, n, field, seed):
+        rng = random.Random(500 + seed)
+        inst = generate_instance(n, FIELDS[field], 10, seed)
+        # C maps to u v^T, a rank one matrix with no zero entry
+        u = [_random_scalar(inst.field, rng) + 5 for _ in range(n)]
+        v = [_random_scalar(inst.field, rng) + 5 for _ in range(n)]
+        acoords = [a * b for a in u for b in v]
+        C = inst.table.element(inst.base_change.inverse().mul_vector(acoords))
+        w = build_isomorphism(inst.table, C)
+        assert list(w.images) == _solved_images(inst.table, C)
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_images_match_on_a_non_simple_algebra(self, field, monkeypatch):
+        # K^4, e_i e_j = delta_ij e_i: the images are multiplicative but not
+        # injective, so build_isomorphism raises after handing them to the check
+        gamma = [[[int(i == j == k) for k in range(4)] for j in range(4)] for i in range(4)]
+        table = StructureConstants(FIELDS[field], gamma)
+        C = table.element([1, 1, 0, 0])
+        checked = []
+
+        def spy(table, images):
+            checked.append(images)
+            return witness_problems(table, images)
+
+        monkeypatch.setattr(algebra, "witness_problems", spy)
+        with pytest.raises(PromiseViolation, match="not injective"):
+            build_isomorphism(table, C)
+        assert checked == [_solved_images(table, C)]
+
+    def test_non_associative_table_fails_the_witness_check(self, m2):
+        table = _perturbed(m2, 0, 0, 0, Fraction(1, 3))
+        with pytest.raises(InternalError, match="multiplicativity fails"):
+            build_isomorphism(table, unit(table, 0))
+
+
+def _solved_images(table, C):
+    """phi(a_i) by one exact solve per column against the basis a_{p_t} C of A*C."""
+    rmat = table.right_regular(C.coords)
+    pivots = rmat._echelon()[1]
+    W = ExactMatrix.from_columns(table.field, [rmat.column(p) for p in pivots])
+    return [
+        ExactMatrix.from_columns(
+            table.field, [W.solve(L.mul_vector(rmat.column(p))) for p in pivots]
+        )
+        for L in table.basis_left_matrices()
+    ]

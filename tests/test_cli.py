@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from matsplit import splitter
 from matsplit.algebra import (
     StructureConstants,
     WitnessProblems,
@@ -24,7 +25,7 @@ from matsplit.errors import (
     PrecisionError,
     PromiseViolation,
 )
-from matsplit.exactnum import GAUSS, QQ, ExactMatrix, Field
+from matsplit.exactnum import EISENSTEIN, GAUSS, QQ, ExactMatrix, Field
 from matsplit.fixtures import quaternion_table
 from matsplit.serialize import (
     algebra_to_json,
@@ -118,12 +119,18 @@ class TestPipelines:
 
     @pytest.mark.parametrize("args", [["split", "--seed", "1"], ["order"]])
     def test_non_integral_discriminant_exit_2(self, runner, args):
-        # Q^4 passes validate, but its discriminant 1/16 is not an integer,
-        # which no order of M_2(Q) can have
-        table, _, _ = _forged("K^4", QQ)
-        result = runner.invoke(main, args, input=json.dumps(algebra_to_json(table)))
-        assert result.exit_code == 2, result.output
-        assert "order discriminant 1/16 is not an integer" in result.output
+        # K^4 passes validate, but its discriminant is not integral, which no
+        # order of M_2(K) can have; over Q(i) only the K-order shows it, as
+        # the restriction's discriminant is 1
+        for field, message in [
+            (QQ, "order discriminant 1/16 is not an integer"),
+            (GAUSS, "order discriminant 1/16 is not integral"),
+            (EISENSTEIN, "order discriminant 81/256 is not an integer"),
+        ]:
+            table, _, _ = _forged("K^4", field)
+            result = runner.invoke(main, args, input=json.dumps(algebra_to_json(table)))
+            assert result.exit_code == 2, (field, result.output)
+            assert message in result.output
 
     def test_division_quaternions_exit_2(self, runner):
         table = algebra_to_json(quaternion_table(-1, -1))
@@ -162,6 +169,21 @@ class TestLatticeCommands:
         result = run_ok(runner, ["enumerate", "--bound", "1.5"], input=json.dumps(reduced))
         payload = json.loads(result.output)
         assert payload["count"] == 4  # e1, e2, e1 +- e2 classes
+
+    @pytest.mark.parametrize(
+        "lattice",
+        [
+            {"dim": 2, "basis": [[str(10**40), "1"], ["1", "0"]]},  # a basis of Z^2
+            {"dim": 1, "basis": [["1/100000000000000000000"]]},
+        ],
+    )
+    def test_enumerate_keeps_the_split_budget(self, runner, monkeypatch, lattice):
+        # each listing is astronomically long; enumerate stops at the split
+        # default of 10^6 nodes after seconds, at 10^4 within a fraction of one
+        monkeypatch.setattr(splitter.SplitConfig, "enumeration_budget", 10**4)
+        result = runner.invoke(main, ["enumerate", "--bound", "1.5"], input=json.dumps(lattice))
+        assert result.exit_code == 3, result.output
+        assert "enumeration budget exceeded" in result.output
 
     def test_tensor_experiment(self, runner):
         result = run_ok(runner, ["tensor-experiment"])

@@ -1,19 +1,22 @@
 """Boundary fuzzing: one mutated leaf or key of a valid document, through the CLI.
 
-Every mutant of a valid algebra (``split`` and ``order``) and of a valid
-split result (``verify``), over Q and over Q(i), must exit 0, 2, 3 or 4
-without a traceback.  A mutated result may verify only when its algebra
-and its images are the ones that were split.
+Every mutant of a valid algebra (``split`` and ``order``), of a valid
+split result (``verify``), over Q and over Q(i), and of a valid lattice
+(``lll`` and ``enumerate``) must exit 0, 2, 3 or 4 without a traceback.
+A mutated result may verify only when its algebra and its images are the
+ones that were split.
 """
 
 import copy
 import json
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from matsplit import splitter
 from matsplit.cli import main
 
 # what a leaf or key is replaced by; "delete" removes it, "wrap" nests it
@@ -33,6 +36,12 @@ def _documents():
         assert gen.exit_code == 0 and split.exit_code == 0, split.output
         docs[f"algebra-{field}"] = json.loads(gen.output)
         docs[f"result-{field}"] = json.loads(split.output)
+    for name in ("A2", "Z2"):
+        docs[f"lattice-{name}"] = json.loads(runner.invoke(main, ["fixture", "--name", name]).output)
+    docs["lattice-rank3"] = {
+        "dim": 3,
+        "basis": [["1", "1/2", "0"], ["0", "3/2", "1/3"], ["2", "0", "5/7"]],
+    }
     return docs
 
 
@@ -103,7 +112,26 @@ def test_mutated_result_exits_cleanly(mutant):
         assert payload["witness"]["images"] == original["witness"]["images"]
 
 
+LATTICE_COMMANDS = [["lll"], ["enumerate", "--bound", "1.5"]]
+
+
+@FUZZ
+@given(mutant=mutants("lattice"), command=st.sampled_from(LATTICE_COMMANDS))
+# a basis with one entry 10^40 lists its short vectors for ever without a
+# budget; enumerate stops it with exit 3
+@example(
+    mutant=("lattice-A2", _mutate(DOCS["lattice-A2"], ("basis", 0, 0), str(10**40))),
+    command=LATTICE_COMMANDS[1],
+)
+def test_mutated_lattice_exits_cleanly(mutant, command):
+    # the split default of 10^6 nodes takes seconds to exhaust; a smaller
+    # budget ends such a listing sooner, with the same exit code
+    with mock.patch.object(splitter.SplitConfig, "enumeration_budget", 1000):
+        _run(command, mutant[1])
+
+
 @pytest.mark.parametrize("name", sorted(DOCS))
 def test_the_unmutated_documents_pass(name):
-    args = ["verify"] if name.startswith("result") else ["order"]
+    kind = name.split("-")[0]
+    args = {"result": ["verify"], "algebra": ["order"], "lattice": LATTICE_COMMANDS[1]}[kind]
     assert _run(args, DOCS[name]).exit_code == 0

@@ -299,6 +299,31 @@ class TestEnumeration:
         with pytest.raises(EnumerationBudgetError):
             short_vectors(z2_basis().gram(), 50.0, budget=10)
 
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            [[Fraction(1, 10**20), Fraction(0)], [Fraction(0), Fraction(1)]],
+            [[Fraction(1, 10**12)]],
+        ],
+    )
+    def test_budget_holds_within_one_level(self, gram):
+        # all but a handful of the admissible nodes lie on a single level,
+        # 3 * 10^6 of them for the rank-one Gram
+        from matsplit.errors import EnumerationBudgetError
+
+        with pytest.raises(EnumerationBudgetError):
+            short_vectors(gram, 1.5, budget=1000)
+
+    def test_budget_counts_every_node(self):
+        # Z^2 up to norm 1 visits 8 nodes: x_2 in {-1, 0, 1} on the top
+        # level, then the 5 points (x_1, x_2) with x_1^2 + x_2^2 <= 1
+        from matsplit.errors import EnumerationBudgetError
+
+        gram = z2_basis().gram()
+        assert len(short_vectors(gram, 1.0, budget=8)) == 2
+        with pytest.raises(EnumerationBudgetError):
+            short_vectors(gram, 1.0, budget=7)
+
     def test_listing_leaves_no_reference_cycle(self):
         gram = a2_basis().gram()
         gc.collect()
