@@ -36,7 +36,6 @@ class StructureConstants:
         self.field = field
         self.m = m
         self.gamma = tuple(coerced)
-        self._left_mats: list[ExactMatrix] | None = None
         self._identity: tuple | None = None
         self._int_gamma: tuple[list, int] | None = None
         self._gram_det = None
@@ -50,24 +49,6 @@ class StructureConstants:
         if r * r != self.m:
             raise InputError(f"dimension {self.m} is not a perfect square")
         return r
-
-    def basis_left_matrices(self) -> list[ExactMatrix]:
-        """Matrix of y -> a_i * y for each basis element, in the a-basis."""
-        if self._left_mats is None:
-            mats = []
-            for i in range(self.m):
-                # column j of L_i is the coordinate vector of a_i * a_j
-                mats.append(
-                    ExactMatrix(
-                        self.field,
-                        [
-                            [self.gamma[i][j][k] for j in range(self.m)]
-                            for k in range(self.m)
-                        ],
-                    )
-                )
-            self._left_mats = mats
-        return self._left_mats
 
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
         """Coordinates of the product of two coordinate vectors."""

@@ -1,11 +1,15 @@
 """Numerical embedding of a split algebra into M_n(R) or M_2(C).
 
-The embedding is found from a random element with squarefree minimal
-polynomial: a simple eigenvalue of its right regular matrix has an
-n-dimensional eigenspace, which is a minimal left ideal; representing left
-multiplication on it gives the images.  Soundness never rests on these
-floats (rank decisions are exact); precision only affects whether the
-search sees the short vectors it needs.
+The embedding is found from a random order element z whose minimal
+polynomial f is squarefree of degree n; its powers are formed exactly on
+the integral table.  For a simple root lam of f, the lam-eigenspace of the
+right regular matrix R_z is n-dimensional and a minimal left ideal.  It is
+the column space of the spectral projector g(R_z), g = f / (x - lam), up to
+the scalar f'(lam).  Pivoted Gram-Schmidt on g(R_z) gives an orthonormal
+basis W of it and gates its rank; the images W^H L_i W of left
+multiplication are formed on ints from W rounded once to fixed point.
+Soundness never rests on these floats (rank decisions are exact);
+precision only affects whether the search sees the short vectors it needs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import mpf_shift, to_int
+from mpmath.libmp import fzero, mpf_shift, to_int
 
 from .algebra import (
     AlgebraElement,
@@ -29,7 +33,7 @@ from .algebra import (
     _scaled_eye,
 )
 from .errors import InputError, PrecisionError, PromiseViolation
-from .exactnum import ExactMatrix, QuadScalar
+from .exactnum import ExactMatrix, QuadScalar, int_gauss_jordan
 from .lattice import LatticeBasis
 from .orders import Order
 
@@ -70,56 +74,50 @@ def _scalar_to_mp(x):
     return mpf(f.numerator) / f.denominator
 
 
-def _exact_to_mp_matrix(M: ExactMatrix) -> mpmath.matrix:
-    out = mpmath.zeros(M.rows, M.cols)
-    for i in range(M.rows):
-        for j in range(M.cols):
-            out[i, j] = _scalar_to_mp(M.entries[i][j])
-    return out
+def _min_poly(table: StructureConstants, coords) -> tuple[list, list]:
+    """Monic minimal polynomial f (ascending, exact) of z, and [(P_t, s_t) for t < deg f].
+
+    On the integral table (G, d) and Z = dz z, z^k = P_k / s_k with P_0 / s_0
+    the identity, P_{k+1} = R_Z P_k and s_{k+1} = s_k dz d, R_Z[r][i] =
+    sum_j Z[j] G[i][j][r] (over a quadratic field every scale is 1).  One
+    elimination of P_0 .. P_n gives deg f as their rank and P_k in the P_t.
+    """
+    field, m, n = table.field, table.m, table.n
+    G, d = table._integral_gamma()
+    Z, dz = _integral(field, coords)
+    E, de = _integral(field, table.find_identity().coords)
+    RZ = list(zip(*(_combination(Z, gi) for gi in G)))
+    powers = [(E, de)]
+    for _ in range(n):
+        P, s = powers[-1]
+        powers.append(([sum(a * b for a, b in zip(row, P)) for row in RZ], s * dz * d))
+    rows = [[P[r] for P, _ in powers] for r in range(m)]
+    if field.is_rational:
+        X, pivots = int_gauss_jordan(rows)
+    else:
+        X, pivots = ExactMatrix(field, rows)._echelon()
+    k = len(pivots)
+    if k > n:
+        raise PromiseViolation("minimal polynomial degree exceeds the promised n")
+    s_k = powers[k][1]
+    f = [-field.coerce(X[t][k]) / X[t][t] * Fraction(powers[t][1], s_k) for t in range(k)]
+    return f + [field.one()], powers[:k]
 
 
-def _min_poly(table: StructureConstants, coords) -> list:
-    """Exact monic minimal polynomial coefficients (ascending) of an element."""
-    m = table.m
-    e = table.find_identity()
-    powers = [tuple(e.coords)]
-    cur = tuple(e.coords)
-    for _ in range(table.n + 1):
-        cur = table.multiply(cur, coords)
-        cols = [list(p) for p in powers]
-        mat = ExactMatrix.from_columns(table.field, cols)
-        sol = mat.solve(list(cur))
-        if sol is not None:
-            return [-s for s in sol] + [table.field.one()]
-        powers.append(cur)
-    raise PromiseViolation("minimal polynomial degree exceeds the promised n")
-
-
-def _poly_gcd_is_one(f: list, field) -> bool:
-    """Squarefreeness via gcd(f, f') over the base field."""
-    def trim(p):
-        while len(p) > 1 and _is_zero(p[-1]):
+def _is_squarefree(f: list) -> bool:
+    """gcd(f, f') = 1: the Euclidean remainder sequence ends in a nonzero constant."""
+    def trimmed(p):
+        while p and not p[-1]:
             p.pop()
         return p
 
-    def _is_zero(x):
-        return x.is_zero() if isinstance(x, QuadScalar) else x == 0
-
-    def divmod_poly(a, b):
-        a = list(a)
-        while len(trim(a)) >= len(b) and not all(_is_zero(x) for x in a):
-            shift = len(a) - len(b)
-            c = a[-1] / b[-1]
-            for i in range(len(b)):
-                a[shift + i] = a[shift + i] - c * b[i]
-            trim(a)
-        return a
-
-    fp = [field.coerce(i + 1) * f[i + 1] for i in range(len(f) - 1)]
-    a, b = list(f), trim(fp)
-    while not all(_is_zero(x) for x in b):
-        a, b = b, trim(divmod_poly(a, b))
-    return len(trim(a)) == 1
+    a, b = list(f), trimmed([(i + 1) * c for i, c in enumerate(f[1:])])
+    while b:
+        while len(a) >= len(b):
+            c, shift = a[-1] / b[-1], len(a) - len(b)
+            a = trimmed([x - c * b[i - shift] if i >= shift else x for i, x in enumerate(a)])
+        a, b = b, a
+    return len(a) == 1
 
 
 def split_numeric(
@@ -130,6 +128,11 @@ def split_numeric(
 ) -> Embedding:
     """Embedding of the algebra into M_n(R), or M_2(C) over a quadratic field.
 
+    With p = precision_bits, a draw z is used when f is squarefree of degree
+    n, a root lam (real over Q) lies 2^(-p/4) or more from the others, the
+    rank gate of the Gram-Schmidt on the projector g(R_z) passes at 2^(-p/4)
+    and the fixed-point images W^H L_i W have residual at most 2^(-p/2).
+
     Raises PrecisionError when the working precision cannot separate the
     spectrum, and PromiseViolation when no splitting element exists (over Q
     that means no element has a real simple eigenvalue, which is impossible
@@ -139,17 +142,13 @@ def split_numeric(
         raise InputError(f"precision must be at least {_MIN_PRECISION} bits")
     n = table.n
     rng = random.Random(seed)
-    if n == 1:
-        return embedding_from_images(
-            table, [ExactMatrix(table.field, [[table.field.one()]])], precision_bits
-        )
     no_split_count = 0
     with workprec(precision_bits + 32):
         gap_floor = mpf(2) ** (-(precision_bits // 4))
         for _ in range(_MAX_ATTEMPTS):
             coords = _random_order_element(order, rng)
-            f = _min_poly(table, coords)
-            if len(f) - 1 != n or not _poly_gcd_is_one(f, table.field):
+            f, powers = _min_poly(table, coords)
+            if len(f) - 1 != n or not _is_squarefree(f):
                 # degenerate draw: no evidence about splitness either way
                 continue
             lam, sep = _pick_eigenvalue(f, table, precision_bits)
@@ -158,8 +157,11 @@ def split_numeric(
                 continue
             if sep < gap_floor:
                 continue
-            emb = _embedding_from_eigenvalue(table, coords, lam, n, precision_bits)
-            if emb is not None:
+            W = _eigenspace(table, f, powers, lam, precision_bits)
+            if W is None:
+                continue
+            emb = _embedding(table, _images(table, W), precision_bits)
+            if emb.residual <= mpf(2) ** (-(precision_bits // 2)):
                 return emb
     if no_split_count >= _MAX_ATTEMPTS // 2:
         raise PromiseViolation(
@@ -210,47 +212,83 @@ def _pick_eigenvalue(f: list, table: StructureConstants, precision_bits: int):
     return best, best_sep
 
 
-def _embedding_from_eigenvalue(table, coords, lam, n, precision_bits):
-    m = table.m
-    rz = table.right_regular(coords)
-    A = _exact_to_mp_matrix(rz)
-    for i in range(m):
-        A[i, i] -= lam
-    complex_case = not table.field.is_rational or isinstance(lam, mpc)
-    if complex_case:
-        U, S, V = mpmath.svd_c(A.apply(mpc), full_matrices=True)
-    else:
-        U, S, V = mpmath.svd_r(A, full_matrices=True)
-    # singular values come back in descending order; the eigenspace is the
-    # span of the right singular vectors for the n smallest
-    if m > n:
-        gap_num = S[m - n]
-        gap_den = S[m - n - 1]
-        if gap_den == 0 or gap_num / gap_den > mpf(2) ** (-(precision_bits // 4)):
+def _eigenspace(table: StructureConstants, f: list, powers: list, lam, precision_bits: int):
+    """Orthonormal columns spanning the lam-eigenspace of R_z, or None at the rank gate.
+
+    f is squarefree, so the eigenspace is the column space of g(R_z), g =
+    f / (x - lam): c_{n-1} = 1, c_{k-1} = f_k + lam c_k.  With z^k = P_k / s_k,
+    g(R_z) = sum_k c_k / (s_k d) R_{P_k}, column j of R_{P_k} being sum_b P_k[b] G[j][b].
+    """
+    n = len(f) - 1
+    G, d = table._integral_gamma()
+    c = [mpf(1)]
+    for k in range(n - 1, 0, -1):
+        c.append(_scalar_to_mp(f[k]) + lam * c[-1])
+    weights = [ck / (s * d) for ck, (_, s) in zip(reversed(c), powers)]
+    cols = []
+    for gj in G:
+        R = [_combination(P, gj) for P, _ in powers]
+        cols.append([mpmath.fdot(weights, map(_scalar_to_mp, x)) for x in zip(*R)])
+    return _pivoted_gram_schmidt(cols, n, mpf(2) ** (-(precision_bits // 4)))
+
+
+def _pivoted_gram_schmidt(cols: list, n: int, gate):
+    """n steps of column-pivoted modified Gram-Schmidt (conjugate inner products).
+
+    None unless the largest remaining column norm is at most gate times the
+    n-th pivot norm; a zero pivot fails too.
+    """
+    W = []
+    for _ in range(n):
+        norms = [mpmath.re(mpmath.fdot(v, v, conjugate=True)) for v in cols]
+        j = max(range(len(cols)), key=norms.__getitem__)
+        pivot = mpmath.sqrt(norms[j])
+        if pivot == 0:
             return None
-    W = mpmath.zeros(m, n)
-    for t in range(n):
-        row = m - 1 - t
-        for i in range(m):
-            W[i, t] = mpmath.conj(V[row, i]) if complex_case else V[row, i]
-    images = []
-    lefts = table.basis_left_matrices()
-    WH = W.transpose_conj() if complex_case else W.transpose()
-    for i in range(m):
-        Li = _exact_to_mp_matrix(lefts[i])
-        images.append(WH * (Li * W))
-    residual = _measure_residual(table, images)
-    if residual > mpf(2) ** (-(precision_bits // 2)):
+        q = [x / pivot for x in cols.pop(j)]
+        cols = [[x - h * y for x, y in zip(v, q)] for v in cols
+                for h in [mpmath.fdot(v, q, conjugate=True)]]
+        W.append(q)
+    rest = max((mpmath.re(mpmath.fdot(v, v, conjugate=True)) for v in cols), default=0)
+    if rest > (gate * pivot) ** 2:
         return None
-    error_radius = residual + mpf(2) ** (-(precision_bits - 8))
-    return Embedding(
-        table=table,
-        n=n,
-        precision_bits=precision_bits,
-        images=tuple(images),
-        residual=residual,
-        error_radius=error_radius,
-    )
+    return W
+
+
+def _images(table: StructureConstants, W: list) -> list:
+    """W^H L_i W, L_i left multiplication by a_i, on ints from W at scale 2^F.
+
+    Over Q column j of L_i is G[i][j] / d.  Over Q(i) and Q(sqrt(-3)) x + iy
+    is realified as [x; y], gamma_ij = g + ih at scale 2^F gives the columns
+    [g; h] for x_j and [-h; g] for y_j, and i w_s = [-y; x] gives Im rows.
+    """
+    F = mp.prec
+    m, n = table.m, len(W)
+    parts = [_fixed_parts(q, F) for q in W]
+    if table.field.is_rational:
+        lefts, scale = table._integral_gamma()
+        cols = tests = [X for X, _ in parts]
+    else:
+        fixed = [[_fixed_complex(gij, F) for gij in gi] for gi in table.gamma]
+        lefts, scale = [g + [[-x for x in v[m:]] + v[:m] for v in g] for g in fixed], 1 << F
+        cols = [X + Y for X, Y in parts]
+        tests = cols + [[-y for y in Y] + X for X, Y in parts]
+    scale <<= 2 * F
+    images = []
+    for L in lefts:
+        T = [_combination(w, L) for w in cols]
+        M = [[mpf(sum(a * b for a, b in zip(u, t))) / scale for t in T] for u in tests]
+        if len(M) > n:
+            M = [[mpc(x, y) for x, y in zip(M[s], M[n + s])] for s in range(n)]
+        images.append(mpmath.matrix(M))
+    return images
+
+
+def _embedding(table: StructureConstants, images, precision_bits: int) -> Embedding:
+    """The images with their measured residual and the error radius it gives."""
+    residual = _measure_residual(table, images)
+    radius = residual + mpf(2) ** (-(precision_bits - 8))
+    return Embedding(table, images[0].rows, precision_bits, tuple(images), residual, radius)
 
 
 def _measure_residual(table: StructureConstants, images) -> mpf:
@@ -277,7 +315,7 @@ def _measure_residual(table: StructureConstants, images) -> mpf:
         E, de = _integral(field, e)
         size, fold = n, 1
     else:
-        parts = [_fixed_parts(M, F) for M in images]
+        parts = [_fixed_parts((x for row in M.tolist() for x in row), F) for M in images]
         P = [_realified(X, Y, n) for X, Y in parts]
         P += [_realified([-y for y in Y], X, n) for X, Y in parts]
         G = [[_fixed_complex(gij, F) for gij in gi] for gi in table.gamma]
@@ -302,19 +340,10 @@ def _fixed(x: tuple, F: int) -> int:
     return to_int(mpf_shift(x, F), "n")
 
 
-def _fixed_parts(M: mpmath.matrix, F: int) -> tuple[list, list]:
-    """Real and imaginary parts of M at scale 2^F, each flat row-major."""
-    X, Y = [], []
-    for row in M.tolist():
-        for v in row:
-            if isinstance(v, mpc):
-                re, im = v._mpc_
-                X.append(_fixed(re, F))
-                Y.append(_fixed(im, F))
-            else:
-                X.append(_fixed(v._mpf_, F))
-                Y.append(0)
-    return X, Y
+def _fixed_parts(values, F: int) -> tuple[list, list]:
+    """Real and imaginary parts of mpf or mpc values at scale 2^F, as two lists."""
+    parts = [v._mpc_ if isinstance(v, mpc) else (v._mpf_, fzero) for v in values]
+    return [_fixed(x, F) for x, _ in parts], [_fixed(y, F) for _, y in parts]
 
 
 def _realified(X: list, Y: list, n: int) -> list:
@@ -351,16 +380,9 @@ def embedding_from_images(
     if precision_bits < _MIN_PRECISION:
         raise InputError(f"precision must be at least {_MIN_PRECISION} bits")
     with workprec(precision_bits + 32):
-        images = tuple(_exact_to_mp_matrix(M) for M in exact_images)
-        residual = _measure_residual(table, images)
-        return Embedding(
-            table=table,
-            n=exact_images[0].rows,
-            precision_bits=precision_bits,
-            images=images,
-            residual=residual,
-            error_radius=residual + mpf(2) ** (-(precision_bits - 8)),
-        )
+        images = [mpmath.matrix([[_scalar_to_mp(x) for x in row] for row in M.entries])
+                  for M in exact_images]
+        return _embedding(table, images, precision_bits)
 
 
 @dataclass
@@ -396,7 +418,7 @@ def embed_order(embedding: Embedding, order: Order) -> EmbeddedLattice:
             mat = embedding.phi(el.coords)
             vec = _vectorize(mat, complex_case=embedding.is_complex)
             vectors.append(vec)
-            scale = max(scale, sum(abs(c) for c in _coeff_magnitudes(el.coords)))
+            scale = max(scale, sum(_magnitude(c) for c in el.coords))
         dim = len(vectors[0])
         if len(vectors) != dim:
             raise InputError("order lattice is not full rank in the embedding space")
@@ -408,30 +430,16 @@ def embed_order(embedding: Embedding, order: Order) -> EmbeddedLattice:
         )
 
 
-def _coeff_magnitudes(coords):
-    out = []
-    for c in coords:
-        if isinstance(c, QuadScalar):
-            out.append(mpf(abs(c.a.numerator)) / c.a.denominator
-                       + mpf(abs(c.b.numerator)) / c.b.denominator)
-        else:
-            f = Fraction(c)
-            out.append(mpf(abs(f.numerator)) / f.denominator)
-    return out
+def _magnitude(c):
+    """|a| + |b| for a + b sqrt(-d), |c| for a rational c."""
+    parts = (c.a, c.b) if isinstance(c, QuadScalar) else (Fraction(c),)
+    return sum(mpf(abs(p.numerator)) / p.denominator for p in parts)
 
 
 def _vectorize(mat: mpmath.matrix, complex_case: bool) -> list:
-    out = []
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            v = mat[i, j]
-            out.append(v.real if isinstance(v, mpc) else v)
-    if complex_case:
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                v = mat[i, j]
-                out.append(v.imag if isinstance(v, mpc) else mpf(0))
-    return out
+    entries = [mat[i, j] for i in range(mat.rows) for j in range(mat.cols)]
+    out = [mpmath.re(v) for v in entries]
+    return out + [mpmath.im(v) for v in entries] if complex_case else out
 
 
 def rationalize(embedded: EmbeddedLattice, target_denominator: int) -> LatticeBasis:

@@ -139,6 +139,17 @@ def order_to_json(order: Order) -> dict:
 
 
 def order_from_json(table: StructureConstants, obj) -> Order:
+    """An order of ``table`` from a document of order.schema.json's shape, else InputError.
+
+    Only ``basis`` is required; a given ``field`` and ``dim`` must be the table's.
+    """
+    problems = check_schema(obj, {**load_schema("order"), "required": ["basis"]})
+    if problems:
+        raise InputError(f"bad order document: {problems[0]}")
+    if "field" in obj and field_from_json(obj["field"]) != table.field:
+        raise InputError("the order's field differs from its algebra's")
+    if obj.get("dim", table.m) != table.m or not _is_grid(obj["basis"], table.m, 2):
+        raise InputError(f"an order basis needs {table.m} columns of {table.m} scalars")
     cols = [vector_from_json(table.field, c) for c in obj["basis"]]
     return Order(table, ExactMatrix.from_columns(table.field, [list(c) for c in cols]))
 

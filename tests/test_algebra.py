@@ -523,9 +523,10 @@ def _solved_images(table, C):
     rmat = table.right_regular(C.coords)
     pivots = rmat._echelon()[1]
     W = ExactMatrix.from_columns(table.field, [rmat.column(p) for p in pivots])
+    lefts = [table.left_regular(unit(table, i).coords) for i in range(table.m)]
     return [
         ExactMatrix.from_columns(
             table.field, [W.solve(L.mul_vector(rmat.column(p))) for p in pivots]
         )
-        for L in table.basis_left_matrices()
+        for L in lefts
     ]

@@ -6,17 +6,24 @@ import random
 import mpmath
 import pytest
 
-from matsplit.algebra import matrix_units_table
+from matsplit import embed
+from matsplit.algebra import StructureConstants, matrix_units_table
 from matsplit.embed import (
     EmbeddedLattice,
+    _eigenspace,
+    _images,
+    _is_squarefree,
     _measure_residual,
+    _min_poly,
+    _pick_eigenvalue,
+    _random_order_element,
     _scalar_to_mp,
     embed_order,
     embedding_from_images,
     rationalize,
     split_numeric,
 )
-from matsplit.errors import InputError
+from matsplit.errors import InputError, PrecisionError
 from matsplit.exactnum import QQ, ExactMatrix, Field
 from matsplit.fixtures import gaussian_lambda_order, quaternion_table
 from matsplit.lattice import lll_reduce, short_vectors
@@ -68,6 +75,14 @@ class TestSplitNumeric:
         e1 = split_numeric(t, o, 128, seed=4)
         e2 = split_numeric(t, o, 256, seed=4)
         assert float(e2.error_radius) <= float(e1.error_radius) / 2
+
+    @pytest.mark.parametrize("field", [QQ, Field(1), Field(3)], ids=["Q", "gauss", "eisenstein"])
+    def test_one_dimensional_table_whose_basis_is_not_the_identity(self, field):
+        # a_1 a_1 = 2 a_1, so the identity is a_1 / 2 and phi(a_1) = 2
+        t = StructureConstants(field, [[[2]]])
+        emb = split_numeric(t, maximal_order(t), 128, seed=1)
+        assert float(emb.residual) < 1e-30
+        assert abs(complex(emb.images[0][0, 0]) - 2) < 1e-30
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_complex_embedding(self, d):
@@ -174,6 +189,162 @@ class TestResidualOracle:
             zero = [mpmath.zeros(emb.n, emb.n) for _ in range(table.m)]
             got = _measure_residual(table, zero)
             assert abs(got - mpmath.sqrt(emb.n)) < mpmath.mpf(10) ** -30
+
+
+def _eigen_cases():
+    """(table, order) over each field: the standard table with its maximal
+    order and scrambled tables with the image of M_n(Z) as order."""
+    cases = {}
+    for name, field in [("Q", QQ), ("gauss", Field(1)), ("eisenstein", Field(3))]:
+        cases[f"{name}-standard"] = lambda field=field: _standard_order(field)
+    for name, n, seed in [("Q", 2, 3), ("Q", 3, 5), ("gauss", 2, 6), ("eisenstein", 2, 1)]:
+        cases[f"{name}-n{n}-scrambled"] = lambda name=name, n=n, seed=seed: _hidden_order(name, n, seed)
+    return cases
+
+
+def _standard_order(field):
+    t = matrix_units_table(2, field)
+    return t, maximal_order(t)
+
+
+def _hidden_order(name, n, seed):
+    inst = generate_instance(n, name, 10, seed=seed)
+    return inst.table, Order(inst.table, inst.base_change.inverse())
+
+
+EIGEN_CASES = _eigen_cases()
+EIGEN_PREC = 128
+
+
+def _powers_by_multiply(table, coords, count):
+    """e, z, ..., z^(count-1) by the exact table product."""
+    out = [table.find_identity().coords]
+    for _ in range(count - 1):
+        out.append(table.multiply(out[-1], coords))
+    return out
+
+
+def _good_draw(table, order, seed):
+    """The first draw that split_numeric would pass to _eigenspace; call it
+    at the working precision, as lam comes out at mp.prec bits."""
+    rng = random.Random(seed)
+    while True:
+        coords = _random_order_element(order, rng)
+        f, powers = _min_poly(table, coords)
+        if len(f) - 1 == table.n and _is_squarefree(f):
+            lam, _ = _pick_eigenvalue(f, table, EIGEN_PREC)
+            if lam is not None:
+                return coords, f, powers, lam
+
+
+def _mp_columns(W):
+    return mpmath.matrix([list(row) for row in zip(*W)])
+
+
+def _mp_matrix(M):
+    return mpmath.matrix([[_scalar_to_mp(x) for x in row] for row in M.entries])
+
+
+def _max_abs(M):
+    return max(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
+
+
+class TestEigenspaceOracle:
+    """_min_poly, _eigenspace and _images against exact products and mpmath's SVD."""
+
+    @pytest.mark.parametrize("case", sorted(EIGEN_CASES))
+    def test_min_poly_annihilates_the_right_regular_matrix(self, case):
+        table, order = EIGEN_CASES[case]()
+        rng = random.Random(11)
+        for draw in range(6):
+            coords = _random_order_element(order, rng)
+            if draw == 0:
+                # a scalar multiple of the identity has degree 1
+                coords = tuple(table.field.coerce(3) * x for x in table.find_identity().coords)
+            f, powers = _min_poly(table, coords)
+            rz = table.right_regular(coords)
+            acc = ExactMatrix.zeros(table.field, table.m, table.m)
+            power = ExactMatrix.identity(table.field, table.m)
+            for c in f:
+                acc = acc + power.scaled(c)
+                power = power @ rz
+            assert acc.is_zero()
+            exact = _powers_by_multiply(table, coords, table.n + 1)
+            krylov = ExactMatrix.from_columns(table.field, [list(v) for v in exact])
+            assert len(f) - 1 == krylov.rank()
+            assert len(powers) == len(f) - 1
+            for (P, s), v in zip(powers, exact):
+                assert [table.field.coerce(x) / s for x in P] == list(v)
+
+    @pytest.mark.parametrize("case", sorted(EIGEN_CASES))
+    def test_projector_matches_the_svd_null_space(self, case):
+        table, order = EIGEN_CASES[case]()
+        n, m = table.n, table.m
+        with mpmath.workprec(EIGEN_PREC + 32):
+            coords, f, powers, lam = _good_draw(table, order, 3)
+            W = _mp_columns(_eigenspace(table, f, powers, lam, EIGEN_PREC))
+            A = _mp_matrix(table.right_regular(coords))
+            for i in range(m):
+                A[i, i] -= lam
+            if table.field.is_rational:
+                _, _, V = mpmath.svd_r(A, full_matrices=True)
+            else:
+                _, _, V = mpmath.svd_c(A.apply(mpmath.mpc), full_matrices=True)
+            # the rows of V for the n smallest singular values, conjugated
+            null = V[m - n:m, :].transpose_conj()
+            diff = W * W.transpose_conj() - null * null.transpose_conj()
+            assert _max_abs(diff) <= mpmath.mpf(2) ** -(EIGEN_PREC // 2)
+            assert _max_abs(W.transpose_conj() * W - mpmath.eye(n)) <= mpmath.mpf(2) ** -EIGEN_PREC
+
+    @pytest.mark.parametrize("case", sorted(EIGEN_CASES))
+    def test_columns_are_eigenvectors(self, case):
+        table, order = EIGEN_CASES[case]()
+        with mpmath.workprec(EIGEN_PREC + 32):
+            coords, f, powers, lam = _good_draw(table, order, 4)
+            W = _mp_columns(_eigenspace(table, f, powers, lam, EIGEN_PREC))
+            rz = _mp_matrix(table.right_regular(coords))
+            assert _max_abs(rz * W - W * lam) <= mpmath.mpf(2) ** -(EIGEN_PREC // 2)
+
+    @pytest.mark.parametrize("case", sorted(EIGEN_CASES))
+    def test_rank_gate_rejects_a_shifted_eigenvalue(self, case):
+        table, order = EIGEN_CASES[case]()
+        with mpmath.workprec(EIGEN_PREC + 32):
+            _, f, powers, lam = _good_draw(table, order, 5)
+            assert _eigenspace(table, f, powers, lam, EIGEN_PREC) is not None
+            shifted = lam + mpmath.mpf(2) ** -(EIGEN_PREC // 8)
+            assert _eigenspace(table, f, powers, shifted, EIGEN_PREC) is None
+
+    @pytest.mark.parametrize("case", sorted(EIGEN_CASES))
+    def test_images_match_mpmath_products(self, case):
+        table, order = EIGEN_CASES[case]()
+        with mpmath.workprec(EIGEN_PREC + 32):
+            _, f, powers, lam = _good_draw(table, order, 6)
+            W = _mp_columns(_eigenspace(table, f, powers, lam, EIGEN_PREC))
+            got = _images(table, [list(W[:, t]) for t in range(table.n)])
+            for i, M in enumerate(got):
+                unit = [table.field.zero()] * table.m
+                unit[i] = table.field.one()
+                L = _mp_matrix(table.left_regular(unit))
+                want = W.transpose_conj() * L * W
+                assert _max_abs(M - want) <= mpmath.mpf(2) ** -EIGEN_PREC
+
+    def test_zero_pivot_fails_the_gate(self):
+        zero = [mpmath.mpf(0)] * 3
+        assert embed._pivoted_gram_schmidt([zero, zero, zero], 1, mpmath.mpf(1)) is None
+
+    @pytest.mark.parametrize("case", sorted(EIGEN_CASES))
+    def test_every_draw_failing_the_gate_raises(self, case, monkeypatch):
+        table, order = EIGEN_CASES[case]()
+        calls = []
+
+        def refuse(cols, n, gate):
+            calls.append(n)
+            return None
+
+        monkeypatch.setattr(embed, "_pivoted_gram_schmidt", refuse)
+        with pytest.raises(PrecisionError):
+            split_numeric(table, order, EIGEN_PREC, seed=1)
+        assert 0 < len(calls) <= embed._MAX_ATTEMPTS
 
 
 class TestMpmathOperandOrder:

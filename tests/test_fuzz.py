@@ -4,7 +4,8 @@ Every mutant of a valid algebra (``split`` and ``order``), of a valid
 split result (``verify``), over Q and over Q(i), and of a valid lattice
 (``lll`` and ``enumerate``) must exit 0, 2, 3 or 4 without a traceback.
 A mutated result may verify only when its algebra and its images are the
-ones that were split.
+ones that were split.  A mutated order document, over Q and over Q(i),
+must parse to an order of its algebra or raise InputError.
 """
 
 import copy
@@ -18,6 +19,9 @@ from hypothesis import strategies as st
 
 from matsplit import splitter
 from matsplit.cli import main
+from matsplit.errors import InputError
+from matsplit.orders import Order
+from matsplit.serialize import algebra_from_json, order_from_json
 
 # what a leaf or key is replaced by; "delete" removes it, "wrap" nests it
 # one level deeper
@@ -33,9 +37,12 @@ def _documents():
     for field, seed in (("Q", 3), ("gauss", 2)):
         gen = runner.invoke(main, ["gen", "--n", "2", "--field", field, "--seed", str(seed)])
         split = runner.invoke(main, ["split", "--seed", str(seed)], input=gen.output)
+        order = runner.invoke(main, ["order"], input=gen.output)
         assert gen.exit_code == 0 and split.exit_code == 0, split.output
+        assert order.exit_code == 0, order.output
         docs[f"algebra-{field}"] = json.loads(gen.output)
         docs[f"result-{field}"] = json.loads(split.output)
+        docs[f"order-{field}"] = json.loads(order.output)
     for name in ("A2", "Z2"):
         docs[f"lattice-{name}"] = json.loads(runner.invoke(main, ["fixture", "--name", name]).output)
     docs["lattice-rank3"] = {
@@ -130,8 +137,28 @@ def test_mutated_lattice_exits_cleanly(mutant, command):
         _run(command, mutant[1])
 
 
+def _parse_order(name, payload):
+    """order_from_json against the algebra the order document came from."""
+    table = algebra_from_json(DOCS["algebra-" + name.split("-")[1]])
+    try:
+        return order_from_json(table, payload)
+    except InputError:
+        return None
+
+
+@FUZZ
+@given(mutant=mutants("order"))
+def test_mutated_order_parses_or_raises_input_error(mutant):
+    name, payload = mutant
+    order = _parse_order(name, payload)
+    assert order is None or isinstance(order, Order)
+
+
 @pytest.mark.parametrize("name", sorted(DOCS))
 def test_the_unmutated_documents_pass(name):
     kind = name.split("-")[0]
+    if kind == "order":
+        assert _parse_order(name, DOCS[name]) is not None
+        return
     args = {"result": ["verify"], "algebra": ["order"], "lattice": LATTICE_COMMANDS[1]}[kind]
     assert _run(args, DOCS[name]).exit_code == 0
