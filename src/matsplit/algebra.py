@@ -3,6 +3,12 @@
 An algebra is given by its multiplication table gamma[i][j][k] with
 a_i * a_j = sum_k gamma[i][j][k] a_k over Q or an imaginary quadratic
 field.  Everything here is exact; no floating point enters any result.
+
+Every exact kernel runs on one integer form: a K-vector becomes its
+(1, omega) coordinates u_1..u_k, v_1..v_k with x_r = u_r + v_r omega
+(omega = i, or (1 + sqrt(-3))/2, and omega^2 = t omega - 1 with t = 0 or 1;
+over Q the values themselves), denominators cleared.  Over Q(i) and
+Q(sqrt(-3)) the table becomes that of the rank-2m restriction of scalars.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, InternalError, NoIdentityError, PromiseViolation
-from .exactnum import ExactMatrix, Field, int_gauss_jordan, scalar_is_zero
+from .exactnum import QQ, ExactMatrix, Field, QuadScalar, int_gauss_jordan, scalar_is_zero
 
 
 class StructureConstants:
@@ -112,24 +118,25 @@ class StructureConstants:
         rows kept so far and stops at m pivots.  A two-sided identity is
         unique when it exists (e = e e' = e'), so it is the solution of those
         m rows, and substituting that solution into all 2m^2 equations, in
-        O(m^3) integer operations over Q, decides whether it is one.
+        O(m^3) integer operations, decides whether it is one.
         """
         if self._identity is None:
             self._identity = self._solve_identity()
         return AlgebraElement(self, self._identity)
 
     def _solve_identity(self) -> tuple:
-        m = self.m
+        # over Q(i) and Q(sqrt(-3)) the unknowns are the 2m restricted coordinates
+        # of e, and e (omega a_j) = omega (e a_j) leaves the equations for the a_j
         G, d = self._integral_gamma()
-        zero, one = self.field.zero(), self.field.one()
+        m, w = self.m, len(G)
 
         def equations():
             for j in range(m):
-                for k in range(m):
-                    yield [G[i][j][k] for i in range(m)], d if j == k else 0
+                for k in range(w):
+                    yield [G[i][j][k] for i in range(w)], d if j == k else 0
             for j in range(m):
-                for k in range(m):
-                    yield [G[j][i][k] for i in range(m)], d if j == k else 0
+                for k in range(w):
+                    yield [G[j][i][k] for i in range(w)], d if j == k else 0
 
         # (column, row scaled to 1 there, right-hand side); each row is zero
         # in the columns of the pivots kept before it
@@ -145,38 +152,50 @@ class StructureConstants:
                 if rhs:
                     raise NoIdentityError("the table has no two-sided identity")
                 continue
-            inv = one / row[c]
+            inv = Fraction(1) / row[c]
             pivots.append((c, [inv * x for x in row], inv * rhs))
-            if len(pivots) == m:
+            if len(pivots) == w:
                 break
-        if len(pivots) < m:
+        if len(pivots) < w:
             raise NoIdentityError("the table has no two-sided identity")
-        e = [zero] * m
+        e = [0] * w
         for c, p, b in reversed(pivots):
             # the other nonzero columns of p are pivots kept later, solved already
-            e[c] = b - sum((x * e[k] for k, x in enumerate(p) if x and k != c), zero)
-        E, de = _integral(self.field, e)
+            e[c] = b - sum(x * e[k] for k, x in enumerate(p) if x and k != c)
+        E, de = _integral(QQ, e)
         nz = [(i, x) for i, x in enumerate(E) if x]
         for j in range(m):
-            for k in range(m):
+            for k in range(w):
                 want = d * de if j == k else 0
                 if (
                     sum(x * G[i][j][k] for i, x in nz) != want
                     or sum(x * G[j][i][k] for i, x in nz) != want
                 ):
                     raise NoIdentityError("the table has no two-sided identity")
-        return tuple(self.field.coerce(x) for x in e)
+        return lift_coords(self.field, e)
 
     def _integral_gamma(self) -> tuple[list, int]:
-        """The table as nested lists G[i][j][k] and the scale d with G = d * gamma.
+        """The integer table as nested lists G[i][j][k], and d with G = d * gamma.
 
-        Over Q, d is the lcm of the denominators and G holds ints; over a
-        quadratic field G is gamma itself and d = 1.
+        d is the lcm of the denominators.  Over Q(i) and Q(sqrt(-3)) G is the
+        table of the rank-2m restriction of scalars on a_1..a_m, omega a_1..omega
+        a_m, (omega^s a_i)(omega^t a_j) = omega^(s+t) gamma_ij in (1, omega) coordinates.
         """
         if self._int_gamma is None:
-            m = self.m
-            flat, d = _integral(self.field, [x for gi in self.gamma for gij in gi for x in gij])
-            G = [[flat[(i * m + j) * m:(i * m + j + 1) * m] for j in range(m)] for i in range(m)]
+            m, field = self.m, self.field
+            flat, d = _integral(field, [x for gi in self.gamma for gij in gi for x in gij])
+            # gamma_ij at r = i m + j; over Q(i) and Q(sqrt(-3)) the u parts, then the v parts
+            rows = [flat[r:r + m] for r in range(0, len(flat), m)]
+            if field.is_rational:
+                G = [rows[i * m:(i + 1) * m] for i in range(m)]
+            else:
+                # g[r] = [gamma_r, omega gamma_r, omega^2 gamma_r]
+                t, g = int(field.has_half_integers), [[u + v] for u, v in zip(rows, rows[m * m:])]
+                for p in g:
+                    for _ in range(2):
+                        p.append(_omega_times(p[-1], t))
+                basis = [(s, i) for s in (0, 1) for i in range(m)]  # omega^s a_i
+                G = [[g[i * m + j][s + u] for u, j in basis] for s, i in basis]
             self._int_gamma = (G, d)
         return self._int_gamma
 
@@ -207,13 +226,14 @@ class StructureConstants:
         """Pairs (i, j) with (a_i a_j) a_k != a_i (a_j a_k) for some k.
 
         That is L(a_i) L(a_j) != L(a_i a_j), compared column by column on
-        the structure constants in O(m^5) scalar operations.  Over Q the
-        table is first scaled by the lcm of its denominators; both sides
-        scale by its square, so the failing pairs stay the same and all
-        arithmetic is on ints.
+        the integer table in O(m^5) integer operations.  Both sides scale by
+        the square of its d, so the failing pairs stay the same.  Over Q(i)
+        and Q(sqrt(-3)) i, j, k run over the K-basis of the restriction,
+        whose product is K-bilinear.
         """
         m = self.m
         gamma, _ = self._integral_gamma()
+        w = len(gamma)
         # nonzero (index, value) pairs of each product a_i a_j
         nz = [[[(s, x) for s, x in enumerate(gij) if x] for gij in gi] for gi in gamma]
         failures = []
@@ -222,12 +242,11 @@ class StructureConstants:
             for j in range(m):
                 nz_ij, nz_j = nz_i[j], nz[j]
                 for k in range(m):
-                    # int 0 starts both sums; QuadScalar adds and compares with it
-                    lhs = [0] * m
+                    lhs = [0] * w
                     for r, c in nz_ij:
                         for s, x in nz[r][k]:
                             lhs[s] += c * x
-                    rhs = [0] * m
+                    rhs = [0] * w
                     for r, c in nz_j[k]:
                         for s, x in nz_i[r]:
                             rhs[s] += c * x
@@ -248,15 +267,38 @@ class StructureConstants:
         return f"StructureConstants(dim={self.m} over {self.field})"
 
 
-def _integral(field: Field, values: Sequence) -> tuple[list, int]:
-    """Over Q: the values times the lcm D of their denominators, as ints, and D.
+def restrict_coords(field: Field, coords: Sequence) -> tuple:
+    """The (1, omega) coordinates u_1..u_k, v_1..v_k of a K-vector, x_r = u_r + v_r omega.
 
-    Over a quadratic field the values come back unchanged with D = 1.
+    Over Q the coordinates are the values themselves.
     """
-    if not field.is_rational:
-        return list(values), 1
-    D = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (D // x.denominator) for x in values], D
+    if field.is_rational:
+        return tuple(coords)
+    xs = [field.coerce(x) for x in coords]
+    if field.has_half_integers:  # a + b sqrt(-3) = (a - b) + 2b omega
+        return tuple(x.a - x.b for x in xs) + tuple(2 * x.b for x in xs)
+    return tuple(x.a for x in xs) + tuple(x.b for x in xs)
+
+
+def lift_coords(field: Field, coords: Sequence) -> tuple:
+    """The K-vector with (1, omega) coordinates u_1..u_k, v_1..v_k; restrict_coords inverted."""
+    if field.is_rational:
+        return tuple(coords)
+    k, w = len(coords) // 2, field.omega()
+    return tuple(QuadScalar(field.d, u + v * w.a, v * w.b) for u, v in zip(coords[:k], coords[k:]))
+
+
+def _omega_times(x: Sequence, t: int) -> list:
+    """omega x in (1, omega) coordinates: (u + v omega) omega = -v + (u + tv) omega."""
+    k = len(x) // 2
+    return [-v for v in x[k:]] + [u + t * v for u, v in zip(x[:k], x[k:])]
+
+
+def _integral(field: Field, values: Sequence) -> tuple[list, int]:
+    """The (1, omega) coordinates of the values times the lcm D of their denominators, and D."""
+    coords = restrict_coords(field, values)
+    D = math.lcm(*(x.denominator for x in coords))
+    return [x.numerator * (D // x.denominator) for x in coords], D
 
 
 class AlgebraElement:
@@ -370,15 +412,14 @@ def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> Isomorphi
     w_t = a_{p_t} C.  By associativity a_i w_t = (a_i a_{p_t}) C =
     sum_k gamma_{i p_t k} a_k C, so column t of phi(a_i) is
     sum_k gamma_{i p_t k} X[.][k]; on a table that is not associative these
-    images fail the check.
+    images fail the check.  C has rank one when there are n pivots, since
+    dim(A C) = n rank(C) in M_n(K).
     """
     n = table.n
-    if ideal_rank(C, n) != 1:
-        raise InputError("build_isomorphism requires a rank one element")
     rmat = table.right_regular(C.coords)
     X, pivots = rmat._echelon()
     if len(pivots) != n:
-        raise InternalError("left ideal dimension changed between rank and basis")
+        raise InputError("build_isomorphism requires a rank one element")
     zero = table.field.zero()
     images = [
         ExactMatrix(table.field, [[_dot(gi[p], row, zero) for p in pivots] for row in X[:n]])
@@ -417,32 +458,35 @@ def witness_problems(table: StructureConstants, images: Sequence[ExactMatrix]) -
     on every basis pair, then phi(1) = I, and the m = n^2 images must be
     linearly independent: a unital multiplicative linear bijection is an
     isomorphism, while a non-simple algebra such as K^4 has unital
-    homomorphisms to M_2(K) that are not injective.  Over Q the arithmetic
-    is on ints: with P_k the images times the lcm D of their denominators
-    and G the table times the lcm d of its own, each pair checks
-    d P_i P_j = D sum_k G_ijk P_k.
+    homomorphisms to M_n(K) that are not injective.  The arithmetic is on
+    ints.  Over Q, P_k is phi(a_k) times the lcm D of the image
+    denominators; over Q(i) and Q(sqrt(-3)), P_k and P_{m+k} are the
+    realified phi(a_k) and omega phi(a_k), so that sum_k G_ijk P_k runs over
+    the restricted table (G, d).  Each pair checks d P_i P_j = D sum_k
+    G_ijk P_k, and the images are independent when the P_k have full rank.
     Raises InputError unless there are m images, each n x n over the table's
     field, and NoIdentityError when every pair holds but the table has no
     identity.
     """
-    n, m = table.n, table.m
+    n, m, field = table.n, table.m, table.field
     if len(images) != m or any(
-        M.field != table.field or M.rows != n or M.cols != n for M in images
+        M.field != field or M.rows != n or M.cols != n for M in images
     ):
-        raise InputError(f"a witness needs {m} images of shape {n} x {n} over {table.field}")
-    flat, D = _integral(table.field, [x for M in images for row in M.entries for x in row])
-    P = [flat[k * n * n:(k + 1) * n * n] for k in range(m)]
+        raise InputError(f"a witness needs {m} images of shape {n} x {n} over {field}")
+    flat, D = _integral(field, [x for M in images for row in M.entries for x in row])
+    P = [flat[k * n * n:(k + 1) * n * n] for k in range(len(flat) // (n * n))]
+    if not field.is_rational:
+        t, Z = int(field.has_half_integers), [u + v for u, v in zip(P[:m], P[m:])]
+        P = [_realified(z, n, t) for z in Z + [_omega_times(z, t) for z in Z]]
+    size = n * len(P) // m
     G, d = table._integral_gamma()
-    pairs = tuple((i, j) for i, j, lhs, rhs in _pair_sides(P, G, d, D, n) if lhs != rhs)
+    K_rows = [gi[:m] for gi in G[:m]]
+    pairs = tuple((i, j) for i, j, lhs, rhs in _pair_sides(P, K_rows, d, D, size) if lhs != rhs)
     identity_fails = False
     if not pairs:
-        E, de = _integral(table.field, table.find_identity().coords)
-        identity_fails = _combination(E, P) != _scaled_eye(n, de * D)
-    if table.field.is_rational:
-        rank = len(int_gauss_jordan(P)[1])
-    else:
-        rank = ExactMatrix(table.field, P).rank()
-    return WitnessProblems(pairs, identity_fails, rank < m)
+        E, de = _integral(field, table.find_identity().coords)
+        identity_fails = _combination(E, P) != _scaled_eye(size, de * D)
+    return WitnessProblems(pairs, identity_fails, len(int_gauss_jordan(P)[1]) < len(P))
 
 
 def _pair_sides(P: Sequence[list], coeffs: Sequence, d, D, n: int):
@@ -463,7 +507,6 @@ def _pair_sides(P: Sequence[list], coeffs: Sequence, d, D, n: int):
 
 def _combination(coeffs: Sequence, P: Sequence[list]) -> list:
     """sum_k coeffs[k] P_k over flat lists, skipping zero coefficients."""
-    # int 0 starts the sums; QuadScalar adds and compares with it
     acc = [0] * len(P[0])
     for c, Pk in zip(coeffs, P):
         if c:
@@ -474,6 +517,16 @@ def _combination(coeffs: Sequence, P: Sequence[list]) -> list:
 def _scaled_eye(n: int, s) -> list:
     """s times the n x n identity, flat row-major."""
     return [s if r == c else 0 for r in range(n) for c in range(n)]
+
+
+def _realified(z: list, n: int, t: int) -> list:
+    """[[X, -Y], [Y, X + tY]] flat row-major, for X + Y omega given as z = X + Y.
+
+    That is the matrix of X + Y omega on (1, omega) coordinates of K^n.
+    """
+    rows = [(z[r * n:(r + 1) * n], z[(n + r) * n:(n + r + 1) * n]) for r in range(n)]
+    top = [x for X, Y in rows for x in X + [-y for y in Y]]
+    return top + [x for X, Y in rows for x in Y + [a + t * b for a, b in zip(X, Y)]]
 
 
 def witness_residual(table: StructureConstants, witness: IsomorphismWitness):

@@ -25,12 +25,14 @@ from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import fzero, mpf_shift, to_int
 
 from .algebra import (
-    AlgebraElement,
     StructureConstants,
     _combination,
     _integral,
+    _omega_times,
     _pair_sides,
+    _realified,
     _scaled_eye,
+    lift_coords,
 )
 from .errors import InputError, PrecisionError, PromiseViolation
 from .exactnum import ExactMatrix, QuadScalar, int_gauss_jordan
@@ -79,10 +81,12 @@ def _min_poly(table: StructureConstants, coords) -> tuple[list, list]:
 
     On the integral table (G, d) and Z = dz z, z^k = P_k / s_k with P_0 / s_0
     the identity, P_{k+1} = R_Z P_k and s_{k+1} = s_k dz d, R_Z[r][i] =
-    sum_j Z[j] G[i][j][r] (over a quadratic field every scale is 1).  One
-    elimination of P_0 .. P_n gives deg f as their rank and P_k in the P_t.
+    sum_j Z[j] G[i][j][r]; over Q(i) and Q(sqrt(-3)) these are (1, omega)
+    coordinates on the restriction.  The K-span of the P_t is the Q-span of
+    the P_t and omega P_t, so one elimination of P_0, omega P_0, .., P_n,
+    omega P_n gives deg f as their rank over K and P_k in the P_t.
     """
-    field, m, n = table.field, table.m, table.n
+    field, n = table.field, table.n
     G, d = table._integral_gamma()
     Z, dz = _integral(field, coords)
     E, de = _integral(field, table.find_identity().coords)
@@ -91,16 +95,19 @@ def _min_poly(table: StructureConstants, coords) -> tuple[list, list]:
     for _ in range(n):
         P, s = powers[-1]
         powers.append(([sum(a * b for a, b in zip(row, P)) for row in RZ], s * dz * d))
-    rows = [[P[r] for P, _ in powers] for r in range(m)]
     if field.is_rational:
-        X, pivots = int_gauss_jordan(rows)
+        w, cols = 1, [P for P, _ in powers]
     else:
-        X, pivots = ExactMatrix(field, rows)._echelon()
-    k = len(pivots)
+        tr = int(field.has_half_integers)
+        w, cols = 2, [c for P, _ in powers for c in (P, _omega_times(P, tr))]
+    X, pivots = int_gauss_jordan([list(r) for r in zip(*cols)])
+    k = len(pivots) // w
     if k > n:
         raise PromiseViolation("minimal polynomial degree exceeds the promised n")
     s_k = powers[k][1]
-    f = [-field.coerce(X[t][k]) / X[t][t] * Fraction(powers[t][1], s_k) for t in range(k)]
+    # column w k is P_k = sum over pivot rows r of X[r][w k] / X[r][r] times column r
+    f = [-lift_coords(field, [Fraction(X[r][w * k], X[r][r]) for r in range(w * t, w * t + w)])[0]
+         * Fraction(powers[t][1], s_k) for t in range(k)]
     return f + [field.one()], powers[:k]
 
 
@@ -217,18 +224,22 @@ def _eigenspace(table: StructureConstants, f: list, powers: list, lam, precision
 
     f is squarefree, so the eigenspace is the column space of g(R_z), g =
     f / (x - lam): c_{n-1} = 1, c_{k-1} = f_k + lam c_k.  With z^k = P_k / s_k,
-    g(R_z) = sum_k c_k / (s_k d) R_{P_k}, column j of R_{P_k} being sum_b P_k[b] G[j][b].
+    g(R_z) = sum_k c_k / (s_k d) R_{P_k}, column j of R_{P_k} being sum_b P_k[b] G[j][b]
+    for the K-basis a_j; over Q(i) and Q(sqrt(-3)) its (1, omega) coordinates
+    (U, V) give the entries U + omega V.
     """
-    n = len(f) - 1
+    n, m = len(f) - 1, table.m
     G, d = table._integral_gamma()
     c = [mpf(1)]
     for k in range(n - 1, 0, -1):
         c.append(_scalar_to_mp(f[k]) + lam * c[-1])
     weights = [ck / (s * d) for ck, (_, s) in zip(reversed(c), powers)]
+    omega = None if table.field.is_rational else _scalar_to_mp(table.field.omega())
     cols = []
-    for gj in G:
+    for gj in G[:m]:
         R = [_combination(P, gj) for P, _ in powers]
-        cols.append([mpmath.fdot(weights, map(_scalar_to_mp, x)) for x in zip(*R)])
+        col = [mpmath.fdot(weights, x) for x in zip(*R)]
+        cols.append(col if omega is None else [u + omega * v for u, v in zip(col[:m], col[m:])])
     return _pivoted_gram_schmidt(cols, n, mpf(2) ** (-(precision_bits // 4)))
 
 
@@ -316,8 +327,8 @@ def _measure_residual(table: StructureConstants, images) -> mpf:
         size, fold = n, 1
     else:
         parts = [_fixed_parts((x for row in M.tolist() for x in row), F) for M in images]
-        P = [_realified(X, Y, n) for X, Y in parts]
-        P += [_realified([-y for y in Y], X, n) for X, Y in parts]
+        P = [_realified(X + Y, n, 0) for X, Y in parts]
+        P += [_realified([-y for y in Y] + X, n, 0) for X, Y in parts]
         G = [[_fixed_complex(gij, F) for gij in gi] for gi in table.gamma]
         d = D
         E, de = _fixed_complex(e, F), D
@@ -344,16 +355,6 @@ def _fixed_parts(values, F: int) -> tuple[list, list]:
     """Real and imaginary parts of mpf or mpc values at scale 2^F, as two lists."""
     parts = [v._mpc_ if isinstance(v, mpc) else (v._mpf_, fzero) for v in values]
     return [_fixed(x, F) for x, _ in parts], [_fixed(y, F) for _, y in parts]
-
-
-def _realified(X: list, Y: list, n: int) -> list:
-    """[[X, -Y], [Y, X]] flat row-major: the real form of X + iY."""
-    out = []
-    for r in range(n):
-        out += X[r * n:(r + 1) * n] + [-y for y in Y[r * n:(r + 1) * n]]
-    for r in range(n):
-        out += Y[r * n:(r + 1) * n] + X[r * n:(r + 1) * n]
-    return out
 
 
 def _fixed_complex(values, F: int) -> list:
@@ -403,15 +404,9 @@ class EmbeddedLattice:
 def embed_order(embedding: Embedding, order: Order) -> EmbeddedLattice:
     table = order.table
     with workprec(embedding.precision_bits + 32):
-        if table.field.is_rational:
-            elements = [order.element(j) for j in range(table.m)]
-        else:
-            omega = table.field.omega()
-            elements = []
-            for j in range(table.m):
-                col = order.basis_matrix.column(j)
-                elements.append(AlgebraElement(table, col))
-                elements.append(AlgebraElement(table, [omega * x for x in col]))
+        # over Q(i) and Q(sqrt(-3)) b_j and omega b_j alternate
+        zs, m = order.z_basis(), table.m
+        elements = [zs[s * m + j] for j in range(m) for s in range(len(zs) // m)]
         vectors = []
         scale = mpf(0)
         for el in elements:

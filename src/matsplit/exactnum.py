@@ -164,14 +164,8 @@ class QuadScalar:
         """Field norm a^2 + d*b^2, a nonnegative rational."""
         return self.a * self.a + self.d * self.b * self.b
 
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def is_integral(self) -> bool:
         """Membership in the ring of integers of Q(sqrt(-d))."""

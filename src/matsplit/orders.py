@@ -8,7 +8,9 @@ the initial order is built on the rank-2m restriction of scalars, is
 saturated there like a rational order, and comes back to a
 ring-of-integers basis once, by Euclidean column reduction; a maximal
 integral order in an algebra with quadratic center is automatically a
-maximal module over the ring of integers of the center.
+maximal module over the ring of integers of the center.  Every order keeps
+an integer Z-basis (over Q(i) and Q(sqrt(-3)) the b_j and omega b_j in
+(1, omega) coordinates), so order coordinates and products are integer work.
 """
 
 from __future__ import annotations
@@ -20,14 +22,21 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .algebra import AlgebraElement, StructureConstants
+from .algebra import (
+    AlgebraElement,
+    StructureConstants,
+    _integral,
+    _omega_times,
+    lift_coords,
+    restrict_coords,
+)
 from .errors import (
     FactorBudgetError,
     InputError,
     InternalError,
     PromiseViolation,
 )
-from .exactnum import QQ, ExactMatrix, Field, QuadScalar, as_rational, int_gauss_jordan
+from .exactnum import QQ, ExactMatrix, Field, as_rational, int_gauss_jordan
 from .quadfield import nearest_integer
 
 # ---------------------------------------------------------------------------
@@ -132,7 +141,7 @@ class ZLattice:
         return [tuple(Fraction(x, self.den) for x in c) for c in self.cols]
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        return self.contains_int(*_int_vector(vec))
+        return self.contains_int(*_integral(QQ, vec))
 
     def contains_int(self, w: Sequence[int], D: int) -> bool:
         """Whether w / D lies in the lattice, for an integer vector w."""
@@ -323,9 +332,9 @@ def _poly_eval(f: list[int], a: int, p: int) -> int:
 class Order:
     """Unital multiplicatively closed full lattice in a structure-constant algebra.
 
-    Over Q the order also keeps its basis on integers: den and the columns
-    C = den * basis_matrix, and the pair (E, d) with C^-1 = E / d, d > 0.
-    Order coordinates and the multiplication table are then integer work.
+    The order keeps its Z-basis on integers: den, the columns C = den * basis
+    (over Q(i) and Q(sqrt(-3)) of b_1..b_m, omega b_1..omega b_m, in (1, omega)
+    coordinates), and the pair (E, d) with C^-1 = E / d, d > 0.
     """
 
     def __init__(self, table: StructureConstants, basis_matrix: ExactMatrix):
@@ -338,15 +347,14 @@ class Order:
         self._products: tuple[list, int] | None = None
         self._radicals: dict[int, list[list[int]]] = {}
         self._disc = None
-        if table.field.is_rational:
-            cols = basis_matrix.columns()
-            den = math.lcm(1, *(x.denominator for c in cols for x in c))
-            C = [[x.numerator * (den // x.denominator) for x in c] for c in cols]
-            E, d = _int_inverse(C)
-            self._int = (den, C, E, d)
-        else:
-            self._int = None
-            self._inv = basis_matrix.inverse()
+        field = table.field
+        cols = [restrict_coords(field, c) for c in basis_matrix.columns()]
+        if not field.is_rational:
+            cols += [_omega_times(c, int(field.has_half_integers)) for c in cols]
+        den = math.lcm(1, *(x.denominator for c in cols for x in c))
+        C = [[x.numerator * (den // x.denominator) for x in c] for c in cols]
+        E, d = _int_inverse(C)
+        self._int = (den, C, E, d)
 
     # coordinates of order basis element j in the a-basis
     def element(self, j: int) -> AlgebraElement:
@@ -355,40 +363,38 @@ class Order:
     def elements(self) -> list[AlgebraElement]:
         return [self.element(j) for j in range(self.table.m)]
 
+    def z_basis(self) -> list[AlgebraElement]:
+        """The Z-basis of the lattice: the b_j, then the omega b_j over Q(i) and Q(sqrt(-3))."""
+        den, C, _, _ = self._int
+        lifted = [lift_coords(self.table.field, [Fraction(x, den) for x in c]) for c in C]
+        return [AlgebraElement(self.table, x) for x in lifted]
+
     def to_order_coords(self, coords: Sequence) -> tuple:
-        if self._int is None:
-            return self._inv.mul_vector(coords)
         den, _, E, d = self._int
-        w, D = _int_vector(coords)
-        return tuple(Fraction(den * _int_dot(row, w), d * D) for row in E)
+        w, D = _integral(self.table.field, coords)
+        return lift_coords(self.table.field, [Fraction(den * _int_dot(row, w), d * D) for row in E])
 
     def contains(self, coords: Sequence) -> bool:
-        if self._int is None:
-            return all(_is_integral_scalar(x) for x in self.to_order_coords(coords))
         den, _, E, d = self._int
-        w, D = _int_vector(coords)
+        w, D = _integral(self.table.field, coords)
         return all(den * _int_dot(row, w) % (d * D) == 0 for row in E)
 
     def multiplication_table(self) -> list[list[tuple]]:
         """Products of basis pairs in order coordinates; entries are integral."""
         if self._mult_table is None:
-            if self._int is None:
-                cols = self.basis_matrix.columns()
-                self._mult_table = [
-                    [self.to_order_coords(self.table.multiply(x, y)) for y in cols]
-                    for x in cols
-                ]
-            else:
-                N, s = self._product_numerators()
-                self._mult_table = [[tuple(Fraction(x, s) for x in v) for v in row] for row in N]
+            N, s = self._product_numerators()
+            m, field = self.table.m, self.table.field
+            self._mult_table = [
+                [lift_coords(field, [Fraction(x, s) for x in v]) for v in row[:m]] for row in N[:m]
+            ]
         return self._mult_table
 
     def _product_numerators(self) -> tuple[list[list[list[int]]], int]:
-        """(N, s) with N[i][j] / s the order coordinates of b_i b_j, over Q.
+        """(N, s) with N[i][j] / s the integer-basis coordinates of c_i c_j.
 
-        With b_i = C_i / den and the table G / dG, b_i b_j has a-coordinates
-        P_ij / (den^2 dG) for P_ij = sum_rs C_i[r] C_j[s] G[r][s], and order
-        coordinates E P_ij / (den dG d).
+        With c_i = C_i / den and the integer table G / dG, c_i c_j has
+        a-coordinates P_ij / (den^2 dG) for P_ij = sum_rs C_i[r] C_j[s] G[r][s],
+        and coordinates E P_ij / (den dG d).
         """
         if self._products is None:
             den, C, E, d = self._int
@@ -406,9 +412,11 @@ class Order:
                 problems.append("identity is not in the lattice")
         except Exception as exc:  # NoIdentityError propagates as a message
             problems.append(str(exc))
-        for i, row in enumerate(self.multiplication_table()):
-            for j, prod in enumerate(row):
-                if not all(_is_integral_scalar(x) for x in prod):
+        N, s = self._product_numerators()
+        m = self.table.m
+        for i, row in enumerate(N[:m]):
+            for j, v in enumerate(row[:m]):
+                if any(x % s for x in v):
                     problems.append(f"product b_{i} b_{j} leaves the lattice")
         return problems
 
@@ -426,11 +434,11 @@ class Order:
         """
         if self._disc is None:
             m = self.table.m
-            if self._int is None:
-                det_b = self.basis_matrix.det()
-            else:
+            if self.table.field.is_rational:
                 den, _, _, d = self._int
                 det_b = Fraction(d, den**m)
+            else:
+                det_b = self.basis_matrix.det()
             self._disc = self.table._trace_gram_det() * det_b * det_b / _trace_divisor(m) ** m
         return self._disc
 
@@ -443,19 +451,6 @@ class Order:
 
     def __repr__(self):
         return f"Order(dim={self.table.m} over {self.table.field})"
-
-
-def _is_integral_scalar(x) -> bool:
-    if isinstance(x, QuadScalar):
-        return x.is_integral()
-    return Fraction(x).denominator == 1
-
-
-def _int_vector(coords: Sequence) -> tuple[list[int], int]:
-    """(w, D) with coords = w / D, w integral and D the lcm of the denominators."""
-    fracs = [Fraction(x) for x in coords]
-    D = math.lcm(1, *(x.denominator for x in fracs))
-    return [x.numerator * (D // x.denominator) for x in fracs], D
 
 
 def _int_dot(x: Sequence[int], y: Sequence[int]) -> int:
@@ -528,13 +523,12 @@ def initial_order(table: StructureConstants) -> Order:
     so the closure is an O_K-module, the restriction of the O_K-order that
     ell a_i and e generate.  The closure runs on the integer Hermite basis.
     """
-    e = table.find_identity().coords
-    if table.field.is_rational:
+    field = table.field
+    e = restrict_coords(field, table.find_identity().coords)
+    if field.is_rational:
         rt, gens = table, [e]
     else:
-        field = table.field
-        rt = restricted_table(table)
-        gens = [restrict_coords(field, e), restrict_coords(field, [field.omega() * x for x in e])]
+        rt, gens = restricted_table(table), [e, _omega_times(e, int(field.has_half_integers))]
     m = rt.m
     G, ell = rt._integral_gamma()
     gens += [[ell if k == i else 0 for k in range(m)] for i in range(m)]
@@ -587,8 +581,6 @@ def _ok_triangular(field: Field, columns, dim: int):
 def _order_int_mult(order: Order) -> list[list[list[int]]]:
     """Integer structure constants c[i][j][k] of the order basis."""
     if order._int_table is None:
-        if order._int is None:
-            raise InternalError("integer multiplication needs a rational order")
         N, s = order._product_numerators()
         if any(x % s for row in N for v in row for x in v):
             raise InternalError("order multiplication table is not integral")
@@ -1067,68 +1059,20 @@ def _saturate_at_prime(order: Order, p: int) -> Order:
 # ---------------------------------------------------------------------------
 
 
-def _k_to_pair(field: Field, x: QuadScalar) -> tuple[Fraction, Fraction]:
-    """Coordinates of x in the integral basis (1, omega)."""
-    if field.has_half_integers:
-        return (x.a - x.b, 2 * x.b)
-    return (x.a, x.b)
-
-
 def restricted_table(table: StructureConstants) -> StructureConstants:
     """The 2m-dimensional rational algebra underlying a quadratic one.
 
-    Basis order: a_1..a_m, omega*a_1..omega*a_m.
+    Basis order: a_1..a_m, omega*a_1..omega*a_m; the constants are the
+    integer table ``_integral_gamma`` of the quadratic table over its d.
     """
-    field = table.field
-    if field.is_rational:
+    if table.field.is_rational:
         raise InputError("restriction applies to quadratic fields only")
-    m = table.m
-    omega = field.omega()
-    scalars = (field.one(), omega)
-    mm = 2 * m
-    gamma = [[[Fraction(0)] * mm for _ in range(mm)] for _ in range(mm)]
-    for si, alpha in enumerate(scalars):
-        for sj, beta in enumerate(scalars):
-            ab = alpha * beta
-            for i in range(m):
-                for j in range(m):
-                    for k in range(m):
-                        g = table.gamma[i][j][k]
-                        if isinstance(g, QuadScalar) and g.is_zero():
-                            continue
-                        val = ab * g
-                        u, v = _k_to_pair(field, val)
-                        if u:
-                            gamma[si * m + i][sj * m + j][k] += u
-                        if v:
-                            gamma[si * m + i][sj * m + j][m + k] += v
-    return StructureConstants(QQ, gamma)
-
-
-def restrict_coords(field: Field, coords: Sequence) -> tuple[Fraction, ...]:
-    m = len(coords)
-    us, vs = [], []
-    for x in coords:
-        u, v = _k_to_pair(field, field.coerce(x))
-        us.append(u)
-        vs.append(v)
-    return tuple(us + vs)
-
-
-def lift_coords(field: Field, coords: Sequence[Fraction]) -> tuple[QuadScalar, ...]:
-    m = len(coords) // 2
-    omega = field.omega()
-    return tuple(
-        field.coerce(coords[i]) + field.coerce(coords[m + i]) * omega for i in range(m)
-    )
+    G, d = table._integral_gamma()
+    return StructureConstants(QQ, [[[Fraction(x, d) for x in gij] for gij in gi] for gi in G])
 
 
 def _restricted_to_k(table: StructureConstants, rest_order: Order) -> Order:
     field = table.field
-    m = table.m
-    cols_k = []
-    for j in range(2 * m):
-        col = rest_order.basis_matrix.column(j)
-        cols_k.append(lift_coords(field, col))
-    basis = _ok_triangular(field, cols_k, m)
+    cols_k = [lift_coords(field, c) for c in rest_order.basis_matrix.columns()]
+    basis = _ok_triangular(field, cols_k, table.m)
     return Order(table, ExactMatrix.from_columns(field, [list(c) for c in basis]))

@@ -147,9 +147,7 @@ def tau(d: int) -> int:
     t = 0
     while Fraction(t + 1) * (t + 1) <= k.value_sq():
         t += 1
-    # t = floor(kappa) unless kappa is an exact integer, handled by <=
-    if Fraction(t) * t == k.value_sq():
-        return t + 1
+    # t = floor(kappa), also when kappa is an exact integer (by <=)
     return t + 1
 
 

@@ -206,6 +206,16 @@ def split_imag_quad(
     return split(table, config, order)
 
 
+def _first_bound(gram, rank: int, slack: float, pert: float) -> float:
+    """sqrt(min_i gram[i][i]) (1 + slack) + pert, raised until its exact square reaches
+    min_i gram[i][i]: at 256 bits and more 1 + slack rounds to 1.0."""
+    shortest = min(gram[i][i] for i in range(rank))
+    bound = math.sqrt(float(shortest)) * (1 + slack) + pert
+    while Fraction(bound) ** 2 < shortest:
+        bound = math.nextafter(bound, math.inf)
+    return bound
+
+
 # Each search policy returns (rank-one element, its squared norm, the
 # SplitStats fields the policy determines) or raises PromiseViolation.
 
@@ -216,8 +226,7 @@ def _search_ordered(table, config, reduced, gram, lift, slack, pert):
     # start at the shortest reduced vector: by the rank-one property of
     # minimal vectors this almost always suffices, and it keeps skewed
     # embeddings from flooding the enumeration
-    lam_bound = math.sqrt(min(float(gram[i][i]) for i in range(reduced.rank)))
-    ladder = [lam_bound * (1 + slack) + pert, full_bound, 2 * full_bound]
+    ladder = [_first_bound(gram, reduced.rank, slack, pert), full_bound, 2 * full_bound]
     nodes = 0
     for bound in ladder:
         vecs = short_vectors(gram, bound, budget=config.enumeration_budget)
@@ -312,12 +321,10 @@ def _search_minimal_class(table, config, reduced, gram, lift, slack, pert):
     rank-tested exactly in norm-then-lex order; the first rank-one element
     wins.  Over Q(sqrt(-3)) the first minimal vector is already the answer;
     over Q(i) at least one member of the class is."""
-    start_bound = math.sqrt(min(float(gram[i][i]) for i in range(reduced.rank)))
+    # never empty: the bound reaches the shortest basis vector
     vecs = short_vectors(
-        gram, start_bound * (1 + slack) + pert, budget=config.enumeration_budget
+        gram, _first_bound(gram, reduced.rank, slack, pert), budget=config.enumeration_budget
     )
-    if not vecs:
-        raise PromiseViolation("no nonzero vectors below the shortest basis norm")
     lam_sq = float(vecs[0][1])
     class_cut = lam_sq * (1 + slack) ** 2 + 2 * pert
     minimal_class = [cv for cv in vecs if float(cv[1]) <= class_cut]

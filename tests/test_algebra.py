@@ -471,6 +471,18 @@ class TestIdentityAndWitnessAgainstOracles:
         assert witness_problems(table, zeros) == WitnessProblems((), True, True)
         assert _witness_oracle(table, zeros) == WitnessProblems((), True, True)
 
+    @pytest.mark.parametrize("field", ["gauss", "eisenstein"])
+    def test_an_omega_multiple_is_not_injective(self, field):
+        # phi(a_1) = omega phi(a_0) is K-dependent, though the four images
+        # stay independent over Q
+        inst = generate_instance(2, FIELDS[field], 10, 9)
+        table = inst.table
+        images = [inst.hidden_matrix(unit(table, k).coords) for k in range(table.m)]
+        images[1] = images[0].scaled(table.field.omega())
+        found = witness_problems(table, images)
+        assert found.not_injective
+        assert found == _witness_oracle(table, images)
+
     def test_witness_problems_rejects_wrong_shapes(self, m2):
         good = [ExactMatrix.identity(QQ, 2)] * 4
         for bad in (good[:3], [ExactMatrix.identity(QQ, 1)] * 4, [ExactMatrix.identity(GAUSS, 2)] * 4):

@@ -370,14 +370,16 @@ class TestForgedWitnesses:
     def payloads(self):
         runner = CliRunner()
         out = {}
-        for name in ("Q", "gauss"):
+        for name in ("Q", "gauss", "eisenstein"):
             gen = run_ok(runner, ["gen", "--n", "2", "--field", name, "--seed", "1"])
             split = run_ok(runner, ["split", "--seed", "1"], input=gen.output)
             out[name] = json.loads(split.output)
         return out
 
     @pytest.mark.parametrize("family", ["K^4", "T2+K", "K[x]/(x^4)"])
-    @pytest.mark.parametrize("name,field", [("Q", QQ), ("gauss", GAUSS)])
+    @pytest.mark.parametrize(
+        "name,field", [("Q", QQ), ("gauss", GAUSS), ("eisenstein", EISENSTEIN)]
+    )
     def test_verify_exits_2(self, runner, payloads, family, name, field):
         table, images, element = _forged(family, field)
         found = witness_problems(table, images)
@@ -393,7 +395,7 @@ class TestForgedWitnesses:
         assert result.exit_code == 2, result.output
         assert json.loads(result.output) == {"valid": False, "problems": problems}
 
-    @pytest.mark.parametrize("field", [QQ, GAUSS])
+    @pytest.mark.parametrize("field", [QQ, GAUSS, EISENSTEIN])
     def test_build_isomorphism_rejects_a_non_simple_algebra(self, field):
         table, _, element = _forged("K^4", field)
         with pytest.raises(PromiseViolation, match="not injective"):

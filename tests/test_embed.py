@@ -2,12 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 
 from matsplit import embed
-from matsplit.algebra import StructureConstants, matrix_units_table
+from matsplit.algebra import StructureConstants, lift_coords, matrix_units_table
 from matsplit.embed import (
     EmbeddedLattice,
     _eigenspace,
@@ -274,7 +275,18 @@ class TestEigenspaceOracle:
             assert len(f) - 1 == krylov.rank()
             assert len(powers) == len(f) - 1
             for (P, s), v in zip(powers, exact):
-                assert [table.field.coerce(x) / s for x in P] == list(v)
+                # P_t holds the (1, omega) coordinates of s_t z^t
+                assert lift_coords(table.field, [Fraction(x, s) for x in P]) == v
+
+    @pytest.mark.parametrize("case", sorted(c for c in EIGEN_CASES if not c.startswith("Q")))
+    def test_omega_times_the_identity_has_degree_one(self, case):
+        # the K-span of P_0 holds omega P_0; over Q alone the degree would be 2
+        table, _ = EIGEN_CASES[case]()
+        omega = table.field.omega()
+        coords = tuple(omega * x for x in table.find_identity().coords)
+        f, powers = _min_poly(table, coords)
+        assert f == [-omega, table.field.one()]
+        assert len(powers) == 1
 
     @pytest.mark.parametrize("case", sorted(EIGEN_CASES))
     def test_projector_matches_the_svd_null_space(self, case):

@@ -184,6 +184,19 @@ class TestSplit:
         assert high.rank_one_element.coords == low.rank_one_element.coords
 
     @pytest.mark.parametrize(
+        "field,seed",
+        [("gauss", s) for s in (1, 5, 7, 8, 9, 12)]
+        + [("eisenstein", s) for s in (1, 5, 6, 10, 12)],
+    )
+    def test_first_bound_reaches_the_shortest_basis_vector_at_256_bits(self, field, seed):
+        # from 256 bits on 1 + slack rounds to 1.0 in float, and the float
+        # square root of the shortest basis norm alone can fall short of it
+        inst = generate_instance(2, field, 10, seed=seed)
+        res = split(inst.table, SplitConfig(seed=7, precision_bits=256))
+        assert res.stats.precision_bits == 256
+        assert witness_residual(inst.table, res.witness) == 0
+
+    @pytest.mark.parametrize(
         "options",
         [
             {"precision_bits": 8192},
