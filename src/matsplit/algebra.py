@@ -200,9 +200,23 @@ class StructureConstants:
         return self._int_gamma
 
     def _trace_gram_det(self):
-        """det T of the trace Gram T_kl = Tr(L_{a_k a_l}) of the a-basis, computed once."""
+        """det T of the trace Gram T_kl = Tr(L_{a_k a_l}) of the a-basis, computed once.
+
+        Over Q, T = T' / d^2 for the integer T' built like T from the
+        integer table G = d gamma, so det T is a Bareiss determinant of T'
+        over d^(2m).
+        """
         if self._gram_det is None:
-            self._gram_det = ExactMatrix(self.field, _trace_matrix(self)).det()
+            if self.field.is_rational:
+                G, d = self._integral_gamma()
+                m = self.m
+                t = [sum(G[r][j][j] for j in range(m)) for r in range(m)]
+                T = [[sum(x * y for x, y in zip(g_kl, t) if x) for g_kl in g_k] for g_k in G]
+                red, pivots = int_gauss_jordan(T)
+                det = red[-1][-1] if len(pivots) == m else 0
+                self._gram_det = Fraction(det, d ** (2 * m))
+            else:
+                self._gram_det = ExactMatrix(self.field, _trace_matrix(self)).det()
         return self._gram_det
 
     def validate(self) -> list[str]:

@@ -30,6 +30,7 @@ from .lattice import (
     berge_martinet_upper,
     c_m,
     hermite_gamma,
+    integral_gso,
     lll_reduce,
     min_norm_by_matrix_rank,
     min_rank_floor,
@@ -96,15 +97,13 @@ def _surd_json(s: Surd) -> dict:
 
 
 def _random_integral_lattice(rng, rank, entry=5) -> LatticeBasis:
-    from .lattice import gram_schmidt
-
     while True:
         cols = [
             tuple(rng.randint(-entry, entry) for _ in range(rank)) for _ in range(rank)
         ]
         try:
             basis = LatticeBasis(cols)
-            gram_schmidt(basis.gram())
+            integral_gso(basis.int_gram())
             return basis
         except InputError:
             continue

@@ -503,9 +503,11 @@ def int_gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
     """Fraction-free (Bareiss) Gauss-Jordan form of an integer matrix.
 
     Returns the reduced rows and the pivot columns; the rank is the number
-    of pivots.  Every entry stays a minor of the input, so each division is
-    exact.  Each pivot column ends as d times a unit vector, d the last
-    pivot: reducing [M | I] for a nonsingular square M leaves [d I | d M^-1].
+    of pivots.  Every entry stays a minor of the input up to sign, so each
+    division is exact.  Each pivot column ends as d times a unit vector, d
+    the last pivot: reducing [M | I] for a nonsingular square M leaves
+    [d I | d M^-1].  A row swap negates one of the two rows, so that d is
+    det M itself.
     """
     a = [list(r) for r in rows]
     ncols = len(a[0]) if a else 0
@@ -518,7 +520,8 @@ def int_gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
         piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], [-x for x in a[r]]
         top, d = a[r], a[r][c]
         for i, row in enumerate(a):
             if i != r:

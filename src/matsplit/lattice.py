@@ -1,14 +1,18 @@
 """Rational lattices: LLL, duals, constants, enumeration, tensor products.
 
-All lattice data is exact (Fraction entries).  LLL runs on integers via the
-classical d/lambda bookkeeping and certifies its own output, enumeration
-compares squared norms as exact rationals, and the Hermite constant table
-carries the nine dimensions with known exact values.
+All lattice data is exact.  A basis keeps its columns as integers over one
+common denominator, and every kernel works on those integers and on the
+integral Gram-Schmidt data (d, lambda) of their Gram matrix (Cohen, GTM 138,
+2.6): LLL runs the classical d/lambda bookkeeping and certifies its output
+with it, enumeration compares squared norms with cleared denominators, and
+lattice equality is one fraction-free elimination.  The Hermite constant
+table carries the nine dimensions with known exact values.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -24,9 +28,15 @@ def _fracv(v) -> Vec:
 
 
 class LatticeBasis:
-    """Basis of a rational lattice, columns plus the transform that made it."""
+    """Basis of a rational lattice, columns plus the transform that made it.
 
-    __slots__ = ("ambient_dim", "rank", "columns", "unimodular_history", "perturbation")
+    The columns are kept as Fraction tuples (``columns``) and as integer
+    tuples over their one common denominator, on which the kernels work.
+    """
+
+    __slots__ = (
+        "ambient_dim", "rank", "columns", "unimodular_history", "perturbation", "_ints", "_den"
+    )
 
     def __init__(self, columns: Sequence[Sequence], unimodular_history=None, perturbation=None):
         cols = [_fracv(c) for c in columns]
@@ -35,9 +45,14 @@ class LatticeBasis:
         dim = len(cols[0])
         if any(len(c) != dim for c in cols):
             raise InputError("ragged basis columns")
+        den = math.lcm(*(x.denominator for c in cols for x in c))
         object.__setattr__(self, "ambient_dim", dim)
         object.__setattr__(self, "rank", len(cols))
         object.__setattr__(self, "columns", tuple(cols))
+        object.__setattr__(
+            self, "_ints", tuple(tuple(x.numerator * (den // x.denominator) for x in c) for c in cols)
+        )
+        object.__setattr__(self, "_den", den)
         if unimodular_history is None:
             unimodular_history = tuple(
                 tuple(1 if i == j else 0 for j in range(len(cols))) for i in range(len(cols))
@@ -48,60 +63,57 @@ class LatticeBasis:
     def __setattr__(self, *args):
         raise AttributeError("LatticeBasis is immutable")
 
-    def gram(self) -> list[list[Fraction]]:
-        k = self.rank
-        g = [[Fraction(0)] * k for _ in range(k)]
+    def int_gram(self) -> list[list[int]]:
+        """Gram matrix of the integer columns: gram() times the denominator squared."""
+        cols, k = self._ints, self.rank
+        g = [[0] * k for _ in range(k)]
         for i in range(k):
             for j in range(i, k):
-                s = _dot(self.columns[i], self.columns[j])
-                g[i][j] = s
-                g[j][i] = s
+                g[i][j] = g[j][i] = sum(map(operator.mul, cols[i], cols[j]))
         return g
 
+    def gram(self) -> list[list[Fraction]]:
+        den_sq = self._den**2
+        return [[Fraction(x, den_sq) for x in row] for row in self.int_gram()]
+
     def norm_sq(self, j: int) -> Fraction:
-        return _dot(self.columns[j], self.columns[j])
+        col = self._ints[j]
+        return Fraction(sum(map(operator.mul, col, col)), self._den**2)
 
     def det_sq(self) -> Fraction:
         """Square of the lattice determinant (Gram determinant)."""
-        return ExactMatrix(QQ, self.gram()).det()
+        red, pivots = int_gauss_jordan(self.int_gram())
+        if len(pivots) < self.rank:
+            return Fraction(0)
+        # the last Bareiss pivot is the determinant
+        return Fraction(red[-1][-1], self._den ** (2 * self.rank))
 
     def vector(self, coeffs: Sequence[int]) -> Vec:
-        out = [Fraction(0)] * self.ambient_dim
-        for j, c in enumerate(coeffs):
+        out = [0] * self.ambient_dim
+        for c, col in zip(coeffs, self._ints):
             if c:
-                col = self.columns[j]
-                for i in range(self.ambient_dim):
-                    out[i] += c * col[i]
-        return tuple(out)
+                out = [a + c * b for a, b in zip(out, col)]
+        return tuple(Fraction(x, self._den) for x in out)
 
     def __repr__(self):
         return f"LatticeBasis(rank={self.rank}, dim={self.ambient_dim})"
 
 
-def _dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def integral_gso(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Integral Gram-Schmidt data (lam, d) of a positive definite integer Gram.
 
-
-def gram_schmidt(gram: Sequence[Sequence[Fraction]]):
-    """Exact GSO data (mu, D) from a Gram matrix; D are squared star norms."""
+    d[i] is the Gram determinant of the first i vectors (d[0] = 1) and
+    lam[i][j] = d[j+1] mu_ij, all integers (Cohen, GTM 138, 2.6.3); the
+    squared star norms are D_i = d[i+1] / d[i].
+    """
     k = len(gram)
-    mu = [[Fraction(0)] * k for _ in range(k)]
-    D = [Fraction(0)] * k
+    lam = [[0] * k for _ in range(k)]
+    d = [1] + [0] * k
     for i in range(k):
-        for j in range(i):
-            s = gram[i][j]
-            for l in range(j):
-                s -= mu[i][l] * mu[j][l] * D[l]
-            if D[j] == 0:
-                raise InputError("dependent basis vectors")
-            mu[i][j] = s / D[j]
-        s = gram[i][i]
-        for l in range(i):
-            s -= mu[i][l] * mu[i][l] * D[l]
-        D[i] = s
-        if D[i] <= 0:
+        _init_row(i, lambda a, b: gram[a][b], lam, d)
+        if d[i + 1] <= 0:
             raise InputError("Gram matrix is not positive definite")
-    return mu, D
+    return lam, d
 
 
 # -- LLL ---------------------------------------------------------------------
@@ -118,11 +130,8 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
     if not Fraction(1, 4) < delta < 1:
         raise InputError("delta must lie strictly between 1/4 and 1")
     n = basis.rank
-    scale = 1
-    for col in basis.columns:
-        for x in col:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    cols = [[int(x * scale) for x in col] for col in basis.columns]
+    scale = basis._den
+    cols = [list(col) for col in basis._ints]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def g(i, j):
@@ -144,10 +153,14 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
     k = 1
     k_max = 0
     _init_row(0, g, lam, d)
+    if not d[1]:
+        raise InputError("dependent basis vectors")
     while k < n:
         if k > k_max:
             k_max = k
             _init_row(k, g, lam, d)
+            if not d[k + 1]:
+                raise InputError("dependent basis vectors")
         red(k, k - 1)
         p, q = delta.numerator, delta.denominator
         if q * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < p * d[k] ** 2:
@@ -182,6 +195,7 @@ def _round_ratio(a: int, b: int) -> int:
 
 
 def _init_row(k, g, lam, d):
+    """Row k of the integral GSO data from the Gram entries g(k, j), j <= k."""
     for j in range(k + 1):
         u = g(k, j)
         for i in range(j):
@@ -189,8 +203,6 @@ def _init_row(k, g, lam, d):
         if j < k:
             lam[k][j] = u
         else:
-            if u == 0:
-                raise InputError("dependent basis vectors")
             d[k + 1] = u
 
 
@@ -208,13 +220,16 @@ def _compose_history(prev, U_rows):
 
 
 def _certify_lll(basis: LatticeBasis, delta: Fraction):
-    mu, D = gram_schmidt(basis.gram())
+    """Size reduction |mu_ij| <= 1/2 and the Lovasz condition with delta = p/q,
+    checked exactly on the integral GSO data of the basis's own Gram."""
+    lam, d = integral_gso(basis.int_gram())
     for i in range(basis.rank):
         for j in range(i):
-            if 2 * abs(mu[i][j]) > 1:
+            if 2 * abs(lam[i][j]) > d[j + 1]:
                 raise InternalError("LLL output is not size-reduced")
+    p, q = delta.numerator, delta.denominator
     for i in range(1, basis.rank):
-        if D[i] < (delta - mu[i][i - 1] ** 2) * D[i - 1]:
+        if q * (d[i + 1] * d[i - 1] + lam[i][i - 1] ** 2) < p * d[i] ** 2:
             raise InternalError("LLL output violates the Lovasz condition")
 
 
@@ -247,17 +262,23 @@ def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
     """True when the two bases span the same lattice."""
     if a.ambient_dim != b.ambient_dim or a.rank != b.rank:
         return False
-    A = ExactMatrix.from_columns(QQ, [list(c) for c in a.columns])
-    B = ExactMatrix.from_columns(QQ, [list(c) for c in b.columns])
     if a.rank != a.ambient_dim:
-        # compare via pairwise membership on the Gram level
         raise InputError("lattice_equal requires full-rank bases")
-    try:
-        X = A.inverse() @ B
-    except InputError:
+    n = a.rank
+    den = math.lcm(a._den, b._den)
+    fa, fb = den // a._den, den // b._den
+    # for a nonsingular A, [A | B] reduces to [d I | d A^-1 B] with d = det A
+    red, pivots = int_gauss_jordan(
+        [[fa * c[i] for c in a._ints] + [fb * c[i] for c in b._ints] for i in range(n)]
+    )
+    if pivots != list(range(n)):
         return False
-    ints = all(x.denominator == 1 for row in X.entries for x in row)
-    return ints and abs(X.det()) == 1
+    d = red[0][0]
+    if any(x % d for row in red for x in row[n:]):
+        return False
+    # X = A^-1 B is integral; the lattices agree when |det X| = |det B| / |det A| = 1
+    X, pivots = int_gauss_jordan([[x // d for x in row[n:]] for row in red])
+    return len(pivots) == n and abs(X[-1][-1]) == 1
 
 
 # -- constants ---------------------------------------------------------------
@@ -370,50 +391,50 @@ def short_vectors(
     Returns (coefficients, squared norm) pairs ordered by norm then
     lexicographic coefficients; each class is represented with its first
     nonzero coefficient positive.  Raises EnumerationBudgetError once more
-    than ``budget`` nodes, at any level, have been visited.
+    than ``budget`` nodes, at any level, have been visited, and does so
+    before sweeping a level whose admissible range would take it there.
     """
     k = len(gram)
     bound_sq = _norm_bound_sq(norm_bound)
-    mu, D = gram_schmidt(gram)
+    # Fincke-Pohst on the integral GSO data of the integer Gram G = s gram.
+    # The partial vector v = sum_{l >= i} x_l b_l is admissible at level i
+    # when its projection pi_i(v) away from b_0..b_{i-1} has G(pi_i v) <=
+    # B = s bound_sq.  e_i = d_i G(pi_i v) is a Gram determinant, hence an
+    # integer, and with t = d_{i+1} x_i + sum_{l > i} lam_li x_l it is
+    # e_i = (d_i e_{i+1} + t^2) / d_{i+1}.
+    rows = [[Fraction(x) for x in row] for row in gram]
+    s = math.lcm(*(x.denominator for row in rows for x in row))
+    lam, d = integral_gso([[x.numerator * (s // x.denominator) for x in row] for row in rows])
+    bn, bd = (bound_sq * s).as_integer_ratio()
     results: list[tuple[tuple[int, ...], Fraction]] = []
     x = [0] * k
-    # center of the admissible interval at each level, given choices above
-    centers = [Fraction(0)] * k
     visited = 0
 
-    def descend(level: int, remaining: Fraction):
+    def descend(level: int, e_above: int):
         nonlocal visited
-        c = centers[level]
-        # scan the contiguous admissible range outward from the center
-        start = -c
-        base = math.floor(start) if start.denominator > 1 else int(start)
-        for first, step in ((base, -1), (base + 1, 1)):
-            xi = first
-            while True:
-                diff = xi + c
-                used = D[level] * diff * diff
-                if used > remaining:
-                    break
-                x[level] = xi
-                visited += 1
-                if budget is not None and visited > budget:
-                    raise EnumerationBudgetError("short vector enumeration budget exceeded")
-                if level == 0:
-                    if any(x):
-                        norm_sq = bound_sq - (remaining - used)
-                        results.append((tuple(x), norm_sq))
-                else:
-                    nxt = level - 1
-                    centers[nxt] = sum(
-                        (mu[l][nxt] * x[l] for l in range(nxt + 1, k)), Fraction(0)
-                    )
-                    descend(nxt, remaining - used)
-                xi += step
+        dl, dn = d[level], d[level + 1]
+        c = sum(lam[l][level] * x[l] for l in range(level + 1, k))
+        # e_level * bd <= bn * dl, that is t^2 <= dl (bn dn - bd e_above) / bd
+        t_max = math.isqrt(dl * (bn * dn - bd * e_above) // bd)
+        lo, hi = -((t_max + c) // dn), (t_max - c) // dn
+        if lo > hi:
+            return
+        visited += hi - lo + 1
+        if budget is not None and visited > budget:
+            raise EnumerationBudgetError("short vector enumeration budget exceeded")
+        for xi in range(lo, hi + 1):
+            x[level] = xi
+            t = dn * xi + c
+            e = (dl * e_above + t * t) // dn
+            if level:
+                descend(level - 1, e)
+            elif any(x):
+                results.append((tuple(x), Fraction(e, s)))
         x[level] = 0
 
     try:
         if k:
-            descend(k - 1, bound_sq)
+            descend(k - 1, 0)
     finally:
         descend = None  # the closure refers to itself; break the cycle
     canonical = []

@@ -29,7 +29,6 @@ from matsplit.fixtures import (
 from matsplit.lattice import (
     LatticeBasis,
     c_m,
-    gram_schmidt,
     lll_reduce,
     min_norm_by_matrix_rank,
     min_rank_floor,
@@ -51,6 +50,8 @@ from matsplit.splitter import (
     split_imag_quad,
     split_over_Q,
 )
+
+from lattice_oracle import gram_schmidt
 
 TOL = 1e-12
 GEOM_TOL = 1e-9

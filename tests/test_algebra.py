@@ -334,6 +334,23 @@ class TestKernelsAgainstOracles:
         assert _associativity_oracle(table) == []
         assert validate(table) == []
 
+    @pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+    def test_trace_gram_det_over_q_matches_sympy(self, n, seed):
+        rng = random.Random(200 + seed)
+        table = generate_instance(n, QQ, 10, seed).table
+        m = table.m
+        # denominators all over the table, so that d^(2m) has to be divided out
+        table = _rescaled(table, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m)])
+        bad = _perturbed(table, rng.randrange(m), rng.randrange(m), rng.randrange(m), Fraction(1, 7))
+        zero = StructureConstants(QQ, [[[0] * m for _ in range(m)] for _ in range(m)])
+        for t in (table, bad, zero, generate_instance(n, QQ, 0).table):
+            units = [unit(t, j) for j in range(m)]
+            gram = _definitional_gram(t, units)
+            expected = sympy.Matrix([[_to_sympy(x) for x in row] for row in gram.entries]).det()
+            assert t._trace_gram_det() == Fraction(int(expected.p), int(expected.q))
+        # the trace form of M_n has signature (n(n+1)/2, n(n-1)/2)
+        assert (generate_instance(n, QQ, 0).table._trace_gram_det() < 0) == (n * (n - 1) // 2 % 2 == 1)
+
     @pytest.mark.parametrize(
         "n, field, seed",
         [(2, "Q", 0), (2, "Q", 5), (3, "Q", 1), (3, "Q", 2), (2, "gauss", 3), (2, "eisenstein", 4)],

@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,24 @@ class TestLatticeCommands:
         result = runner.invoke(main, ["enumerate", "--bound", "1.5"], input=json.dumps(lattice))
         assert result.exit_code == 3, result.output
         assert "enumeration budget exceeded" in result.output
+
+    @pytest.mark.parametrize("lattice", ["A2-stretched", "Z2-skewed", "tiny-rank-one"])
+    def test_enumerate_refuses_long_listings_at_once(self, runner, lattice):
+        # at the default budget of 10^6 nodes; each level's admissible range
+        # is counted before it is swept, so the refusal takes no sweep at all
+        if lattice == "A2-stretched":
+            payload = json.loads(run_ok(runner, ["fixture", "--name", "A2"]).output)
+            payload["basis"][0][0] = str(10**40)
+        elif lattice == "Z2-skewed":
+            payload = {"dim": 2, "basis": [[str(10**40), "1"], ["1", "0"]]}
+        else:
+            payload = {"dim": 1, "basis": [["1/100000000000000000000"]]}
+        start = time.perf_counter()
+        result = runner.invoke(main, ["enumerate", "--bound", "1.5"], input=json.dumps(payload))
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 3, result.output
+        assert "enumeration budget exceeded" in result.output
+        assert elapsed < 1.0
 
     def test_tensor_experiment(self, runner):
         result = run_ok(runner, ["tensor-experiment"])

@@ -13,6 +13,7 @@ from matsplit.exactnum import (
     Field,
     QuadScalar,
     determinant,
+    int_gauss_jordan,
     kernel_basis,
     matrix_rank,
     solve_linear,
@@ -171,3 +172,28 @@ class TestMatrixOps:
         # det = 1 - (-i * i) = 1 - 1 = 0
         assert determinant(M).is_zero()
         assert matrix_rank(M) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda k: st.lists(
+                st.lists(st.integers(min_value=-9, max_value=9), min_size=k, max_size=k),
+                min_size=k,
+                max_size=k,
+            )
+        )
+    )
+    def test_bareiss_last_pivot_is_the_signed_determinant(self, rows):
+        k = len(rows)
+        M = ExactMatrix(QQ, rows)
+        d = determinant(M)
+        red, pivots = int_gauss_jordan([row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)])
+        if d == 0:
+            assert pivots[:k] != list(range(k))
+            return
+        assert pivots == list(range(k)) and red[-1][k - 1] == d
+        # [M | I] reduces to [d I | d M^-1]
+        inv = M.inverse()
+        for i, row in enumerate(red):
+            assert row[:k] == [d if j == i else 0 for j in range(k)]
+            assert row[k:] == [d * x for x in inv.row(i)]

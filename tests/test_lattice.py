@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
@@ -22,7 +24,7 @@ from matsplit.lattice import (
     c_m,
     dual_basis,
     gamma_pow,
-    gram_schmidt,
+    integral_gso,
     hermite_gamma,
     hermite_upper,
     lattice_equal,
@@ -37,7 +39,12 @@ from matsplit.lattice import (
     tensor_product,
     trace_product_check,
 )
-from matsplit.orders import hnf_columns
+from matsplit.embed import embed_order, rationalize, split_numeric
+from matsplit.orders import hnf_columns, maximal_order
+from matsplit.splitter import generate_instance
+
+import lattice_oracle as oracle
+from lattice_oracle import gram_schmidt
 
 SQRT3 = math.sqrt(3)
 
@@ -259,22 +266,7 @@ class TestEnumeration:
                 math.sqrt(float(gram[i][i])) for i in range(3)) + 1e-9)[0][1]))
             bound = 3 * lam
             got = {c for c, _ in short_vectors(gram, bound)}
-            # oracle: coefficient box from the Lenstra bound, checked exactly
-            defect = orthogonality_defect(b)
-            width = [
-                int(math.floor(defect * bound / math.sqrt(float(gram[i][i])))) + 1
-                for i in range(3)
-            ]
-            expected = set()
-            bound_sq = Fraction(bound) ** 2
-            for coeffs in product(*(range(-w, w + 1) for w in width)):
-                if not any(coeffs):
-                    continue
-                nsq = _qform(gram, coeffs)
-                if nsq <= bound_sq:
-                    lead = next(c for c in coeffs if c)
-                    expected.add(coeffs if lead > 0 else tuple(-c for c in coeffs))
-            assert got == expected
+            assert got == {c for c, _ in _box_oracle(b, bound)}
 
     def test_norm_then_lex_order(self):
         vecs = short_vectors(a2_basis().gram(), 2.0)
@@ -349,6 +341,25 @@ class TestEnumeration:
             gc.enable()
 
 
+def _box_oracle(b, bound):
+    """Sorted (coeffs, norm^2) classes in the Lenstra coefficient box, checked exactly."""
+    gram = b.gram()
+    defect = orthogonality_defect(b)
+    width = [
+        int(math.floor(defect * bound / math.sqrt(float(gram[i][i])))) + 1
+        for i in range(b.rank)
+    ]
+    expected = []
+    bound_sq = Fraction(bound) ** 2
+    for coeffs in product(*(range(-w, w + 1) for w in width)):
+        if not any(coeffs):
+            continue
+        nsq = _qform(gram, coeffs)
+        if nsq <= bound_sq and next(c for c in coeffs if c) > 0:
+            expected.append((coeffs, nsq))
+    return sorted(expected, key=lambda cv: (cv[1], cv[0]))
+
+
 def _qform(gram, coeffs):
     acc = Fraction(0)
     for i, ci in enumerate(coeffs):
@@ -358,6 +369,222 @@ def _qform(gram, coeffs):
                 if coeffs[j]:
                     acc += 2 * gram[i][j] * ci * coeffs[j]
     return acc
+
+
+class TestIntegralGSO:
+    def test_matches_the_fraction_gso(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            b = random_integral_basis(rng, rng.randint(1, 6), entry=9)
+            lam, d = integral_gso(b.int_gram())
+            mu, D = gram_schmidt(b.gram())
+            for i in range(b.rank):
+                assert D[i] == Fraction(d[i + 1], d[i])
+                for j in range(i):
+                    assert mu[i][j] == Fraction(lam[i][j], d[j + 1])
+
+    @pytest.mark.parametrize(
+        "gram", [[[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]], [[-1]], [[4, 2, 0], [2, 1, 0], [0, 0, 5]]]
+    )
+    def test_rejects_what_the_oracle_rejects(self, gram):
+        with pytest.raises(InputError) as ours:
+            integral_gso(gram)
+        with pytest.raises(InputError) as theirs:
+            gram_schmidt([[Fraction(x) for x in row] for row in gram])
+        assert str(ours.value) == str(theirs.value) == "Gram matrix is not positive definite"
+
+
+def _certificate_verdict(certify, basis):
+    try:
+        certify(basis, Fraction(3, 4))
+    except InternalError as exc:
+        return str(exc)
+    return None
+
+
+class TestCertificateAgainstOracle:
+    """The integer certificate rejects reduced bases broken on purpose, with
+    the message the Fraction certificate gives."""
+
+    SIZE = "LLL output is not size-reduced"
+    LOVASZ = "LLL output violates the Lovasz condition"
+
+    @staticmethod
+    def _reduced_bases():
+        rng = random.Random(4099)
+        for _ in range(16):
+            rank = rng.randint(3, 6)
+            b = random_integral_basis(rng, rank, entry=20)
+            # stretch the columns apart so that reduced vectors differ in length
+            cols = [tuple(x * (j + 1) ** 2 for x in c) for j, c in enumerate(b.columns)]
+            yield lll_reduce(LatticeBasis(cols))
+
+    def _assert_rejected_alike(self, mutant, want=None):
+        ours = _certificate_verdict(_certify_lll, mutant)
+        assert ours is not None
+        assert ours == _certificate_verdict(oracle.certify_lll, mutant)
+        if want is not None:
+            assert ours == want
+        return ours
+
+    def test_reduced_bases_pass_both(self):
+        for r in self._reduced_bases():
+            assert _certificate_verdict(_certify_lll, r) is None
+            assert _certificate_verdict(oracle.certify_lll, r) is None
+
+    def test_breaking_size_reduction(self):
+        for r in self._reduced_bases():
+            cols = list(r.columns)
+            # b_2 += 5 b_1 moves mu_21 by 5
+            cols[1] = tuple(x + 5 * y for x, y in zip(cols[1], cols[0]))
+            self._assert_rejected_alike(LatticeBasis(cols), self.SIZE)
+
+    def test_swapping_a_short_and_a_long_vector(self):
+        seen = []
+        for r in self._reduced_bases():
+            norms = [r.norm_sq(j) for j in range(r.rank)]
+            longest = norms.index(max(norms))
+            # with |b_long|^2 > 2 max(|b_1|^2, |b_2|^2) the swapped pair cannot
+            # meet both conditions
+            if longest < 2 or norms[longest] <= 2 * max(norms[:2]):
+                continue
+            cols = list(r.columns)
+            cols[0], cols[longest] = cols[longest], cols[0]
+            seen.append(self._assert_rejected_alike(LatticeBasis(cols)))
+        assert len(seen) >= 8 and self.LOVASZ in seen
+
+    def test_the_conditions_hold_up_to_their_boundaries(self):
+        # mu_10 = 1/2 exactly is size-reduced, 11/20 is not
+        assert _certificate_verdict(_certify_lll, LatticeBasis([(2, 0), (1, 5)])) is None
+        self._assert_rejected_alike(LatticeBasis([(2, 0), (Fraction(11, 10), 5)]), self.SIZE)
+        self._assert_rejected_alike(LatticeBasis([(1, 0), (1, 5)]), self.SIZE)
+        # (2, 0), (1, 1): D_1 = 1 = (delta - mu^2) D_0 at delta = 1/2
+        tight = LatticeBasis([(2, 0), (1, 1)])
+        for delta, want in ((Fraction(1, 2), None), (Fraction(501, 1000), self.LOVASZ)):
+            assert _certificate_verdict(lambda b, _: _certify_lll(b, delta), tight) == want
+            assert _certificate_verdict(lambda b, _: oracle.certify_lll(b, delta), tight) == want
+
+    def test_swapped_orthogonal_basis_breaks_only_lovasz(self):
+        diag = [tuple(v if i == j else 0 for i in range(4)) for j, v in enumerate((1, 3, 5, 7))]
+        assert _certificate_verdict(_certify_lll, LatticeBasis(diag)) is None
+        diag[0], diag[3] = diag[3], diag[0]
+        self._assert_rejected_alike(LatticeBasis(diag), self.LOVASZ)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_accepts_the_splitters_reduced_bases(self, n):
+        # the lattice split() reduces at its default 128 bits
+        inst = generate_instance(n, "Q", 10, 1)
+        order = maximal_order(inst.table, 10**6)
+        emb = split_numeric(inst.table, order, 128, seed=1)
+        reduced = lll_reduce(rationalize(embed_order(emb, order), 2**64))
+        assert reduced.rank == n * n
+        assert _certificate_verdict(_certify_lll, reduced) is None
+        if n == 6:
+            assert _certificate_verdict(oracle.certify_lll, reduced) is None
+
+
+# denominators as in the embedded lattices (2^64) mixed with small ones
+DENOMINATORS = [1, 2, 3, 10, 2**64, 3 * 2**64]
+
+
+@st.composite
+def rational_bases(draw, max_rank=4, max_num=40):
+    k = draw(st.integers(1, max_rank))
+    cols = []
+    for _ in range(k):
+        den = draw(st.sampled_from(DENOMINATORS))
+        scale = den if den > 10 else 1
+        nums = draw(st.lists(st.integers(-max_num * scale, max_num * scale), min_size=k, max_size=k))
+        cols.append(tuple(Fraction(x, den) for x in nums))
+    assume(ExactMatrix.from_columns(QQ, [list(c) for c in cols]).det() != 0)
+    return LatticeBasis(cols)
+
+
+@st.composite
+def unimodular(draw, k):
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 3 * k))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        c = draw(st.integers(-3, 3))
+        if i != j:
+            U = [row[:j] + [row[j] + c * row[i]] + row[j + 1:] for row in U]
+    if draw(st.booleans()):
+        # det U = -1
+        U = [[-row[0]] + row[1:] for row in U]
+    return U
+
+
+def _transformed(basis, X):
+    """The basis with columns B_j = sum_i X[i][j] A_i."""
+    k = basis.rank
+    return LatticeBasis(
+        [tuple(sum(X[i][j] * basis.columns[i][r] for i in range(k)) for r in range(k)) for j in range(k)]
+    )
+
+
+def _diag_times(U, diag):
+    return [[x * diag[j] for j, x in enumerate(row)] for row in U]
+
+
+class TestLatticeEqualAgainstOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_unimodular_images_are_equal(self, data):
+        a = data.draw(rational_bases())
+        b = _transformed(a, data.draw(unimodular(a.rank)))
+        assert lattice_equal(a, b) and lattice_equal(b, a)
+        assert oracle.lattice_equal(a, b)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_other_lattices_differ(self, data):
+        a = data.draw(rational_bases())
+        U = data.draw(unimodular(a.rank))
+        k = a.rank
+        rest = [1] * (k - 1)
+        transforms = [
+            _diag_times(U, [2] + rest),  # a sublattice of index 2
+            _diag_times(U, [Fraction(1, 2)] + rest),  # a non-integral transform
+        ]
+        if k > 1:
+            # |det| = 1, and still another lattice
+            transforms.append(_diag_times(U, [2, Fraction(1, 2)] + rest[1:]))
+        for X in transforms:
+            b = _transformed(a, X)
+            assert not lattice_equal(a, b) and not lattice_equal(b, a)
+            assert not oracle.lattice_equal(a, b)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_the_oracle(self, data):
+        a = data.draw(rational_bases(max_rank=3, max_num=3))
+        b = data.draw(rational_bases(max_rank=3, max_num=3))
+        assume(a.rank == b.rank)
+        assert lattice_equal(a, b) == oracle.lattice_equal(a, b)
+
+    def test_singular_bases_are_not_equal(self):
+        singular = LatticeBasis([(1, 2), (2, 4)])
+        assert not lattice_equal(singular, z2_basis())
+        assert not lattice_equal(z2_basis(), singular)
+        assert not oracle.lattice_equal(singular, z2_basis())
+
+
+class TestShortVectorsAgainstOracles:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        basis=rational_bases(max_rank=4, max_num=6),
+        factor=st.fractions(Fraction(1, 2), Fraction(2), max_denominator=16),
+    )
+    def test_fraction_fincke_pohst_and_the_box(self, basis, factor):
+        reduced = lll_reduce(basis)
+        gram = reduced.gram()
+        bound = math.sqrt(float(min(gram[i][i] for i in range(reduced.rank)))) * float(factor)
+        got = short_vectors(gram, bound)
+        assert got == oracle.short_vectors(gram, bound) == _box_oracle(reduced, bound)
+        # the unreduced Gram lists the same lattice vectors
+        raw = short_vectors(basis.gram(), bound)
+        assert raw == oracle.short_vectors(basis.gram(), bound)
+        assert sorted(n for _, n in raw) == sorted(n for _, n in got)
 
 
 class TestBoxEnumerate:
