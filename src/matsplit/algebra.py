@@ -9,6 +9,7 @@ Every exact kernel runs on one integer form: a K-vector becomes its
 (omega = i, or (1 + sqrt(-3))/2, and omega^2 = t omega - 1 with t = 0 or 1;
 over Q the values themselves), denominators cleared.  Over Q(i) and
 Q(sqrt(-3)) the table becomes that of the rank-2m restriction of scalars.
+The identity, the rank test and the witness eliminate fraction-free on it.
 """
 
 from __future__ import annotations
@@ -114,11 +115,11 @@ class StructureConstants:
 
         e = sum_i e_i a_i must solve sum_i e_i gamma_ijk = [j == k] (that is
         e a_j = a_j) and sum_i e_i gamma_jik = [j == k] (a_j e = a_j).  The
-        scan reduces these 2m^2 equations one at a time against the pivot
-        rows kept so far and stops at m pivots.  A two-sided identity is
-        unique when it exists (e = e e' = e'), so it is the solution of those
-        m rows, and substituting that solution into all 2m^2 equations, in
-        O(m^3) integer operations, decides whether it is one.
+        scan reduces these 2m^2 integer equations one at a time, fraction-free,
+        against the rows kept so far and divides only to back-substitute its m
+        pivot rows.  A two-sided identity is unique when it exists (e = e e'
+        = e'), so it is their solution, and substituting it into all 2m^2
+        equations, in O(m^3) integer operations, decides whether it is one.
         """
         if self._identity is None:
             self._identity = self._solve_identity()
@@ -133,35 +134,35 @@ class StructureConstants:
         def equations():
             for j in range(m):
                 for k in range(w):
-                    yield [G[i][j][k] for i in range(w)], d if j == k else 0
+                    yield [G[i][j][k] for i in range(w)] + [d if j == k else 0]
             for j in range(m):
                 for k in range(w):
-                    yield [G[j][i][k] for i in range(w)], d if j == k else 0
+                    yield [G[j][i][k] for i in range(w)] + [d if j == k else 0]
 
-        # (column, row scaled to 1 there, right-hand side); each row is zero
-        # in the columns of the pivots kept before it
+        # (column, row): an integer row [coefficients | rhs], divided by its
+        # content, that is zero in the columns of the pivots kept before it
         pivots = []
-        for row, rhs in equations():
-            for c, p, b in pivots:
+        for row in equations():
+            for c, p in pivots:
                 f = row[c]
                 if f:
-                    row = [x - f * y for x, y in zip(row, p)]
-                    rhs = rhs - f * b
-            c = next((c for c, x in enumerate(row) if x), None)
+                    row = [p[c] * x - f * y for x, y in zip(row, p)]
+            c = next((c for c, x in enumerate(row[:w]) if x), None)
             if c is None:
-                if rhs:
+                if row[w]:
                     raise NoIdentityError("the table has no two-sided identity")
                 continue
-            inv = Fraction(1) / row[c]
-            pivots.append((c, [inv * x for x in row], inv * rhs))
+            g = math.gcd(*row)
+            pivots.append((c, [x // g for x in row]))
             if len(pivots) == w:
                 break
         if len(pivots) < w:
             raise NoIdentityError("the table has no two-sided identity")
         e = [0] * w
-        for c, p, b in reversed(pivots):
-            # the other nonzero columns of p are pivots kept later, solved already
-            e[c] = b - sum(x * e[k] for k, x in enumerate(p) if x and k != c)
+        for c, p in reversed(pivots):
+            # e[c] is still 0, and the other nonzero columns of p are pivots
+            # kept later, solved already
+            e[c] = Fraction(p[w] - sum(x * y for x, y in zip(p, e)), p[c])
         E, de = _integral(QQ, e)
         nz = [(i, x) for i, x in enumerate(E) if x]
         for j in range(m):
@@ -399,15 +400,18 @@ def left_regular(x: AlgebraElement) -> ExactMatrix:
 def ideal_rank(C: AlgebraElement, n: int | None = None) -> int:
     """Rank of C as a matrix under any isomorphism to M_n(K).
 
-    Computed exactly as dim(C*A) / n from the regular representation, so the
-    answer never depends on floating point.  Raises PromiseViolation when the
-    dimension is not divisible by n, which cannot happen for a genuine full
-    matrix algebra.
+    Computed exactly as dim(C*A) / n from the columns C b_j over the basis
+    b_j of the integer table, whose rank over Q is 2 dim_K(C*A) over Q(i) and
+    Q(sqrt(-3)).  Raises PromiseViolation when the dimension is not divisible
+    by n, which cannot happen for a genuine full matrix algebra.
     """
     table = C.table
     if n is None:
         n = table.n
-    dim = table.left_regular(C.coords).rank()
+    G, _ = table._integral_gamma()
+    E, _ = _integral(table.field, C.coords)
+    cols = [_combination(E, [gi[j] for gi in G]) for j in range(len(G))]
+    dim = len(int_gauss_jordan(cols)[1]) * table.m // len(G)
     if dim % n != 0:
         raise PromiseViolation(
             f"dim(C*A) = {dim} is not divisible by n = {n}; "
@@ -420,25 +424,33 @@ def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> Isomorphi
     """Explicit isomorphism A -> M_n(K) from a rank one element C.
 
     phi(a_i) is left multiplication by a_i on the left ideal A*C (dimension
-    n), checked exactly by witness_problems.  The columns of the right
-    regular matrix of C are the a_k C; the first n rows X of its reduced
-    echelon form give a_k C = sum_t X[t][k] w_t over the pivot columns
-    w_t = a_{p_t} C.  By associativity a_i w_t = (a_i a_{p_t}) C =
-    sum_k gamma_{i p_t k} a_k C, so column t of phi(a_i) is
+    n), checked exactly by witness_problems.  int_gauss_jordan of the columns
+    b_q C over the integer table, each omega a_k C right after its a_k C,
+    gives a_k C = sum_t X[t][k] w_t over the pivots w_t = a_{p_t} C; over
+    Q(i) and Q(sqrt(-3)) the pivots come in pairs (w_t, omega w_t), whose two
+    reduced rows hold the (1, omega) coordinates of X[t][k].  By
+    associativity a_i w_t = (a_i a_{p_t}) C, so column t of phi(a_i) is
     sum_k gamma_{i p_t k} X[.][k]; on a table that is not associative these
-    images fail the check.  C has rank one when there are n pivots, since
-    dim(A C) = n rank(C) in M_n(K).
+    images fail the check.  C has rank one when there are n pivots over K,
+    since dim(A C) = n rank(C) in M_n(K).
     """
-    n = table.n
-    rmat = table.right_regular(C.coords)
-    X, pivots = rmat._echelon()
-    if len(pivots) != n:
+    n, m, field = table.n, table.m, table.field
+    G, d = table._integral_gamma()
+    E, D = _integral(field, C.coords)
+    h = len(G) // m  # Q-pivots per K-pivot
+    order = [q for k in range(m) for q in range(k, len(G), m)]  # a_k, then omega a_k
+    cols = [_combination(E, G[q]) for q in order]
+    red, pivots = int_gauss_jordan([list(r) for r in zip(*cols)])
+    if len(pivots) != h * n:
         raise InputError("build_isomorphism requires a rank one element")
-    zero = table.field.zero()
-    images = [
-        ExactMatrix(table.field, [[_dot(gi[p], row, zero) for p in pivots] for row in X[:n]])
-        for gi in table.gamma
-    ]
+    dp = red[0][pivots[0]]  # every pivot entry is the signed last pivot
+    images = []
+    for gi in G[:m]:
+        # row h t + s of red is coordinate s along w_t, d a_i a_{p_t} dotted with it
+        prods = [[gi[order[c]][q] for q in order] for c in pivots[::h]]
+        x = lift_coords(field, [Fraction(_int_dot(g, red[h * r + s]), d * dp)
+                                for s in range(h) for r in range(n) for g in prods])
+        images.append(ExactMatrix(field, [x[r * n:(r + 1) * n] for r in range(n)]))
     problems = witness_problems(table, images)
     if problems.pairs:
         raise InternalError(f"multiplicativity fails on the basis pair {problems.pairs[0]}")
@@ -449,8 +461,9 @@ def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> Isomorphi
             "the images of the basis are linearly dependent: A -> M_n(K) is not "
             "injective, so the algebra is not simple"
         )
+    ideal = [lift_coords(field, [Fraction(v, d * D) for v in cols[c]]) for c in pivots[::h]]
     return IsomorphismWitness(
-        left_ideal_basis=tuple(AlgebraElement(table, rmat.column(p)) for p in pivots),
+        left_ideal_basis=tuple(AlgebraElement(table, x) for x in ideal),
         images=tuple(images),
         rank_one_element=C,
     )
@@ -519,6 +532,10 @@ def _pair_sides(P: Sequence[list], coeffs: Sequence, d, D, n: int):
             yield i, j, lhs, [D * a for a in _combination(coeffs[i][j], P)]
 
 
+def _int_dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(x, y) if a)
+
+
 def _combination(coeffs: Sequence, P: Sequence[list]) -> list:
     """sum_k coeffs[k] P_k over flat lists, skipping zero coefficients."""
     acc = [0] * len(P[0])
@@ -554,8 +571,6 @@ def witness_residual(table: StructureConstants, witness: IsomorphismWitness):
 
 def matrix_units_table(n: int, field: Field = None) -> StructureConstants:
     """Structure constants of M_n on the matrix-unit basis E_11, E_12, ..."""
-    from .exactnum import QQ
-
     field = field or QQ
     if n < 1:
         raise InputError("n must be positive")

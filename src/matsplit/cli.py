@@ -53,7 +53,10 @@ from .quadfield import (
 
 def _default_seed() -> int:
     env = os.environ.get("MATSPLIT_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise InputError(f"MATSPLIT_SEED must be an integer, not {env!r}") from None
 
 
 def _exit_code(exc: MatsplitError) -> int:
@@ -245,7 +248,7 @@ def lll(path, delta, output):
 def enumerate(path, bound, output):
     """List all short vector classes up to the bound, in norm order."""
     basis = serialize.lattice_from_json(_read_checked(path, "lattice"))
-    vecs = short_vectors(basis.gram(), bound, budget=splitter.SplitConfig.enumeration_budget)
+    vecs = short_vectors(basis.gram(), bound, budget=splitter.ENUMERATION_BUDGET)
     payload = {
         "count": len(vecs),
         "vectors": [

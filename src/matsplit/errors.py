@@ -22,7 +22,7 @@ class PrecisionError(MatsplitError):
 
 
 class BudgetError(MatsplitError):
-    """A configurable work budget was exhausted."""
+    """A work budget was exhausted."""
 
 
 class FactorBudgetError(BudgetError):

@@ -1,8 +1,9 @@
 """Exact scalar and matrix arithmetic over Q and imaginary quadratic fields.
 
 Scalars are ``fractions.Fraction`` over Q, or :class:`QuadScalar` values
-a + b*sqrt(-d) with rational a, b over Q(sqrt(-d)).  Matrices do plain
-rational Gaussian elimination; every operation is exact.
+a + b*sqrt(-d) with rational a, b over Q(sqrt(-d)); every operation is exact.
+The split pipeline eliminates with the fraction-free ``int_gauss_jordan``;
+``ExactMatrix`` elimination serves the public API and determinants over K.
 """
 
 from __future__ import annotations

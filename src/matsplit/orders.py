@@ -25,6 +25,7 @@ from typing import Sequence
 from .algebra import (
     AlgebraElement,
     StructureConstants,
+    _int_dot,
     _integral,
     _omega_times,
     lift_coords,
@@ -451,10 +452,6 @@ class Order:
 
     def __repr__(self):
         return f"Order(dim={self.table.m} over {self.table.field})"
-
-
-def _int_dot(x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(x, y) if a)
 
 
 def _int_products(C: Sequence[Sequence[int]], G) -> list[list[list[int]]]:
@@ -1000,7 +997,6 @@ def factor_integer(n: int, budget: int = 10**6) -> dict[int, int]:
 
 def maximal_order(
     table: StructureConstants,
-    factor_budget: int = 10**6,
     disc_trace: list | None = None,
 ) -> Order:
     """Saturate the initial order at every prime whose square divides the
@@ -1023,7 +1019,7 @@ def maximal_order(
         )
     if disc_trace is not None:
         disc_trace.append(abs(int(disc)))
-    factors = factor_integer(int(disc), factor_budget)
+    factors = factor_integer(int(disc))
     for p in sorted(q for q, e in factors.items() if e >= 2):
         order = _saturate_at_prime(order, p)
         if disc_trace is not None:

@@ -43,15 +43,14 @@ from .lattice import (
 from .orders import Order, maximal_order
 
 MAX_RATIONAL_SIZE = 43
+MAX_PRECISION_BITS = 4096  # the numerical stage doubles its precision up to this
+ENUMERATION_BUDGET = 10**6  # nodes per short-vector listing
 
 
 @dataclass
 class SplitConfig:
     seed: int = 0
     precision_bits: int = 128
-    max_precision_bits: int = 4096
-    factor_budget: int = 10**6
-    enumeration_budget: int = 10**6
     engine: str = "ordered"  # "ordered" or "box"; "box" is for Q only
     dynamic_pruning: bool = False  # shrinks the box online; needs engine="box"
 
@@ -62,13 +61,8 @@ class SplitConfig:
             raise InputError("dynamic pruning needs the box engine")
         if self.precision_bits < 64:
             raise InputError("precision_bits must be at least 64")
-        if self.precision_bits > self.max_precision_bits:
-            raise InputError(
-                f"precision_bits {self.precision_bits} exceeds "
-                f"max_precision_bits {self.max_precision_bits}"
-            )
-        if self.factor_budget <= 0 or self.enumeration_budget <= 0:
-            raise InputError("budgets must be positive")
+        if self.precision_bits > MAX_PRECISION_BITS:
+            raise InputError(f"precision_bits {self.precision_bits} exceeds {MAX_PRECISION_BITS}")
 
 
 @dataclass
@@ -120,8 +114,8 @@ def split(
     K = Q needs n <= 43 and searches with ``config.engine``; K = Q(i) or
     Q(sqrt(-3)) needs n = 2 and rank-tests the minimal-norm class.  The
     numerical stage is retried at doubled precision up to
-    ``config.max_precision_bits``.  ``order`` skips the maximal order
-    computation (and leaves ``disc_trace`` empty).
+    MAX_PRECISION_BITS.  ``order`` skips the maximal order computation (and
+    leaves ``disc_trace`` empty).
     """
     config = config or SplitConfig()
     field = table.field
@@ -145,14 +139,14 @@ def split(
     start = time.monotonic()
     disc_trace: list = []
     if order is None:
-        order = maximal_order(table, config.factor_budget, disc_trace=disc_trace)
+        order = maximal_order(table, disc_trace=disc_trace)
     precision = config.precision_bits
     while True:
         try:
             emb = split_numeric(table, order, precision, seed=config.seed)
             break
         except PrecisionError:
-            if 2 * precision > config.max_precision_bits:
+            if 2 * precision > MAX_PRECISION_BITS:
                 raise
             precision *= 2
     embedded = embed_order(emb, order)
@@ -229,7 +223,7 @@ def _search_ordered(table, config, reduced, gram, lift, slack, pert):
     ladder = [_first_bound(gram, reduced.rank, slack, pert), full_bound, 2 * full_bound]
     nodes = 0
     for bound in ladder:
-        vecs = short_vectors(gram, bound, budget=config.enumeration_budget)
+        vecs = short_vectors(gram, bound, budget=ENUMERATION_BUDGET)
         for coeffs, nsq in vecs:
             nodes += 1
             element = lift(coeffs)
@@ -260,7 +254,7 @@ def _search_box(table, config, reduced, gram, lift, slack, pert):
         static_bounds,
         dynamic_bounds_fn=dyn_bounds if config.dynamic_pruning else None,
         stats=stats,
-        budget=config.enumeration_budget,
+        budget=ENUMERATION_BUDGET,
     )
     for coeffs in gen:
         nsq = _quadratic_form(gram, coeffs)
@@ -323,7 +317,7 @@ def _search_minimal_class(table, config, reduced, gram, lift, slack, pert):
     over Q(i) at least one member of the class is."""
     # never empty: the bound reaches the shortest basis vector
     vecs = short_vectors(
-        gram, _first_bound(gram, reduced.rank, slack, pert), budget=config.enumeration_budget
+        gram, _first_bound(gram, reduced.rank, slack, pert), budget=ENUMERATION_BUDGET
     )
     lam_sq = float(vecs[0][1])
     class_cut = lam_sq * (1 + slack) ** 2 + 2 * pert
@@ -463,17 +457,8 @@ def instance_from_base_change(
     table: StructureConstants, rows: Sequence[Sequence], field: Field
 ) -> GeneratedInstance:
     """Instance whose basis is b_i = sum_j rows[i][j] a_j over a given table."""
-    m = table.m
-    M = ExactMatrix(field, [[rows[i][j] for i in range(m)] for j in range(m)])
-    # columns of M are the a-coordinates of the new basis
-    Minv = M.inverse()
-    gamma = []
-    cols = [M.column(i) for i in range(m)]
-    for i in range(m):
-        plane = []
-        for j in range(m):
-            prod = table.multiply(cols[i], cols[j])
-            plane.append(list(Minv.mul_vector(prod)))
-        gamma.append(plane)
-    new_table = StructureConstants(field, gamma)
+    # columns of M are the a-coordinates of the new basis; Order multiplies
+    # any basis on ints, in its own coordinates
+    M = ExactMatrix(field, [list(col) for col in zip(*rows)])
+    new_table = StructureConstants(field, Order(table, M).multiplication_table())
     return GeneratedInstance(table=new_table, base_change=M, field=field)

@@ -164,18 +164,25 @@ class TestIdealRank:
         assert ideal_rank(unit(m2, 0)) == 1
         assert ideal_rank(AlgebraElement(m2, [0, 0, 0, 0])) == 0
 
-    def test_rank_matches_hidden_matrix_rank(self):
+    @pytest.mark.parametrize(
+        "n, field, seed", [(2, "Q", 42), (3, "Q", 5), (2, "gauss", 6), (2, "eisenstein", 7)]
+    )
+    def test_rank_matches_hidden_matrix_rank(self, n, field, seed):
         # oracle: the generator records the isomorphism to matrix units
-        inst = generate_instance(2, QQ, 10, seed=42)
-        rng_elements = [
-            [1, 0, 0, 0],
-            [1, 2, 0, -1],
-            [0, 1, 1, 0],
-            [2, -1, 3, 1],
-        ]
-        for coords in rng_elements:
-            el = AlgebraElement(inst.table, [Fraction(c) for c in coords])
-            assert ideal_rank(el) == inst.hidden_matrix(el.coords).rank()
+        inst = generate_instance(n, FIELDS[field], 10, seed=seed)
+        rng = random.Random(seed)
+        elements = [[rng.randint(-2, 3) for _ in range(inst.table.m)] for _ in range(4)]
+        # U V for U of shape n x r and V of shape r x n has rank r here
+        for r in range(n + 1):
+            U = [[_random_scalar(inst.field, rng) + 5 for _ in range(r)] for _ in range(n)]
+            V = [[_random_scalar(inst.field, rng) + 5 for _ in range(n)] for _ in range(r)]
+            elements.append(_element_of_matrix(inst, U, V))
+        ranks = []
+        for coords in elements:
+            el = AlgebraElement(inst.table, coords)
+            ranks.append(inst.hidden_matrix(el.coords).rank())
+            assert ideal_rank(el) == ranks[-1]
+        assert {0, 1, n} <= set(ranks)
 
     def test_rank_invariant_under_base_change(self, m2):
         inst = generate_instance(2, QQ, 10, seed=9)
@@ -206,6 +213,51 @@ class TestBuildIsomorphism:
         w = build_isomorphism(inst.table, el)
         assert witness_residual(inst.table, w) == 0
         assert w.images[0].rows == 3
+
+
+def _element_of_matrix(inst, U, V):
+    """Coordinates of the element the generator maps to the matrix U V."""
+    n, zero = inst.table.n, inst.field.zero()
+    flat = [sum((u * v for u, v in zip(U[i], [row[j] for row in V])), zero)
+            for i in range(n) for j in range(n)]
+    return inst.base_change.inverse().mul_vector(flat)
+
+
+class TestBuildIsomorphismAgainstEchelon:
+    @pytest.mark.parametrize("n, field", [(2, "Q"), (3, "Q"), (2, "gauss"), (2, "eisenstein")])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_matches_the_echelon_over_the_field(self, n, field, seed):
+        # over Q(i) and Q(sqrt(-3)) a wrong pivot order of the integer
+        # elimination changes the images or the ideal basis
+        rng = random.Random(600 + seed)
+        inst = generate_instance(n, FIELDS[field], 10, seed)
+        for zeros in range(n):
+            # zero rows of u move the pivots of A*C
+            u = [_random_scalar(inst.field, rng) + 5 for _ in range(n)]
+            v = [[_random_scalar(inst.field, rng) + 5 for _ in range(n)]]
+            u[:zeros] = [inst.field.zero()] * zeros
+            C = inst.table.element(_element_of_matrix(inst, [[x] for x in u], v))
+            w = build_isomorphism(inst.table, C)
+            images, ideal = _echelon_witness(inst.table, C)
+            assert list(w.images) == images
+            assert [x.coords for x in w.left_ideal_basis] == ideal
+
+
+def _echelon_witness(table, C):
+    """Images and left ideal basis from the reduced echelon form X of the right
+    regular matrix over K: a_k C = sum_t X[t][k] a_{p_t} C, so column t of
+    phi(a_i) is sum_k gamma_{i p_t k} X[.][k]."""
+    rmat = table.right_regular(C.coords)
+    X, pivots = rmat._echelon()
+    zero = table.field.zero()
+    images = [
+        ExactMatrix(
+            table.field,
+            [[sum((g * x for g, x in zip(gi[p], row)), zero) for p in pivots] for row in X[:table.n]],
+        )
+        for gi in table.gamma
+    ]
+    return images, [rmat.column(p) for p in pivots]
 
 
 def _find_rank_one(table):
@@ -460,6 +512,15 @@ class TestIdentityAndWitnessAgainstOracles:
             _, conv = _sympy_field(table.field)
             assert [conv(x) for x in find_identity(table).coords] == expected
         assert expected is not None or perturb
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_find_identity_on_scaled_matrix_units(self, n, field):
+        # on the basis E_ab / 3 the first basis element is singular, so the
+        # scan needs the equations of several a_j before it has m pivots
+        table = _rescaled(matrix_units_table(n, FIELDS[field]), [Fraction(1, 3)] * n * n)
+        _, conv = _sympy_field(table.field)
+        assert [conv(x) for x in find_identity(table).coords] == _identity_oracle(table)
 
     @pytest.mark.parametrize(
         "n, field, seed", [(2, "Q", 5), (3, "Q", 6), (2, "gauss", 7), (2, "eisenstein", 8)]

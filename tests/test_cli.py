@@ -16,6 +16,7 @@ from matsplit.algebra import (
     WitnessProblems,
     build_isomorphism,
     ideal_rank,
+    matrix_units_table,
     witness_problems,
 )
 from matsplit.cli import _exit_code, main
@@ -181,7 +182,7 @@ class TestLatticeCommands:
     def test_enumerate_keeps_the_split_budget(self, runner, monkeypatch, lattice):
         # each listing is astronomically long; enumerate stops at the split
         # default of 10^6 nodes after seconds, at 10^4 within a fraction of one
-        monkeypatch.setattr(splitter.SplitConfig, "enumeration_budget", 10**4)
+        monkeypatch.setattr(splitter, "ENUMERATION_BUDGET", 10**4)
         result = runner.invoke(main, ["enumerate", "--bound", "1.5"], input=json.dumps(lattice))
         assert result.exit_code == 3, result.output
         assert "enumeration budget exceeded" in result.output
@@ -475,6 +476,21 @@ class TestSeedsAndCodes:
         b = run_ok(runner, ["gen", "--n", "2"], env={"MATSPLIT_SEED": "5"}).output
         c = run_ok(runner, ["gen", "--n", "2"], env={"MATSPLIT_SEED": "6"}).output
         assert a == b and a != c
+
+    @pytest.mark.parametrize(
+        "args", [["gen", "--n", "2"], ["split"], ["tensor-experiment", "--random"]],
+        ids=["gen", "split", "tensor-experiment"],
+    )
+    def test_malformed_env_seed_is_bad_input(self, runner, args):
+        stdin = json.dumps(algebra_to_json(matrix_units_table(2)))
+        result = runner.invoke(main, args, input=stdin, env={"MATSPLIT_SEED": "abc"})
+        assert result.exit_code == 4, result.output
+        assert "MATSPLIT_SEED" in result.output
+        assert not isinstance(result.exception, ValueError)
+
+    def test_empty_env_seed_is_seed_zero(self, runner):
+        a = run_ok(runner, ["gen", "--n", "2"], env={"MATSPLIT_SEED": ""}).output
+        assert a == run_ok(runner, ["gen", "--n", "2", "--seed", "0"]).output
 
     def test_exit_code_mapping(self):
         assert _exit_code(PromiseViolation("x")) == 2

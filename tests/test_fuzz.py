@@ -133,7 +133,7 @@ LATTICE_COMMANDS = [["lll"], ["enumerate", "--bound", "1.5"]]
 def test_mutated_lattice_exits_cleanly(mutant, command):
     # the split default of 10^6 nodes takes seconds to exhaust; a smaller
     # budget ends such a listing sooner, with the same exit code
-    with mock.patch.object(splitter.SplitConfig, "enumeration_budget", 1000):
+    with mock.patch.object(splitter, "ENUMERATION_BUDGET", 1000):
         _run(command, mutant[1])
 
 

@@ -474,7 +474,7 @@ class TestCertificateAgainstOracle:
     def test_accepts_the_splitters_reduced_bases(self, n):
         # the lattice split() reduces at its default 128 bits
         inst = generate_instance(n, "Q", 10, 1)
-        order = maximal_order(inst.table, 10**6)
+        order = maximal_order(inst.table)
         emb = split_numeric(inst.table, order, 128, seed=1)
         reduced = lll_reduce(rationalize(embed_order(emb, order), 2**64))
         assert reduced.rank == n * n

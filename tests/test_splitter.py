@@ -15,6 +15,7 @@ from matsplit.errors import InputError, PromiseViolation
 from matsplit.exactnum import QQ, ExactMatrix, Field
 from matsplit.fixtures import gaussian_lambda_order, quaternion_table
 from matsplit.lattice import hermite_gamma
+from matsplit.serialize import result_to_json, verify_result_json
 from matsplit.splitter import (
     SplitConfig,
     dynamic_bound_update,
@@ -200,12 +201,10 @@ class TestSplit:
         "options",
         [
             {"precision_bits": 8192},
-            {"precision_bits": 256, "max_precision_bits": 128},
             {"dynamic_pruning": True},
             {"engine": "fast"},
         ],
-        ids=["precision-above-default-max", "precision-above-max", "pruning-without-box",
-             "unknown-engine"],
+        ids=["precision-above-default-max", "pruning-without-box", "unknown-engine"],
     )
     def test_config_rejects_settings_it_cannot_honour(self, options):
         with pytest.raises(InputError):
@@ -215,6 +214,21 @@ class TestSplit:
     def test_box_engine_is_for_Q_only(self, d):
         with pytest.raises(InputError):
             split(matrix_units_table(2, Field(d)), SplitConfig(engine="box"))
+
+
+class TestOneEliminationKernel:
+    @pytest.mark.parametrize("n, field", [(2, "Q"), (3, "Q"), (2, "gauss"), (2, "eisenstein")])
+    def test_split_and_verify_never_use_the_generic_echelon(self, n, field, monkeypatch):
+        # every elimination between parsing and the witness check is
+        # int_gauss_jordan on the integer table
+        inst = generate_instance(n, field, 10, seed=1)
+
+        def refuse(self):
+            raise AssertionError("ExactMatrix._echelon was called")
+
+        monkeypatch.setattr(ExactMatrix, "_echelon", refuse)
+        res = split(inst.table, SplitConfig(seed=7))
+        assert verify_result_json(result_to_json(res, inst.table)) == []
 
 
 class TestGenerateInstance:
@@ -250,6 +264,17 @@ class TestGenerateInstance:
         rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         inst = instance_from_base_change(t, rows, QQ)
         assert inst.table.gamma == t.gamma
+
+    @pytest.mark.parametrize("n, field", [(2, "Q"), (3, "Q"), (2, "gauss"), (2, "eisenstein")])
+    def test_constants_are_the_products_in_the_new_basis(self, n, field):
+        # b_i b_j = sum_k gamma'_ijk b_k, multiplied out in the a-basis
+        inst = generate_instance(n, field, 10, seed=3)
+        base = matrix_units_table(n, inst.field)
+        M = inst.base_change
+        cols = [M.column(i) for i in range(base.m)]
+        for i in range(base.m):
+            for j in range(base.m):
+                assert base.multiply(cols[i], cols[j]) == M.mul_vector(inst.table.gamma[i][j])
 
     def test_quadratic_field_instances(self):
         for name, d in (("gauss", 1), ("eisenstein", 3)):
