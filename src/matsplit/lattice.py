@@ -315,7 +315,10 @@ def hermite_gamma(n: int) -> tuple[float, bool]:
 
 def hermite_upper(n: int) -> float:
     """Classical bound gamma_n <= (4/3)^((n-1)/2), valid for every n."""
-    return (4.0 / 3.0) ** ((n - 1) / 2.0)
+    try:
+        return (4.0 / 3.0) ** ((n - 1) / 2.0)
+    except OverflowError:
+        raise InputError(f"the Hermite bound for n = {n} overflows a float") from None
 
 
 def berge_martinet_upper(n: int) -> float:
@@ -324,13 +327,24 @@ def berge_martinet_upper(n: int) -> float:
 
 
 def c_m(m: int) -> float:
-    """Reducedness constant gamma_m^(m/2) (3/2)^m 2^(m(m-1)/2)."""
-    if m in _GAMMA_POW:
-        # gamma_m^(m/2) = sqrt(gamma_m^m), taking one exact square root
-        head = math.sqrt(float(_GAMMA_POW[m]))
-    else:
-        head = hermite_upper(m) ** (m / 2.0)
-    return head * 1.5**m * 2.0 ** (m * (m - 1) / 2.0)
+    """Reducedness constant gamma_m^(m/2) (3/2)^m 2^(m(m-1)/2).
+
+    Raises InputError for m < 1 and when the value overflows a float (m >= 42).
+    """
+    if m < 1:
+        raise InputError("dimension must be positive")
+    try:
+        if m in _GAMMA_POW:
+            # gamma_m^(m/2) = sqrt(gamma_m^m), taking one exact square root
+            head = math.sqrt(float(_GAMMA_POW[m]))
+        else:
+            head = hermite_upper(m) ** (m / 2.0)
+        value = head * 1.5**m * 2.0 ** (m * (m - 1) / 2.0)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise InputError(f"c_{m} overflows a float")
+    return value
 
 
 def rank_norm_floor(r: int) -> float:

@@ -38,7 +38,7 @@ from .errors import (
     PromiseViolation,
 )
 from .exactnum import QQ, ExactMatrix, Field, as_rational, int_gauss_jordan
-from .quadfield import nearest_integer
+from .quadfield import FieldData, nearest_integer
 
 # ---------------------------------------------------------------------------
 # integer lattice utilities
@@ -1005,6 +1005,13 @@ def maximal_order(
     restriction; it is saturated there and converted back to a
     ring-of-integers basis once, at the end.
 
+    Every order of a central simple algebra of dimension m over K has a
+    discriminant divisible by the floor |d_K|^m (1 over Q, 4^m over Q(i),
+    3^m over Q(sqrt(-3)); Reiner, Maximal Orders, sections 10 and 25), and
+    disc(L) = [L':L]^2 disc(L') for orders L <= L'.  So saturation at p stops
+    as soon as v_p(disc) < v_p(floor) + 2: the order is then p-maximal,
+    without another idealizer.
+
     When ``disc_trace`` is a list, the absolute discriminant is appended
     after the initial construction and after each prime's saturation.
     """
@@ -1020,8 +1027,10 @@ def maximal_order(
     if disc_trace is not None:
         disc_trace.append(abs(int(disc)))
     factors = factor_integer(int(disc))
+    d_k = 1 if table.field.is_rational else FieldData(table.field.d).discriminant
+    floor_exps = {q: table.m * e for q, e in factor_integer(d_k).items()}
     for p in sorted(q for q, e in factors.items() if e >= 2):
-        order = _saturate_at_prime(order, p)
+        order = _saturate_at_prime(order, p, floor_exps.get(p, 0))
         if disc_trace is not None:
             disc_trace.append(abs(int(as_rational(order.discriminant))))
     if table.field.is_rational:
@@ -1035,9 +1044,14 @@ def maximal_order(
     return k_order
 
 
-def _saturate_at_prime(order: Order, p: int) -> Order:
+def _saturate_at_prime(order: Order, p: int, floor_exp: int = 0) -> Order:
+    """The p-maximal order over ``order``; p^floor_exp divides every order's discriminant."""
     # each pass strictly enlarges, so the index bound caps the iterations
     for _ in range(256):
+        disc = as_rational(order.discriminant)
+        # a strict superorder of p-power index would put p^(floor_exp + 2) in disc
+        if disc.denominator == 1 and disc.numerator % p ** (floor_exp + 2):
+            return order
         nxt = enlarge_at_p(order, p)
         if nxt.same_lattice(order):
             ideal = _ideal_lattice(order, p, p_radical(order, p))

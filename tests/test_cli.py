@@ -73,6 +73,27 @@ class TestConstantsCommand:
         result = runner.invoke(main, ["constants", "--kappa", "12"])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--cm", "0"], "dimension must be positive"),
+            (["--cm", "-3"], "dimension must be positive"),
+            # in float arithmetic c_42 .. c_45 round to inf and c_46 on raise OverflowError
+            (["--cm", "42"], "c_42 overflows a float"),
+            (["--cm", "46"], "c_46 overflows a float"),
+            (["--hermite", "100000000000"], "overflows a float"),
+        ],
+    )
+    def test_constants_out_of_range_exit_4(self, runner, args, message):
+        result = runner.invoke(main, ["constants", *args])
+        assert result.exit_code == 4
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert message in result.output
+
+    def test_largest_finite_cm(self, runner):
+        out = json.loads(run_ok(runner, ["constants", "--cm", "41"]).output)
+        assert 1e305 < out["c_m"] < 2e305
+
 
 class TestPipelines:
     def test_gen_split_verify(self, runner):

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 import sympy
 
+from matsplit import orders
 from matsplit.algebra import StructureConstants, matrix_units_table
 from matsplit.errors import FactorBudgetError, InputError, InternalError
 from matsplit.exactnum import QQ, ExactMatrix, Field, QuadScalar, as_rational
@@ -18,9 +19,11 @@ from matsplit.orders import (
     _fp_kernel,
     _ideal_lattice,
     _idealizer,
+    _minimal_ideal_refinement,
     _ok_triangular,
     _order_int_mult,
     _restricted_to_k,
+    _saturate_at_prime,
     congruence_kernel,
     enlarge_at_p,
     factor_integer,
@@ -30,7 +33,7 @@ from matsplit.orders import (
     restrict_coords,
     restricted_table,
 )
-from matsplit.splitter import generate_instance, instance_from_base_change
+from matsplit.splitter import SplitConfig, generate_instance, instance_from_base_change, split
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +334,98 @@ class TestQuadraticFieldOrders:
             enlarge_at_p(o, 2)
         with pytest.raises(InputError, match="order over Q"):
             p_radical(o, 2)
+
+
+# ---------------------------------------------------------------------------
+# the discriminant stop rule of the saturation
+# ---------------------------------------------------------------------------
+
+
+def _saturation_corpus():
+    out = [(f"Q{n}-{s}", generate_instance(n, QQ, 10, s).table) for n in (2, 3) for s in range(1, 9)]
+    out += [
+        (f"{name}-{s}", generate_instance(2, name, 10, s).table)
+        for name in ("gauss", "eisenstein")
+        for s in range(1, 9)
+    ]
+    for field, fname in ((QQ, "Q"), (Field(1), "gauss"), (Field(3), "eisenstein")):
+        out += [
+            (f"({a},{b})-{fname}", quaternion_table(a, b, field))
+            for a, b in ((-1, -1), (-1, 3), (2, 5), (3, 7))
+        ]
+    return out
+
+
+SATURATION_CORPUS = _saturation_corpus()
+
+
+def _square_primes(table):
+    """The primes p with p^2 | disc of the initial order: those maximal_order saturates."""
+    disc = int(as_rational(initial_order(table).discriminant))
+    return sorted(p for p, e in factor_integer(disc).items() if e >= 2)
+
+
+def _restriction(order):
+    """The order over Q; over Q(i) and Q(sqrt(-3)) its Z-basis in restricted_table coordinates."""
+    table = order.table
+    if table.field.is_rational:
+        return order
+    cols = [restrict_coords(table.field, b.coords) for b in order.z_basis()]
+    return Order(restricted_table(table), ExactMatrix.from_columns(QQ, [list(c) for c in cols]))
+
+
+class TestDiscriminantStopRule:
+    @pytest.mark.parametrize(
+        "name,table", SATURATION_CORPUS, ids=[n for n, _ in SATURATION_CORPUS]
+    )
+    def test_the_early_exit_returns_the_stalled_fixpoint(self, name, table):
+        # without the stop rule the loop returns only once the left
+        # idealizer, the right idealizer and the minimal-ideal refinement
+        # all stall; the order maximal_order returns must be such a stall
+        order = _restriction(maximal_order(table))
+        for p in _square_primes(table):
+            ideal = _ideal_lattice(order, p, p_radical(order, p))
+            assert enlarge_at_p(order, p).same_lattice(order)
+            assert _idealizer(order, ideal, p, "right").same_lattice(order)
+            assert _minimal_ideal_refinement(order, p).same_lattice(order)
+
+    def test_the_corpus_saturates(self):
+        # the fixpoint test above is not vacuous: most tables saturate somewhere
+        saturating = [name for name, table in SATURATION_CORPUS if _square_primes(table)]
+        assert len(saturating) >= len(SATURATION_CORPUS) // 2
+
+    @pytest.mark.parametrize(
+        "field,n,floor", [("Q", 2, 1), ("Q", 3, 1), ("gauss", 2, 4**4), ("eisenstein", 2, 3**4)]
+    )
+    def test_splits_end_on_the_field_floor(self, field, n, floor):
+        # |d_K|^m divides every discriminant, and a maximal order of M_n(K) attains it
+        seeds = range(1, 13) if n == 2 else range(1, 9)
+        for seed in seeds:
+            result = split(generate_instance(n, field, 10, seed).table, SplitConfig(seed=7))
+            assert result.stats.disc_trace[-1] == floor
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_the_unit_table_needs_no_idealizer(self, d, monkeypatch):
+        calls = []
+        real = orders._idealizer
+
+        def spy(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(orders, "_idealizer", spy)
+        table = matrix_units_table(2, Field(d))
+        floor = 4**4 if d == 1 else 3**4
+        trace = []
+        maximal_order(table, disc_trace=trace)
+        assert calls == [] and trace == [floor, floor]
+        # at the floor the same object comes back; without it the spy sees
+        # the stall checks
+        p, floor_exp = (2, 8) if d == 1 else (3, 4)
+        rest = initial_order(table)
+        assert _saturate_at_prime(rest, p, floor_exp) is rest and calls == []
+        assert _saturate_at_prime(rest, p).same_lattice(rest)
+        assert calls
 
 
 # ---------------------------------------------------------------------------
