@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, InternalError, NoIdentityError, PromiseViolation
-from .exactnum import QQ, ExactMatrix, Field, QuadScalar, int_gauss_jordan, scalar_is_zero
+from .exactnum import QQ, ExactMatrix, Field, QuadScalar, int_gauss_jordan
 
 
 class StructureConstants:
@@ -65,17 +65,17 @@ class StructureConstants:
         out = [zero] * self.m
         for i in range(self.m):
             xi = self.field.coerce(x[i])
-            if scalar_is_zero(xi):
+            if not xi:
                 continue
             gi = self.gamma[i]
             for j in range(self.m):
                 yj = self.field.coerce(y[j])
-                if scalar_is_zero(yj):
+                if not yj:
                     continue
                 c = xi * yj
                 gij = gi[j]
                 for k in range(self.m):
-                    if not scalar_is_zero(gij[k]):
+                    if gij[k]:
                         out[k] = out[k] + c * gij[k]
         return tuple(out)
 
@@ -85,13 +85,13 @@ class StructureConstants:
         rows = [[zero] * self.m for _ in range(self.m)]
         for i in range(self.m):
             xi = self.field.coerce(x[i])
-            if scalar_is_zero(xi):
+            if not xi:
                 continue
             gi = self.gamma[i]
             for j in range(self.m):
                 gij = gi[j]
                 for k in range(self.m):
-                    if not scalar_is_zero(gij[k]):
+                    if gij[k]:
                         rows[k][j] = rows[k][j] + xi * gij[k]
         return ExactMatrix(self.field, rows)
 
@@ -101,12 +101,12 @@ class StructureConstants:
         rows = [[zero] * self.m for _ in range(self.m)]
         for j in range(self.m):
             xj = self.field.coerce(x[j])
-            if scalar_is_zero(xj):
+            if not xj:
                 continue
             for i in range(self.m):
                 gij = self.gamma[i][j]
                 for k in range(self.m):
-                    if not scalar_is_zero(gij[k]):
+                    if gij[k]:
                         rows[k][i] = rows[k][i] + xj * gij[k]
         return ExactMatrix(self.field, rows)
 
@@ -352,7 +352,7 @@ class AlgebraElement:
         return AlgebraElement(self.table, [c * x for x in self.coords])
 
     def is_zero(self) -> bool:
-        return all(scalar_is_zero(c) for c in self.coords)
+        return not any(self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):

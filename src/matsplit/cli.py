@@ -14,6 +14,7 @@ import os
 import sys
 
 import click
+from click.core import ParameterSource
 
 from . import fixtures as fixture_catalog
 from . import serialize, splitter
@@ -167,24 +168,18 @@ def gen(size, field_name, height, seed, output):
 @click.option(
     "--engine", type=click.Choice(["ordered", "box"]), default="ordered", show_default=True
 )
-@click.option("--dynamic-pruning", is_flag=True)
 @click.option("--precision-bits", type=int, default=128, show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--output", default="-", show_default=True)
 @click.option("--human", is_flag=True)
-def split(path, engine, dynamic_pruning, precision_bits, seed, output, human):
+def split(path, engine, precision_bits, seed, output, human):
     """Find a rank-one element and an explicit isomorphism."""
     table = serialize.algebra_from_json(_read_checked(path, "algebra"))
     problems = validate(table)
     if problems:
         raise InputError("invalid structure constants: " + "; ".join(problems[:3]))
     seed = _default_seed() if seed is None else seed
-    config = splitter.SplitConfig(
-        seed=seed,
-        precision_bits=precision_bits,
-        engine=engine,
-        dynamic_pruning=dynamic_pruning,
-    )
+    config = splitter.SplitConfig(seed=seed, precision_bits=precision_bits, engine=engine)
     result = splitter.split(table, config)
     if human:
         st = result.stats
@@ -307,16 +302,26 @@ def constants(kappa_d, gammah, cm_m, hermite, minfloor, human):
 @click.option("--bound", type=float, default=1.5, show_default=True)
 @click.option("--random", "randomize", is_flag=True, help="Use a random integral pair instead.")
 @click.option("--rankmax", type=int, default=4, show_default=True,
-              help="Rank cap for --random lattices.")
+              help="Rank cap for --random lattices, 2 to 8.")
 @click.option("--seed", type=int, default=None)
 @click.option("--human", is_flag=True)
 def tensor_experiment(left, right, bound, randomize, rankmax, seed, human):
     """Minimal tensor norms by matrix rank, with the rank floor audit."""
+    ctx = click.get_current_context()
+    given = [
+        f"--{name}"
+        for name in ("left", "right", "bound", "rankmax")
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
+    ]
     if randomize:
         import random as random_mod
 
-        if rankmax < 2:
-            raise InputError("rankmax must be at least 2")
+        clash = [flag for flag in given if flag != "--rankmax"]
+        if clash:
+            raise InputError(f"--random draws its own lattices and bound; drop {', '.join(clash)}")
+        # the floor audit needs the exact gamma_r, known up to r = 8
+        if not 2 <= rankmax <= 8:
+            raise InputError("rankmax must be between 2 and 8")
         rng = random_mod.Random(_default_seed() if seed is None else seed)
         lat_l = _random_integral_lattice(rng, rng.randint(2, rankmax))
         lat_r = _random_integral_lattice(rng, rng.randint(2, rankmax))
@@ -325,6 +330,8 @@ def tensor_experiment(left, right, bound, randomize, rankmax, seed, human):
             math.sqrt(float(reduced.norm_sq(j))) for j in range(reduced.rank)
         )
     else:
+        if "--rankmax" in given:
+            raise InputError("--rankmax needs --random")
         kind_l, lat_l = fixture_catalog.fixture(left)
         kind_r, lat_r = fixture_catalog.fixture(right)
         if kind_l != "lattice" or kind_r != "lattice":

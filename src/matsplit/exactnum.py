@@ -232,12 +232,6 @@ def _divisors_sorted(n: int):
 Scalar = Union[Fraction, QuadScalar]
 
 
-def scalar_is_zero(x: Scalar) -> bool:
-    if isinstance(x, QuadScalar):
-        return x.is_zero()
-    return x == 0
-
-
 def as_rational(x: Scalar) -> Fraction:
     """Extract a Fraction from a scalar known to be rational."""
     if isinstance(x, QuadScalar):
@@ -355,7 +349,7 @@ class ExactMatrix:
                 acc = zero
                 for k in range(self.cols):
                     x = ri[k]
-                    if not scalar_is_zero(x):
+                    if x:
                         acc = acc + x * cj[k]
                 row.append(acc)
             out.append(row)
@@ -371,7 +365,7 @@ class ExactMatrix:
             acc = zero
             ri = self.entries[i]
             for k in range(self.cols):
-                if not scalar_is_zero(v[k]):
+                if v[k]:
                     acc = acc + ri[k] * v[k]
             out.append(acc)
         return tuple(out)
@@ -391,7 +385,7 @@ class ExactMatrix:
         return acc
 
     def is_zero(self) -> bool:
-        return all(scalar_is_zero(x) for r in self.entries for x in r)
+        return not any(x for r in self.entries for x in r)
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_same_field(other)
@@ -412,7 +406,7 @@ class ExactMatrix:
         for c in range(self.cols):
             pivot_row = None
             for i in range(r, self.rows):
-                if not scalar_is_zero(m[i][c]):
+                if m[i][c]:
                     pivot_row = i
                     break
             if pivot_row is None:
@@ -421,7 +415,7 @@ class ExactMatrix:
             inv = self.field.one() / m[r][c]
             m[r] = [inv * x for x in m[r]]
             for i in range(self.rows):
-                if i != r and not scalar_is_zero(m[i][c]):
+                if i != r and m[i][c]:
                     f = m[i][c]
                     m[i] = [m[i][j] - f * m[r][j] for j in range(self.cols)]
             pivots.append(c)
@@ -442,7 +436,7 @@ class ExactMatrix:
         for c in range(n):
             pivot_row = None
             for i in range(c, n):
-                if not scalar_is_zero(m[i][c]):
+                if m[i][c]:
                     pivot_row = i
                     break
             if pivot_row is None:
@@ -453,7 +447,7 @@ class ExactMatrix:
             det = det * m[c][c]
             inv = self.field.one() / m[c][c]
             for i in range(c + 1, n):
-                if not scalar_is_zero(m[i][c]):
+                if m[i][c]:
                     f = m[i][c] * inv
                     m[i] = [m[i][j] - f * m[c][j] for j in range(n)]
         return det

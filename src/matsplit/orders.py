@@ -1,9 +1,9 @@
 """Orders in structure-constant algebras and maximal order saturation.
 
 Over Q the saturation works on integer lattices in the a-basis: find the
-radical of Lambda/p Lambda, pass to the left (or right) order of the
-corresponding ideal, and when that stalls refine along the minimal
-two-sided ideals of the semisimple quotient.  Over Q(i) and Q(sqrt(-3))
+radical of Lambda/p Lambda, pass to the left order of the corresponding
+ideal, and when that stalls refine along the minimal two-sided ideals
+of the semisimple quotient.  Over Q(i) and Q(sqrt(-3))
 the initial order is built on the rank-2m restriction of scalars, is
 saturated there like a rational order, and comes back to a
 ring-of-integers basis once, by Euclidean column reduction; a maximal
@@ -142,10 +142,7 @@ class ZLattice:
         return [tuple(Fraction(x, self.den) for x in c) for c in self.cols]
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        return self.contains_int(*_integral(QQ, vec))
-
-    def contains_int(self, w: Sequence[int], D: int) -> bool:
-        """Whether w / D lies in the lattice, for an integer vector w."""
+        w, D = _integral(QQ, vec)
         if any(x * self.den % D for x in w):
             return False
         t = [x * self.den // D for x in w]
@@ -511,14 +508,16 @@ def _order_from_zlattice(table: StructureConstants, lat: ZLattice) -> Order:
 
 
 def initial_order(table: StructureConstants) -> Order:
-    """The order that saturation starts from: ell a_i and e, closed under products.
+    """The order that saturation starts from: the span of ell a_i and e.
 
-    ell is the lcm of the denominators of gamma, so (ell a_i)(ell a_j) is an
-    integral combination of the ell a_k.  Over Q(i) and Q(sqrt(-3)) the order
-    lives in ``restricted_table(table)``: the generators are ell u_k for all
-    2m unit vectors, e and omega e.  omega e is central and acts as omega,
-    so the closure is an O_K-module, the restriction of the O_K-order that
-    ell a_i and e generate.  The closure runs on the integer Hermite basis.
+    ell is the lcm of the denominators of gamma, so G = ell gamma is integral
+    and (ell a_i)(ell a_j) = sum_k G_ijk (ell a_k) lies in the span; e is a
+    two-sided identity.  So the span is closed for any bilinear table, and
+    one Hermite form of the generators is the order.  Over Q(i) and
+    Q(sqrt(-3)) the order lives in ``restricted_table(table)``: the
+    generators are ell u_k for all 2m unit vectors, e and omega e.  omega e
+    acts as the central omega, so the span is an O_K-module, the
+    restriction of the O_K-order that ell a_i and e generate.
     """
     field = table.field
     e = restrict_coords(field, table.find_identity().coords)
@@ -527,18 +526,9 @@ def initial_order(table: StructureConstants) -> Order:
     else:
         rt, gens = restricted_table(table), [e, _omega_times(e, int(field.has_half_integers))]
     m = rt.m
-    G, ell = rt._integral_gamma()
+    _, ell = rt._integral_gamma()
     gens += [[ell if k == i else 0 for k in range(m)] for i in range(m)]
-    lat = ZLattice.from_rational_columns(gens, m)
-    for _ in range(64):
-        scale = lat.den * lat.den * ell
-        missing = [
-            P for row in _int_products(lat.cols, G) for P in row if not lat.contains_int(P, scale)
-        ]
-        if not missing:
-            return _order_from_zlattice(rt, lat)
-        lat = ZLattice(m, scale, [[lat.den * ell * x for x in c] for c in lat.cols] + missing)
-    raise InternalError("multiplicative closure did not stabilize")
+    return _order_from_zlattice(rt, ZLattice.from_rational_columns(gens, m))
 
 
 # Euclidean column reduction over the ring of integers of Q(sqrt(-d))
@@ -1045,7 +1035,14 @@ def maximal_order(
 
 
 def _saturate_at_prime(order: Order, p: int, floor_exp: int = 0) -> Order:
-    """The p-maximal order over ``order``; p^floor_exp divides every order's discriminant."""
+    """The p-maximal order over ``order``; p^floor_exp divides every order's discriminant.
+
+    Each pass tries the left order of the radical ideal J, then the
+    minimal-ideal refinement.  The right order of J needs no try: the order
+    is hereditary at p exactly when O_l(J) is the order, and being
+    hereditary is a two-sided property (Reiner, Maximal Orders, section
+    39), so O_r(J) stalls whenever O_l(J) does.
+    """
     # each pass strictly enlarges, so the index bound caps the iterations
     for _ in range(256):
         disc = as_rational(order.discriminant)
@@ -1053,9 +1050,6 @@ def _saturate_at_prime(order: Order, p: int, floor_exp: int = 0) -> Order:
         if disc.denominator == 1 and disc.numerator % p ** (floor_exp + 2):
             return order
         nxt = enlarge_at_p(order, p)
-        if nxt.same_lattice(order):
-            ideal = _ideal_lattice(order, p, p_radical(order, p))
-            nxt = _idealizer(order, ideal, p, "right")
         if nxt.same_lattice(order):
             nxt = _minimal_ideal_refinement(order, p)
         if nxt.same_lattice(order):

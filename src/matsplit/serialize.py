@@ -183,7 +183,8 @@ def result_to_json(result, table: StructureConstants) -> dict:
         },
         "stats": {
             "engine": stats.engine,
-            "dynamic_pruning": stats.dynamic_pruning,
+            # the box engine always prunes; the key keeps the result schema
+            "dynamic_pruning": stats.engine == "box",
             "precision_bits": stats.precision_bits,
             "nodes_visited": stats.nodes_visited,
             "found_norm": stats.found_norm,

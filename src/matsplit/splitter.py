@@ -52,13 +52,10 @@ class SplitConfig:
     seed: int = 0
     precision_bits: int = 128
     engine: str = "ordered"  # "ordered" or "box"; "box" is for Q only
-    dynamic_pruning: bool = False  # shrinks the box online; needs engine="box"
 
     def __post_init__(self):
         if self.engine not in ("ordered", "box"):
             raise InputError(f"unknown engine {self.engine!r}")
-        if self.dynamic_pruning and self.engine != "box":
-            raise InputError("dynamic pruning needs the box engine")
         if self.precision_bits < 64:
             raise InputError("precision_bits must be at least 64")
         if self.precision_bits > MAX_PRECISION_BITS:
@@ -68,7 +65,6 @@ class SplitConfig:
 @dataclass
 class SplitStats:
     engine: str
-    dynamic_pruning: bool
     precision_bits: int
     nodes_visited: int
     found_norm: float
@@ -154,9 +150,7 @@ def split(
     slack = 2.0 ** (-(precision // 4))
     pert = (reduced.perturbation or 0.0) * reduced.rank
     lift = _lifter(table, reduced, embedded.zbasis_elements)
-    element, nsq, policy_stats = search(
-        table, config, reduced, reduced.gram(), lift, slack, pert
-    )
+    element, nsq, policy_stats = search(table, reduced, reduced.gram(), lift, slack, pert)
     witness = build_isomorphism(table, element)
     found_norm = math.sqrt(float(nsq))
     return SplitResult(
@@ -164,7 +158,6 @@ def split(
         witness=witness,
         stats=SplitStats(
             engine=config.engine,
-            dynamic_pruning=config.dynamic_pruning,
             precision_bits=precision,
             found_norm=found_norm,
             disc_trace=disc_trace,
@@ -214,7 +207,7 @@ def _first_bound(gram, rank: int, slack: float, pert: float) -> float:
 # SplitStats fields the policy determines) or raises PromiseViolation.
 
 
-def _search_ordered(table, config, reduced, gram, lift, slack, pert):
+def _search_ordered(table, reduced, gram, lift, slack, pert):
     """Short vectors by norm, up a three-rung ladder of bounds."""
     full_bound = berge_martinet_upper(table.n) * (1 + slack) + pert
     # start at the shortest reduced vector: by the rank-one property of
@@ -235,26 +228,32 @@ def _search_ordered(table, config, reduced, gram, lift, slack, pert):
     )
 
 
-def _search_box(table, config, reduced, gram, lift, slack, pert):
-    """The literal coefficient box with Lenstra bounds; the shortest
-    rank-one element inside it wins."""
+def _search_box(table, reduced, gram, lift, slack, pert):
+    """The literal coefficient box with Lenstra bounds, pruned online; the
+    shortest rank-one element inside it wins.
+
+    Every element of rank r >= 1 seen so far shrinks the norm cap to
+    gamma_r^2 / sqrt(r) times its norm (``dynamic_bound_update``), and the
+    box to the Lenstra bounds of that cap.  By the tensor-product rank
+    floors the shortest rank-one element is no longer than the cap, so it
+    stays inside the shrunken box and the answer is the static box's.
+    The stats report the nodes visited beside the static box and the flat
+    |alpha_i| <= c_m box, Prod(2 b_i + 1) tuples each.
+    """
     k = reduced.rank
     norms = [math.sqrt(float(gram[i][i])) for i in range(k)]
     defect = orthogonality_defect(reduced)
     cap = berge_martinet_upper(table.n) * (1 + slack) + pert
     static_bounds = lenstra_coefficient_bounds(defect, cap, norms)
-    state = {"d": math.inf}
+    shrunk = math.inf
 
     def dyn_bounds():
-        return lenstra_coefficient_bounds(defect, min(state["d"], cap), norms)
+        return lenstra_coefficient_bounds(defect, min(shrunk, cap), norms)
 
     stats = BoxStats()
     best = None  # (norm_sq, coeffs, element)
     gen = box_enumerate(
-        static_bounds,
-        dynamic_bounds_fn=dyn_bounds if config.dynamic_pruning else None,
-        stats=stats,
-        budget=ENUMERATION_BUDGET,
+        static_bounds, dynamic_bounds_fn=dyn_bounds, stats=stats, budget=ENUMERATION_BUDGET
     )
     for coeffs in gen:
         nsq = _quadratic_form(gram, coeffs)
@@ -262,9 +261,7 @@ def _search_box(table, config, reduced, gram, lift, slack, pert):
         r = ideal_rank(element, table.n)
         if r == 0:
             continue
-        norm = math.sqrt(float(nsq))
-        if config.dynamic_pruning:
-            state["d"] = dynamic_bound_update(state["d"], norm, r)
+        shrunk = dynamic_bound_update(shrunk, math.sqrt(float(nsq)), r)
         if r == 1 and (best is None or (nsq, coeffs) < (best[0], best[1])):
             best = (nsq, coeffs, element)
     if best is None:
@@ -310,7 +307,7 @@ def dynamic_bound_update(d_current: float, norm_c: float, rank_c: int) -> float:
     return min(d_current, g * g / math.sqrt(rank_c) * norm_c)
 
 
-def _search_minimal_class(table, config, reduced, gram, lift, slack, pert):
+def _search_minimal_class(table, reduced, gram, lift, slack, pert):
     """Every vector of the minimal-norm class (up to the precision slack),
     rank-tested exactly in norm-then-lex order; the first rank-one element
     wins.  Over Q(sqrt(-3)) the first minimal vector is already the answer;

@@ -131,6 +131,15 @@ class TestPipelines:
         )
         assert json.loads(result.output)["floor_violations"] == 0
 
+    def test_random_tensor_experiment_at_the_largest_rank(self, runner):
+        # every matrix rank up to 8 has an exact gamma_r, so the audit skips none
+        result = run_ok(
+            runner, ["tensor-experiment", "--random", "--rankmax", "8", "--seed", "1"]
+        )
+        payload = json.loads(result.output)
+        assert payload["floor_violations"] == 0
+        assert all(1 <= int(r) <= 8 for r in payload["min_norm_by_rank"])
+
     def test_non_square_dimension_exit_4(self, runner):
         bad = {
             "field": {"type": "Q"},
@@ -305,6 +314,33 @@ class TestMalformedInput:
     @pytest.mark.parametrize("bound", ["nan", "inf"])
     def test_tensor_experiment_non_finite_bound(self, runner, bound):
         result = runner.invoke(main, ["tensor-experiment", "--bound", bound])
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--random", "--rankmax", "9"],
+            ["--random", "--rankmax", "100000"],
+            ["--random", "--rankmax", "1"],
+            ["--random", "--bound", "2"],
+            ["--random", "--left", "A2"],
+            ["--random", "--right", "A2-dual"],
+            ["--rankmax", "3"],
+        ],
+        ids=[
+            "rankmax_without_exact_gamma",
+            "rankmax_huge",
+            "rankmax_below_two",
+            "random_with_bound",
+            "random_with_left",
+            "random_with_right",
+            "rankmax_without_random",
+        ],
+    )
+    def test_tensor_experiment_flags_it_would_ignore(self, runner, args):
+        # exits before any lattice is drawn, so a huge rankmax returns at once
+        result = runner.invoke(main, ["tensor-experiment", "--seed", "1", *args])
         assert result.exit_code == 4, result.output
         assert isinstance(result.exception, SystemExit)
 

@@ -109,7 +109,21 @@ def _initial_corpus():
     for d, name in ((1, "gauss"), (3, "eisenstein")):
         out += [(f"{name}-{s}", generate_instance(2, name, 5, s).table) for s in range(1, 7)]
         out.append((f"{name}-units", matrix_units_table(2, Field(d))))
+    for n, name, seed in ((2, "Q", 1), (2, "Q", 2), (3, "Q", 1), (2, "gauss", 1), (2, "eisenstein", 1)):
+        out.append((f"perturbed-{name}{n}-{seed}", _perturbed_instance(n, name, seed)))
     return out
+
+
+def _perturbed_instance(n, name, seed):
+    """A scrambled table that is not associative: E_12 E_12 gains a multiple
+    of E_11 before the base change.  No product with a diagonal E_aa changes,
+    so e stays a two-sided identity."""
+    inst = generate_instance(n, name, 10, seed)
+    field = inst.field
+    gamma = [[list(row) for row in plane] for plane in matrix_units_table(n, field).gamma]
+    gamma[1][1][0] += Fraction(1, 3) if field == QQ else field.omega() / 2
+    base = StructureConstants(field, gamma)
+    return instance_from_base_change(base, inst.base_change.columns(), field).table
 
 
 INITIAL_CORPUS = _initial_corpus()
@@ -147,6 +161,16 @@ class TestInitialOrder:
         assert got.table.field == QQ and got.table.m == table.m * (1 if table.field == QQ else 2)
         lattice = ZLattice.from_rational_columns(got.basis_matrix.columns(), got.table.m)
         assert lattice == _reference_initial_lattice(table)
+
+    @pytest.mark.parametrize("name,table", INITIAL_CORPUS, ids=[n for n, _ in INITIAL_CORPUS])
+    def test_the_generators_already_span_an_order(self, name, table):
+        # (ell a_i)(ell a_j) = sum_k G_ijk (ell a_k) and e is an identity, so
+        # one Hermite form of the generators is closed for any bilinear table
+        assert initial_order(table).verify() == []
+
+    def test_the_perturbed_tables_are_not_associative(self):
+        perturbed = [t for name, t in INITIAL_CORPUS if name.startswith("perturbed")]
+        assert len(perturbed) == 5 and all(t.validate() for t in perturbed)
 
 
 class TestPRadical:
@@ -380,8 +404,9 @@ class TestDiscriminantStopRule:
     )
     def test_the_early_exit_returns_the_stalled_fixpoint(self, name, table):
         # without the stop rule the loop returns only once the left
-        # idealizer, the right idealizer and the minimal-ideal refinement
-        # all stall; the order maximal_order returns must be such a stall
+        # idealizer and the minimal-ideal refinement both stall (and with
+        # them the right idealizer); the order maximal_order returns must be
+        # such a stall
         order = _restriction(maximal_order(table))
         for p in _square_primes(table):
             ideal = _ideal_lattice(order, p, p_radical(order, p))
@@ -426,6 +451,46 @@ class TestDiscriminantStopRule:
         assert _saturate_at_prime(rest, p, floor_exp) is rest and calls == []
         assert _saturate_at_prime(rest, p).same_lattice(rest)
         assert calls
+
+
+QUATERNION_PAIRS = (
+    (-1, -1), (-1, 3), (2, 5), (3, 7), (1, 1), (-1, -3),
+    (-2, -5), (6, 7), (10, 3), (-1, -7), (5, -2), (2, 3),
+)
+RIGHT_IDEALIZER_CORPUS = {
+    "Q2": lambda: [generate_instance(2, QQ, 10, s).table for s in range(1, 61)],
+    "Q3": lambda: [generate_instance(3, QQ, 10, s).table for s in range(1, 31)],
+    "gauss": lambda: [generate_instance(2, "gauss", 10, s).table for s in range(1, 61)],
+    "eisenstein": lambda: [generate_instance(2, "eisenstein", 10, s).table for s in range(1, 61)],
+    "quaternion": lambda: [
+        quaternion_table(a, b, field) for field in (QQ, Field(1), Field(3)) for a, b in QUATERNION_PAIRS
+    ],
+}
+
+
+class TestRightRadicalIdealizer:
+    @pytest.mark.parametrize("family", sorted(RIGHT_IDEALIZER_CORPUS))
+    def test_the_right_idealizer_stalls_with_the_left(self, family, monkeypatch):
+        # the order is hereditary at p exactly when the left order of the
+        # radical ideal J is the order itself, and hereditary is two-sided
+        # (Reiner, Maximal Orders, section 39); so saturation never tries
+        # O_r(J).  Every stall the saturation meets must stall O_r(J) too.
+        stalls = []
+        real = orders.enlarge_at_p
+
+        def spy(order, p):
+            nxt = real(order, p)
+            if nxt.same_lattice(order):
+                stalls.append((order, p))
+            return nxt
+
+        monkeypatch.setattr(orders, "enlarge_at_p", spy)
+        for table in RIGHT_IDEALIZER_CORPUS[family]():
+            maximal_order(table)
+        assert stalls
+        for order, p in stalls:
+            ideal = _ideal_lattice(order, p, p_radical(order, p))
+            assert _idealizer(order, ideal, p, "right").same_lattice(order)
 
 
 # ---------------------------------------------------------------------------

@@ -82,21 +82,15 @@ class TestBoxEngine:
     def test_engines_agree_on_the_found_norm(self):
         inst = generate_instance(2, QQ, 10, seed=3)
         ordered = split_over_Q(inst.table, SplitConfig(seed=3))
-        box_off = split_over_Q(inst.table, SplitConfig(seed=3, engine="box"))
-        box_on = split_over_Q(
-            inst.table, SplitConfig(seed=3, engine="box", dynamic_pruning=True)
-        )
-        assert abs(box_off.stats.found_norm - box_on.stats.found_norm) < 1e-9
-        assert abs(box_off.stats.found_norm - ordered.stats.found_norm) < 1e-9
+        box = split_over_Q(inst.table, SplitConfig(seed=3, engine="box"))
+        assert abs(box.stats.found_norm - ordered.stats.found_norm) < 1e-9
 
     def test_dynamic_pruning_never_visits_more(self):
+        # the unpruned box visits every tuple of the static box
         inst = generate_instance(2, QQ, 10, seed=8)
-        off = split_over_Q(inst.table, SplitConfig(seed=8, engine="box"))
-        on = split_over_Q(
-            inst.table, SplitConfig(seed=8, engine="box", dynamic_pruning=True)
-        )
-        assert on.stats.nodes_visited <= off.stats.nodes_visited
-        assert on.stats.nodes_visited < on.stats.box_nodes_cm_flat
+        box = split_over_Q(inst.table, SplitConfig(seed=8, engine="box"))
+        assert box.stats.nodes_visited <= box.stats.box_nodes_static
+        assert box.stats.nodes_visited < box.stats.box_nodes_cm_flat
 
     def test_flat_cm_box_is_astronomical(self):
         from matsplit.lattice import c_m
@@ -157,8 +151,7 @@ class TestSplit:
     # it by the orthonormal basis chosen for the eigenspace.
     GOLDEN = [
         ("Q", 42, {}, ["3", "-12", "1", "-4"], 1, [1], None),
-        ("Q", 3, {"engine": "box", "dynamic_pruning": True},
-         ["1", "0", "-1", "-1/2"], 7, [256, 1], None),
+        ("Q", 3, {"engine": "box"}, ["1", "0", "-1", "-1/2"], 7, [256, 1], None),
         ("gauss", 13, {}, ["0", "-1/2+1/2*sqrt(-1)", "0", "0"], 1, [1024, 256], 2),
         ("eisenstein", 1, {}, ["0", "0", "1", "0"], 1, [81, 81], 3),
     ]
@@ -201,10 +194,9 @@ class TestSplit:
         "options",
         [
             {"precision_bits": 8192},
-            {"dynamic_pruning": True},
             {"engine": "fast"},
         ],
-        ids=["precision-above-default-max", "pruning-without-box", "unknown-engine"],
+        ids=["precision-above-default-max", "unknown-engine"],
     )
     def test_config_rejects_settings_it_cannot_honour(self, options):
         with pytest.raises(InputError):
