@@ -223,51 +223,59 @@ class StructureConstants:
     def validate(self) -> list[str]:
         """All associativity identities plus identity existence, exactly.
 
-        Returns a list of violation descriptions; empty means valid.
+        Returns a list of violation descriptions; empty means valid.  The
+        identity is solved once, before the associativity scan, which uses it
+        to stop early (see _associativity_failures).
         """
         violations = []
         r = math.isqrt(self.m)
         if r * r != self.m:
             violations.append(f"dimension {self.m} is not a perfect square")
-        for i, j in self._associativity_failures():
-            violations.append(f"associativity fails on the pair (a_{i}, a_{j})")
         try:
-            self.find_identity()
+            identity = self.find_identity().coords
         except NoIdentityError:
+            identity = None
+        for i, j in self._associativity_failures(identity):
+            violations.append(f"associativity fails on the pair (a_{i}, a_{j})")
+        if identity is None:
             violations.append("no two-sided identity element")
         return violations
 
-    def _associativity_failures(self) -> list[tuple[int, int]]:
+    def _associativity_failures(self, identity: Sequence | None) -> list[tuple[int, int]]:
         """Pairs (i, j) with (a_i a_j) a_k != a_i (a_j a_k) for some k.
 
         That is L(a_i) L(a_j) != L(a_i a_j), compared column by column on
-        the integer table in O(m^5) integer operations.  Both sides scale by
-        the square of its d, so the failing pairs stay the same.  Over Q(i)
-        and Q(sqrt(-3)) i, j, k run over the K-basis of the restriction,
-        whose product is K-bilinear.
+        the integer table, O(m^4) integer operations per row i.  Both sides
+        scale by the square of its d, so the failing pairs stay the same.
+        Over Q(i) and Q(sqrt(-3)) i, j, k run over the K-basis of the
+        restriction, whose product is K-bilinear.
+
+        Row i passes exactly when a_i lies in the left nucleus T = {u : (ux)z
+        = u(xz) for all x, z}.  T is a subalgebra, associative or not: for u,
+        v in T, ((uv)x)z = (u(vx))z = u((vx)z) = u(v(xz)) = (uv)(xz).  It
+        holds the two-sided identity e, and with a_i also omega a_i.  So once
+        the left-normed words e g_1 g_2 ... in the generators that passed span
+        A, T = A and every later row passes: the scan stops there.  Before
+        that, and after any row fails (then T != A), rows are scanned as they
+        come, so the failing pairs do not depend on the stop.  Without an
+        identity every row is scanned.
         """
         m = self.m
         gamma, _ = self._integral_gamma()
         w = len(gamma)
         # nonzero (index, value) pairs of each product a_i a_j
         nz = [[[(s, x) for s, x in enumerate(gij) if x] for gij in gi] for gi in gamma]
+        words = None if identity is None else _LeftWords(nz, _integral(self.field, identity)[0])
         failures = []
         for i in range(m):
-            nz_i = nz[i]
-            for j in range(m):
-                nz_ij, nz_j = nz_i[j], nz[j]
-                for k in range(m):
-                    lhs = [0] * w
-                    for r, c in nz_ij:
-                        for s, x in nz[r][k]:
-                            lhs[s] += c * x
-                    rhs = [0] * w
-                    for r, c in nz_j[k]:
-                        for s, x in nz_i[r]:
-                            rhs[s] += c * x
-                    if lhs != rhs:
-                        failures.append((i, j))
-                        break
+            if words is not None and words.spans():
+                break
+            row = _row_failures(nz, i, m)
+            failures += ((i, j) for j in row)
+            if row:
+                words = None
+            elif words is not None:
+                words.add_generators([i] if w == m else [i, m + i])
         return failures
 
     def element(self, coords: Sequence) -> "AlgebraElement":
@@ -280,6 +288,88 @@ class StructureConstants:
 
     def __repr__(self):
         return f"StructureConstants(dim={self.m} over {self.field})"
+
+
+def _row_failures(nz: Sequence, i: int, m: int) -> list[int]:
+    """The j < m with (a_i a_j) a_k != a_i (a_j a_k) for some k < m.
+
+    nz[r][s] lists the nonzero (index, value) pairs of the integer product
+    of the restricted basis vectors r and s; a_0..a_(m-1) are the K-basis.
+    """
+    nz_i, w = nz[i], len(nz)
+    failing = []
+    for j in range(m):
+        nz_ij, nz_j = nz_i[j], nz[j]
+        for k in range(m):
+            lhs = [0] * w
+            for r, c in nz_ij:
+                for s, x in nz[r][k]:
+                    lhs[s] += c * x
+            rhs = [0] * w
+            for r, c in nz_j[k]:
+                for s, x in nz_i[r]:
+                    rhs[s] += c * x
+            if lhs != rhs:
+                failing.append(j)
+                break
+    return failing
+
+
+class _LeftWords:
+    """The Q-span of the left-normed words e g_1 g_2 ... g_t on an integer table.
+
+    The generators are restricted basis indices; nz is the sparse table of
+    _associativity_failures and e an integer vector.  The span is kept as a
+    fraction-free echelon form whose rows are divided by their content, and
+    it grows incrementally: a new word is multiplied by every generator, a
+    new generator multiplies every word kept so far, each pair exactly once.
+    """
+
+    def __init__(self, nz: Sequence, e: Sequence[int]):
+        self.nz = nz
+        self.gens: list[int] = []
+        self.words: list[list[int]] = []  # the independent words found, content-divided
+        self.rows: list[tuple[int, list[int]]] = []  # (pivot column, echelon row)
+        self._close([(e, None)])
+
+    def spans(self) -> bool:
+        return len(self.rows) == len(self.nz)
+
+    def add_generators(self, gens: Sequence[int]) -> None:
+        # every word kept so far times each new generator, and the words
+        # those give times every generator, until nothing new appears
+        self.gens += gens
+        self._close([(v, g) for g in gens for v in self.words])
+
+    def _close(self, pending: list) -> None:
+        w = len(self.nz)
+        while pending and len(self.rows) < w:
+            v, g = pending.pop()
+            if g is not None:
+                v = self._times(v, g)
+            row = v
+            for c, p in self.rows:
+                f = row[c]
+                if f:
+                    row = [p[c] * x - f * y for x, y in zip(row, p)]
+            c = next((c for c, x in enumerate(row) if x), None)
+            if c is None:
+                continue
+            g_row, g_v = math.gcd(*row), math.gcd(*v)
+            self.rows.append((c, [x // g_row for x in row]))
+            v = [x // g_v for x in v]
+            self.words.append(v)
+            pending += ((v, g) for g in self.gens)
+
+    def _times(self, v: Sequence[int], g: int) -> list[int]:
+        """v a_g on the integer table: sum_r v_r (a_r a_g)."""
+        nz = self.nz
+        out = [0] * len(nz)
+        for r, x in enumerate(v):
+            if x:
+                for s, c in nz[r][g]:
+                    out[s] += x * c
+        return out
 
 
 def restrict_coords(field: Field, coords: Sequence) -> tuple:

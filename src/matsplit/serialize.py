@@ -9,6 +9,7 @@ outputs against the schema files shipped with the package.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 from typing import Any
@@ -25,6 +26,9 @@ from .lattice import LatticeBasis
 from .orders import Order
 
 
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_to_str(x) -> str:
     f = Fraction(x)
     if f.denominator == 1:
@@ -33,11 +37,17 @@ def rational_to_str(x) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
+    # "p" and "p/q" in ASCII digits, the form rational_to_str writes, parse with
+    # int(); every other string goes through Fraction's own grammar
+    plain = _PLAIN_RATIONAL.fullmatch(s) if isinstance(s, str) else None
     # Fraction("1e10000000") builds 10^(10^7), which takes seconds
-    if not isinstance(s, str) or "e" in s.lower():
+    if plain is None and (not isinstance(s, str) or "e" in s.lower()):
         raise InputError(f"a rational must be a string without exponent, got {s!r}")
     try:
-        return Fraction(s)
+        if plain is None:
+            return Fraction(s)
+        p, q = plain.groups()
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational literal {s!r}") from exc
 

@@ -330,14 +330,12 @@ def _associativity_oracle(table):
     """Pairs (i, j) with (a_i a_j) a_k != a_i (a_j a_k) for some k, by brute force."""
     e = [unit(table, j).coords for j in range(table.m)]
     mul = table.multiply
+    prod = [[mul(x, y) for y in e] for x in e]
     return [
         (i, j)
         for i in range(table.m)
         for j in range(table.m)
-        if any(
-            mul(mul(e[i], e[j]), e[k]) != mul(e[i], mul(e[j], e[k]))
-            for k in range(table.m)
-        )
+        if any(mul(prod[i][j], e[k]) != mul(e[i], prod[j][k]) for k in range(table.m))
     ]
 
 
@@ -566,6 +564,81 @@ class TestIdentityAndWitnessAgainstOracles:
         for bad in (good[:3], [ExactMatrix.identity(QQ, 1)] * 4, [ExactMatrix.identity(GAUSS, 2)] * 4):
             with pytest.raises(InputError):
                 witness_problems(m2, bad)
+
+
+def _oracle_violations(table):
+    """validate's list, built from the brute-force oracles."""
+    pairs = _associativity_oracle(table)
+    return [f"associativity fails on the pair (a_{i}, a_{j})" for i, j in pairs] + (
+        ["no two-sided identity element"] if _identity_oracle(table) is None else []
+    )
+
+
+@pytest.fixture
+def scanned_rows(monkeypatch):
+    """The rows the associativity scan visits, in order."""
+    rows = []
+    row_failures = algebra._row_failures
+
+    def spy(nz, i, m):
+        rows.append(i)
+        return row_failures(nz, i, m)
+
+    monkeypatch.setattr(algebra, "_row_failures", spy)
+    return rows
+
+
+class TestValidateStopsEarly:
+    """The scan stops once the rows that passed generate A; the lists never change."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    @pytest.mark.parametrize("where", ["last row", "last column"])
+    def test_late_perturbation_matches_oracle(self, n, field, where, scanned_rows):
+        rng = random.Random(700 + 10 * n + len(field))
+        table = generate_instance(n, FIELDS[field], 10, 3).table
+        m = table.m
+        i, j = (m - 1, rng.randrange(m)) if where == "last row" else (rng.randrange(m), m - 1)
+        bad = _perturbed(table, i, j, rng.randrange(m), _random_scalar(table.field, rng) + 1)
+        expected = _oracle_violations(bad)
+        assert any(v.startswith("associativity") for v in expected)
+        assert validate(bad) == expected
+        # a failing row proves that the nucleus is not A, so no set of rows
+        # that passed generates A and the scan never stops early
+        assert scanned_rows == list(range(m))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matrix_units_scan_past_rows_that_do_not_generate(self, n, scanned_rows):
+        # E_11 .. E_1n and e span only the first row of M_n; the words reach
+        # all of A with the row of E_n1, at index n(n-1)
+        table = matrix_units_table(n)
+        assert validate(table) == _oracle_violations(table) == []
+        assert scanned_rows == list(range(n * (n - 1) + 1 if n > 1 else 0))
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    @pytest.mark.parametrize("a, b", [(1, 1), (-1, -1), (-1, -3), (2, 5)])
+    def test_quaternion_fixtures_match_oracle(self, field, a, b):
+        table = quaternion_table(a, b, FIELDS[field])
+        assert validate(table) == _oracle_violations(table) == []
+        bad = _perturbed(table, 3, 3, 0, Fraction(1, 2))
+        assert validate(bad) == _oracle_violations(bad) != []
+
+    def test_no_identity_scans_every_row(self, scanned_rows):
+        # a_i a_j = a_j is associative, and every a_i is only a left identity
+        table = StructureConstants(QQ, [[[int(j == k) for k in range(4)] for j in range(4)]] * 4)
+        assert validate(table) == _oracle_violations(table) == ["no two-sided identity element"]
+        assert scanned_rows == [0, 1, 2, 3]
+        scanned_rows.clear()
+        bad = _perturbed(table, 0, 1, 2, Fraction(1))
+        assert validate(bad) == _oracle_violations(bad)
+        assert scanned_rows == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_generated_tables_stop_before_the_last_row(self, seed, scanned_rows):
+        table = generate_instance(3, QQ, 10, seed).table
+        assert validate(table) == []
+        assert scanned_rows == list(range(len(scanned_rows)))
+        assert len(scanned_rows) < table.m
 
 
 class TestWitnessAgainstSolves:
