@@ -496,10 +496,13 @@ def ideal_rank(C: AlgebraElement, n: int | None = None) -> int:
     by n, which cannot happen for a genuine full matrix algebra.
     """
     table = C.table
-    if n is None:
-        n = table.n
-    G, _ = table._integral_gamma()
     E, _ = _integral(table.field, C.coords)
+    return _int_ideal_rank(table, E, table.n if n is None else n)
+
+
+def _int_ideal_rank(table: StructureConstants, E: Sequence[int], n: int) -> int:
+    """ideal_rank of the element whose (1, omega) coordinates are E / D for some integer D > 0."""
+    G, _ = table._integral_gamma()
     cols = [_combination(E, [gi[j] for gi in G]) for j in range(len(G))]
     dim = len(int_gauss_jordan(cols)[1]) * table.m // len(G)
     if dim % n != 0:

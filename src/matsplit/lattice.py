@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import EnumerationBudgetError, InputError, InternalError
 from .exactnum import QQ, ExactMatrix, int_gauss_jordan
@@ -460,52 +460,29 @@ def short_vectors(
     return canonical
 
 
-@dataclass
-class BoxStats:
-    nodes: int = 0  # complete coefficient tuples visited (including zero)
+def box_enumerate(bounds: Sequence[int]):
+    """Literal box iteration |alpha_i| <= bounds[i], yielding the nonzero tuples.
 
-
-def box_enumerate(
-    per_coeff_bounds: Sequence[int],
-    dynamic_bounds_fn: Callable[[], Sequence[int]] | None = None,
-    stats: BoxStats | None = None,
-    budget: int | None = None,
-):
-    """Literal box iteration |alpha_i| <= bound_i, yielding nonzero tuples.
-
-    When ``dynamic_bounds_fn`` is given it is consulted as the iteration
-    proceeds and may only shrink the box; the enumeration then skips the
-    regions excluded by the updated bounds.  The caller drives shrinking by
-    updating whatever state the callback reads between ``next()`` calls;
-    the split's box engine always does.  Without it every one of the
-    Prod(2 bound_i + 1) tuples is visited.
+    The caller may lower entries of ``bounds`` in place between ``next()``
+    calls; the walk rereads bounds[i] each time it starts, advances or
+    checks coordinate i, so it then skips the regions the lowered bounds
+    exclude.  Left alone it visits all Prod(2 bounds[i] + 1) tuples.  While
+    the bounds stay nonnegative the walk visits the zero tuple exactly once;
+    it never yields it.
     """
-    m = len(per_coeff_bounds)
-    bounds = [int(b) for b in per_coeff_bounds]
     if any(b < 0 for b in bounds):
         raise InputError("negative box bound")
-    if stats is None:
-        stats = BoxStats()
-
-    def current(i: int) -> int:
-        if dynamic_bounds_fn is None:
-            return bounds[i]
-        dyn = dynamic_bounds_fn()
-        return min(bounds[i], int(dyn[i]))
-
+    m = len(bounds)
     x = [0] * m
 
     def level(i: int):
         if i == m:
-            stats.nodes += 1
-            if budget is not None and stats.nodes > budget:
-                raise EnumerationBudgetError("box enumeration budget exceeded")
             if any(x):
                 yield tuple(x)
             return
-        xi = -current(i)
-        while xi <= current(i):
-            if abs(xi) <= current(i):
+        xi = -bounds[i]
+        while xi <= bounds[i]:
+            if abs(xi) <= bounds[i]:
                 x[i] = xi
                 yield from level(i + 1)
             xi += 1

@@ -11,6 +11,7 @@ the search; every accepted answer is verified in exact arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -21,15 +22,16 @@ from .algebra import (
     AlgebraElement,
     IsomorphismWitness,
     StructureConstants,
+    _int_ideal_rank,
     build_isomorphism,
-    ideal_rank,
+    lift_coords,
     matrix_units_table,
+    restrict_coords,
 )
 from .embed import embed_order, rationalize, split_numeric
-from .errors import InputError, PrecisionError, PromiseViolation
+from .errors import EnumerationBudgetError, InputError, PrecisionError, PromiseViolation
 from .exactnum import ExactMatrix, Field, QQ
 from .lattice import (
-    BoxStats,
     LatticeBasis,
     berge_martinet_upper,
     box_enumerate,
@@ -44,7 +46,7 @@ from .orders import Order, maximal_order
 
 MAX_RATIONAL_SIZE = 43
 MAX_PRECISION_BITS = 4096  # the numerical stage doubles its precision up to this
-ENUMERATION_BUDGET = 10**6  # nodes per short-vector listing
+ENUMERATION_BUDGET = 10**6  # nodes per short-vector listing, tuples per static box
 
 
 @dataclass
@@ -85,19 +87,27 @@ class SplitResult:
 
 
 def _lifter(table, reduced: LatticeBasis, zbasis_elements):
-    """Maps enumeration coefficient vectors to exact algebra elements."""
-    history, k, field = reduced.unimodular_history, reduced.rank, table.field
+    """(lift, D): lift maps enumeration coefficients over the reduced basis to
+    the (1, omega) coordinates of the element they name times D, as ints.
 
-    def lift(coeffs: Sequence[int]) -> AlgebraElement:
-        coords = [field.zero()] * table.m
-        for i in range(k):
-            c = sum(history[i][j] * coeffs[j] for j in range(k))
+    D is the lcm of the denominators of the z-basis coordinates, so the
+    vectors feed _int_ideal_rank directly; the element with coordinates
+    v / D is built only for the answer.
+    """
+    rows = [restrict_coords(table.field, el.coords) for el in zbasis_elements]
+    D = math.lcm(*(x.denominator for r in rows for x in r))
+    Z = [[x.numerator * (D // x.denominator) for x in r] for r in rows]
+    history = reduced.unimodular_history
+
+    def lift(coeffs: Sequence[int]) -> list[int]:
+        acc = [0] * len(Z[0])
+        for h, z in zip(history, Z):
+            c = sum(map(operator.mul, h, coeffs))
             if c:
-                cc = field.coerce(c)
-                coords = [a + cc * b for a, b in zip(coords, zbasis_elements[i].coords)]
-        return AlgebraElement(table, coords)
+                acc = [a + c * b for a, b in zip(acc, z)]
+        return acc
 
-    return lift
+    return lift, D
 
 
 def split(
@@ -149,8 +159,9 @@ def split(
     reduced = lll_reduce(rationalize(embedded, 2 ** max(48, precision // 2)))
     slack = 2.0 ** (-(precision // 4))
     pert = (reduced.perturbation or 0.0) * reduced.rank
-    lift = _lifter(table, reduced, embedded.zbasis_elements)
-    element, nsq, policy_stats = search(table, reduced, reduced.gram(), lift, slack, pert)
+    lift, D = _lifter(table, reduced, embedded.zbasis_elements)
+    v, nsq, policy_stats = search(table, reduced, reduced.gram(), lift, slack, pert)
+    element = AlgebraElement(table, lift_coords(field, [Fraction(x, D) for x in v]))
     witness = build_isomorphism(table, element)
     found_norm = math.sqrt(float(nsq))
     return SplitResult(
@@ -203,8 +214,9 @@ def _first_bound(gram, rank: int, slack: float, pert: float) -> float:
     return bound
 
 
-# Each search policy returns (rank-one element, its squared norm, the
-# SplitStats fields the policy determines) or raises PromiseViolation.
+# Each search policy returns (the lifted vector of a rank-one element, its
+# squared norm, the SplitStats fields the policy determines) or raises
+# PromiseViolation.
 
 
 def _search_ordered(table, reduced, gram, lift, slack, pert):
@@ -219,9 +231,9 @@ def _search_ordered(table, reduced, gram, lift, slack, pert):
         vecs = short_vectors(gram, bound, budget=ENUMERATION_BUDGET)
         for coeffs, nsq in vecs:
             nodes += 1
-            element = lift(coeffs)
-            if ideal_rank(element, table.n) == 1:
-                return element, nsq, {"nodes_visited": nodes, "norm_bound": full_bound}
+            v = lift(coeffs)
+            if _int_ideal_rank(table, v, table.n) == 1:
+                return v, nsq, {"nodes_visited": nodes, "norm_bound": full_bound}
     raise PromiseViolation(
         "enumeration exhausted without a rank-one element; "
         "the input algebra is most likely not split"
@@ -233,47 +245,56 @@ def _search_box(table, reduced, gram, lift, slack, pert):
     shortest rank-one element inside it wins.
 
     Every element of rank r >= 1 seen so far shrinks the norm cap to
-    gamma_r^2 / sqrt(r) times its norm (``dynamic_bound_update``), and the
-    box to the Lenstra bounds of that cap.  By the tensor-product rank
-    floors the shortest rank-one element is no longer than the cap, so it
-    stays inside the shrunken box and the answer is the static box's.
-    The stats report the nodes visited beside the static box and the flat
-    |alpha_i| <= c_m box, Prod(2 b_i + 1) tuples each.
+    gamma_r^2 / sqrt(r) times its norm (``dynamic_bound_update``); when the
+    cap drops, the bounds box_enumerate walks are lowered in place to the
+    Lenstra bounds of the new cap.  By the tensor-product rank floors the
+    shortest rank-one element is no longer than the cap, so it stays inside
+    the shrunken box and the answer is the static box's.  Norms are compared
+    on the integer Gram.  A static box of more than ENUMERATION_BUDGET tuples
+    raises EnumerationBudgetError before the first rank test; the pruned
+    walk never leaves the static box.  The stats report the nodes visited
+    beside the static box and the flat |alpha_i| <= c_m box, Prod(2 b_i + 1)
+    tuples each.
     """
     k = reduced.rank
     norms = [math.sqrt(float(gram[i][i])) for i in range(k)]
     defect = orthogonality_defect(reduced)
     cap = berge_martinet_upper(table.n) * (1 + slack) + pert
-    static_bounds = lenstra_coefficient_bounds(defect, cap, norms)
-    shrunk = math.inf
-
-    def dyn_bounds():
-        return lenstra_coefficient_bounds(defect, min(shrunk, cap), norms)
-
-    stats = BoxStats()
-    best = None  # (norm_sq, coeffs, element)
-    gen = box_enumerate(
-        static_bounds, dynamic_bounds_fn=dyn_bounds, stats=stats, budget=ENUMERATION_BUDGET
-    )
-    for coeffs in gen:
-        nsq = _quadratic_form(gram, coeffs)
-        element = lift(coeffs)
-        r = ideal_rank(element, table.n)
+    bounds = lenstra_coefficient_bounds(defect, cap, norms)
+    static = _box_volume(bounds)
+    if static > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"the static Lenstra box holds {static} coefficient tuples, more than "
+            f"the budget of {ENUMERATION_BUDGET}; use the ordered engine"
+        )
+    G = reduced.int_gram()
+    den_sq = G[0][0] / gram[0][0]  # int_gram() is gram() times the squared denominator
+    shrunk = cap
+    nodes = 1  # the zero tuple, which the walk visits and does not yield
+    best = None  # (integer squared norm, coeffs, lifted vector)
+    for coeffs in box_enumerate(bounds):
+        nodes += 1
+        v = lift(coeffs)
+        r = _int_ideal_rank(table, v, table.n)
         if r == 0:
             continue
-        shrunk = dynamic_bound_update(shrunk, math.sqrt(float(nsq)), r)
-        if r == 1 and (best is None or (nsq, coeffs) < (best[0], best[1])):
-            best = (nsq, coeffs, element)
+        q = sum(c * sum(map(operator.mul, row, coeffs)) for c, row in zip(coeffs, G) if c)
+        lowered = dynamic_bound_update(shrunk, math.sqrt(float(q / den_sq)), r)
+        if lowered < shrunk:
+            shrunk = lowered
+            bounds[:] = lenstra_coefficient_bounds(defect, shrunk, norms)
+        if r == 1 and (best is None or (q, coeffs) < best[:2]):
+            best = (q, coeffs, v)
     if best is None:
         raise PromiseViolation(
             "box enumeration exhausted without a rank-one element; "
             "the input algebra is most likely not split"
         )
-    nsq, _, element = best
-    return element, nsq, {
-        "nodes_visited": stats.nodes,
+    q, _, v = best
+    return v, q / den_sq, {
+        "nodes_visited": nodes,
         "norm_bound": cap,
-        "box_nodes_static": _box_volume(static_bounds),
+        "box_nodes_static": static,
         "box_nodes_cm_flat": (2 * int(c_m(k)) + 1) ** k,
     }
 
@@ -283,20 +304,6 @@ def _box_volume(bounds: Sequence[int]) -> int:
     for b in bounds:
         vol *= 2 * b + 1
     return vol
-
-
-def _quadratic_form(gram, coeffs) -> Fraction:
-    k = len(coeffs)
-    acc = Fraction(0)
-    for i in range(k):
-        ci = coeffs[i]
-        if not ci:
-            continue
-        acc += gram[i][i] * ci * ci
-        for j in range(i + 1, k):
-            if coeffs[j]:
-                acc += 2 * gram[i][j] * ci * coeffs[j]
-    return acc
 
 
 def dynamic_bound_update(d_current: float, norm_c: float, rank_c: int) -> float:
@@ -320,9 +327,9 @@ def _search_minimal_class(table, reduced, gram, lift, slack, pert):
     class_cut = lam_sq * (1 + slack) ** 2 + 2 * pert
     minimal_class = [cv for cv in vecs if float(cv[1]) <= class_cut]
     for nodes, (coeffs, nsq) in enumerate(minimal_class, 1):
-        element = lift(coeffs)
-        if ideal_rank(element, table.n) == 1:
-            return element, nsq, {
+        v = lift(coeffs)
+        if _int_ideal_rank(table, v, table.n) == 1:
+            return v, nsq, {
                 "nodes_visited": nodes,
                 "norm_bound": math.sqrt(class_cut),
                 "minimal_class_size": len(minimal_class),

@@ -169,6 +169,19 @@ class TestPipelines:
         result = runner.invoke(main, ["split", "--seed", "1"], input=json.dumps(table))
         assert result.exit_code == 2
 
+    def test_box_over_budget_exits_3_before_any_rank_test(self, runner, monkeypatch):
+        # the static box at Q n = 4 holds about 2.6e13 tuples
+        def no_rank_test(*args):
+            raise AssertionError("rank test reached")
+
+        monkeypatch.setattr(splitter, "_int_ideal_rank", no_rank_test)
+        gen = run_ok(runner, ["gen", "--n", "4", "--field", "Q", "--seed", "1"])
+        start = time.perf_counter()
+        result = runner.invoke(main, ["split", "--engine", "box", "--seed", "1"], input=gen.output)
+        assert result.exit_code == 3, result.output
+        assert "more than the budget of 1000000" in result.output
+        assert time.perf_counter() - start < 10
+
     def test_tampered_result_fails_verification(self, runner):
         gen = run_ok(runner, ["gen", "--n", "2", "--seed", "3"])
         split = run_ok(runner, ["split", "--seed", "3"], input=gen.output)

@@ -16,7 +16,6 @@ from matsplit.errors import InputError, InternalError
 from matsplit.exactnum import QQ, ExactMatrix
 from matsplit.fixtures import a2_basis, a2_dual_basis, z2_basis
 from matsplit.lattice import (
-    BoxStats,
     LatticeBasis,
     _certify_lll,
     berge_martinet_upper,
@@ -593,22 +592,31 @@ class TestBoxEnumerate:
         assert len(out) == 8
         assert all(any(v) for v in out)
 
-    def test_dynamic_bound_collapse(self):
-        calls = {"count": 0}
+    def test_collapse_to_the_zero_tuple(self):
+        # bounds lowered to zero before the first step leave only the zero
+        # tuple, which is visited and not yielded
+        bounds = [5, 5]
+        walk = box_enumerate(bounds)
+        bounds[:] = [0, 0]
+        assert list(walk) == []
 
-        def dyn():
-            calls["count"] += 1
-            return [0, 0]
+    def test_lowered_bounds_are_reread_mid_walk(self):
+        bounds = [1, 1]
+        walk = box_enumerate(bounds)
+        assert next(walk) == (-1, -1)
+        bounds[:] = [0, 0]
+        # the fixed prefix -1 finishes its row inside the lowered bound
+        assert list(walk) == [(-1, 0)]
 
-        stats = BoxStats()
-        out = list(box_enumerate([5, 5], dynamic_bounds_fn=dyn, stats=stats))
-        assert out == []
-        assert stats.nodes == 1  # only the all-zero tuple survives the clamp
+    def test_nodes_of_the_full_box(self):
+        # 26 nonzero tuples and the zero tuple are the 27 nodes of the box
+        out = list(box_enumerate([1, 1, 1]))
+        assert len(out) + 1 == 27
+        assert len(set(out)) == len(out)
 
-    def test_node_counter(self):
-        stats = BoxStats()
-        list(box_enumerate([1, 1, 1], stats=stats))
-        assert stats.nodes == 27
+    def test_negative_bound(self):
+        with pytest.raises(InputError):
+            list(box_enumerate([1, -1]))
 
 
 class TestTensor:

@@ -101,6 +101,44 @@ class TestBoxEngine:
         assert res.stats.nodes_visited < res.stats.box_nodes_cm_flat
 
 
+class TestBoxTraversal:
+    # Nodes visited, static box and rank-one element of the pruned walk;
+    # a change to the walk, its pruning or its tie order shows here.
+    PINNED = [
+        (2, 1, 38, 297, ["1", "0", "-1", "3"]),
+        (2, 2, 96, 135, ["-2", "2", "3", "-1"]),
+        (2, 3, 7, 27, ["1", "0", "-1", "-1/2"]),
+        (2, 4, 16, 45, ["-1", "4", "-10", "-11"]),
+        (2, 5, 17, 63, ["-1", "-1", "0", "-2"]),
+        (2, 6, 18, 81, ["1", "-1", "-1", "-1"]),
+        (2, 7, 7, 27, ["1", "-1", "2", "0"]),
+        (2, 8, 8, 45, ["0", "-2", "-1", "0"]),
+        (2, 9, 16, 45, ["2", "-11", "8", "0"]),
+        (2, 10, 8, 45, ["1", "-1", "2", "0"]),
+        (2, 11, 16, 81, ["0", "1", "-1", "-2"]),
+        (2, 12, 42, 81, ["-94", "45", "78", "39/2"]),
+        (2, 13, 8, 45, ["-1", "2", "0", "0"]),
+        (2, 14, 17, 63, ["1", "4", "-2", "6"]),
+        (2, 15, 8, 45, ["-2", "-9", "5", "-8"]),
+        (2, 16, 16, 45, ["-327", "-85", "-153", "5"]),
+        (2, 17, 23, 171, ["0", "-1", "0", "1"]),
+        (2, 18, 7, 27, ["3", "1", "-6", "0"]),
+        (2, 19, 7, 27, ["-28", "9", "11", "129"]),
+        (2, 20, 42, 81, ["-53", "-27", "387", "57"]),
+        (3, 3, 2693, 14175, ["0", "0", "-1", "0", "0", "-1", "2", "0", "-1"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "n,seed,nodes,static,element", PINNED, ids=[f"Q-n{p[0]}-s{p[1]}" for p in PINNED]
+    )
+    def test_pinned(self, n, seed, nodes, static, element):
+        inst = generate_instance(n, "Q", 10, seed)
+        res = split(inst.table, SplitConfig(seed=seed, engine="box"))
+        assert res.stats.nodes_visited == nodes
+        assert res.stats.box_nodes_static == static
+        assert [str(c) for c in res.rank_one_element.coords] == element
+
+
 class TestDynamicBoundUpdate:
     def test_rank_one_unit_norm(self):
         assert dynamic_bound_update(math.inf, 1.0, 1) == 1.0
