@@ -244,11 +244,15 @@ class StructureConstants:
     def _associativity_failures(self, identity: Sequence | None) -> list[tuple[int, int]]:
         """Pairs (i, j) with (a_i a_j) a_k != a_i (a_j a_k) for some k.
 
-        That is L(a_i) L(a_j) != L(a_i a_j), compared column by column on
-        the integer table, O(m^4) integer operations per row i.  Both sides
-        scale by the square of its d, so the failing pairs stay the same.
-        Over Q(i) and Q(sqrt(-3)) i, j, k run over the K-basis of the
-        restriction, whose product is K-bilinear.
+        That is L(a_i) L(a_j) != sum_r G_ijr L(a_r) on the integer table G,
+        the pair identity of witness_problems with P_r = L(a_r) and d = D =
+        1, checked by _pair_defects on packed ints: about 2 w^2 multiply-adds
+        per row i, w = len(G), instead of O(m^4) integer operations.  Both
+        sides scale by the square of its d, so the failing pairs stay the
+        same.  Over Q(i) and Q(sqrt(-3)) i and j run over the K-basis of the
+        restriction and k over all of it; its product is K-bilinear, so
+        (a_i a_j) (omega a_k) = a_i (a_j (omega a_k)) holds when (a_i a_j)
+        a_k = a_i (a_j a_k) does.
 
         Row i passes exactly when a_i lies in the left nucleus T = {u : (ux)z
         = u(xz) for all x, z}.  T is a subalgebra, associative or not: for u,
@@ -265,13 +269,16 @@ class StructureConstants:
         w = len(gamma)
         # nonzero (index, value) pairs of each product a_i a_j
         nz = [[[(s, x) for s, x in enumerate(gij) if x] for gij in gi] for gi in gamma]
+        # L(a_r) flat row-major, entry (s, k) the coordinate s of a_r a_k
+        lefts = [[gr[k][s] for s in range(w) for k in range(w)] for gr in gamma]
+        row_defects = _pair_defects(lefts, [gi[:m] for gi in gamma[:m]], 1, 1, w)
         words = None if identity is None else _LeftWords(nz, _integral(self.field, identity)[0])
         failures = []
         for i in range(m):
             if words is not None and words.spans():
                 break
-            row = _row_failures(nz, i, m)
-            failures += ((i, j) for j in row)
+            row = row_defects(i)
+            failures += ((i, j) for j, _ in row)
             if row:
                 words = None
             elif words is not None:
@@ -288,31 +295,6 @@ class StructureConstants:
 
     def __repr__(self):
         return f"StructureConstants(dim={self.m} over {self.field})"
-
-
-def _row_failures(nz: Sequence, i: int, m: int) -> list[int]:
-    """The j < m with (a_i a_j) a_k != a_i (a_j a_k) for some k < m.
-
-    nz[r][s] lists the nonzero (index, value) pairs of the integer product
-    of the restricted basis vectors r and s; a_0..a_(m-1) are the K-basis.
-    """
-    nz_i, w = nz[i], len(nz)
-    failing = []
-    for j in range(m):
-        nz_ij, nz_j = nz_i[j], nz[j]
-        for k in range(m):
-            lhs = [0] * w
-            for r, c in nz_ij:
-                for s, x in nz[r][k]:
-                    lhs[s] += c * x
-            rhs = [0] * w
-            for r, c in nz_j[k]:
-                for s, x in nz_i[r]:
-                    rhs[s] += c * x
-            if lhs != rhs:
-                failing.append(j)
-                break
-    return failing
 
 
 class _LeftWords:
@@ -567,7 +549,7 @@ class WitnessProblems:
     """What witness_problems found wrong with a set of images."""
 
     pairs: tuple  # basis pairs (i, j), row-major, with phi(a_i) phi(a_j) != phi(a_i a_j)
-    identity_fails: bool  # phi(1) != I; checked only when every pair holds
+    identity_fails: bool  # phi(1) != I; checked only when every pair holds and the images are dependent
     not_injective: bool  # the m images are linearly dependent
 
 
@@ -575,18 +557,21 @@ def witness_problems(table: StructureConstants, images: Sequence[ExactMatrix]) -
     """Exact check that a_i -> images[i] is an isomorphism A -> M_n(K).
 
     Multiplicativity phi(a_i) phi(a_j) = sum_k gamma_ijk phi(a_k) is checked
-    on every basis pair, then phi(1) = I, and the m = n^2 images must be
-    linearly independent: a unital multiplicative linear bijection is an
+    on every basis pair, the m = n^2 images must be linearly independent,
+    and phi(1) = I must hold: a unital multiplicative linear bijection is an
     isomorphism, while a non-simple algebra such as K^4 has unital
     homomorphisms to M_n(K) that are not injective.  The arithmetic is on
     ints.  Over Q, P_k is phi(a_k) times the lcm D of the image
     denominators; over Q(i) and Q(sqrt(-3)), P_k and P_{m+k} are the
     realified phi(a_k) and omega phi(a_k), so that sum_k G_ijk P_k runs over
     the restricted table (G, d).  Each pair checks d P_i P_j = D sum_k
-    G_ijk P_k, and the images are independent when the P_k have full rank.
-    Raises InputError unless there are m images, each n x n over the table's
-    field, and NoIdentityError when every pair holds but the table has no
-    identity.
+    G_ijk P_k on packed matrices (see _pair_defects), and the images are
+    independent when the P_k have full rank.  Independent images that pass
+    every pair make phi a bijective homomorphism onto M_n(K), so A has the
+    identity phi^-1(I), phi(1) = I holds, and the identity is solved and
+    checked only for dependent images.  Raises InputError unless there are m
+    images, each n x n over the table's field, and NoIdentityError when
+    every pair holds, the images are dependent and the table has no identity.
     """
     n, m, field = table.n, table.m, table.field
     if len(images) != m or any(
@@ -601,28 +586,96 @@ def witness_problems(table: StructureConstants, images: Sequence[ExactMatrix]) -
     size = n * len(P) // m
     G, d = table._integral_gamma()
     K_rows = [gi[:m] for gi in G[:m]]
-    pairs = tuple((i, j) for i, j, lhs, rhs in _pair_sides(P, K_rows, d, D, size) if lhs != rhs)
+    row_defects = _pair_defects(P, K_rows, d, D, size)
+    pairs = tuple((i, j) for i in range(m) for j, _ in row_defects(i))
+    not_injective = len(int_gauss_jordan(P)[1]) < len(P)
     identity_fails = False
-    if not pairs:
+    if not pairs and not_injective:
         E, de = _integral(field, table.find_identity().coords)
         identity_fails = _combination(E, P) != _scaled_eye(size, de * D)
-    return WitnessProblems(pairs, identity_fails, len(int_gauss_jordan(P)[1]) < len(P))
+    return WitnessProblems(pairs, identity_fails, not_injective)
 
 
-def _pair_sides(P: Sequence[list], coeffs: Sequence, d, D, n: int):
-    """Both sides of d P_i P_j = D sum_k coeffs[i][j][k] P_k, for every basis pair.
+def _pack(v: Sequence[int], W: int) -> bytes:
+    """The integer vector v packed at slot width W: the bytes of pack(v) + _offset.
 
-    Each P_k is an n x n matrix as a flat row-major list.  The products run
-    over the first len(coeffs) matrices and the combinations over all of
-    them.  Yields (i, j, lhs, rhs), row-major in (i, j).
+    pack(v) = sum_l v[l] 2^(W l) is Z-linear.  If every |x_l| < 2^W and
+    pack(x) = 0, then x = 0: the lowest slot gives x_0 = 0 mod 2^W, so x_0 =
+    0, and the rest is pack(x[1:]) = 0.  So for u and v whose entries are
+    all below 2^(W-1) in absolute value, pack(u) == pack(v) holds exactly
+    when u == v.  Adding _offset turns every entry into its own base-2^W
+    digit v[l] + 2^(W-1) in [0, 2^W), so the little-endian bytes are those
+    digits one after another, W / 8 bytes each, and a slice of them packs
+    the matching slice of v.  W must be a multiple of 8 and every |v[l]| <
+    2^(W-1).
     """
-    m = len(coeffs)
-    rows = [[Pk[r * n:(r + 1) * n] for r in range(n)] for Pk in P[:m]]
-    cols = [[Pk[c::n] for c in range(n)] for Pk in P[:m]]
-    for i in range(m):
-        for j in range(m):
-            lhs = [d * sum(a * b for a, b in zip(r, c)) for r in rows[i] for c in cols[j]]
-            yield i, j, lhs, [D * a for a in _combination(coeffs[i][j], P)]
+    half, step = 1 << (W - 1), W // 8
+    return b"".join((x + half).to_bytes(step, "little") for x in v)
+
+
+def _slot_width(bound: int) -> int:
+    """The least multiple W of 8 with bound < 2^(W-1): entries of size <= bound fit a slot."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _offset(slots: int, W: int) -> int:
+    """sum_l 2^(W-1) 2^(W l) over slots slots, for W a multiple of 8."""
+    return int.from_bytes((bytes(W // 8 - 1) + b"\x80") * slots, "little")
+
+
+def _pair_defects(P: Sequence[list], coeffs: Sequence, d, D, n: int):
+    """The defects d P_i P_j - D sum_k coeffs[i][j][k] P_k, one row i at a time.
+
+    Each P_k is an n x n integer matrix as a flat row-major list.  The
+    products run over the first m = len(coeffs) matrices and the
+    combinations over all of them.  Packs every matrix once and returns
+    row(i): the list of (j, x), ascending in j, for the j whose defect x is
+    not zero, x flat row-major.
+
+    Every matrix is packed at one slot width W (see _pack) with d n
+    max|P|^2 + D max|P| max_ij sum_k |coeffs[i][j][k]| < 2^(W-1), which
+    bounds every entry of d P_i P_j and of the defect.  Row t of every P_j
+    is packed into one int, the rows one after another, n slots apart; then
+    row r of d P_i P_j for every j is sum_t P_i[r][t] (row t of every P_j),
+    n multiply-adds.  Those ints plus _offset are read as bytes, the n rows
+    of block j are joined into d P_i P_j plus _offset, and less the packed
+    D sum_k coeffs[i][j][k] P_k that is the defect plus _offset: the pair
+    holds exactly when it equals the offset.
+    """
+    m, L = len(coeffs), n * n
+    top = max(max(max(Pk), -min(Pk)) for Pk in P)
+    wide = max(sum(map(abs, cij)) for ci in coeffs for cij in ci)
+    W = _slot_width(d * n * top * top + D * top * wide)
+    step = W // 8
+    size = n * step  # bytes per packed row
+    O, O_rows = _offset(L, W), _offset(m * n, W)
+    digits = [_pack(Pk, W) for Pk in P]
+    packed = [D * (int.from_bytes(b, "little") - O) for b in digits]
+    rows = [d * (int.from_bytes(b"".join(b[t * size:(t + 1) * size] for b in digits[:m]), "little")
+                 - O_rows) for t in range(n)]
+    half = 1 << (W - 1)
+
+    def row(i: int) -> list:
+        Pi, prods = P[i], []
+        for r in range(n):
+            acc = O_rows
+            for a, Pt in zip(Pi[r * n:(r + 1) * n], rows):
+                if a:
+                    acc += a * Pt
+            prods.append(acc.to_bytes(m * size, "little"))
+        defects = []
+        for j, cij in enumerate(coeffs[i]):
+            x = int.from_bytes(b"".join(p[j * size:(j + 1) * size] for p in prods), "little")
+            for c, Pk in zip(cij, packed):
+                if c:
+                    x -= c * Pk
+            if x != O:
+                b = x.to_bytes(L * step, "little")
+                defects.append((j, [int.from_bytes(b[l:l + step], "little") - half
+                                    for l in range(0, L * step, step)]))
+        return defects
+
+    return row
 
 
 def _int_dot(x: Sequence[int], y: Sequence[int]) -> int:
@@ -654,10 +707,10 @@ def _realified(z: list, n: int, t: int) -> list:
 
 
 def witness_residual(table: StructureConstants, witness: IsomorphismWitness):
-    """Exact multiplicativity defect; the zero matrix count for a valid witness.
+    """The number of basis pairs (i, j) with phi(a_i) phi(a_j) != phi(a_i a_j).
 
-    Returns the number of basis pairs with a nonzero defect (always 0 for
-    witnesses produced by build_isomorphism; exposed for external checking).
+    Zero for every witness build_isomorphism returns; exposed for external
+    checking.
     """
     return len(witness_problems(table, witness.images).pairs)
 

@@ -29,7 +29,7 @@ from .algebra import (
     _combination,
     _integral,
     _omega_times,
-    _pair_sides,
+    _pair_defects,
     _realified,
     _scaled_eye,
     lift_coords,
@@ -312,8 +312,10 @@ def _measure_residual(table: StructureConstants, images) -> mpf:
     Q(sqrt(-3)) a complex matrix X + iY is written as the real matrix
     [[X, -Y], [Y, X]], which keeps products and doubles squared norms, and
     gamma_ijk = g + ih enters as fixed-point g and h at scale 2^F against the
-    images of a_k and of i a_k.  The squared defects are compared exactly and
-    one square root is taken at the end.
+    images of a_k and of i a_k.  The pairs run through the packed kernel
+    algebra._pair_defects, which unpacks only the nonzero defects.  The
+    squared defects are compared exactly and one square root is taken at
+    the end.
     """
     F = mp.prec
     D = 1 << F
@@ -333,9 +335,9 @@ def _measure_residual(table: StructureConstants, images) -> mpf:
         d = D
         E, de = _fixed_complex(e, F), D
         size, fold = 2 * n, 2
+    row_defects = _pair_defects(P, G, d, D, size)
     pair_sq = max(
-        sum((a - b) ** 2 for a, b in zip(lhs, rhs))
-        for _, _, lhs, rhs in _pair_sides(P, G, d, D, size)
+        (sum(x * x for x in v) for i in range(len(G)) for _, v in row_defects(i)), default=0
     )
     eye = _scaled_eye(size, de * D)
     identity_sq = sum((a - b) ** 2 for a, b in zip(_combination(E, P), eye))

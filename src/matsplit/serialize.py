@@ -222,9 +222,14 @@ def verify_result_json(obj) -> list[str]:
     table = algebra_from_json(obj["algebra"])
     if field_from_json(obj["field"]) != table.field:
         raise InputError("the result's field differs from its algebra's")
-    for v in obj["witness"]["left_ideal_basis"]:
-        vector_from_json(table.field, v)
     n = table.n
+    if obj["n"] != n:
+        raise InputError(f"the result's n = {obj['n']!r} differs from its algebra's n = {n}")
+    basis = obj["witness"]["left_ideal_basis"]
+    if len(basis) != n or any(len(v) != table.m for v in basis):
+        raise InputError(f"the left ideal basis must hold {n} vectors of length {table.m}")
+    for v in basis:
+        vector_from_json(table.field, v)
     element = AlgebraElement(table, vector_from_json(table.field, obj["rank_one_element"]))
     if ideal_rank(element, n) != 1:
         problems.append("claimed element does not have ideal rank one")

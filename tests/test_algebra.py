@@ -575,16 +575,156 @@ def _oracle_violations(table):
 
 
 @pytest.fixture
+def slot_widths(monkeypatch):
+    """Every slot width the packed kernels choose, in order."""
+    widths = []
+    slot_width = algebra._slot_width
+
+    def spy(bound):
+        widths.append(slot_width(bound))
+        return widths[-1]
+
+    monkeypatch.setattr(algebra, "_slot_width", spy)
+    return widths
+
+
+def _steps(W, scale):
+    """Perturbations for a kernel at slot width W: +-1, +-2^k for k up to 300,
+    and +-(2^(W-1) - 1) / scale, a full slot of the integer form."""
+    full = Fraction(2 ** (W - 1) - 1, scale)
+    return [1, -1, full, -full] + [s * 2**k for k in range(1, 301, 23) for s in (1, -1)]
+
+
+class TestPackedKernelsAgainstOracles:
+    """The packed pair kernels give the brute-force lists on tampered inputs,
+    with entries from a unit up to a full slot, so a carry between slots shows."""
+
+    @pytest.mark.parametrize(
+        "n, field, seed", [(2, "Q", 11), (3, "Q", 12), (2, "gauss", 13), (2, "eisenstein", 14)]
+    )
+    def test_witness_problems_on_tampered_images(self, n, field, seed, slot_widths):
+        rng = random.Random(900 + seed)
+        inst = generate_instance(n, FIELDS[field], 10, seed)
+        m, K = inst.table.m, FIELDS[field]
+        scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m)]
+        table = _rescaled(inst.table, scales)
+        hidden = [
+            inst.hidden_matrix(unit(inst.table, k).coords).scaled(c) for k, c in enumerate(scales)
+        ]
+        assert witness_problems(table, hidden) == WitnessProblems((), False, False)
+        D = algebra._integral(K, [x for M in hidden for row in M.entries for x in row])[1]
+        steps = _steps(slot_widths[-1], D)
+        units = [K.one()] if K.is_rational else [K.one(), K.omega(), K.one() + K.omega()]
+        failing = 0
+        for t in range(52):
+            rows = [[list(row) for row in M.entries] for M in hidden]
+            for s in range(rng.choice([1, 1, 2, 3])):
+                delta = steps[t % len(steps)] if s == 0 else rng.choice(steps)
+                k, r, c = rng.randrange(m), rng.randrange(n), rng.randrange(n)
+                rows[k][r][c] = rows[k][r][c] + K.coerce(delta) * rng.choice(units)
+            tampered = [ExactMatrix(K, M) for M in rows]
+            found = witness_problems(table, tampered)
+            assert found == _witness_oracle(table, tampered)
+            failing += bool(found.pairs)
+        assert failing >= 50
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_validate_on_perturbed_tables(self, field, slot_widths):
+        rng = random.Random(950 + len(field))
+        K = FIELDS[field]
+        units = [K.one()] if K.is_rational else [K.one(), K.omega()]
+        perturbed = 0
+        for t in range(82):
+            table = generate_instance(2, K, 10, t % 12).table
+            m = table.m
+            if t % 3:
+                scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m)]
+                table = _rescaled(table, scales)
+            assert validate(table) == []
+            if t % 9 == 0:
+                assert _oracle_violations(table) == []
+                continue
+            steps = _steps(slot_widths[-1], table._integral_gamma()[1]) + [Fraction(1, 7)]
+            for s in range(rng.choice([1, 1, 2])):
+                delta = K.coerce(steps[t % len(steps)] if s == 0 else rng.choice(steps))
+                i, j, k = rng.randrange(m), rng.randrange(m), rng.randrange(m)
+                table = _perturbed(table, i, j, k, delta * rng.choice(units))
+            assert validate(table) == _oracle_violations(table)
+            perturbed += 1
+        assert perturbed == 72
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pair_defects_at_the_slot_bound(self, n):
+        # with every entry T, every coefficient -C and one sign, each defect
+        # entry is exactly the bound the slot width is chosen for; 2^k - 1
+        # and 2^k put the bound's bit length on every residue mod 8
+        rng = random.Random(970 + n)
+        m = n * n
+        for k in range(1, 41):
+            for T in (2**k - 1, 2**k):
+                C, d, D = rng.randint(1, 5), rng.randint(1, 9), rng.randint(1, 9)
+                P = [[T] * m for _ in range(m)]
+                coeffs = [[[-C] * m for _ in range(m)] for _ in range(m)]
+                expected = _scalar_defects(P, coeffs, d, D, n)
+                assert {x for _, _, v in expected for x in v} == {d * n * T * T + D * m * C * T}
+                assert _packed_defects(P, coeffs, d, D, n) == expected
+                # the same sizes with mixed signs
+                P = [[rng.choice((T, -T, 0)) for _ in range(m)] for _ in range(m)]
+                coeffs = [[[rng.choice((C, -C, 0)) for _ in range(m)] for _ in range(m)]
+                          for _ in range(m)]
+                expected = _scalar_defects(P, coeffs, d, D, n)
+                assert _packed_defects(P, coeffs, d, D, n) == expected
+
+    def test_validate_on_constant_tables(self):
+        # a_i a_j = g (a_1 + .. + a_4) is associative without an identity;
+        # every coordinate of both sides is 4 g^2, half the bound 4 g^2 + g 4g
+        # that _pair_defects chooses the slot width for
+        for k in range(1, 41):
+            g = 2**k - 1
+            table = StructureConstants(QQ, [[[g] * 4] * 4] * 4)
+            assert validate(table) == _oracle_violations(table) == ["no two-sided identity element"]
+            bad = _perturbed(table, 1, 2, 3, -1)
+            assert validate(bad) == _oracle_violations(bad)
+
+
+def _packed_defects(P, coeffs, d, D, n):
+    """Every (i, j, defect) of algebra._pair_defects, row by row."""
+    row = algebra._pair_defects(P, coeffs, d, D, n)
+    return [(i, j, x) for i in range(len(coeffs)) for j, x in row(i)]
+
+
+def _scalar_defects(P, coeffs, d, D, n):
+    """_packed_defects, one scalar product at a time."""
+    out = []
+    for i, ci in enumerate(coeffs):
+        for j, cij in enumerate(ci):
+            x = [
+                d * sum(P[i][r * n + t] * P[j][t * n + c] for t in range(n))
+                - D * sum(a * Pk[r * n + c] for a, Pk in zip(cij, P))
+                for r in range(n)
+                for c in range(n)
+            ]
+            if any(x):
+                out.append((i, j, x))
+    return out
+
+
+@pytest.fixture
 def scanned_rows(monkeypatch):
     """The rows the associativity scan visits, in order."""
     rows = []
-    row_failures = algebra._row_failures
+    pair_defects = algebra._pair_defects
 
-    def spy(nz, i, m):
-        rows.append(i)
-        return row_failures(nz, i, m)
+    def spy(*args):
+        row = pair_defects(*args)
 
-    monkeypatch.setattr(algebra, "_row_failures", spy)
+        def scanned(i):
+            rows.append(i)
+            return row(i)
+
+        return scanned
+
+    monkeypatch.setattr(algebra, "_pair_defects", spy)
     return rows
 
 

@@ -425,6 +425,31 @@ class TestMalformedInput:
         payload["witness"]["left_ideal_basis"][0][0] = entry
         self.assert_exit_4(runner, ["verify"], payload)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_verify_n_differs_from_the_algebra(self, runner, split_payload, n):
+        # the witness itself is valid: only the document's n is wrong
+        assert verify_result_json(split_payload) == []
+        payload = json.loads(json.dumps(split_payload))
+        payload["n"] = n
+        with pytest.raises(InputError, match="differs from its algebra's n = 2"):
+            verify_result_json(payload)
+        self.assert_exit_4(runner, ["verify"], payload)
+
+    @pytest.mark.parametrize("shape", ["five_vectors", "one_vector", "short_vector"])
+    def test_verify_left_ideal_basis_of_the_wrong_shape(self, runner, split_payload, shape):
+        payload = json.loads(json.dumps(split_payload))
+        basis = payload["witness"]["left_ideal_basis"]
+        assert [len(v) for v in basis] == [4, 4]
+        if shape == "five_vectors":
+            basis += [basis[0]] * 3
+        elif shape == "one_vector":
+            del basis[1]
+        else:
+            basis[0] = basis[0][:1]
+        with pytest.raises(InputError, match="2 vectors of length 4"):
+            verify_result_json(payload)
+        self.assert_exit_4(runner, ["verify"], payload)
+
 
 def _forged(family: str, field: Field):
     """A non-simple algebra of dimension 4 with a unital multiplicative map to

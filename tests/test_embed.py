@@ -8,10 +8,19 @@ import mpmath
 import pytest
 
 from matsplit import embed
-from matsplit.algebra import StructureConstants, lift_coords, matrix_units_table
+from matsplit.algebra import (
+    StructureConstants,
+    _integral,
+    _realified,
+    lift_coords,
+    matrix_units_table,
+)
 from matsplit.embed import (
     EmbeddedLattice,
     _eigenspace,
+    _fixed,
+    _fixed_complex,
+    _fixed_parts,
     _images,
     _is_squarefree,
     _measure_residual,
@@ -113,6 +122,44 @@ def oracle_residual(table, images):
     return max(worst, frob(acc))
 
 
+def scalar_residual(table, images):
+    """_measure_residual with every pair defect summed one scalar at a time."""
+    F = mpmath.mp.prec
+    D = 1 << F
+    n = images[0].rows
+    e = table.find_identity().coords
+    if table.field.is_rational:
+        P = [[_fixed(x._mpf_, F) for row in M.tolist() for x in row] for M in images]
+        G, d = table._integral_gamma()
+        E, de = _integral(table.field, e)
+        size, fold = n, 1
+    else:
+        parts = [_fixed_parts((x for row in M.tolist() for x in row), F) for M in images]
+        P = [_realified(X + Y, n, 0) for X, Y in parts]
+        P += [_realified([-y for y in Y] + X, n, 0) for X, Y in parts]
+        G = [[_fixed_complex(gij, F) for gij in gi] for gi in table.gamma]
+        d, E, de = D, _fixed_complex(e, F), D
+        size, fold = 2 * n, 2
+    pair_sq = 0
+    for i in range(table.m):
+        for j in range(table.m):
+            sq = 0
+            for r in range(size):
+                for c in range(size):
+                    lhs = d * sum(P[i][r * size + t] * P[j][t * size + c] for t in range(size))
+                    rhs = D * sum(g * Pk[r * size + c] for g, Pk in zip(G[i][j], P))
+                    sq += (lhs - rhs) ** 2
+            pair_sq = max(pair_sq, sq)
+    phi_e = [sum(x * Pk[r] for x, Pk in zip(E, P)) for r in range(size * size)]
+    eye = [de * D if r % (size + 1) == 0 else 0 for r in range(size * size)]
+    identity_sq = sum((x - y) ** 2 for x, y in zip(phi_e, eye))
+    worst = max(
+        Fraction(pair_sq, fold * (d * D * D) ** 2),
+        Fraction(identity_sq, fold * (de * D) ** 2),
+    )
+    return mpmath.sqrt(mpmath.mpf(worst.numerator) / worst.denominator)
+
+
 def _residual_cases():
     """(table, exact images) over each field: the standard table and a
     scrambled one with non-integral structure constants."""
@@ -182,6 +229,23 @@ class TestResidualOracle:
             assert abs(got - want) <= want * mpmath.mpf(10) ** -20
             # rounding the images to the working precision is the only slack
             assert got >= want - mpmath.mpf(2) ** -RESIDUAL_PREC
+
+    @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+    @pytest.mark.parametrize("images", ["exact", "moved", "zero"])
+    def test_packed_kernel_equals_the_scalar_scan(self, case, images):
+        # not close: the same Fraction, so the same mpf
+        table, emb = self.images_of(case)
+        with mpmath.workprec(RESIDUAL_PREC + 32):
+            if images == "zero":
+                moved = [mpmath.zeros(emb.n, emb.n) for _ in range(table.m)]
+            else:
+                moved = [M.copy() for M in emb.images]
+                if images == "moved":
+                    moved[0][1, 0] += mpmath.mpf(2) ** -40
+                    moved[-1][0, 0] -= mpmath.mpf(3) ** 50
+            got = _measure_residual(table, moved)
+            assert got == scalar_residual(table, moved)
+            assert got > 0 or images == "exact"
 
     @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
     def test_zero_images_fail_only_the_identity(self, case):
