@@ -6,10 +6,12 @@ the integral table.  For a simple root lam of f, the lam-eigenspace of the
 right regular matrix R_z is n-dimensional and a minimal left ideal.  It is
 the column space of the spectral projector g(R_z), g = f / (x - lam), up to
 the scalar f'(lam).  Pivoted Gram-Schmidt on g(R_z) gives an orthonormal
-basis W of it and gates its rank; the images W^H L_i W of left
-multiplication are formed on ints from W rounded once to fixed point.
-Soundness never rests on these floats (rank decisions are exact);
-precision only affects whether the search sees the short vectors it needs.
+basis W of it and gates its rank, and the images W^H L_i W of left
+multiplication follow, all on Python ints at one fixed-point scale 2^F, F
+the working precision; mpmath only refines the roots of f.  The order
+lattice is formed from those ints with one mpf per entry.  Soundness never
+rests on these approximations (rank decisions are exact); precision only
+affects whether the search sees the short vectors it needs.
 """
 
 from __future__ import annotations
@@ -17,16 +19,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import fzero, mpf_shift, to_int
+from mpmath.libmp import from_rational, fzero, mpf_shift, to_int
+from mpmath.libmp.libhyper import NoConvergence
 
 from .algebra import (
     StructureConstants,
     _combination,
+    _int_dot,
     _integral,
     _omega_times,
     _pair_defects,
@@ -50,13 +55,29 @@ class Embedding:
     table: StructureConstants
     n: int
     precision_bits: int
-    images: tuple  # tuple of mpmath.matrix, one per basis element
+    # per basis element (X, Y): the real and imaginary parts of its image,
+    # flat row-major on ints at scale 2^F, F = precision_bits + 32; Y is None over Q
+    fixed: tuple
     residual: object  # mpf: measured multiplicativity defect
     error_radius: object  # mpf: per-entry absolute error bound
 
     @property
     def is_complex(self) -> bool:
         return not self.table.field.is_rational
+
+    @cached_property
+    def images(self) -> tuple:
+        """The images as mpmath matrices, one per basis element."""
+        n = self.n
+        with workprec(self.precision_bits + 32):
+            D = 1 << mp.prec
+            out = []
+            for X, Y in self.fixed:
+                M = [mpf(x) / D for x in X]
+                if Y is not None:
+                    M = [mpc(x, mpf(y) / D) for x, y in zip(M, Y)]
+                out.append(mpmath.matrix([M[r * n:(r + 1) * n] for r in range(n)]))
+            return tuple(out)
 
     def phi(self, coords: Sequence) -> mpmath.matrix:
         """Image of an element given by exact coordinates."""
@@ -139,6 +160,8 @@ def split_numeric(
     n, a root lam (real over Q) lies 2^(-p/4) or more from the others, the
     rank gate of the Gram-Schmidt on the projector g(R_z) passes at 2^(-p/4)
     and the fixed-point images W^H L_i W have residual at most 2^(-p/2).
+    A draw whose roots the root finder cannot converge on is skipped, like a
+    degenerate one.
 
     Raises PrecisionError when the working precision cannot separate the
     spectrum, and PromiseViolation when no splitting element exists (over Q
@@ -158,7 +181,11 @@ def split_numeric(
             if len(f) - 1 != n or not _is_squarefree(f):
                 # degenerate draw: no evidence about splitness either way
                 continue
-            lam, sep = _pick_eigenvalue(f, table, precision_bits)
+            try:
+                lam, sep = _pick_eigenvalue(f, table, precision_bits)
+            except NoConvergence:
+                # the root finder gave up: no evidence either
+                continue
             if lam is None:
                 no_split_count += 1
                 continue
@@ -179,89 +206,155 @@ def split_numeric(
 
 
 def _random_order_element(order: Order, rng: random.Random):
+    """sum_j w_j b_j for random weights w_j in [-3, 3], not all zero, on the order's int columns."""
     m = order.table.m
     while True:
         weights = [rng.randint(-3, 3) for _ in range(m)]
         if any(weights):
             break
-    coords = [order.table.field.zero()] * m
-    for j, w in enumerate(weights):
-        if w:
-            col = order.basis_matrix.column(j)
-            coords = [c + order.table.field.coerce(w) * x for c, x in zip(coords, col)]
-    return tuple(coords)
+    den, C, _, _ = order._int
+    return lift_coords(order.table.field, [Fraction(x, den) for x in _combination(weights, C[:m])])
 
 
 def _pick_eigenvalue(f: list, table: StructureConstants, precision_bits: int):
     """A well-separated eigenvalue usable for the ideal extraction.
 
     Over Q the eigenvalue must be real; over a quadratic field any simple
-    root works.  Returns (root, separation) or (None, 0).
+    root works.  mpmath.polyroots refines the roots from _seed_roots.  The
+    root farthest from the others wins.  With tol = 2^(-p/2), ties are
+    broken by an explicit rule, so that rounding noise never decides:
+    separations within tol relative of the largest tie; among those roots
+    the least |Im| wins, |Im| values within tol relative tying; among those
+    the least real part wins.  Returns (root, separation), or (None, 0) when
+    no root is usable.  mpmath's NoConvergence propagates.
     """
     coeffs = [_scalar_to_mp(c) for c in reversed(f)]
-    try:
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=precision_bits)
-    except mpmath.libmp.libhyper.NoConvergence:
+    roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=precision_bits,
+                             roots_init=_seed_roots([complex(c) for c in coeffs]))
+    tol = mpf(2) ** (-(precision_bits // 2))
+    if table.field.is_rational:
+        usable = [r for r in roots if abs(mpmath.im(r)) <= tol * (1 + abs(r))]
+    else:
+        usable = roots
+    seps = [min((abs(r - s) for s in roots if s is not r), default=mpf(1)) for r in usable]
+    top = max(seps, default=mpf(0))
+    if top == 0:
         return None, mpf(0)
-    real_tol = mpf(2) ** (-(precision_bits // 2))
-    best = None
-    best_sep = mpf(0)
-    for r in roots:
-        if table.field.is_rational and abs(mpmath.im(r)) > real_tol * (1 + abs(r)):
-            continue
-        sep = min(
-            (abs(r - s) for s in roots if s is not r),
-            default=mpf(1),
-        )
-        if sep > best_sep:
-            cand = mpmath.re(r) if table.field.is_rational else r
-            best, best_sep = cand, sep
-    return best, best_sep
+    tied = [(r, s) for r, s in zip(usable, seps) if s >= top * (1 - tol)]
+    low = min(abs(mpmath.im(r)) for r, _ in tied)
+    r, sep = min(((r, s) for r, s in tied if abs(mpmath.im(r)) - low <= tol * abs(mpmath.im(r))),
+                 key=lambda rs: mpmath.re(rs[0]))
+    return (mpmath.re(r) if table.field.is_rational else r), sep
+
+
+def _seed_roots(coeffs: list) -> list | None:
+    """Starting points for polyroots: complex-double Durand-Kerner roots of
+    the monic polynomial with these descending coefficients.
+
+    None when doubles overflow or two iterates meet; polyroots then starts
+    from its own points.
+    """
+    n = len(coeffs) - 1
+    radius = 1 + max(map(abs, coeffs[1:]), default=0)  # Cauchy: every root lies inside
+    z = [radius * (0.4 + 0.9j) ** k for k in range(n)]
+    try:
+        for _ in range(100):
+            moved = 0.0
+            for i, x in enumerate(z):
+                num, den = 0j, 1 + 0j
+                for c in coeffs:
+                    num = num * x + c
+                for j, y in enumerate(z):
+                    if j != i:
+                        den *= x - y
+                step = num / den
+                z[i] = x - step
+                moved = max(moved, abs(step))
+            if moved <= 2.0**-50 * radius:
+                break
+    except ArithmeticError:
+        return None
+    return z if all(math.isfinite(abs(x)) for x in z) else None
 
 
 def _eigenspace(table: StructureConstants, f: list, powers: list, lam, precision_bits: int):
     """Orthonormal columns spanning the lam-eigenspace of R_z, or None at the rank gate.
 
-    f is squarefree, so the eigenspace is the column space of g(R_z), g =
-    f / (x - lam): c_{n-1} = 1, c_{k-1} = f_k + lam c_k.  With z^k = P_k / s_k,
-    g(R_z) = sum_k c_k / (s_k d) R_{P_k}, column j of R_{P_k} being sum_b P_k[b] G[j][b]
-    for the K-basis a_j; over Q(i) and Q(sqrt(-3)) its (1, omega) coordinates
-    (U, V) give the entries U + omega V.
+    f is squarefree, so the eigenspace is the column space of g(R_z) =
+    R_{g(z)}, g = f / (x - lam) = sum_k c_k x^k: c_{n-1} = 1, c_{k-1} = f_k +
+    lam c_k.  With z^k = P_k / s_k, s_{n-1} g(z) = sum_k c_k (s_{n-1} / s_k)
+    P_k, and s_{n-1} / s_k = (dz d)^(n-1-k) is an int; scaling does not
+    change the column space.  So with lam, f_k and c_k at 2^F, F the working
+    precision, Q = sum_k c_k (s_{n-1} / s_k) P_k is an int vector (two over
+    Q(i) and Q(sqrt(-3)): real and imaginary parts), and column j of R_Q is
+    sum_b Q[b] G[j][b] for the K-basis a_j.  Over Q(i) and Q(sqrt(-3)) its
+    (1, omega) coordinates (U, V) give the entries 2^F U + omega V with
+    omega at 2^F.  The columns returned are flat int vectors at 2^F: the
+    real parts, then over Q(i) and Q(sqrt(-3)) the imaginary parts.
     """
+    F = mp.prec
     n, m = len(f) - 1, table.m
+    field = table.field
     G, d = table._integral_gamma()
-    c = [mpf(1)]
+    (lr,), (li,) = _fixed_parts([lam], F)
+    c = [(1 << F, 0)]
     for k in range(n - 1, 0, -1):
-        c.append(_scalar_to_mp(f[k]) + lam * c[-1])
-    weights = [ck / (s * d) for ck, (_, s) in zip(reversed(c), powers)]
-    omega = None if table.field.is_rational else _scalar_to_mp(table.field.omega())
-    cols = []
-    for gj in G[:m]:
-        R = [_combination(P, gj) for P, _ in powers]
-        col = [mpmath.fdot(weights, x) for x in zip(*R)]
-        cols.append(col if omega is None else [u + omega * v for u, v in zip(col[:m], col[m:])])
-    return _pivoted_gram_schmidt(cols, n, mpf(2) ** (-(precision_bits // 4)))
+        (ar, ai), (cr, ci) = _fixed_scalar(f[k], F), c[-1]
+        c.append((ar + ((lr * cr - li * ci) >> F), ai + ((lr * ci + li * cr) >> F)))
+    top = powers[-1][1]
+    P = [Pk for Pk, _ in powers]
+    Qr = _combination([cr * (top // s) for (cr, _), (_, s) in zip(reversed(c), powers)], P)
+    if field.is_rational:
+        cols = [_combination(Qr, gj) for gj in G[:m]]
+    else:
+        Qi = _combination([ci * (top // s) for (_, ci), (_, s) in zip(reversed(c), powers)], P)
+        wr, wi = _fixed_scalar(field.omega(), F)
+        cols = []
+        for gj in G[:m]:
+            A, B = _combination(Qr, gj), _combination(Qi, gj)
+            cols.append([(u << F) + wr * v - wi * y for u, v, y in zip(A[:m], A[m:], B[m:])]
+                        + [(x << F) + wr * y + wi * v for x, v, y in zip(B[:m], A[m:], B[m:])])
+    return _pivoted_gram_schmidt(cols, n, precision_bits, not field.is_rational)
 
 
-def _pivoted_gram_schmidt(cols: list, n: int, gate):
-    """n steps of column-pivoted modified Gram-Schmidt (conjugate inner products).
+def _pivoted_gram_schmidt(cols: list, n: int, precision_bits: int, is_complex: bool):
+    """n steps of column-pivoted modified Gram-Schmidt (conjugate inner products) on ints.
 
-    None unless the largest remaining column norm is at most gate times the
-    n-th pivot norm; a zero pivot fails too.
+    cols are flat int vectors at one common scale (real parts, then
+    imaginary parts when is_complex).  Norms are exact.  The pivot is the
+    first column whose squared norm is within 2^(-p/2) relative of the
+    largest, so that rounding noise never decides between equal norms; it
+    is divided by the integer square root of its squared norm, so the
+    columns returned are unit vectors at 2^F, F = mp.prec.  None unless the
+    largest remaining squared norm is at most 2^(-2 (p/4)) times the n-th
+    pivot's; a zero pivot fails too.
     """
+    F = mp.prec
+    half = 1 << (2 * F - 1)
     W = []
     for _ in range(n):
-        norms = [mpmath.re(mpmath.fdot(v, v, conjugate=True)) for v in cols]
-        j = max(range(len(cols)), key=norms.__getitem__)
-        pivot = mpmath.sqrt(norms[j])
-        if pivot == 0:
+        norms = [_int_dot(v, v) for v in cols]
+        top = max(norms)
+        if not top:
             return None
-        q = [x / pivot for x in cols.pop(j)]
-        cols = [[x - h * y for x, y in zip(v, q)] for v in cols
-                for h in [mpmath.fdot(v, q, conjugate=True)]]
+        j = next(j for j, x in enumerate(norms) if x >= top - (top >> precision_bits // 2))
+        top = norms[j]
+        root = math.isqrt(top << 2 * F)  # |v| 2^F
+        q = [_round_div(x << 2 * F, root) for x in cols.pop(j)]
         W.append(q)
-    rest = max((mpmath.re(mpmath.fdot(v, v, conjugate=True)) for v in cols), default=0)
-    if rest > (gate * pivot) ** 2:
+        if is_complex:
+            k = len(q) // 2
+            qr, qi = q[:k], q[k:]
+            rotated = [-y for y in qi] + qr  # i q
+            for v in cols:
+                hr, hi = _int_dot(q, v), _int_dot(rotated, v)  # <q, v> = hr + i hi
+                v[:] = [x - ((hr * a + hi * b + half) >> 2 * F) for x, a, b in zip(v, q, rotated)]
+        else:
+            for v in cols:
+                h = _int_dot(q, v)
+                v[:] = [x - ((h * a + half) >> 2 * F) for x, a in zip(v, q)]
+    rest = max((_int_dot(v, v) for v in cols), default=0)
+    if rest << 2 * (precision_bits // 4) > top:
         return None
     return W
 
@@ -272,65 +365,69 @@ def _images(table: StructureConstants, W: list) -> list:
     Over Q column j of L_i is G[i][j] / d.  Over Q(i) and Q(sqrt(-3)) x + iy
     is realified as [x; y], gamma_ij = g + ih at scale 2^F gives the columns
     [g; h] for x_j and [-h; g] for y_j, and i w_s = [-y; x] gives Im rows.
+    Each entry is rounded once to 2^F; the result is the (X, Y) pair of
+    Embedding.fixed for each a_i.
     """
     F = mp.prec
     m, n = table.m, len(W)
-    parts = [_fixed_parts(q, F) for q in W]
-    if table.field.is_rational:
+    is_rational = table.field.is_rational
+    if is_rational:
         lefts, scale = table._integral_gamma()
-        cols = tests = [X for X, _ in parts]
+        tests = W
     else:
         fixed = [[_fixed_complex(gij, F) for gij in gi] for gi in table.gamma]
         lefts, scale = [g + [[-x for x in v[m:]] + v[:m] for v in g] for g in fixed], 1 << F
-        cols = [X + Y for X, Y in parts]
-        tests = cols + [[-y for y in Y] + X for X, Y in parts]
-    scale <<= 2 * F
+        tests = W + [[-y for y in w[m:]] + w[:m] for w in W]
+    scale <<= F
     images = []
     for L in lefts:
-        T = [_combination(w, L) for w in cols]
-        M = [[mpf(sum(a * b for a, b in zip(u, t))) / scale for t in T] for u in tests]
-        if len(M) > n:
-            M = [[mpc(x, y) for x, y in zip(M[s], M[n + s])] for s in range(n)]
-        images.append(mpmath.matrix(M))
+        T = [_combination(w, L) for w in W]
+        M = [_round_div(_int_dot(u, t), scale) for u in tests for t in T]
+        images.append((M, None) if is_rational else (M[:n * n], M[n * n:]))
     return images
 
 
-def _embedding(table: StructureConstants, images, precision_bits: int) -> Embedding:
-    """The images with their measured residual and the error radius it gives."""
-    residual = _measure_residual(table, images)
+def _round_div(a: int, b: int) -> int:
+    """a / b rounded to the nearest int, for b > 0."""
+    return (2 * a + b) // (2 * b)
+
+
+def _embedding(table: StructureConstants, fixed, precision_bits: int) -> Embedding:
+    """The fixed-point images with their measured residual and the error radius it gives."""
+    residual = _measure_residual(table, fixed)
     radius = residual + mpf(2) ** (-(precision_bits - 8))
-    return Embedding(table, images[0].rows, precision_bits, tuple(images), residual, radius)
+    n = math.isqrt(len(fixed[0][0]))
+    return Embedding(table, n, precision_bits, tuple(fixed), residual, radius)
 
 
-def _measure_residual(table: StructureConstants, images) -> mpf:
-    """Largest Frobenius defect of a_i -> images[i] as a unital homomorphism.
+def _measure_residual(table: StructureConstants, fixed) -> mpf:
+    """Largest Frobenius defect of a_i -> fixed[i] as a unital homomorphism.
 
-    Every basis pair is checked for phi(a_i) phi(a_j) = sum_k gamma_ijk
-    phi(a_k), then phi(1) = I, on Python ints: each image entry is rounded
-    once to an int at scale D = 2^F, F the working precision.  Over Q the
-    table enters exactly as its integral form (G, d).  Over Q(i) and
-    Q(sqrt(-3)) a complex matrix X + iY is written as the real matrix
-    [[X, -Y], [Y, X]], which keeps products and doubles squared norms, and
-    gamma_ijk = g + ih enters as fixed-point g and h at scale 2^F against the
-    images of a_k and of i a_k.  The pairs run through the packed kernel
-    algebra._pair_defects, which unpacks only the nonzero defects.  The
-    squared defects are compared exactly and one square root is taken at
-    the end.
+    fixed[i] is the (X, Y) pair of Embedding.fixed: the image of a_i, flat
+    row-major on ints at scale D = 2^F, F the working precision.  Every
+    basis pair is checked for phi(a_i) phi(a_j) = sum_k gamma_ijk phi(a_k),
+    then phi(1) = I.  Over Q the table enters exactly as its integral form
+    (G, d).  Over Q(i) and Q(sqrt(-3)) a complex matrix X + iY is written as
+    the real matrix [[X, -Y], [Y, X]], which keeps products and doubles
+    squared norms, and gamma_ijk = g + ih enters as fixed-point g and h at
+    scale 2^F against the images of a_k and of i a_k.  The pairs run through
+    the packed kernel algebra._pair_defects, which unpacks only the nonzero
+    defects.  The squared defects are compared exactly and one square root
+    is taken at the end.
     """
     F = mp.prec
     D = 1 << F
-    n = images[0].rows
+    n = math.isqrt(len(fixed[0][0]))
     field = table.field
     e = table.find_identity().coords
     if field.is_rational:
-        P = [[_fixed(x._mpf_, F) for row in M.tolist() for x in row] for M in images]
+        P = [X for X, _ in fixed]
         G, d = table._integral_gamma()
         E, de = _integral(field, e)
         size, fold = n, 1
     else:
-        parts = [_fixed_parts((x for row in M.tolist() for x in row), F) for M in images]
-        P = [_realified(X + Y, n, 0) for X, Y in parts]
-        P += [_realified([-y for y in Y] + X, n, 0) for X, Y in parts]
+        P = [_realified(X + Y, n, 0) for X, Y in fixed]
+        P += [_realified([-y for y in Y] + X, n, 0) for X, Y in fixed]
         G = [[_fixed_complex(gij, F) for gij in gi] for gi in table.gamma]
         d = D
         E, de = _fixed_complex(e, F), D
@@ -359,13 +456,21 @@ def _fixed_parts(values, F: int) -> tuple[list, list]:
     return [_fixed(x, F) for x, _ in parts], [_fixed(y, F) for _, y in parts]
 
 
+def _fixed_scalar(x, F: int) -> tuple[int, int]:
+    """Real and imaginary parts of a rational or a + b sqrt(-d) at scale 2^F, rounded toward zero."""
+    if isinstance(x, QuadScalar):
+        return _fixed_sqrt(x.a, 1, F), _fixed_sqrt(x.b, x.d, F)
+    return _fixed_sqrt(Fraction(x), 1, F), 0
+
+
 def _fixed_complex(values, F: int) -> list:
     """Real parts, then imaginary parts, of a + b sqrt(-d) at scale 2^F.
 
     Each part is rounded toward zero, so the imaginary part b sqrt(d) 2^F
     is exact up to one unit with no floating point.
     """
-    return [_fixed_sqrt(x.a, 1, F) for x in values] + [_fixed_sqrt(x.b, x.d, F) for x in values]
+    parts = [_fixed_scalar(x, F) for x in values]
+    return [x for x, _ in parts] + [y for _, y in parts]
 
 
 def _fixed_sqrt(q: Fraction, d: int, F: int) -> int:
@@ -383,9 +488,13 @@ def embedding_from_images(
     if precision_bits < _MIN_PRECISION:
         raise InputError(f"precision must be at least {_MIN_PRECISION} bits")
     with workprec(precision_bits + 32):
-        images = [mpmath.matrix([[_scalar_to_mp(x) for x in row] for row in M.entries])
-                  for M in exact_images]
-        return _embedding(table, images, precision_bits)
+        F = mp.prec
+        fixed = []
+        for M in exact_images:
+            parts = [_fixed_scalar(x, F) for row in M.entries for x in row]
+            X, Y = [x for x, _ in parts], [y for _, y in parts]
+            fixed.append((X, None if table.field.is_rational else Y))
+        return _embedding(table, fixed, precision_bits)
 
 
 @dataclass
@@ -404,46 +513,61 @@ class EmbeddedLattice:
 
 
 def embed_order(embedding: Embedding, order: Order) -> EmbeddedLattice:
+    """The order's z-basis under the embedding, one mpf per entry.
+
+    Over Q(i) and Q(sqrt(-3)) the (1, omega) coordinates (u, v) of an element
+    give the image sum_r u_r phi(a_r) + v_r phi(omega a_r), so with T the
+    fixed-point images of a_1..a_m, then of omega a_1..omega a_m, z-basis
+    element j is the int combination of its column C_j of Order._int with T,
+    over den 2^F.
+    """
     table = order.table
     with workprec(embedding.precision_bits + 32):
-        # over Q(i) and Q(sqrt(-3)) b_j and omega b_j alternate
+        F = mp.prec
+        den, C, _, _ = order._int
         zs, m = order.z_basis(), table.m
-        elements = [zs[s * m + j] for j in range(m) for s in range(len(zs) // m)]
-        vectors = []
-        scale = mpf(0)
-        for el in elements:
-            mat = embedding.phi(el.coords)
-            vec = _vectorize(mat, complex_case=embedding.is_complex)
-            vectors.append(vec)
-            scale = max(scale, sum(_magnitude(c) for c in el.coords))
+        if table.field.is_rational:
+            T = [X for X, _ in embedding.fixed]
+        else:
+            wr, wi = _fixed_scalar(table.field.omega(), F)
+            T = [X + Y for X, Y in embedding.fixed]
+            T += [[(wr * x - wi * y) >> F for x, y in zip(X, Y)]
+                  + [(wr * y + wi * x) >> F for x, y in zip(X, Y)] for X, Y in embedding.fixed]
+        # over Q(i) and Q(sqrt(-3)) b_j and omega b_j alternate
+        index = [s * m + j for j in range(m) for s in range(len(zs) // m)]
+        D = den << F
+        vectors = [[mp.make_mpf(from_rational(x, D, F, "n")) for x in _combination(C[i], T)]
+                   for i in index]
+        elements = [zs[i] for i in index]
+        # sum_r |a_r| + |b_r| over the coordinates a_r + b_r sqrt(-d) = u_r + v_r omega
+        # of each element; 2 omega = ta + tb sqrt(-d) with ints ta, tb
+        if table.field.is_rational:
+            scale = Fraction(max(sum(map(abs, c)) for c in C), den)
+        else:
+            w = table.field.omega()
+            ta, tb = int(2 * w.a), int(2 * w.b)
+            scale = Fraction(max(sum(abs(2 * u + ta * v) + abs(tb * v) for u, v in zip(c[:m], c[m:]))
+                                 for c in C), 2 * den)
         dim = len(vectors[0])
         if len(vectors) != dim:
             raise InputError("order lattice is not full rank in the embedding space")
         return EmbeddedLattice(
             dimension=dim,
             basis_vectors=vectors,
-            error_radius=embedding.error_radius * (1 + scale),
+            error_radius=embedding.error_radius * (1 + mpf(scale.numerator) / scale.denominator),
             zbasis_elements=tuple(elements),
         )
-
-
-def _magnitude(c):
-    """|a| + |b| for a + b sqrt(-d), |c| for a rational c."""
-    parts = (c.a, c.b) if isinstance(c, QuadScalar) else (Fraction(c),)
-    return sum(mpf(abs(p.numerator)) / p.denominator for p in parts)
-
-
-def _vectorize(mat: mpmath.matrix, complex_case: bool) -> list:
-    entries = [mat[i, j] for i in range(mat.rows) for j in range(mat.cols)]
-    out = [mpmath.re(v) for v in entries]
-    return out + [mpmath.im(v) for v in entries] if complex_case else out
 
 
 def rationalize(embedded: EmbeddedLattice, target_denominator: int) -> LatticeBasis:
     """Entrywise rational approximation of the embedded basis vectors.
 
-    Each entry moves by at most 1/(2 * target_denominator); the recorded
-    perturbation adds the embedding error radius.
+    Entry x becomes nint(x q) / q, q = target_denominator, with the product
+    x q rounded to the caller's mpmath precision first.  So x moves by at
+    most 1/(2q) only when that precision holds every bit of x q; at the
+    default 53 bits and q = 2^64 the product's rounding dominates and x
+    moves by up to about |x| 2^-53.  The recorded perturbation, 1/q plus the
+    embedding error radius, does not cover that rounding.
     """
     if target_denominator < 1:
         raise InputError("target denominator must be positive")

@@ -59,8 +59,13 @@ def scalar_to_json(x):
 
 
 def scalar_from_json(field: Field, obj):
+    return field.coerce(_parse_scalar(field, obj))
+
+
+def _parse_scalar(field: Field, obj):
+    """A Fraction, or a QuadScalar of the field; not yet coerced into the field."""
     if isinstance(obj, str):
-        return field.coerce(rational_from_str(obj))
+        return rational_from_str(obj)
     if isinstance(obj, dict) and "a" in obj and "b" in obj:
         if field.is_rational:
             raise InputError("quadratic scalar in a rational algebra")
@@ -116,8 +121,9 @@ def algebra_from_json(obj) -> StructureConstants:
     gamma = obj.get("gamma")
     if not _is_grid(gamma, m, 3):
         raise InputError("gamma grid does not match the declared dimension")
+    # StructureConstants coerces each entry into the field, once
     grid = [
-        [[scalar_from_json(field, gamma[i][j][k]) for k in range(m)] for j in range(m)]
+        [[_parse_scalar(field, gamma[i][j][k]) for k in range(m)] for j in range(m)]
         for i in range(m)
     ]
     return StructureConstants(field, grid)

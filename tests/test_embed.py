@@ -1,13 +1,19 @@
 """Numerical embeddings, embedded lattices, and rational approximation."""
 
+import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from matsplit import embed
+from matsplit import embed, serialize
 from matsplit.algebra import (
     StructureConstants,
     _integral,
@@ -34,7 +40,7 @@ from matsplit.embed import (
     split_numeric,
 )
 from matsplit.errors import InputError, PrecisionError
-from matsplit.exactnum import QQ, ExactMatrix, Field
+from matsplit.exactnum import QQ, ExactMatrix, Field, QuadScalar
 from matsplit.fixtures import gaussian_lambda_order, quaternion_table
 from matsplit.lattice import lll_reduce, short_vectors
 from matsplit.orders import Order, initial_order, maximal_order
@@ -191,6 +197,12 @@ RESIDUAL_CASES = _residual_cases()
 RESIDUAL_PREC = 128
 
 
+def fixed_images(images):
+    """mpmath images as the (X, Y) pairs of Embedding.fixed, at the working precision."""
+    F = mpmath.mp.prec
+    return [_fixed_parts([x for row in M.tolist() for x in row], F) for M in images]
+
+
 class TestResidualOracle:
     """The integer residual kernel against a brute-force mpmath residual."""
 
@@ -222,7 +234,7 @@ class TestResidualOracle:
             images = [M.copy() for M in emb.images]
             k = table.m - 1
             images[k][0, 1] += step
-            got = _measure_residual(table, images)
+            got = _measure_residual(table, fixed_images(images))
         with mpmath.workprec(2 * RESIDUAL_PREC):
             want = oracle_residual(table, images)
             assert want > mpmath.mpf(2) ** -42
@@ -243,7 +255,7 @@ class TestResidualOracle:
                 if images == "moved":
                     moved[0][1, 0] += mpmath.mpf(2) ** -40
                     moved[-1][0, 0] -= mpmath.mpf(3) ** 50
-            got = _measure_residual(table, moved)
+            got = _measure_residual(table, fixed_images(moved))
             assert got == scalar_residual(table, moved)
             assert got > 0 or images == "exact"
 
@@ -252,7 +264,7 @@ class TestResidualOracle:
         table, emb = self.images_of(case)
         with mpmath.workprec(RESIDUAL_PREC + 32):
             zero = [mpmath.zeros(emb.n, emb.n) for _ in range(table.m)]
-            got = _measure_residual(table, zero)
+            got = _measure_residual(table, fixed_images(zero))
             assert abs(got - mpmath.sqrt(emb.n)) < mpmath.mpf(10) ** -30
 
 
@@ -302,8 +314,25 @@ def _good_draw(table, order, seed):
                 return coords, f, powers, lam
 
 
-def _mp_columns(W):
-    return mpmath.matrix([list(row) for row in zip(*W)])
+def _mp_values(table, v):
+    """A flat int vector at 2^F (real parts, then imaginary parts over Q(i)
+    and Q(sqrt(-3))) as mpf or mpc values."""
+    D = mpmath.mpf(2) ** mpmath.mp.prec
+    if table.field.is_rational:
+        return [x / D for x in v]
+    k = len(v) // 2
+    return [mpmath.mpc(x / D, y / D) for x, y in zip(v[:k], v[k:])]
+
+
+def _mp_columns(table, W):
+    return mpmath.matrix([list(row) for row in zip(*(_mp_values(table, w) for w in W))])
+
+
+def _mp_image(table, XY):
+    X, Y = XY
+    n = math.isqrt(len(X))
+    v = _mp_values(table, X if Y is None else X + Y)
+    return mpmath.matrix([v[r * n:(r + 1) * n] for r in range(n)])
 
 
 def _mp_matrix(M):
@@ -358,7 +387,7 @@ class TestEigenspaceOracle:
         n, m = table.n, table.m
         with mpmath.workprec(EIGEN_PREC + 32):
             coords, f, powers, lam = _good_draw(table, order, 3)
-            W = _mp_columns(_eigenspace(table, f, powers, lam, EIGEN_PREC))
+            W = _mp_columns(table, _eigenspace(table, f, powers, lam, EIGEN_PREC))
             A = _mp_matrix(table.right_regular(coords))
             for i in range(m):
                 A[i, i] -= lam
@@ -377,7 +406,7 @@ class TestEigenspaceOracle:
         table, order = EIGEN_CASES[case]()
         with mpmath.workprec(EIGEN_PREC + 32):
             coords, f, powers, lam = _good_draw(table, order, 4)
-            W = _mp_columns(_eigenspace(table, f, powers, lam, EIGEN_PREC))
+            W = _mp_columns(table, _eigenspace(table, f, powers, lam, EIGEN_PREC))
             rz = _mp_matrix(table.right_regular(coords))
             assert _max_abs(rz * W - W * lam) <= mpmath.mpf(2) ** -(EIGEN_PREC // 2)
 
@@ -395,9 +424,11 @@ class TestEigenspaceOracle:
         table, order = EIGEN_CASES[case]()
         with mpmath.workprec(EIGEN_PREC + 32):
             _, f, powers, lam = _good_draw(table, order, 6)
-            W = _mp_columns(_eigenspace(table, f, powers, lam, EIGEN_PREC))
-            got = _images(table, [list(W[:, t]) for t in range(table.n)])
-            for i, M in enumerate(got):
+            W_int = _eigenspace(table, f, powers, lam, EIGEN_PREC)
+            W = _mp_columns(table, W_int)
+            got = _images(table, W_int)
+            for i, XY in enumerate(got):
+                M = _mp_image(table, XY)
                 unit = [table.field.zero()] * table.m
                 unit[i] = table.field.one()
                 L = _mp_matrix(table.left_regular(unit))
@@ -405,15 +436,18 @@ class TestEigenspaceOracle:
                 assert _max_abs(M - want) <= mpmath.mpf(2) ** -EIGEN_PREC
 
     def test_zero_pivot_fails_the_gate(self):
-        zero = [mpmath.mpf(0)] * 3
-        assert embed._pivoted_gram_schmidt([zero, zero, zero], 1, mpmath.mpf(1)) is None
+        cols = [[0] * 3 for _ in range(3)]
+        assert embed._pivoted_gram_schmidt(cols, 1, EIGEN_PREC, False) is None
+        # over Q(i) and Q(sqrt(-3)) a column holds real parts, then imaginary parts
+        cols = [[0] * 6 for _ in range(3)]
+        assert embed._pivoted_gram_schmidt(cols, 1, EIGEN_PREC, True) is None
 
     @pytest.mark.parametrize("case", sorted(EIGEN_CASES))
     def test_every_draw_failing_the_gate_raises(self, case, monkeypatch):
         table, order = EIGEN_CASES[case]()
         calls = []
 
-        def refuse(cols, n, gate):
+        def refuse(cols, n, precision_bits, is_complex):
             calls.append(n)
             return None
 
@@ -552,3 +586,183 @@ class TestRationalize:
         lat = embed_order(emb, o)
         with pytest.raises(InputError):
             rationalize(lat, 0)
+
+
+def _min_polys(name, n, seeds, per_seed):
+    """Squarefree degree-n minimal polynomials of random elements of the
+    hidden order of generated instances."""
+    polys = []
+    for seed in seeds:
+        inst = generate_instance(n, name, 10, seed=seed)
+        table = inst.table
+        order = Order(table, inst.base_change.inverse())
+        rng = random.Random(seed)
+        found = 0
+        while found < per_seed:
+            f, _ = _min_poly(table, _random_order_element(order, rng))
+            if len(f) - 1 == n and _is_squarefree(f):
+                polys.append((table, f))
+                found += 1
+    return polys
+
+
+# 210 minimal polynomials: Q n = 2..6, Q(i) and Q(sqrt(-3)) n = 2
+ROOT_POLYS = (
+    _min_polys("Q", 2, range(1, 5), 10)
+    + _min_polys("Q", 3, range(1, 5), 10)
+    + _min_polys("Q", 4, range(1, 4), 10)
+    + _min_polys("Q", 5, range(1, 3), 10)
+    + _min_polys("Q", 6, range(1, 3), 10)
+    + _min_polys("gauss", 2, range(1, 6), 5)
+    + _min_polys("eisenstein", 2, range(1, 6), 5)
+)
+
+
+class TestSeededRoots:
+    """polyroots from the complex-double Durand-Kerner seeds against polyroots from its own start."""
+
+    def test_the_corpus_holds_at_least_200_polynomials(self):
+        assert len(ROOT_POLYS) >= 200
+
+    @pytest.mark.parametrize("precision", [128, 256])
+    def test_seeded_roots_equal_unseeded_roots(self, precision):
+        with mpmath.workprec(precision + 32):
+            F = mpmath.mp.prec
+            for table, f in ROOT_POLYS:
+                coeffs = [_scalar_to_mp(c) for c in reversed(f)]
+                seeds = embed._seed_roots([complex(c) for c in coeffs])
+                assert seeds is not None
+                seeded = mpmath.polyroots(coeffs, maxsteps=200, extraprec=precision, roots_init=seeds)
+                plain = mpmath.polyroots(coeffs, maxsteps=200, extraprec=precision)
+                for r in seeded:
+                    assert min(abs(r - s) for s in plain) <= mpmath.mpf(2) ** -(F - 8) * abs(r)
+                # cleanup makes real roots exactly real, and they sort by value
+                assert [r for r in seeded if mpmath.im(r) == 0] == pytest.approx(
+                    [r for r in plain if mpmath.im(r) == 0], rel=2.0**-50)
+                assert len([r for r in seeded if mpmath.im(r) == 0]) == len(
+                    [r for r in plain if mpmath.im(r) == 0])
+
+    def test_overflowing_doubles_give_no_seed(self):
+        assert embed._seed_roots([1, 0, complex(1e300) * 1e300]) is None
+
+    def test_a_failed_root_finder_is_not_evidence_of_non_splitness(self, monkeypatch):
+        def give_up(*args, **kwargs):
+            raise mpmath.libmp.libhyper.NoConvergence("no convergence")
+
+        monkeypatch.setattr(mpmath, "polyroots", give_up)
+        t = matrix_units_table(2)
+        with pytest.raises(PrecisionError):
+            split_numeric(t, maximal_order(t), 128, seed=1)
+
+
+class TestEigenvalueChoice:
+    """The explicit tie-break of _pick_eigenvalue."""
+
+    def test_equal_imaginary_parts_take_the_least_real_part(self, monkeypatch):
+        # f = x^2 + 8x + (36 - 52 sqrt(-3)) has roots -4 +- w with equal |Im|
+        field = Field(3)
+        t = matrix_units_table(2, field)
+        f = [QuadScalar(3, 36, -52), field.coerce(8), field.one()]
+        polyroots = mpmath.polyroots
+        with mpmath.workprec(160):
+            lam, _ = _pick_eigenvalue(f, t, 128)
+            assert mpmath.re(lam) < -4
+            for reverse in (False, True):
+                # whatever order polyroots returns the roots in
+                monkeypatch.setattr(mpmath, "polyroots", lambda *a, **k: sorted(
+                    polyroots(*a, **k), key=lambda r: mpmath.re(r), reverse=reverse))
+                assert _pick_eigenvalue(f, t, 128)[0] == lam
+
+    def test_equally_separated_real_roots_take_the_least(self, monkeypatch):
+        # (x - 1)(x - 2)(x - 3): every root is 1 from its nearest neighbour
+        f = [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]
+        polyroots = mpmath.polyroots
+        with mpmath.workprec(160):
+            for reverse in (False, True):
+                monkeypatch.setattr(mpmath, "polyroots", lambda *a, **k: sorted(
+                    polyroots(*a, **k), key=lambda r: mpmath.re(r), reverse=reverse))
+                lam, sep = _pick_eigenvalue(f, matrix_units_table(3), 128)
+                assert abs(lam - 1) < mpmath.mpf(2) ** -100
+                assert abs(sep - 1) < mpmath.mpf(2) ** -100
+
+
+def _mp_projector_columns(table, f, powers, lam):
+    """The columns of g(R_z) in mpmath arithmetic, weights c_k / (s_k d)."""
+    G, d = table._integral_gamma()
+    c = [mpmath.mpf(1)]
+    for k in range(len(f) - 2, 0, -1):
+        c.append(_scalar_to_mp(f[k]) + lam * c[-1])
+    weights = [ck / (s * d) for ck, (_, s) in zip(reversed(c), powers)]
+    omega = None if table.field.is_rational else _scalar_to_mp(table.field.omega())
+    cols = []
+    for gj in G[:table.m]:
+        R = [[sum(p * x for p, x in zip(P, col)) for col in zip(*gj)] for P, _ in powers]
+        col = [mpmath.fdot(weights, x) for x in zip(*R)]
+        m = table.m
+        cols.append(col if omega is None else [u + omega * v for u, v in zip(col[:m], col[m:])])
+    return cols
+
+
+class TestIntegerEigenspace:
+    @pytest.mark.parametrize("case", sorted(EIGEN_CASES))
+    @pytest.mark.parametrize("precision", [128, 256])
+    def test_the_int_columns_span_the_mpmath_projector(self, case, precision):
+        table, order = EIGEN_CASES[case]()
+        with mpmath.workprec(precision + 32):
+            rng = random.Random(7)
+            checked = 0
+            while checked < 3:
+                f, powers = _min_poly(table, _random_order_element(order, rng))
+                if len(f) - 1 != table.n or not _is_squarefree(f):
+                    continue
+                lam, _ = _pick_eigenvalue(f, table, precision)
+                if lam is None:
+                    continue
+                W = _mp_columns(table, _eigenspace(table, f, powers, lam, precision))
+                for col in _mp_projector_columns(table, f, powers, lam):
+                    g = mpmath.matrix(col)
+                    rest = g - W * (W.transpose_conj() * g)
+                    assert mpmath.mnorm(rest, "f") <= mpmath.mpf(2) ** -(precision // 2) * (
+                        mpmath.mnorm(g, "f") + 1)
+                checked += 1
+
+
+class TestRationalizedLatticesStay:
+    """rationalize(embed_order(split_numeric(...)), 2^64) on generated
+    instances with their hidden order: the digests of this lattice."""
+
+    DIGESTS = {
+        ("Q", 2, 1): "4d63307b77e18b4f",
+        ("Q", 2, 2): "23b3b7a8fe1b9e1a",
+        ("Q", 2, 3): "0f90436abb5e3252",
+        ("Q", 3, 1): "4549b2c74f4d6ba6",
+        ("Q", 3, 2): "69404d2e2802e58d",
+        ("Q", 3, 3): "8a03221b523b9f98",
+        ("gauss", 2, 1): "3d6dec8cab6d9805",
+        ("gauss", 2, 2): "11f3ebf1315adc92",
+        ("gauss", 2, 3): "73714e7f39e73532",
+        ("eisenstein", 2, 1): "2c1bcbd75e4eb7be",
+        ("eisenstein", 2, 2): "cd4a73ab4acc9e73",
+        ("eisenstein", 2, 3): "574cdd356b9a3125",
+    }
+
+    @pytest.mark.parametrize("name,n,seed", sorted(DIGESTS))
+    def test_digest(self, name, n, seed):
+        inst = generate_instance(n, name, 10, seed=seed)
+        order = Order(inst.table, inst.base_change.inverse())
+        basis = rationalize(embed_order(split_numeric(inst.table, order, 128, seed=seed), order), 2**64)
+        text = json.dumps(serialize.lattice_to_json(basis))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == self.DIGESTS[name, n, seed]
+
+
+def test_a_split_of_each_field_imports_no_numpy():
+    code = (
+        "import sys\n"
+        "from matsplit.splitter import SplitConfig, generate_instance, split\n"
+        "for name in ('Q', 'gauss', 'eisenstein'):\n"
+        "    split(generate_instance(2, name, 10, 1).table, SplitConfig(seed=1))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(embed.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
