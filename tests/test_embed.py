@@ -1,5 +1,6 @@
 """Numerical embeddings, embedded lattices, and rational approximation."""
 
+import functools
 import hashlib
 import json
 import math
@@ -601,34 +602,36 @@ def _min_polys(name, n, seeds, per_seed):
         while found < per_seed:
             f, _ = _min_poly(table, _random_order_element(order, rng))
             if len(f) - 1 == n and _is_squarefree(f):
-                polys.append((table, f))
+                polys.append(f)
                 found += 1
     return polys
 
 
-# 210 minimal polynomials: Q n = 2..6, Q(i) and Q(sqrt(-3)) n = 2
-ROOT_POLYS = (
-    _min_polys("Q", 2, range(1, 5), 10)
-    + _min_polys("Q", 3, range(1, 5), 10)
-    + _min_polys("Q", 4, range(1, 4), 10)
-    + _min_polys("Q", 5, range(1, 3), 10)
-    + _min_polys("Q", 6, range(1, 3), 10)
-    + _min_polys("gauss", 2, range(1, 6), 5)
-    + _min_polys("eisenstein", 2, range(1, 6), 5)
-)
+@functools.cache
+def _root_polys():
+    """210 minimal polynomials: Q n = 2..6, Q(i) and Q(sqrt(-3)) n = 2."""
+    return (
+        _min_polys("Q", 2, range(1, 5), 10)
+        + _min_polys("Q", 3, range(1, 5), 10)
+        + _min_polys("Q", 4, range(1, 4), 10)
+        + _min_polys("Q", 5, range(1, 3), 10)
+        + _min_polys("Q", 6, range(1, 3), 10)
+        + _min_polys("gauss", 2, range(1, 6), 5)
+        + _min_polys("eisenstein", 2, range(1, 6), 5)
+    )
 
 
 class TestSeededRoots:
     """polyroots from the complex-double Durand-Kerner seeds against polyroots from its own start."""
 
     def test_the_corpus_holds_at_least_200_polynomials(self):
-        assert len(ROOT_POLYS) >= 200
+        assert len(_root_polys()) >= 200
 
     @pytest.mark.parametrize("precision", [128, 256])
     def test_seeded_roots_equal_unseeded_roots(self, precision):
         with mpmath.workprec(precision + 32):
             F = mpmath.mp.prec
-            for table, f in ROOT_POLYS:
+            for f in _root_polys():
                 coeffs = [_scalar_to_mp(c) for c in reversed(f)]
                 seeds = embed._seed_roots([complex(c) for c in coeffs])
                 assert seeds is not None
