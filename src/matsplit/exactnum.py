@@ -74,6 +74,13 @@ class Field:
 
     def coerce(self, x):
         """Coerce ints, Fractions and compatible QuadScalars into this field."""
+        # a value already in the field comes back after a type check alone
+        t = type(x)
+        if t is Fraction:
+            if self.d is None:
+                return x
+        elif t is QuadScalar and self.d is not None and x.d == self.d:
+            return x
         if isinstance(x, QuadScalar):
             if self.is_rational or x.d != self.d:
                 raise InputError(f"scalar {x} does not live in {self}")

@@ -2,8 +2,10 @@
 
 Rationals serialize as "p/q" strings (bare "p" when the denominator is 1);
 quadratic scalars as {"a": "p/q", "b": "p/q"} with the field descriptor
-carried once at top level.  A small structural schema checker validates
-outputs against the schema files shipped with the package.
+carried once at top level.  Each document is read with one scalar reader,
+so a scalar that occurs many times in it is parsed once.  A small
+structural schema checker validates documents against the schema files
+shipped with the package.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rational_to_str(x) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    f = x if type(x) is Fraction else Fraction(x)
+    num, den = f.numerator, f.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def rational_from_str(s: str) -> Fraction:
@@ -73,6 +74,31 @@ def _parse_scalar(field: Field, obj):
     raise InputError(f"bad scalar {obj!r}")
 
 
+def _reader(field: Field):
+    """scalar_from_json for one document, parsing each distinct leaf once.
+
+    The memo is keyed on the leaf: a string, or the (a, b) strings of a
+    quadratic scalar.  A first occurrence and every other kind of leaf go
+    through scalar_from_json, so the values and the InputErrors are its own.
+    """
+    memo = {}
+
+    def read(obj):
+        if type(obj) is str:
+            key = obj
+        elif (type(obj) is dict and len(obj) == 2
+              and type(obj.get("a")) is str and type(obj.get("b")) is str):
+            key = obj["a"], obj["b"]
+        else:
+            return scalar_from_json(field, obj)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = scalar_from_json(field, obj)
+        return value
+
+    return read
+
+
 def field_to_json(field: Field) -> dict:
     if field.is_rational:
         return {"type": "Q"}
@@ -106,27 +132,29 @@ def algebra_to_json(table: StructureConstants) -> dict:
     }
 
 
-def _is_grid(obj, m: int, depth: int) -> bool:
-    """True when obj is ``depth`` levels of nested lists, each of length m."""
-    if depth == 0:
-        return True
-    return isinstance(obj, list) and len(obj) == m and all(_is_grid(x, m, depth - 1) for x in obj)
+def _gamma_level(obj, m: int) -> list:
+    if not isinstance(obj, list) or len(obj) != m:
+        raise InputError("gamma grid does not match the declared dimension")
+    return obj
 
 
-def algebra_from_json(obj) -> StructureConstants:
+def _read_algebra(obj) -> tuple[StructureConstants, Any]:
+    """The table of an algebra document, and the reader that parsed it."""
     field = field_from_json(obj.get("field"))
     m = obj.get("dim")
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputError(f"algebra dim must be an integer, got {m!r}")
-    gamma = obj.get("gamma")
-    if not _is_grid(gamma, m, 3):
-        raise InputError("gamma grid does not match the declared dimension")
-    # StructureConstants coerces each entry into the field, once
+    read = _reader(field)
+    # the m x m x m shape is checked level by level as the entries are read
     grid = [
-        [[_parse_scalar(field, gamma[i][j][k]) for k in range(m)] for j in range(m)]
-        for i in range(m)
+        [list(map(read, _gamma_level(row, m))) for row in _gamma_level(plane, m)]
+        for plane in _gamma_level(obj.get("gamma"), m)
     ]
-    return StructureConstants(field, grid)
+    return StructureConstants(field, grid), read
+
+
+def algebra_from_json(obj) -> StructureConstants:
+    return _read_algebra(obj)[0]
 
 
 def vector_to_json(vec) -> list:
@@ -134,7 +162,7 @@ def vector_to_json(vec) -> list:
 
 
 def vector_from_json(field: Field, obj) -> tuple:
-    return tuple(scalar_from_json(field, x) for x in obj)
+    return tuple(map(_reader(field), obj))
 
 
 def matrix_to_json(M: ExactMatrix) -> list:
@@ -142,7 +170,11 @@ def matrix_to_json(M: ExactMatrix) -> list:
 
 
 def matrix_from_json(field: Field, obj) -> ExactMatrix:
-    return ExactMatrix(field, [[scalar_from_json(field, x) for x in row] for row in obj])
+    return _matrix(field, _reader(field), obj)
+
+
+def _matrix(field: Field, read, obj) -> ExactMatrix:
+    return ExactMatrix(field, [list(map(read, row)) for row in obj])
 
 
 def order_to_json(order: Order) -> dict:
@@ -159,15 +191,17 @@ def order_from_json(table: StructureConstants, obj) -> Order:
 
     Only ``basis`` is required; a given ``field`` and ``dim`` must be the table's.
     """
-    problems = check_schema(obj, {**load_schema("order"), "required": ["basis"]})
+    problems = check_schema(obj, {**_shipped_schema("order"), "required": ["basis"]})
     if problems:
         raise InputError(f"bad order document: {problems[0]}")
     if "field" in obj and field_from_json(obj["field"]) != table.field:
         raise InputError("the order's field differs from its algebra's")
-    if obj.get("dim", table.m) != table.m or not _is_grid(obj["basis"], table.m, 2):
-        raise InputError(f"an order basis needs {table.m} columns of {table.m} scalars")
-    cols = [vector_from_json(table.field, c) for c in obj["basis"]]
-    return Order(table, ExactMatrix.from_columns(table.field, [list(c) for c in cols]))
+    m, basis = table.m, obj["basis"]
+    # the schema has made basis a list of lists
+    if obj.get("dim", m) != m or len(basis) != m or any(len(c) != m for c in basis):
+        raise InputError(f"an order basis needs {m} columns of {m} scalars")
+    read = _reader(table.field)
+    return Order(table, ExactMatrix.from_columns(table.field, [tuple(map(read, c)) for c in basis]))
 
 
 def lattice_to_json(basis: LatticeBasis) -> dict:
@@ -178,8 +212,15 @@ def lattice_to_json(basis: LatticeBasis) -> dict:
 
 
 def lattice_from_json(obj) -> LatticeBasis:
-    cols = [[rational_from_str(x) for x in col] for col in obj["basis"]]
-    if any(len(c) != int(obj["dim"]) for c in cols):
+    if not isinstance(obj, dict):
+        raise InputError(f"a lattice document must be an object, got {type(obj).__name__}")
+    dim, basis = obj.get("dim"), obj.get("basis")
+    if type(dim) is not int:
+        raise InputError(f"lattice dim must be an integer, got {dim!r}")
+    if not isinstance(basis, list) or not all(isinstance(col, list) for col in basis):
+        raise InputError("a lattice basis must be a list of vectors")
+    cols = [[rational_from_str(x) for x in col] for col in basis]
+    if any(len(c) != dim for c in cols):
         raise InputError("basis vectors do not match the declared dimension")
     return LatticeBasis(cols)
 
@@ -225,7 +266,9 @@ def verify_result_json(obj) -> list[str]:
     Returns a list of failure descriptions; empty means the witness is valid.
     """
     problems = []
-    table = algebra_from_json(obj["algebra"])
+    # one reader for the whole document: the algebra, the basis, the element
+    # and the images share their scalars
+    table, read = _read_algebra(obj["algebra"])
     if field_from_json(obj["field"]) != table.field:
         raise InputError("the result's field differs from its algebra's")
     n = table.n
@@ -235,11 +278,11 @@ def verify_result_json(obj) -> list[str]:
     if len(basis) != n or any(len(v) != table.m for v in basis):
         raise InputError(f"the left ideal basis must hold {n} vectors of length {table.m}")
     for v in basis:
-        vector_from_json(table.field, v)
-    element = AlgebraElement(table, vector_from_json(table.field, obj["rank_one_element"]))
+        tuple(map(read, v))
+    element = AlgebraElement(table, tuple(map(read, obj["rank_one_element"])))
     if ideal_rank(element, n) != 1:
         problems.append("claimed element does not have ideal rank one")
-    images = [matrix_from_json(table.field, M) for M in obj["witness"]["images"]]
+    images = [_matrix(table.field, read, M) for M in obj["witness"]["images"]]
     if len(images) != table.m:
         problems.append("wrong number of image matrices")
         return problems
@@ -257,9 +300,31 @@ def verify_result_json(obj) -> list[str]:
 # -- structural schema checking ----------------------------------------------
 
 
+_SCHEMAS: dict[str, dict] = {}
+
+_TYPE_CHECKS = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+
+
+def _shipped_schema(name: str) -> dict:
+    """A shipped schema, read and parsed once per process; never handed to callers."""
+    schema = _SCHEMAS.get(name)
+    if schema is None:
+        text = resources.files("matsplit").joinpath(f"schemas/{name}.schema.json").read_text()
+        schema = _SCHEMAS[name] = json.loads(text)
+    return schema
+
+
 def load_schema(name: str) -> dict:
-    text = resources.files("matsplit").joinpath(f"schemas/{name}.schema.json").read_text()
-    return json.loads(text)
+    """The shipped schema ``name`` as a new dict, which the caller may change."""
+    return json.loads(json.dumps(_shipped_schema(name)))
 
 
 def check_schema(obj: Any, schema: dict, path: str = "$") -> list[str]:
@@ -270,23 +335,14 @@ def check_schema(obj: Any, schema: dict, path: str = "$") -> list[str]:
     """
     if "$ref" in schema:
         name, _, pointer = schema["$ref"].partition("#")
-        schema = load_schema(name.removesuffix(".schema.json"))
+        schema = _shipped_schema(name.removesuffix(".schema.json"))
         for key in filter(None, pointer.split("/")):
             schema = schema[key]
     errors = []
     t = schema.get("type")
     if t:
-        ok = {
-            "object": lambda v: isinstance(v, dict),
-            "array": lambda v: isinstance(v, list),
-            "string": lambda v: isinstance(v, str),
-            "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-            "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-            "boolean": lambda v: isinstance(v, bool),
-            "null": lambda v: v is None,
-        }
         types = t if isinstance(t, list) else [t]
-        if not any(ok[tt](obj) for tt in types):
+        if not any(_TYPE_CHECKS[tt](obj) for tt in types):
             errors.append(f"{path}: expected {t}, got {type(obj).__name__}")
             return errors
     if "enum" in schema and obj not in schema["enum"]:
