@@ -169,6 +169,29 @@ class TestReaderOracle:
         assert name != "Q" or len(distinct) < len(leaves)
 
 
+GRID = [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        None,
+        "x",
+        GRID[:1],
+        GRID + GRID[:1],
+        [GRID[0], GRID[1][:1]],
+        [GRID[0], [GRID[1][0], "01"]],
+        [GRID[0], [GRID[1][0], ["0", "1", "2"]]],
+        [GRID[0], [GRID[1][0], {"0": "1", "1": "0"}]],
+    ],
+    ids=["null", "string", "one_plane", "three_planes", "short_plane", "string_row",
+         "long_row", "object_row"],
+)
+def test_a_gamma_of_the_wrong_shape_is_named(gamma):
+    with pytest.raises(InputError, match="gamma grid does not match the declared dimension"):
+        algebra_from_json({"field": {"type": "Q"}, "dim": 2, "gamma": gamma})
+
+
 def _leaves(obj):
     if isinstance(obj, list):
         for x in obj:
