@@ -30,16 +30,7 @@ from .errors import (
     PrecisionError,
     PromiseViolation,
 )
-from .exactnum import (
-    QQ,
-    ExactMatrix,
-    Field,
-    QuadScalar,
-    determinant,
-    kernel_basis,
-    matrix_rank,
-    solve_linear,
-)
+from .exactnum import QQ, ExactMatrix, Field, QuadScalar
 from .embed import Embedding, EmbeddedLattice, embed_order, embedding_from_images, rationalize, split_numeric
 from .lattice import (
     LatticeBasis,

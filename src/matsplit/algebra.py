@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, InternalError, NoIdentityError, PromiseViolation
-from .exactnum import QQ, ExactMatrix, Field, QuadScalar, int_gauss_jordan
+from .exactnum import QQ, ExactMatrix, Field, QuadScalar, int_det, int_gauss_jordan, omega_det
 
 
 class StructureConstants:
@@ -93,21 +93,6 @@ class StructureConstants:
                 for k in range(self.m):
                     if gij[k]:
                         rows[k][j] = rows[k][j] + xi * gij[k]
-        return ExactMatrix(self.field, rows)
-
-    def right_regular(self, x: Sequence) -> ExactMatrix:
-        """Matrix of y -> y * x in the a-basis; columns span A*x."""
-        zero = self.field.zero()
-        rows = [[zero] * self.m for _ in range(self.m)]
-        for j in range(self.m):
-            xj = self.field.coerce(x[j])
-            if not xj:
-                continue
-            for i in range(self.m):
-                gij = self.gamma[i][j]
-                for k in range(self.m):
-                    if gij[k]:
-                        rows[k][i] = rows[k][i] + xj * gij[k]
         return ExactMatrix(self.field, rows)
 
     def find_identity(self) -> "AlgebraElement":
@@ -203,21 +188,27 @@ class StructureConstants:
     def _trace_gram_det(self):
         """det T of the trace Gram T_kl = Tr(L_{a_k a_l}) of the a-basis, computed once.
 
-        Over Q, T = T' / d^2 for the integer T' built like T from the
-        integer table G = d gamma, so det T is a Bareiss determinant of T'
-        over d^(2m).
+        T = T' / d^2 for the integer T' built like T from the integer table
+        G = d gamma, so det T is det T' over d^(2m).  Over Q(i) and
+        Q(sqrt(-3)) the entries of T' are the Z[omega] integers sum_r (G_klr
+        + G_kl(m+r) omega) t_r, t_r = sum_j G_rjj + G_rj(m+j) omega, and det
+        T' is their fraction-free determinant omega_det.
         """
         if self._gram_det is None:
-            if self.field.is_rational:
-                G, d = self._integral_gamma()
-                m = self.m
-                t = [sum(G[r][j][j] for j in range(m)) for r in range(m)]
-                T = [[sum(x * y for x, y in zip(g_kl, t) if x) for g_kl in g_k] for g_k in G]
-                red, pivots = int_gauss_jordan(T)
-                det = red[-1][-1] if len(pivots) == m else 0
-                self._gram_det = Fraction(det, d ** (2 * m))
+            G, d = self._integral_gamma()
+            m, field = self.m, self.field
+            tu = [sum(G[r][j][j] for j in range(m)) for r in range(m)]
+            if field.is_rational:
+                det = [int_det([[_int_dot(g_kl, tu) for g_kl in g_k] for g_k in G])]
             else:
-                self._gram_det = ExactMatrix(self.field, _trace_matrix(self)).det()
+                # (x + y omega) t_r = x t_r + y omega t_r, omega t_r = -tv_r + (tu_r + t tv_r) omega
+                t = int(field.has_half_integers)
+                tv = [sum(G[r][j][m + j] for j in range(m)) for r in range(m)]
+                w = _omega_times(tu + tv, t)
+                U, V = tu + w[:m], tv + w[m:]
+                T = [[(_int_dot(g_kl, U), _int_dot(g_kl, V)) for g_kl in g_k[:m]] for g_k in G[:m]]
+                det = omega_det(T, t)
+            self._gram_det = lift_coords(field, [Fraction(x, d ** (2 * m)) for x in det])[0]
         return self._gram_det
 
     def validate(self) -> list[str]:
@@ -706,15 +697,6 @@ def _realified(z: list, n: int, t: int) -> list:
     return top + [x for X, Y in rows for x in Y + [a + t * b for a, b in zip(X, Y)]]
 
 
-def witness_residual(table: StructureConstants, witness: IsomorphismWitness):
-    """The number of basis pairs (i, j) with phi(a_i) phi(a_j) != phi(a_i a_j).
-
-    Zero for every witness build_isomorphism returns; exposed for external
-    checking.
-    """
-    return len(witness_problems(table, witness.images).pairs)
-
-
 def matrix_units_table(n: int, field: Field = None) -> StructureConstants:
     """Structure constants of M_n on the matrix-unit basis E_11, E_12, ..."""
     field = field or QQ
@@ -757,13 +739,3 @@ def _dot(x: Sequence, y: Sequence, zero):
     """Bilinear dot product, skipping the zero entries of x."""
     return sum((a * b for a, b in zip(x, y) if a), zero)
 
-
-def reduced_trace_gram(table: StructureConstants, basis_elems: Sequence[AlgebraElement]) -> ExactMatrix:
-    """Gram matrix of the matrix-trace form, i.e. trace_gram scaled by 1/n.
-
-    For an order basis in a full matrix algebra the entries are integral and
-    the determinant of this Gram is +-1 exactly at maximal orders over Q.
-    """
-    g = trace_gram(table, basis_elems)
-    inv_n = Fraction(1, table.n)
-    return g.scaled(inv_n)

@@ -74,7 +74,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, and ints past the digit limit
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 

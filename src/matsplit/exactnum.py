@@ -2,8 +2,9 @@
 
 Scalars are ``fractions.Fraction`` over Q, or :class:`QuadScalar` values
 a + b*sqrt(-d) with rational a, b over Q(sqrt(-d)); every operation is exact.
-The split pipeline eliminates with the fraction-free ``int_gauss_jordan``;
-``ExactMatrix`` elimination serves the public API and determinants over K.
+The split pipeline eliminates fraction-free on integers: ``int_gauss_jordan``
+and ``int_inverse`` over Z, ``omega_det`` over Z[omega] for determinants over
+Q(i) and Q(sqrt(-3)).  ``ExactMatrix`` elimination serves the public API.
 """
 
 from __future__ import annotations
@@ -187,18 +188,6 @@ class QuadScalar:
             )
         return self.a.denominator == 1 and self.b.denominator == 1
 
-    def denominator(self) -> int:
-        """Least positive integer q such that q * self is integral."""
-        q = (self.a.denominator * self.b.denominator) // _gcd(
-            self.a.denominator, self.b.denominator
-        )
-        # the minimal q divides 2*lcm(den a, den b); scan divisors ascending
-        for cand in _divisors_sorted(2 * q):
-            s = QuadScalar(self.d, self.a * cand, self.b * cand)
-            if s.is_integral():
-                return cand
-        return 2 * q
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -221,17 +210,6 @@ class QuadScalar:
             return f"{self.b}*sqrt(-{self.d})"
         sign = "+" if self.b > 0 else "-"
         return f"{self.a}{sign}{abs(self.b)}*sqrt(-{self.d})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _divisors_sorted(n: int):
-    divs = [k for k in range(1, n + 1) if n % k == 0]
-    return divs
 
 
 # -- generic scalar helpers (Fraction or QuadScalar) -------------------------
@@ -406,19 +384,23 @@ class ExactMatrix:
     # -- elimination ------------------------------------------------------
 
     def _echelon(self):
-        """Row echelon form by exact elimination; returns (rows, pivot cols)."""
+        """Reduced row echelon form by exact elimination: (rows, pivot columns, scale).
+
+        scale is the product of the pivots as they are found, negated once per
+        row swap; for a square matrix of full rank that is its determinant.
+        """
         m = [list(r) for r in self.entries]
         pivots = []
+        scale = self.field.one()
         r = 0
         for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pivot_row = i
-                    break
+            pivot_row = next((i for i in range(r, self.rows) if m[i][c]), None)
             if pivot_row is None:
                 continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
+            if pivot_row != r:
+                m[r], m[pivot_row] = m[pivot_row], m[r]
+                scale = -scale
+            scale = scale * m[r][c]
             inv = self.field.one() / m[r][c]
             m[r] = [inv * x for x in m[r]]
             for i in range(self.rows):
@@ -429,7 +411,7 @@ class ExactMatrix:
             r += 1
             if r == self.rows:
                 break
-        return m, pivots
+        return m, pivots, scale
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -437,41 +419,8 @@ class ExactMatrix:
     def det(self):
         if self.rows != self.cols:
             raise InputError("determinant of a non-square matrix")
-        m = [list(r) for r in self.entries]
-        n = self.rows
-        det = self.field.one()
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if m[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return self.field.zero()
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = self.field.one() / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [m[i][j] - f * m[c][j] for j in range(n)]
-        return det
-
-    def kernel_basis(self) -> list:
-        """Basis of the right null space; empty iff full column rank."""
-        m, pivots = self._echelon()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        one, zero = self.field.one(), self.field.zero()
-        for f in free:
-            v = [zero] * self.cols
-            v[f] = one
-            for r, c in enumerate(pivots):
-                v[c] = -m[r][f]
-            basis.append(tuple(v))
-        return basis
+        _, pivots, scale = self._echelon()
+        return scale if len(pivots) == self.rows else self.field.zero()
 
     def solve(self, rhs: Sequence):
         """A particular solution of M x = rhs, or None when inconsistent."""
@@ -481,7 +430,7 @@ class ExactMatrix:
             self.field,
             [list(self.entries[i]) + [rhs[i]] for i in range(self.rows)],
         )
-        m, pivots = aug._echelon()
+        m, pivots, _ = aug._echelon()
         if self.cols in pivots:
             return None
         zero = self.field.zero()
@@ -495,7 +444,7 @@ class ExactMatrix:
             raise InputError("inverse of a non-square matrix")
         n = self.rows
         aug = self.hstack(ExactMatrix.identity(self.field, n))
-        m, pivots = aug._echelon()
+        m, pivots, _ = aug._echelon()
         if pivots != list(range(n)):
             raise InputError("matrix is singular")
         return ExactMatrix(self.field, [row[n:] for row in m[:n]])
@@ -534,24 +483,59 @@ def int_gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
     return a, pivots
 
 
-# -- module level operations (the public surface) ----------------------------
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix: the last Bareiss pivot, or 0."""
+    if not rows:
+        return 1
+    red, pivots = int_gauss_jordan(rows)
+    return red[-1][-1] if len(pivots) == len(rows) else 0
 
 
-def matrix_rank(M: ExactMatrix) -> int:
-    """Rank over the fraction field by exact elimination."""
-    return M.rank()
+def int_inverse(cols: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(E, d) with M^-1 = E / d and d > 0, for M the matrix with these columns."""
+    m = len(cols)
+    rows = [[cols[j][i] for j in range(m)] + [int(i == k) for k in range(m)] for i in range(m)]
+    red, pivots = int_gauss_jordan(rows)
+    if pivots != list(range(m)):
+        raise InputError("matrix is singular")
+    sign = 1 if red[0][0] > 0 else -1
+    return [[sign * x for x in row[m:]] for row in red], sign * red[0][0]
 
 
-def determinant(M: ExactMatrix):
-    """Exact determinant of a square matrix."""
-    return M.det()
+def omega_det(rows: Sequence[Sequence[tuple[int, int]]], t: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) determinant over Z[omega], omega^2 = t omega - 1.
 
+    An entry (u, v) is u + v omega: omega = i for t = 0, (1 + sqrt(-3))/2 for
+    t = 1.  Each step eliminates the first column below the pivot p and
+    replaces every remaining entry x by (p x - f y) / q, f the entry below p
+    in x's row, y the entry above x in p's row and q the previous pivot.  The
+    new entries are minors of the input (Bareiss, Math. Comp. 22, 1968), so
+    q divides them in Z[omega], and the quotient is the product with the
+    conjugate (a + tb, -b) of q = a + b omega over its norm a^2 + tab + b^2.
+    A row swap negates the row moved down, so the last pivot is the
+    determinant itself.
+    """
 
-def kernel_basis(M: ExactMatrix) -> list:
-    """Basis of the right null space of M."""
-    return M.kernel_basis()
+    def mul(x, y):
+        (a, b), (c, e) = x, y
+        return a * c - b * e, a * e + b * c + t * b * e
 
-
-def solve_linear(M: ExactMatrix, rhs: Sequence):
-    """Particular solution of M x = rhs, or None when the system is inconsistent."""
-    return M.solve(rhs)
+    a = [[tuple(x) for x in row] for row in rows]
+    p, conj, norm = (1, 0), (1, 0), 1
+    while a:
+        piv = next((i for i, row in enumerate(a) if any(row[0])), None)
+        if piv is None:
+            return 0, 0
+        if piv:
+            a[0], a[piv] = a[piv], [(-u, -v) for u, v in a[0]]
+        top = a.pop(0)
+        p = top[0]
+        for i, row in enumerate(a):
+            f = row[0]
+            a[i] = new = []
+            for x, y in zip(row[1:], top[1:]):
+                (pu, pv), (fu, fv) = mul(p, x), mul(f, y)
+                u, v = mul((pu - fu, pv - fv), conj)
+                new.append((u // norm, v // norm))
+        conj, norm = (p[0] + t * p[1], -p[1]), p[0] * p[0] + t * p[0] * p[1] + p[1] * p[1]
+    return p

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EnumerationBudgetError, InputError, InternalError
-from .exactnum import QQ, ExactMatrix, int_gauss_jordan
+from .exactnum import int_det, int_gauss_jordan, int_inverse
 
 Vec = tuple[Fraction, ...]
 
@@ -82,11 +82,7 @@ class LatticeBasis:
 
     def det_sq(self) -> Fraction:
         """Square of the lattice determinant (Gram determinant)."""
-        red, pivots = int_gauss_jordan(self.int_gram())
-        if len(pivots) < self.rank:
-            return Fraction(0)
-        # the last Bareiss pivot is the determinant
-        return Fraction(red[-1][-1], self._den ** (2 * self.rank))
+        return Fraction(int_det(self.int_gram()), self._den ** (2 * self.rank))
 
     def vector(self, coeffs: Sequence[int]) -> Vec:
         out = [0] * self.ambient_dim
@@ -252,10 +248,9 @@ def dual_basis(basis: LatticeBasis) -> LatticeBasis:
     """Dual lattice basis (inverse transpose); requires a full-rank square basis."""
     if basis.rank != basis.ambient_dim:
         raise InputError("dual basis requires a full-rank lattice")
-    B = ExactMatrix.from_columns(QQ, [list(c) for c in basis.columns])
-    Binv = B.inverse()
-    cols = [Binv.row(i) for i in range(basis.rank)]
-    return LatticeBasis(cols)
+    # B = C / den for the integer columns C, and C^-1 = E / d, so B^-1 = den E / d
+    E, d = int_inverse(basis._ints)
+    return LatticeBasis([[Fraction(basis._den * x, d) for x in row] for row in E])
 
 
 def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
@@ -582,12 +577,12 @@ def trace_product_check(A, B) -> bool:
     n = len(a)
     if any(len(r) != n for r in a) or len(b) != n or any(len(r) != n for r in b):
         raise InputError("trace_product_check needs two square matrices of equal size")
-    tr = Fraction(0)
-    for i in range(n):
-        for k in range(n):
-            tr += a[i][k] * b[k][i]
-    det_a = ExactMatrix(QQ, a).det()
-    det_b = ExactMatrix(QQ, b).det()
-    if tr < 0:
-        return False
-    return tr**n >= Fraction(n) ** n * det_a * det_b
+    tr = sum(a[i][k] * b[k][i] for i in range(n) for k in range(n))
+    return tr >= 0 and tr**n >= Fraction(n) ** n * _rational_det(a) * _rational_det(b)
+
+
+def _rational_det(rows: list[list[Fraction]]) -> Fraction:
+    """det M = det(D M) / D^n, D the lcm of the denominators of the n x n matrix M."""
+    D = math.lcm(*(x.denominator for row in rows for x in row))
+    det = int_det([[x.numerator * (D // x.denominator) for x in row] for row in rows])
+    return Fraction(det, D ** len(rows))

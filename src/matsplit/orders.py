@@ -37,7 +37,7 @@ from .errors import (
     InternalError,
     PromiseViolation,
 )
-from .exactnum import QQ, ExactMatrix, Field, as_rational, int_gauss_jordan
+from .exactnum import QQ, ExactMatrix, Field, as_rational, int_inverse, omega_det
 from .quadfield import FieldData, nearest_integer
 
 # ---------------------------------------------------------------------------
@@ -351,7 +351,7 @@ class Order:
             cols += [_omega_times(c, int(field.has_half_integers)) for c in cols]
         den = math.lcm(1, *(x.denominator for c in cols for x in c))
         C = [[x.numerator * (den // x.denominator) for x in c] for c in cols]
-        E, d = _int_inverse(C)
+        E, d = int_inverse(C)
         self._int = (den, C, E, d)
 
     # coordinates of order basis element j in the a-basis
@@ -428,15 +428,19 @@ class Order:
         algebras over Q land exactly on discriminant +-1.  With T the trace
         Gram of the a-basis and B the basis matrix that is
         det(B^T T B / div) = det(T) det(B)^2 / div^m; over Q, C = den B has
-        the inverse E / d with d = |det C|.
+        the inverse E / d with d = |det C|, and over Q(i) and Q(sqrt(-3))
+        det(den B) is the omega_det of the Z[omega] integers den b_ij.
         """
         if self._disc is None:
-            m = self.table.m
-            if self.table.field.is_rational:
-                den, _, _, d = self._int
+            m, field = self.table.m, self.table.field
+            den, C, _, d = self._int
+            if field.is_rational:
                 det_b = Fraction(d, den**m)
             else:
-                det_b = self.basis_matrix.det()
+                # the first m columns of C are den b_j as Z[omega] integers
+                rows = [[(c[i], c[m + i]) for i in range(m)] for c in C[:m]]
+                det = omega_det(rows, int(field.has_half_integers))
+                det_b = lift_coords(field, [Fraction(x, den**m) for x in det])[0]
             self._disc = self.table._trace_gram_det() * det_b * det_b / _trace_divisor(m) ** m
         return self._disc
 
@@ -474,17 +478,6 @@ def _int_products(C: Sequence[Sequence[int]], G) -> list[list[list[int]]]:
             row.append(P)
         out.append(row)
     return out
-
-
-def _int_inverse(cols: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(E, d) with M^-1 = E / d and d > 0, for M the matrix with these columns."""
-    m = len(cols)
-    rows = [[cols[j][i] for j in range(m)] + [int(i == k) for k in range(m)] for i in range(m)]
-    red, pivots = int_gauss_jordan(rows)
-    if pivots != list(range(m)):
-        raise InputError("matrix is singular")
-    sign = 1 if red[0][0] > 0 else -1
-    return [[sign * x for x in row[m:]] for row in red], sign * red[0][0]
 
 
 def _trace_divisor(m: int) -> int:
@@ -684,7 +677,7 @@ def _idealizer(order: Order, ideal_cols: list[list[int]], p: int, side: str) -> 
     flat = _flat_constants(_order_int_mult(order))
     m = order.table.m
     # adj = det * I^-1 on order coordinates, so x is in I iff adj x = 0 mod det
-    adj, det = _int_inverse(ideal_cols)
+    adj, det = int_inverse(ideal_cols)
     Q = p * det
     stacked = []
     for u in ideal_cols:

@@ -192,14 +192,6 @@ def nearest_ok(z, d: int) -> QuadScalar:
     return nearest_integer(QuadScalar(d, re, approx_b))
 
 
-def distance_to(z, alpha: QuadScalar) -> float:
-    """Euclidean distance from complex z to the field element alpha."""
-    d = alpha.d
-    return math.hypot(
-        float(z.real) - float(alpha.a), float(z.imag) - float(alpha.b) * math.sqrt(d)
-    )
-
-
 class HermitianLattice:
     """Rank-2 module over the ring of integers inside C^2, given exactly.
 
@@ -215,15 +207,13 @@ class HermitianLattice:
             raise InputError("need two generators in C^2")
         field = field_data.field
         gens = tuple(tuple(field.coerce(x) for x in g) for g in generators)
-        gram_entries = [[None, None], [None, None]]
-        for i in range(2):
-            for j in range(2):
-                acc = field.zero()
-                for t in range(2):
-                    acc = acc + gens[i][t].conjugate() * gens[j][t]
-                gram_entries[i][j] = acc
+        gram_entries = [
+            [sum((x.conjugate() * y for x, y in zip(gi, gj)), field.zero()) for gj in gens]
+            for gi in gens
+        ]
         gram = ExactMatrix(field, gram_entries)
-        det = as_rational(gram.det())
+        (g00, g01), (g10, g11) = gram_entries
+        det = as_rational(g00 * g11 - g01 * g10)
         if det <= 0:
             raise InputError("generators are linearly dependent over the field")
         object.__setattr__(self, "field_data", field_data)

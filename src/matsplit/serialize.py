@@ -43,14 +43,14 @@ def rational_from_str(s: str) -> Fraction:
     plain = _PLAIN_RATIONAL.fullmatch(s) if isinstance(s, str) else None
     # Fraction("1e10000000") builds 10^(10^7), which takes seconds
     if plain is None and (not isinstance(s, str) or "e" in s.lower()):
-        raise InputError(f"a rational must be a string without exponent, got {s!r}")
+        raise InputError(f"a rational must be a string without exponent, got {_shown(s)}")
     try:
         if plain is None:
             return Fraction(s)
         p, q = plain.groups()
         return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational literal {s!r}") from exc
+        raise InputError(f"bad rational literal {_shown(s)}") from exc
 
 
 def scalar_to_json(x):
@@ -71,7 +71,13 @@ def _parse_scalar(field: Field, obj):
         if field.is_rational:
             raise InputError("quadratic scalar in a rational algebra")
         return QuadScalar(field.d, rational_from_str(obj["a"]), rational_from_str(obj["b"]))
-    raise InputError(f"bad scalar {obj!r}")
+    raise InputError(f"bad scalar {_shown(obj)}")
+
+
+def _shown(obj) -> str:
+    """repr(obj) for an error message, cut after 80 characters with its length."""
+    text = repr(obj)
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
 def _reader(field: Field):
@@ -161,20 +167,8 @@ def vector_to_json(vec) -> list:
     return [scalar_to_json(x) for x in vec]
 
 
-def vector_from_json(field: Field, obj) -> tuple:
-    return tuple(map(_reader(field), obj))
-
-
 def matrix_to_json(M: ExactMatrix) -> list:
     return [[scalar_to_json(x) for x in row] for row in M.entries]
-
-
-def matrix_from_json(field: Field, obj) -> ExactMatrix:
-    return _matrix(field, _reader(field), obj)
-
-
-def _matrix(field: Field, read, obj) -> ExactMatrix:
-    return ExactMatrix(field, [list(map(read, row)) for row in obj])
 
 
 def order_to_json(order: Order) -> dict:
@@ -282,7 +276,8 @@ def verify_result_json(obj) -> list[str]:
     element = AlgebraElement(table, tuple(map(read, obj["rank_one_element"])))
     if ideal_rank(element, n) != 1:
         problems.append("claimed element does not have ideal rank one")
-    images = [_matrix(table.field, read, M) for M in obj["witness"]["images"]]
+    images = [ExactMatrix(table.field, [list(map(read, row)) for row in M])
+              for M in obj["witness"]["images"]]
     if len(images) != table.m:
         problems.append("wrong number of image matrices")
         return problems

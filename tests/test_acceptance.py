@@ -14,7 +14,7 @@ from matsplit.algebra import (
     find_identity,
     ideal_rank,
     matrix_units_table,
-    witness_residual,
+    witness_problems,
 )
 from matsplit.embed import embed_order, embedding_from_images, rationalize
 from matsplit.errors import InputError
@@ -63,7 +63,7 @@ def _ok(msg):
 
 def _verify_split(table, result):
     assert ideal_rank(result.rank_one_element, table.n) == 1
-    assert witness_residual(table, result.witness) == 0
+    assert witness_problems(table, result.witness.images).pairs == ()
     e = find_identity(table)
     phi_e = ExactMatrix.zeros(table.field, table.n, table.n)
     for k in range(table.m):

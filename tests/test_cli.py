@@ -286,6 +286,24 @@ class TestMalformedInput:
     def test_verify_empty_object(self, runner):
         self.assert_exit_4(runner, ["verify"], {})
 
+    def test_a_long_bad_literal_is_cut_on_stderr(self, tmp_path):
+        algebra = algebra_to_json(splitter.generate_instance(2, "gauss", 10, 1).table)
+        algebra["gamma"][0][0][0] = {"a": "1" * 5000, "b": "0"}
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(algebra))
+        out = subprocess.run(
+            [sys.executable, "-m", "matsplit", "split", "--input", str(path)], capture_output=True
+        )
+        assert out.returncode == 4
+        assert len(out.stderr) < 300 and b"bad rational literal" in out.stderr
+        # the same entry as a bare JSON number: past the int digit limit of
+        # Python 3.11 (and 3.10.7 on) the JSON reader itself refuses it
+        path.write_text(json.dumps(algebra).replace('{"a": "' + "1" * 5000 + '", "b": "0"}', "1" * 5000))
+        out = subprocess.run(
+            [sys.executable, "-m", "matsplit", "split", "--input", str(path)], capture_output=True
+        )
+        assert out.returncode == 4 and len(out.stderr) < 300
+
     def test_verify_algebra_not_an_object(self, runner):
         self.assert_exit_4(runner, ["verify"], {"algebra": 1})
 

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from sympy.polys.matrices import DomainMatrix
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matsplit.errors import InputError
@@ -12,13 +14,17 @@ from matsplit.exactnum import (
     ExactMatrix,
     Field,
     QuadScalar,
-    determinant,
+    int_det,
     int_gauss_jordan,
-    kernel_basis,
-    matrix_rank,
-    solve_linear,
+    omega_det,
 )
 from matsplit.fixtures import d5_matrix
+
+def _kernel_vector(M, j):
+    """A solution of M x = 0 with x_j = 1, or None: one solve with the row e_j added."""
+    e_j = [int(k == j) for k in range(M.cols)]
+    return ExactMatrix(M.field, [*M.entries, e_j]).solve([0] * M.rows + [1])
+
 
 def small_fraction():
     return st.builds(
@@ -76,11 +82,6 @@ class TestQuadScalar:
         assert QuadScalar(1, 2, -3).is_integral()
         assert not QuadScalar(1, Fraction(1, 2), Fraction(1, 2)).is_integral()
 
-    def test_denominator(self):
-        assert QuadScalar(3, Fraction(1, 2), Fraction(1, 2)).denominator() == 1
-        assert QuadScalar(3, Fraction(1, 2), 0).denominator() == 2
-        assert QuadScalar(1, Fraction(1, 3), 1).denominator() == 3
-
     @given(small_fraction(), small_fraction(), small_fraction(), small_fraction())
     def test_norm_is_multiplicative(self, a, b, c, d):
         x = QuadScalar(7, a, b)
@@ -90,45 +91,46 @@ class TestQuadScalar:
 
 class TestMatrixOps:
     def test_rank_identity_and_zero(self):
-        assert matrix_rank(ExactMatrix.identity(QQ, 2)) == 2
-        assert matrix_rank(ExactMatrix.zeros(QQ, 2, 2)) == 0
+        assert ExactMatrix.identity(QQ, 2).rank() == 2
+        assert ExactMatrix.zeros(QQ, 2, 2).rank() == 0
 
     def test_rank_d5_fixture(self):
         # det = 0 forces rank 1 for a nonzero 2x2 matrix
         C = d5_matrix()
-        assert matrix_rank(C) == 1
+        assert C.rank() == 1
 
     def test_determinant_examples(self):
-        assert determinant(ExactMatrix.identity(QQ, 3)) == 1
-        assert determinant(d5_matrix()).is_zero()
-        assert determinant(ExactMatrix(QQ, [[2, 0], [0, 3]])) == 6
+        assert ExactMatrix.identity(QQ, 3).det() == 1
+        assert d5_matrix().det().is_zero()
+        assert ExactMatrix(QQ, [[2, 0], [0, 3]]).det() == 6
 
     def test_determinant_needs_square(self):
         with pytest.raises(InputError):
-            determinant(ExactMatrix(QQ, [[1, 2]]))
+            ExactMatrix(QQ, [[1, 2]]).det()
 
     def test_kernel_examples(self):
-        assert kernel_basis(ExactMatrix.identity(QQ, 4)) == []
-        k = kernel_basis(ExactMatrix(QQ, [[1, -1]]))
-        assert len(k) == 1
+        # the kernel has dimension cols - rank
+        I4 = ExactMatrix.identity(QQ, 4)
+        assert I4.cols - I4.rank() == 0
+        M = ExactMatrix(QQ, [[1, -1]])
+        assert M.cols - M.rank() == 1
         # oracle: the vector really lies in the kernel and spans (1, 1)
-        v = k[0]
+        v = _kernel_vector(M, 0)
         assert v[0] - v[1] == 0 and v[0] != 0
 
     def test_kernel_d5(self):
         C = d5_matrix()
-        k = kernel_basis(C)
-        assert len(k) == 1
-        assert all(x.is_zero() for x in C.mul_vector(k[0]))
+        assert C.cols - C.rank() == 1
+        assert all(x.is_zero() for x in C.mul_vector(_kernel_vector(C, 0)))
 
     def test_solve_examples(self):
         I2 = ExactMatrix.identity(QQ, 2)
-        assert solve_linear(I2, [1, 0]) == (1, 0)
+        assert I2.solve([1, 0]) == (1, 0)
         M = ExactMatrix(QQ, [[1, 1]])
-        sol = solve_linear(M, [2])
+        sol = M.solve([2])
         assert sol is not None and sum(sol) == 2
         bad = ExactMatrix(QQ, [[1, 0], [1, 0]])
-        assert solve_linear(bad, [1, 2]) is None
+        assert bad.solve([1, 2]) is None
 
     def test_heterogeneous_entries_rejected(self):
         with pytest.raises(InputError):
@@ -146,7 +148,8 @@ class TestMatrixOps:
     )
     def test_rank_nullity(self, rows):
         M = ExactMatrix(QQ, rows)
-        assert matrix_rank(M) + len(kernel_basis(M)) == M.cols
+        # oracle: sympy's null space
+        assert M.rank() + len(sympy.Matrix(rows).nullspace()) == M.cols
 
     @settings(max_examples=30)
     @given(
@@ -158,20 +161,20 @@ class TestMatrixOps:
     )
     def test_determinant_vs_rank_and_inverse(self, rows):
         M = ExactMatrix(QQ, rows)
-        d = determinant(M)
+        d = M.det()
         if d != 0:
-            assert matrix_rank(M) == 3
+            assert M.rank() == 3
             assert M @ M.inverse() == ExactMatrix.identity(QQ, 3)
         else:
-            assert matrix_rank(M) < 3
+            assert M.rank() < 3
 
     def test_quadratic_field_elimination(self):
         F = Field(1)
         i = F.omega()
         M = ExactMatrix(F, [[F.one(), i], [-i, F.one()]])
         # det = 1 - (-i * i) = 1 - 1 = 0
-        assert determinant(M).is_zero()
-        assert matrix_rank(M) == 1
+        assert M.det().is_zero()
+        assert M.rank() == 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -186,7 +189,8 @@ class TestMatrixOps:
     def test_bareiss_last_pivot_is_the_signed_determinant(self, rows):
         k = len(rows)
         M = ExactMatrix(QQ, rows)
-        d = determinant(M)
+        d = M.det()
+        assert int_det(rows) == d
         red, pivots = int_gauss_jordan([row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)])
         if d == 0:
             assert pivots[:k] != list(range(k))
@@ -197,3 +201,46 @@ class TestMatrixOps:
         for i, row in enumerate(red):
             assert row[:k] == [d if j == i else 0 for j in range(k)]
             assert row[k:] == [d * x for x in inv.row(i)]
+
+
+X = sympy.symbols("x")
+ZX = sympy.ZZ[X]
+
+
+@st.composite
+def omega_matrices(draw):
+    """(t, rows): a k x k matrix of small Z[omega] pairs, k = 1..5, made singular
+    (a row repeated, or a zero row at k = 1) or given a zero first pivot on request."""
+    t = draw(st.sampled_from([0, 1]))
+    k = draw(st.integers(min_value=1, max_value=5))
+    pair = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    rows = draw(st.lists(st.lists(pair, min_size=k, max_size=k), min_size=k, max_size=k))
+    shape = draw(st.sampled_from(["free", "singular", "zero pivot"]))
+    if shape == "singular":
+        rows[-1] = list(rows[0]) if k > 1 else [(0, 0)]
+    elif shape == "zero pivot":
+        rows[0][0] = (0, 0)
+    return t, rows
+
+
+class TestOmegaDet:
+    @settings(max_examples=300, deadline=None)
+    @given(omega_matrices())
+    @example((0, [[(0, 0), (1, 0)], [(1, 0), (0, 0)]]))
+    @example((1, [[(0, 0), (0, 1)], [(0, 0), (1, 1)]]))
+    @example((1, [[(1, 1), (2, -1), (0, 0)], [(2, 2), (4, -2), (0, 0)], [(3, 0), (0, 0), (1, 0)]]))
+    def test_matches_sympy(self, case):
+        # oracle: sympy's determinant over Z[x] of the entries u + v x, reduced
+        # modulo the minimal polynomial x^2 - t x + 1 of omega: Z[x] -> Z[omega]
+        # is a ring map, so this is the determinant over Q(i) or Q(sqrt(-3))
+        t, rows = case
+        k = len(rows)
+        M = DomainMatrix([[ZX.from_sympy(a + b * X) for a, b in row] for row in rows], (k, k), ZX)
+        want = sympy.Poly(ZX.to_sympy(M.det()), X).rem(sympy.Poly(X**2 - t * X + 1, X))
+        u, v = omega_det(rows, t)
+        assert sympy.Poly(u + v * X, X) == want
+
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_empty_and_scalar(self, t):
+        assert omega_det([], t) == (1, 0)
+        assert omega_det([[(2, -3)]], t) == (2, -3)

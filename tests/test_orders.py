@@ -11,7 +11,7 @@ import sympy
 from matsplit import orders
 from matsplit.algebra import StructureConstants, matrix_units_table
 from matsplit.errors import FactorBudgetError, InputError, InternalError
-from matsplit.exactnum import QQ, ExactMatrix, Field, QuadScalar, as_rational
+from matsplit.exactnum import QQ, ExactMatrix, Field, as_rational
 from matsplit.fixtures import quaternion_table
 from matsplit.orders import (
     Order,
@@ -77,8 +77,7 @@ def _reference_initial_lattice(table):
     """
     field, m = table.field, table.m
     ell = math.lcm(*(
-        x.denominator() if isinstance(x, QuadScalar) else x.denominator
-        for gi in table.gamma for gij in gi for x in gij
+        x.denominator for gi in table.gamma for gij in gi for x in restrict_coords(field, gij)
     ))
     gens = [[ell if k == i else 0 for k in range(m)] for i in range(m)]
     gens.append(list(table.find_identity().coords))

@@ -12,7 +12,6 @@ from matsplit.quadfield import (
     FieldData,
     HermitianLattice,
     Surd,
-    distance_to,
     gamma_h,
     gamma_h_best_upper,
     gamma_h_kappa_upper,
@@ -24,6 +23,11 @@ from matsplit.quadfield import (
     r_lambda_upper,
     tau,
 )
+
+
+def _distance_to(z, alpha):
+    """Euclidean distance from the complex z to a + b sqrt(-d)."""
+    return math.hypot(z.real - float(alpha.a), z.imag - float(alpha.b) * math.sqrt(alpha.d))
 
 
 class TestFieldData:
@@ -93,19 +97,19 @@ class TestNearest:
     def test_gaussian_deep_hole(self):
         z = complex(0.5, 0.5)
         a = nearest_ok(z, 1)
-        assert abs(distance_to(z, a) - math.sqrt(2) / 2) < 1e-12
+        assert abs(_distance_to(z, a) - math.sqrt(2) / 2) < 1e-12
         # brute force oracle over a small window
         best = min(
             math.hypot(z.real - u, z.imag - v)
             for u in range(-2, 3)
             for v in range(-2, 3)
         )
-        assert abs(distance_to(z, a) - best) < 1e-12
+        assert abs(_distance_to(z, a) - best) < 1e-12
 
     def test_eisenstein_deep_hole(self):
         z = complex(0.5, math.sqrt(3) / 6)
         a = nearest_ok(z, 3)
-        assert abs(distance_to(z, a) - float(kappa(3))) < 1e-12
+        assert abs(_distance_to(z, a) - float(kappa(3))) < 1e-12
 
     def test_voronoi_brute_force_eisenstein(self):
         # the distance from nearest_ok always matches a dense grid scan
@@ -113,7 +117,7 @@ class TestNearest:
         for _ in range(200):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             a = nearest_ok(z, 3)
-            got = distance_to(z, a)
+            got = _distance_to(z, a)
             best = min(
                 math.hypot(z.real - (u + w / 2), z.imag - (w / 2 + v) * math.sqrt(3))
                 for u in range(-4, 5)
@@ -129,7 +133,7 @@ class TestNearest:
         for _ in range(10_000):
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             a = nearest_ok(z, d)
-            assert distance_to(z, a) <= bound
+            assert _distance_to(z, a) <= bound
 
     def test_exact_nearest_is_integral(self):
         x = QuadScalar(3, Fraction(5, 7), Fraction(-12, 11))

@@ -192,6 +192,26 @@ def test_a_gamma_of_the_wrong_shape_is_named(gamma):
         algebra_from_json({"field": {"type": "Q"}, "dim": 2, "gamma": gamma})
 
 
+@pytest.mark.parametrize(
+    "leaf, message",
+    [
+        ("1" * 5000, "bad rational literal"),
+        ("x" * 5000, "bad rational literal"),
+        ("1e" + "1" * 5000, "without exponent"),
+        (["1"] * 3000, "bad scalar"),
+    ],
+    ids=["digits", "letters", "exponent", "list"],
+)
+def test_a_long_bad_literal_is_cut_in_the_message(leaf, message):
+    with pytest.raises(InputError, match=message) as info:
+        scalar_from_json(QQ, leaf)
+    text = str(info.value)
+    assert len(text) < 160 and text.endswith(f"... ({len(repr(leaf))} characters)")
+    # a short literal is shown whole
+    with pytest.raises(InputError, match="^bad rational literal 'x'$"):
+        scalar_from_json(QQ, "x")
+
+
 def _leaves(obj):
     if isinstance(obj, list):
         for x in obj:

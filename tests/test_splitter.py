@@ -1,6 +1,7 @@
 """End-to-end splitting pipelines and the instance generator."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -9,13 +10,14 @@ from matsplit.algebra import (
     find_identity,
     ideal_rank,
     matrix_units_table,
-    witness_residual,
+    witness_problems,
 )
 from matsplit.errors import InputError, PromiseViolation
 from matsplit.exactnum import QQ, ExactMatrix, Field
 from matsplit.fixtures import gaussian_lambda_order, quaternion_table
 from matsplit.lattice import hermite_gamma
-from matsplit.serialize import result_to_json, verify_result_json
+from matsplit.orders import maximal_order
+from matsplit.serialize import order_to_json, result_to_json, verify_result_json
 from matsplit.splitter import (
     SplitConfig,
     dynamic_bound_update,
@@ -33,18 +35,18 @@ class TestSplitOverQ:
         res = split_over_Q(t, SplitConfig(seed=1))
         assert ideal_rank(res.rank_one_element) == 1
         assert abs(res.stats.found_norm - 1.0) < 1e-9
-        assert witness_residual(t, res.witness) == 0
+        assert witness_problems(t, res.witness.images).pairs == ()
 
     def test_scrambled_m2_seed_42(self):
         inst = generate_instance(2, QQ, 10, seed=42)
         res = split_over_Q(inst.table, SplitConfig(seed=42))
-        assert witness_residual(inst.table, res.witness) == 0
+        assert witness_problems(inst.table, res.witness.images).pairs == ()
         assert inst.hidden_matrix(res.rank_one_element.coords).rank() == 1
 
     def test_scrambled_m3(self):
         inst = generate_instance(3, QQ, 10, seed=2)
         res = split_over_Q(inst.table, SplitConfig(seed=2))
-        assert witness_residual(inst.table, res.witness) == 0
+        assert witness_problems(inst.table, res.witness.images).pairs == ()
         assert res.stats.found_norm <= hermite_gamma(3)[0] + 1e-6
         assert inst.hidden_matrix(res.rank_one_element.coords).rank() == 1
 
@@ -157,20 +159,20 @@ class TestSplitImagQuad:
         t = matrix_units_table(2, Field(d))
         res = split_imag_quad(t, SplitConfig(seed=2))
         assert ideal_rank(res.rank_one_element) == 1
-        assert witness_residual(t, res.witness) == 0
+        assert witness_problems(t, res.witness.images).pairs == ()
         assert abs(res.stats.found_norm - 1.0) < 1e-9
 
     @pytest.mark.parametrize("name", ["gauss", "eisenstein"])
     def test_scrambled(self, name):
         inst = generate_instance(2, name, 5, seed=13)
         res = split_imag_quad(inst.table, SplitConfig(seed=13))
-        assert witness_residual(inst.table, res.witness) == 0
+        assert witness_problems(inst.table, res.witness.images).pairs == ()
         assert inst.hidden_matrix(res.rank_one_element.coords).rank() == 1
 
     def test_gaussian_fixture_order(self):
         o = gaussian_lambda_order()
         res = split_imag_quad(o.table, SplitConfig(seed=1), order=o)
-        assert witness_residual(o.table, res.witness) == 0
+        assert witness_problems(o.table, res.witness.images).pairs == ()
         assert abs(res.stats.found_norm - math.sqrt(2)) < 1e-9
 
     def test_rejects_wrong_field(self):
@@ -226,7 +228,7 @@ class TestSplit:
         inst = generate_instance(2, field, 10, seed=seed)
         res = split(inst.table, SplitConfig(seed=7, precision_bits=256))
         assert res.stats.precision_bits == 256
-        assert witness_residual(inst.table, res.witness) == 0
+        assert witness_problems(inst.table, res.witness.images).pairs == ()
 
     @pytest.mark.parametrize(
         "options",
@@ -246,19 +248,36 @@ class TestSplit:
             split(matrix_units_table(2, Field(d)), SplitConfig(engine="box"))
 
 
+ELIMINATION_METHODS = ["_echelon", "det", "rank", "solve", "inverse"]
+
+
+def _refuse_exact_elimination(monkeypatch):
+    for name in ELIMINATION_METHODS:
+        def refuse(self, *args, name=name):
+            raise AssertionError(f"ExactMatrix.{name} was called")
+
+        monkeypatch.setattr(ExactMatrix, name, refuse)
+
+
 class TestOneEliminationKernel:
+    # every elimination between parsing and the witness check, and every
+    # determinant of a maximal order, runs on integers: int_gauss_jordan over
+    # Z and omega_det over Z[omega]
     @pytest.mark.parametrize("n, field", [(2, "Q"), (3, "Q"), (2, "gauss"), (2, "eisenstein")])
     def test_split_and_verify_never_use_the_generic_echelon(self, n, field, monkeypatch):
-        # every elimination between parsing and the witness check is
-        # int_gauss_jordan on the integer table
         inst = generate_instance(n, field, 10, seed=1)
-
-        def refuse(self):
-            raise AssertionError("ExactMatrix._echelon was called")
-
-        monkeypatch.setattr(ExactMatrix, "_echelon", refuse)
+        _refuse_exact_elimination(monkeypatch)
         res = split(inst.table, SplitConfig(seed=7))
         assert verify_result_json(result_to_json(res, inst.table)) == []
+
+    @pytest.mark.parametrize("field", ["gauss", "eisenstein"])
+    def test_k_maximal_order_json_never_uses_exact_matrix_elimination(self, field, monkeypatch):
+        table = generate_instance(2, field, 10, seed=1).table
+        _refuse_exact_elimination(monkeypatch)
+        disc = order_to_json(maximal_order(table))["discriminant"]
+        # a unit of O_K: norm a^2 + d b^2 = 1
+        a, b = Fraction(disc["a"]), Fraction(disc["b"])
+        assert a * a + table.field.d * b * b == 1
 
 
 class TestGenerateInstance:
