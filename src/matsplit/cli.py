@@ -31,12 +31,10 @@ from .lattice import (
     berge_martinet_upper,
     c_m,
     hermite_gamma,
-    integral_gso,
     lll_reduce,
     min_norm_by_matrix_rank,
     min_rank_floor,
     orthogonality_defect,
-    short_vectors,
     tensor_product,
 )
 from .orders import maximal_order
@@ -107,7 +105,7 @@ def _random_integral_lattice(rng, rank, entry=5) -> LatticeBasis:
         ]
         try:
             basis = LatticeBasis(cols)
-            integral_gso(basis.int_gram())
+            basis.integral_gso()
             return basis
         except InputError:
             continue
@@ -243,7 +241,7 @@ def lll(path, delta, output):
 def enumerate(path, bound, output):
     """List all short vector classes up to the bound, in norm order."""
     basis = serialize.lattice_from_json(_read_checked(path, "lattice"))
-    vecs = short_vectors(basis.gram(), bound, budget=splitter.ENUMERATION_BUDGET)
+    vecs = basis.short_vectors(bound, budget=splitter.ENUMERATION_BUDGET)
     payload = {
         "count": len(vecs),
         "vectors": [

@@ -4,7 +4,7 @@ All lattice data is exact.  A basis keeps its columns as integers over one
 common denominator, and every kernel works on those integers and on the
 integral Gram-Schmidt data (d, lambda) of their Gram matrix (Cohen, GTM 138,
 2.6): LLL runs the classical d/lambda bookkeeping and certifies its output
-with it, enumeration compares squared norms with cleared denominators, and
+on the output's own data, which the basis keeps for its enumeration, and
 lattice equality is one fraction-free elimination.  The Hermite constant
 table carries the nine dimensions with known exact values.
 """
@@ -35,7 +35,8 @@ class LatticeBasis:
     """
 
     __slots__ = (
-        "ambient_dim", "rank", "columns", "unimodular_history", "perturbation", "_ints", "_den"
+        "ambient_dim", "rank", "columns", "unimodular_history", "perturbation", "_ints", "_den",
+        "_gso",  # integral_gso(), computed on first use and kept
     )
 
     def __init__(self, columns: Sequence[Sequence], unimodular_history=None, perturbation=None):
@@ -59,6 +60,7 @@ class LatticeBasis:
             )
         object.__setattr__(self, "unimodular_history", tuple(tuple(r) for r in unimodular_history))
         object.__setattr__(self, "perturbation", perturbation)
+        object.__setattr__(self, "_gso", None)
 
     def __setattr__(self, *args):
         raise AttributeError("LatticeBasis is immutable")
@@ -71,6 +73,17 @@ class LatticeBasis:
             for j in range(i, k):
                 g[i][j] = g[j][i] = sum(map(operator.mul, cols[i], cols[j]))
         return g
+
+    def integral_gso(self) -> tuple[list[list[int]], list[int]]:
+        """integral_gso(int_gram()), computed once; callers must not mutate it."""
+        if self._gso is None:
+            object.__setattr__(self, "_gso", integral_gso(self.int_gram()))
+        return self._gso
+
+    def short_vectors(self, norm_bound, budget: int | None = None):
+        """short_vectors(gram(), norm_bound, budget), walked on the kept GSO data."""
+        bound_sq = _norm_bound_sq(norm_bound)
+        return _walk(*self.integral_gso(), self._den**2, bound_sq, budget)
 
     def gram(self) -> list[list[Fraction]]:
         den_sq = self._den**2
@@ -187,7 +200,9 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
 
 def _round_ratio(a: int, b: int) -> int:
     """Nearest integer to a/b with b > 0, ties toward even like round()."""
-    return round(Fraction(a, b))
+    # q = floor(a/b + 1/2); r == 0 is a tie, where q - 1 and q are the candidates
+    q, r = divmod(2 * a + b, 2 * b)
+    return q - 1 if r == 0 and q % 2 else q
 
 
 def _init_row(k, g, lam, d):
@@ -206,19 +221,13 @@ def _compose_history(prev, U_rows):
     # U is stored by rows of coefficients over the previous basis:
     # new_col_k = sum_j U[k][j] prev_col_j, so as a matrix product the
     # column-transform is U transposed.
-    n = len(U_rows)
-    prev = [list(r) for r in prev]
-    out = [[0] * n for _ in range(len(prev))]
-    for i in range(len(prev)):
-        for k in range(n):
-            out[i][k] = sum(prev[i][j] * U_rows[k][j] for j in range(n))
-    return out
+    return [[sum(map(operator.mul, row, u)) for u in U_rows] for row in prev]
 
 
 def _certify_lll(basis: LatticeBasis, delta: Fraction):
     """Size reduction |mu_ij| <= 1/2 and the Lovasz condition with delta = p/q,
     checked exactly on the integral GSO data of the basis's own Gram."""
-    lam, d = integral_gso(basis.int_gram())
+    lam, d = basis.integral_gso()
     for i in range(basis.rank):
         for j in range(i):
             if 2 * abs(lam[i][j]) > d[j + 1]:
@@ -235,9 +244,7 @@ def orthogonality_defect(basis: LatticeBasis) -> float:
 
 
 def orthogonality_defect_sq(basis: LatticeBasis) -> Fraction:
-    num = Fraction(1)
-    for j in range(basis.rank):
-        num *= basis.norm_sq(j)
+    num = math.prod(basis.norm_sq(j) for j in range(basis.rank))
     den = basis.det_sq()
     if den == 0:
         raise InputError("degenerate basis")
@@ -402,18 +409,27 @@ def short_vectors(
     nonzero coefficient positive.  Raises EnumerationBudgetError once more
     than ``budget`` nodes, at any level, have been visited, and does so
     before sweeping a level whose admissible range would take it there.
+    A LatticeBasis lists the same classes with its own short_vectors.
     """
-    k = len(gram)
     bound_sq = _norm_bound_sq(norm_bound)
-    # Fincke-Pohst on the integral GSO data of the integer Gram G = s gram.
-    # The partial vector v = sum_{l >= i} x_l b_l is admissible at level i
-    # when its projection pi_i(v) away from b_0..b_{i-1} has G(pi_i v) <=
-    # B = s bound_sq.  e_i = d_i G(pi_i v) is a Gram determinant, hence an
-    # integer, and with t = d_{i+1} x_i + sum_{l > i} lam_li x_l it is
-    # e_i = (d_i e_{i+1} + t^2) / d_{i+1}.
     rows = [[Fraction(x) for x in row] for row in gram]
     s = math.lcm(*(x.denominator for row in rows for x in row))
-    lam, d = integral_gso([[x.numerator * (s // x.denominator) for x in row] for row in rows])
+    return _walk(*integral_gso([[x.numerator * (s // x.denominator) for x in row] for row in rows]),
+                 s, bound_sq, budget)
+
+
+def _walk(lam, d, s: int, bound_sq: Fraction, budget: int | None):
+    """short_vectors on the integral GSO data (lam, d) of the integer Gram G = s gram.
+
+    Every admissible range below is decided by an exact integer inequality
+    that is homogeneous in s, so any integral scale s lists the same classes.
+    """
+    k = len(d) - 1
+    # Fincke-Pohst: the partial vector v = sum_{l >= i} x_l b_l is admissible
+    # at level i when its projection pi_i(v) away from b_0..b_{i-1} has
+    # G(pi_i v) <= B = s bound_sq.  e_i = d_i G(pi_i v) is a Gram
+    # determinant, hence an integer, and with t = d_{i+1} x_i + sum_{l > i}
+    # lam_li x_l it is e_i = (d_i e_{i+1} + t^2) / d_{i+1}.
     bn, bd = (bound_sq * s).as_integer_ratio()
     results: list[tuple[tuple[int, ...], Fraction]] = []
     x = [0] * k
@@ -446,13 +462,9 @@ def short_vectors(
             descend(k - 1, 0)
     finally:
         descend = None  # the closure refers to itself; break the cycle
-    canonical = []
-    for coeffs, nsq in results:
-        lead = next(c for c in coeffs if c)
-        if lead > 0:
-            canonical.append((coeffs, nsq))
-    canonical.sort(key=lambda cv: (cv[1], cv[0]))
-    return canonical
+    # one representative per +-class: the one whose first nonzero coefficient is positive
+    canonical = [cv for cv in results if next(c for c in cv[0] if c) > 0]
+    return sorted(canonical, key=lambda cv: (cv[1], cv[0]))
 
 
 def box_enumerate(bounds: Sequence[int]):
@@ -491,11 +503,8 @@ def box_enumerate(bounds: Sequence[int]):
 
 def tensor_product(L: LatticeBasis, M: LatticeBasis) -> LatticeBasis:
     """Kronecker-product basis of L (x) M, columns ordered pairwise (i, j)."""
-    cols = []
-    for bi in L.columns:
-        for cj in M.columns:
-            cols.append(tuple(a * b for a in bi for b in cj))
-    return LatticeBasis(cols)
+    return LatticeBasis([tuple(a * b for a in bi for b in cj)
+                         for bi in L.columns for cj in M.columns])
 
 
 @dataclass
@@ -531,22 +540,17 @@ def min_norm_by_matrix_rank(
     back empty.
     """
     T = lll_reduce(tensor_product(L, M))
-    vecs = short_vectors(T.gram(), norm_bound, budget=budget)
+    vecs = T.short_vectors(norm_bound, budget=budget)
     if not vecs:
         return TensorExperimentReport({}, Fraction(0))
     # coefficients are over the reduced basis; map back to the kron basis
     hist = T.unimodular_history
-    kdim = T.rank
     by_rank: dict[int, Fraction] = {}
     lambda1_sq = vecs[0][1]
     violations = []
     for coeffs, nsq in vecs:
-        kron_coeffs = [
-            sum(hist[i][j] * coeffs[j] for j in range(kdim)) for i in range(kdim)
-        ]
-        rows = [
-            kron_coeffs[i * M.rank : (i + 1) * M.rank] for i in range(L.rank)
-        ]
+        kron_coeffs = [sum(map(operator.mul, h, coeffs)) for h in hist]
+        rows = [kron_coeffs[i * M.rank : (i + 1) * M.rank] for i in range(L.rank)]
         r = len(int_gauss_jordan(rows)[1])
         if r == 0:
             continue

@@ -307,7 +307,7 @@ def empirical_r_lambda(
     rank-1 element.
     """
     bound = math.sqrt(2.0) * (1 + slack) + slack
-    vecs = short_vectors(embedded.gram(), bound)
+    vecs = embedded.short_vectors(bound)
     best: dict[int, Fraction] = {}
     for coeffs, nsq in vecs:
         r = rank_fn(coeffs)

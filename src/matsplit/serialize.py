@@ -80,6 +80,14 @@ def _shown(obj) -> str:
     return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
+def _typed(obj, kind: type, what: str):
+    """obj when it is a ``kind`` (dict or list), else an InputError naming ``what``."""
+    if not isinstance(obj, kind):
+        json_type = "an object" if kind is dict else "an array"
+        raise InputError(f"{what} must be {json_type}, got {_shown(obj)}")
+    return obj
+
+
 def _reader(field: Field):
     """scalar_from_json for one document, parsing each distinct leaf once.
 
@@ -146,7 +154,7 @@ def _gamma_level(obj, m: int) -> list:
 
 def _read_algebra(obj) -> tuple[StructureConstants, Any]:
     """The table of an algebra document, and the reader that parsed it."""
-    field = field_from_json(obj.get("field"))
+    field = field_from_json(_typed(obj, dict, "an algebra document").get("field"))
     m = obj.get("dim")
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputError(f"algebra dim must be an integer, got {m!r}")
@@ -206,9 +214,7 @@ def lattice_to_json(basis: LatticeBasis) -> dict:
 
 
 def lattice_from_json(obj) -> LatticeBasis:
-    if not isinstance(obj, dict):
-        raise InputError(f"a lattice document must be an object, got {type(obj).__name__}")
-    dim, basis = obj.get("dim"), obj.get("basis")
+    dim, basis = _typed(obj, dict, "a lattice document").get("dim"), obj.get("basis")
     if type(dim) is not int:
         raise InputError(f"lattice dim must be an integer, got {dim!r}")
     if not isinstance(basis, list) or not all(isinstance(col, list) for col in basis):
@@ -258,26 +264,30 @@ def verify_result_json(obj) -> list[str]:
     """Re-run the exact checks on a serialized split result.
 
     Returns a list of failure descriptions; empty means the witness is valid.
+    Raises InputError when a field it reads has the wrong type or shape.
     """
     problems = []
     # one reader for the whole document: the algebra, the basis, the element
     # and the images share their scalars
-    table, read = _read_algebra(obj["algebra"])
-    if field_from_json(obj["field"]) != table.field:
+    table, read = _read_algebra(_typed(obj, dict, "a result document").get("algebra"))
+    if field_from_json(obj.get("field")) != table.field:
         raise InputError("the result's field differs from its algebra's")
     n = table.n
-    if obj["n"] != n:
-        raise InputError(f"the result's n = {obj['n']!r} differs from its algebra's n = {n}")
-    basis = obj["witness"]["left_ideal_basis"]
-    if len(basis) != n or any(len(v) != table.m for v in basis):
+    if obj.get("n") != n:
+        raise InputError(f"the result's n = {obj.get('n')!r} differs from its algebra's n = {n}")
+    witness = _typed(obj.get("witness"), dict, "the witness")
+    basis = _typed(witness.get("left_ideal_basis"), list, "the left ideal basis")
+    if len(basis) != n or any(not isinstance(v, list) or len(v) != table.m for v in basis):
         raise InputError(f"the left ideal basis must hold {n} vectors of length {table.m}")
     for v in basis:
         tuple(map(read, v))
-    element = AlgebraElement(table, tuple(map(read, obj["rank_one_element"])))
+    coords = _typed(obj.get("rank_one_element"), list, "the rank one element")
+    element = AlgebraElement(table, tuple(map(read, coords)))
     if ideal_rank(element, n) != 1:
         problems.append("claimed element does not have ideal rank one")
-    images = [ExactMatrix(table.field, [list(map(read, row)) for row in M])
-              for M in obj["witness"]["images"]]
+    images = [ExactMatrix(table.field, [list(map(read, _typed(row, list, "an image row")))
+                                        for row in _typed(M, list, "an image")])
+              for M in _typed(witness.get("images"), list, "the images")]
     if len(images) != table.m:
         problems.append("wrong number of image matrices")
         return problems

@@ -22,6 +22,7 @@ from .algebra import (
     AlgebraElement,
     IsomorphismWitness,
     StructureConstants,
+    _combination,
     _int_ideal_rank,
     build_isomorphism,
     lift_coords,
@@ -40,7 +41,6 @@ from .lattice import (
     lenstra_coefficient_bounds,
     lll_reduce,
     orthogonality_defect,
-    short_vectors,
 )
 from .orders import Order, maximal_order
 
@@ -100,12 +100,7 @@ def _lifter(table, reduced: LatticeBasis, zbasis_elements):
     history = reduced.unimodular_history
 
     def lift(coeffs: Sequence[int]) -> list[int]:
-        acc = [0] * len(Z[0])
-        for h, z in zip(history, Z):
-            c = sum(map(operator.mul, h, coeffs))
-            if c:
-                acc = [a + c * b for a, b in zip(acc, z)]
-        return acc
+        return _combination([sum(map(operator.mul, h, coeffs)) for h in history], Z)
 
     return lift, D
 
@@ -160,7 +155,7 @@ def split(
     slack = 2.0 ** (-(precision // 4))
     pert = (reduced.perturbation or 0.0) * reduced.rank
     lift, D = _lifter(table, reduced, embedded.zbasis_elements)
-    v, nsq, policy_stats = search(table, reduced, reduced.gram(), lift, slack, pert)
+    v, nsq, policy_stats = search(table, reduced, lift, slack, pert)
     element = AlgebraElement(table, lift_coords(field, [Fraction(x, D) for x in v]))
     witness = build_isomorphism(table, element)
     found_norm = math.sqrt(float(nsq))
@@ -204,31 +199,32 @@ def split_imag_quad(
     return split(table, config, order)
 
 
-def _first_bound(gram, rank: int, slack: float, pert: float) -> float:
-    """sqrt(min_i gram[i][i]) (1 + slack) + pert, raised until its exact square reaches
-    min_i gram[i][i]: at 256 bits and more 1 + slack rounds to 1.0."""
-    shortest = min(gram[i][i] for i in range(rank))
+def _first_bound(reduced: LatticeBasis, slack: float, pert: float) -> float:
+    """sqrt(min_i |b_i|^2) (1 + slack) + pert, raised until its exact square reaches
+    min_i |b_i|^2: at 256 bits and more 1 + slack rounds to 1.0."""
+    shortest = min(map(reduced.norm_sq, range(reduced.rank)))
     bound = math.sqrt(float(shortest)) * (1 + slack) + pert
     while Fraction(bound) ** 2 < shortest:
         bound = math.nextafter(bound, math.inf)
     return bound
 
 
-# Each search policy returns (the lifted vector of a rank-one element, its
-# squared norm, the SplitStats fields the policy determines) or raises
-# PromiseViolation.
+# Each search policy reads the reduced basis, whose listings walk the GSO
+# data kept from the LLL certificate, and returns (the lifted vector of a
+# rank-one element, its squared norm, the SplitStats fields the policy
+# determines) or raises PromiseViolation.
 
 
-def _search_ordered(table, reduced, gram, lift, slack, pert):
+def _search_ordered(table, reduced, lift, slack, pert):
     """Short vectors by norm, up a three-rung ladder of bounds."""
     full_bound = berge_martinet_upper(table.n) * (1 + slack) + pert
     # start at the shortest reduced vector: by the rank-one property of
     # minimal vectors this almost always suffices, and it keeps skewed
     # embeddings from flooding the enumeration
-    ladder = [_first_bound(gram, reduced.rank, slack, pert), full_bound, 2 * full_bound]
+    ladder = [_first_bound(reduced, slack, pert), full_bound, 2 * full_bound]
     nodes = 0
     for bound in ladder:
-        vecs = short_vectors(gram, bound, budget=ENUMERATION_BUDGET)
+        vecs = reduced.short_vectors(bound, budget=ENUMERATION_BUDGET)
         for coeffs, nsq in vecs:
             nodes += 1
             v = lift(coeffs)
@@ -240,7 +236,7 @@ def _search_ordered(table, reduced, gram, lift, slack, pert):
     )
 
 
-def _search_box(table, reduced, gram, lift, slack, pert):
+def _search_box(table, reduced, lift, slack, pert):
     """The literal coefficient box with Lenstra bounds, pruned online; the
     shortest rank-one element inside it wins.
 
@@ -257,18 +253,18 @@ def _search_box(table, reduced, gram, lift, slack, pert):
     tuples each.
     """
     k = reduced.rank
-    norms = [math.sqrt(float(gram[i][i])) for i in range(k)]
+    norms = [math.sqrt(float(reduced.norm_sq(i))) for i in range(k)]
     defect = orthogonality_defect(reduced)
     cap = berge_martinet_upper(table.n) * (1 + slack) + pert
     bounds = lenstra_coefficient_bounds(defect, cap, norms)
-    static = _box_volume(bounds)
+    static = math.prod(2 * b + 1 for b in bounds)
     if static > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"the static Lenstra box holds {static} coefficient tuples, more than "
             f"the budget of {ENUMERATION_BUDGET}; use the ordered engine"
         )
     G = reduced.int_gram()
-    den_sq = G[0][0] / gram[0][0]  # int_gram() is gram() times the squared denominator
+    den_sq = G[0][0] / reduced.norm_sq(0)  # int_gram() is gram() times the squared denominator
     shrunk = cap
     nodes = 1  # the zero tuple, which the walk visits and does not yield
     best = None  # (integer squared norm, coeffs, lifted vector)
@@ -299,13 +295,6 @@ def _search_box(table, reduced, gram, lift, slack, pert):
     }
 
 
-def _box_volume(bounds: Sequence[int]) -> int:
-    vol = 1
-    for b in bounds:
-        vol *= 2 * b + 1
-    return vol
-
-
 def dynamic_bound_update(d_current: float, norm_c: float, rank_c: int) -> float:
     """min(d, gamma_r^2 / sqrt(r) * ||C||): the online shrink of the search box."""
     if rank_c < 1:
@@ -314,15 +303,13 @@ def dynamic_bound_update(d_current: float, norm_c: float, rank_c: int) -> float:
     return min(d_current, g * g / math.sqrt(rank_c) * norm_c)
 
 
-def _search_minimal_class(table, reduced, gram, lift, slack, pert):
+def _search_minimal_class(table, reduced, lift, slack, pert):
     """Every vector of the minimal-norm class (up to the precision slack),
     rank-tested exactly in norm-then-lex order; the first rank-one element
     wins.  Over Q(sqrt(-3)) the first minimal vector is already the answer;
     over Q(i) at least one member of the class is."""
     # never empty: the bound reaches the shortest basis vector
-    vecs = short_vectors(
-        gram, _first_bound(gram, reduced.rank, slack, pert), budget=ENUMERATION_BUDGET
-    )
+    vecs = reduced.short_vectors(_first_bound(reduced, slack, pert), budget=ENUMERATION_BUDGET)
     lam_sq = float(vecs[0][1])
     class_cut = lam_sq * (1 + slack) ** 2 + 2 * pert
     minimal_class = [cv for cv in vecs if float(cv[1]) <= class_cut]

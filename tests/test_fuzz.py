@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from matsplit import splitter
 from matsplit.cli import main
-from matsplit.errors import InputError
+from matsplit.errors import InputError, PromiseViolation
 from matsplit.orders import Order
-from matsplit.serialize import algebra_from_json, order_from_json
+from matsplit.serialize import algebra_from_json, order_from_json, verify_result_json
 
 # what a leaf or key is replaced by; "delete" removes it, "wrap" nests it
 # one level deeper
@@ -117,6 +117,23 @@ def test_mutated_result_exits_cleanly(mutant):
         original = DOCS[name]
         assert payload["algebra"] == original["algebra"]
         assert payload["witness"]["images"] == original["witness"]["images"]
+
+
+@settings(FUZZ, max_examples=200)
+@given(mutant=mutants("result"))
+@example(mutant=("result-Q", _mutate(DOCS["result-Q"], ("rank_one_element",), None)))
+@example(mutant=("result-Q", _mutate(DOCS["result-Q"], ("witness",), 5)))
+@example(mutant=("result-Q", _mutate(DOCS["result-Q"], ("algebra",), [])))
+@example(mutant=("result-Q", _mutate(DOCS["result-Q"], ("field",), "delete")))
+def test_verify_result_json_returns_problems_or_raises_input_error(mutant):
+    # the library call, without the CLI's schema check in front of it.  A
+    # mutated algebra may also raise PromiseViolation: ideal_rank then finds
+    # a dimension that no full matrix algebra has
+    try:
+        problems = verify_result_json(mutant[1])
+    except (InputError, PromiseViolation):
+        return
+    assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
 
 
 LATTICE_COMMANDS = [["lll"], ["enumerate", "--bound", "1.5"]]

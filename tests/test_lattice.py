@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from matsplit.errors import InputError, InternalError
+from matsplit.errors import EnumerationBudgetError, InputError, InternalError
 from matsplit.exactnum import QQ, ExactMatrix
 from matsplit.fixtures import a2_basis, a2_dual_basis, z2_basis
 from matsplit.lattice import (
     LatticeBasis,
     _certify_lll,
+    _round_ratio,
     berge_martinet_upper,
     box_enumerate,
     c_m,
@@ -109,6 +110,30 @@ class TestLLL:
     def test_dependent_columns_rejected(self):
         with pytest.raises(InputError):
             lll_reduce(LatticeBasis([(1, 2), (2, 4)]))
+
+
+@st.composite
+def ratios(draw):
+    """(a, b) with signed a and b > 0; half of the draws are exact halves a / b = k + 1/2."""
+    b = draw(st.integers(1, 10**20))
+    if draw(st.booleans()):
+        b *= 2
+        return draw(st.integers(-(10**6), 10**6)) * b + b // 2, b
+    return draw(st.integers(-(10**40), 10**40)), b
+
+
+class TestRoundRatio:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ab=ratios())
+    def test_matches_round_of_the_fraction(self, ab):
+        a, b = ab
+        assert _round_ratio(a, b) == round(Fraction(a, b))
+
+    @pytest.mark.parametrize(
+        "a,b,expected", [(1, 2, 0), (3, 2, 2), (5, 2, 2), (-1, 2, 0), (-3, 2, -2), (-5, 2, -2), (7, 3, 2)]
+    )
+    def test_ties_go_to_even(self, a, b, expected):
+        assert _round_ratio(a, b) == expected
 
 
 class TestLLLAgainstSympy:
@@ -382,6 +407,12 @@ class TestIntegralGSO:
                 for j in range(i):
                     assert mu[i][j] == Fraction(lam[i][j], d[j + 1])
 
+    def test_a_basis_keeps_its_gso(self):
+        b = random_integral_basis(random.Random(43), 4, entry=9)
+        kept = b.integral_gso()
+        assert kept == integral_gso(b.int_gram())
+        assert b.integral_gso() is kept
+
     @pytest.mark.parametrize(
         "gram", [[[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]], [[-1]], [[4, 2, 0], [2, 1, 0], [0, 0, 5]]]
     )
@@ -584,6 +615,42 @@ class TestShortVectorsAgainstOracles:
         raw = short_vectors(basis.gram(), bound)
         assert raw == oracle.short_vectors(basis.gram(), bound)
         assert sorted(n for _, n in raw) == sorted(n for _, n in got)
+
+
+def _listing(enumerate_, *args):
+    """The short vector list, or "budget" when the listing ran out of its budget."""
+    try:
+        return enumerate_(*args)
+    except EnumerationBudgetError:
+        return "budget"
+
+
+class TestBasisShortVectors:
+    """LatticeBasis.short_vectors walks the kept GSO data at the scale den^2."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        basis=rational_bases(max_rank=6, max_num=6),
+        factor=st.fractions(Fraction(1, 2), Fraction(2), max_denominator=16),
+        budget=st.one_of(st.none(), st.integers(1, 500)),
+    )
+    def test_matches_the_gram_listing(self, basis, factor, budget):
+        reduced = lll_reduce(basis)
+        # about the first minimum, so that the unbudgeted listings stay small
+        shortest = min(reduced.norm_sq(i) for i in range(reduced.rank))
+        bound = math.sqrt(float(shortest)) * float(factor)
+        for b in (basis, reduced):
+            ours = _listing(b.short_vectors, bound, budget)
+            assert ours == _listing(short_vectors, b.gram(), bound, budget)
+            if budget is None:
+                assert ours != "budget"
+
+    def test_rejects_what_the_gram_listing_rejects(self):
+        for bound in (math.nan, -1):
+            with pytest.raises(InputError):
+                z2_basis().short_vectors(bound)
+        with pytest.raises(InputError, match="not positive definite"):
+            LatticeBasis([(1, 2), (2, 4)]).short_vectors(1)
 
 
 class TestBoxEnumerate:

@@ -15,6 +15,7 @@ from matsplit.algebra import (
 from matsplit.errors import InputError, PromiseViolation
 from matsplit.exactnum import QQ, ExactMatrix, Field
 from matsplit.fixtures import gaussian_lambda_order, quaternion_table
+from matsplit import lattice
 from matsplit.lattice import hermite_gamma
 from matsplit.orders import maximal_order
 from matsplit.serialize import order_to_json, result_to_json, verify_result_json
@@ -36,6 +37,21 @@ class TestSplitOverQ:
         assert ideal_rank(res.rank_one_element) == 1
         assert abs(res.stats.found_norm - 1.0) < 1e-9
         assert witness_problems(t, res.witness.images).pairs == ()
+
+    def test_one_split_computes_the_integral_gso_once(self, monkeypatch):
+        # the LLL certificate computes it on the reduced rank-9 basis, and the
+        # search lists short vectors on the data the basis keeps
+        ranks = []
+        original = lattice.integral_gso
+
+        def counting(gram):
+            ranks.append(len(gram))
+            return original(gram)
+
+        monkeypatch.setattr(lattice, "integral_gso", counting)
+        inst = generate_instance(3, "Q", 10, seed=1)
+        split_over_Q(inst.table, SplitConfig(seed=1))
+        assert ranks == [9]
 
     def test_scrambled_m2_seed_42(self):
         inst = generate_instance(2, QQ, 10, seed=42)
