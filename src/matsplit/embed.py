@@ -9,9 +9,10 @@ the scalar f'(lam).  Pivoted Gram-Schmidt on g(R_z) gives an orthonormal
 basis W of it and gates its rank, and the images W^H L_i W of left
 multiplication follow, all on Python ints at one fixed-point scale 2^F, F
 the working precision; mpmath only refines the roots of f.  The order
-lattice is formed from those ints with one mpf per entry.  Soundness never
-rests on these approximations (rank decisions are exact); precision only
-affects whether the search sees the short vectors it needs.
+lattice keeps those ints over one denominator, so its rational
+approximation is rounded exactly.  Soundness never rests on these
+approximations (rank decisions are exact); precision only affects whether
+the search sees the short vectors it needs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import from_rational, fzero, mpf_shift, to_int
+from mpmath.libmp import fzero, mpf_shift, to_int
 from mpmath.libmp.libhyper import NoConvergence
 
 from .algebra import (
@@ -503,17 +504,19 @@ class EmbeddedLattice:
 
     Over Q the integral basis is the order basis itself (dimension n^2);
     over a quadratic field it is (b_j, omega b_j) mapped through
-    y -> (Re phi(y), Im phi(y)) into R^8.
+    y -> (Re phi(y), Im phi(y)) into R^8.  Entry i of vector j is
+    basis_vectors[j][i] / denominator, held exactly as ints.
     """
 
     dimension: int
-    basis_vectors: list  # list of lists of mpf
+    basis_vectors: list  # list of lists of int, over denominator
     error_radius: object
     zbasis_elements: tuple  # exact AlgebraElements matching basis_vectors
+    denominator: int
 
 
 def embed_order(embedding: Embedding, order: Order) -> EmbeddedLattice:
-    """The order's z-basis under the embedding, one mpf per entry.
+    """The order's z-basis under the embedding, as ints over one denominator.
 
     Over Q(i) and Q(sqrt(-3)) the (1, omega) coordinates (u, v) of an element
     give the image sum_r u_r phi(a_r) + v_r phi(omega a_r), so with T the
@@ -535,9 +538,7 @@ def embed_order(embedding: Embedding, order: Order) -> EmbeddedLattice:
                   + [(wr * y + wi * x) >> F for x, y in zip(X, Y)] for X, Y in embedding.fixed]
         # over Q(i) and Q(sqrt(-3)) b_j and omega b_j alternate
         index = [s * m + j for j in range(m) for s in range(len(zs) // m)]
-        D = den << F
-        vectors = [[mp.make_mpf(from_rational(x, D, F, "n")) for x in _combination(C[i], T)]
-                   for i in index]
+        vectors = [_combination(C[i], T) for i in index]
         elements = [zs[i] for i in index]
         # sum_r |a_r| + |b_r| over the coordinates a_r + b_r sqrt(-d) = u_r + v_r omega
         # of each element; 2 omega = ta + tb sqrt(-d) with ints ta, tb
@@ -556,25 +557,22 @@ def embed_order(embedding: Embedding, order: Order) -> EmbeddedLattice:
             basis_vectors=vectors,
             error_radius=embedding.error_radius * (1 + mpf(scale.numerator) / scale.denominator),
             zbasis_elements=tuple(elements),
+            denominator=den << F,
         )
 
 
 def rationalize(embedded: EmbeddedLattice, target_denominator: int) -> LatticeBasis:
     """Entrywise rational approximation of the embedded basis vectors.
 
-    Entry x becomes nint(x q) / q, q = target_denominator, with the product
-    x q rounded to the caller's mpmath precision first.  So x moves by at
-    most 1/(2q) only when that precision holds every bit of x q; at the
-    default 53 bits and q = 2^64 the product's rounding dominates and x
-    moves by up to about |x| 2^-53.  The recorded perturbation, 1/q plus the
-    embedding error radius, does not cover that rounding.
+    Entry x = X / D, D = embedded.denominator, becomes nint(X q / D) / q,
+    q = target_denominator, rounded exactly on ints.  So x moves by at most
+    1/(2q), which the recorded perturbation, 1/q plus the embedding error
+    radius, covers.
     """
     if target_denominator < 1:
         raise InputError("target denominator must be positive")
-    q = int(target_denominator)
-    cols = []
-    for vec in embedded.basis_vectors:
-        cols.append(tuple(Fraction(int(mpmath.nint(x * q)), q) for x in vec))
+    q, D = int(target_denominator), embedded.denominator
+    cols = [tuple(Fraction(_round_div(x * q, D), q) for x in vec) for vec in embedded.basis_vectors]
     # int / int, not 1.0 / q: q = 2^1024 and above has no float value
     perturbation = float(embedded.error_radius) + 1 / q
     return LatticeBasis(cols, perturbation=perturbation)

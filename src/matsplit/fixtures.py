@@ -8,10 +8,9 @@ shortest vectors have Frobenius norm sqrt(2), the identity among them.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
 
 from .algebra import StructureConstants, matrix_units_table
 from .errors import InputError
@@ -116,10 +115,9 @@ _A2_DENOMINATOR = 10**12
 @lru_cache(maxsize=1)
 def a2_basis() -> LatticeBasis:
     """Hexagonal lattice generators (1/2, sqrt3/2), (1, 0), rationalized."""
-    with mpmath.workprec(120):
-        half_sqrt3 = Fraction(
-            int(mpmath.nint(mpmath.sqrt(3) / 2 * _A2_DENOMINATOR)), _A2_DENOMINATOR
-        )
+    D = _A2_DENOMINATOR
+    # nint(sqrt(3) D / 2) = (isqrt(3 D^2) + 1) // 2, since sqrt(3) D is irrational
+    half_sqrt3 = Fraction((math.isqrt(3 * D * D) + 1) // 2, D)
     return LatticeBasis([(Fraction(1, 2), half_sqrt3), (Fraction(1), Fraction(0))])
 
 

@@ -24,6 +24,7 @@ from .algebra import (
     StructureConstants,
     _combination,
     _int_ideal_rank,
+    _omega_times,
     build_isomorphism,
     lift_coords,
     matrix_units_table,
@@ -156,6 +157,7 @@ def split(
     pert = (reduced.perturbation or 0.0) * reduced.rank
     lift, D = _lifter(table, reduced, embedded.zbasis_elements)
     v, nsq, policy_stats = search(table, reduced, lift, slack, pert)
+    v = max(_unit_multiples(field, v))  # C up to units: the greatest coordinates win
     element = AlgebraElement(table, lift_coords(field, [Fraction(x, D) for x in v]))
     witness = build_isomorphism(table, element)
     found_norm = math.sqrt(float(nsq))
@@ -175,6 +177,17 @@ def split(
             **policy_stats,
         ),
     )
+
+
+def _unit_multiples(field: Field, v: list) -> list:
+    """u v on (1, omega) coordinates for every unit u of O_K: +-1 over Q,
+    omega^k over Q(i) (k < 4) and Q(sqrt(-3)) (k < 6)."""
+    if field.is_rational:
+        return [v, [-x for x in v]]
+    out, t = [v], int(field.has_half_integers)  # omega^2 = t omega - 1
+    for _ in range(5 if t else 3):
+        out.append(_omega_times(out[-1], t))
+    return out
 
 
 def split_over_Q(

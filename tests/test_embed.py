@@ -13,6 +13,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matsplit import embed, serialize
 from matsplit.algebra import (
@@ -65,9 +67,10 @@ def standard_images(field, n):
     return units
 
 
-def dot_products(vectors):
-    """Gram matrix of mpf vectors."""
-    return [[mpmath.fsum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors]
+def dot_products(lat):
+    """Exact Gram matrix of an embedded lattice's int vectors over its denominator."""
+    vectors, den_sq = lat.basis_vectors, lat.denominator**2
+    return [[Fraction(sum(a * b for a, b in zip(u, v)), den_sq) for v in vectors] for u in vectors]
 
 
 class TestSplitNumeric:
@@ -492,7 +495,7 @@ class TestEmbedOrder:
         o = maximal_order(t)
         emb = embedding_from_images(t, standard_images(QQ, 2), 128)
         lat = embed_order(emb, o)
-        gram = dot_products(lat.basis_vectors)
+        gram = dot_products(lat)
         for i in range(4):
             for j in range(4):
                 expect = 1.0 if i == j else 0.0
@@ -503,7 +506,7 @@ class TestEmbedOrder:
         o = maximal_order(t)
         emb = split_numeric(t, o, 128, seed=9)
         lat = embed_order(emb, o)
-        gram = dot_products(lat.basis_vectors)
+        gram = dot_products(lat)
         for i in range(4):
             for j in range(4):
                 assert gram[i][j] == gram[j][i]
@@ -543,7 +546,7 @@ class TestEmbedOrder:
                 for i in range(2):
                     for j in range(2):
                         phi_norm_sq += abs(mat[i, j]) ** 2
-                vec_norm_sq = sum(x * x for x in vec)
+                vec_norm_sq = mpmath.mpf(sum(x * x for x in vec)) / lat.denominator**2
                 assert abs(float(vec_norm_sq - phi_norm_sq)) < 1e-25
 
 
@@ -558,33 +561,51 @@ class TestRationalize:
         assert flat == [0] * 12 + [1] * 4
 
     def test_pi_entry_rounding(self):
+        with mpmath.workprec(200):
+            pi = int(mpmath.nint(mpmath.pi * 2**160))
         lat = EmbeddedLattice(
             dimension=1,
-            basis_vectors=[[mpmath.pi]],
+            basis_vectors=[[pi]],
             error_radius=mpmath.mpf(0),
             zbasis_elements=(),
+            denominator=2**160,
         )
         basis = rationalize(lat, 10**6)
         assert abs(float(basis.columns[0][0]) - math.pi) <= 1e-6
 
     def test_a2_lambda1_at_high_denominator(self):
         # rationalizing the exact hexagonal generators perturbs lambda1 by
-        # far less than the rounding budget
-        with mpmath.workprec(200):
-            vecs = [
-                [mpmath.mpf(1) / 2, mpmath.sqrt(3) / 2],
-                [mpmath.mpf(1), mpmath.mpf(0)],
-            ]
+        # far less than the rounding budget; sqrt(3) / 2 to 200 bits
         lat = EmbeddedLattice(
             dimension=2,
-            basis_vectors=vecs,
+            basis_vectors=[[2**200, math.isqrt(3 << 400)], [2**201, 0]],
             error_radius=mpmath.mpf(0),
             zbasis_elements=(),
+            denominator=2**201,
         )
         basis = rationalize(lat, 10**12)
         reduced = lll_reduce(basis)
         lam = math.sqrt(float(short_vectors(reduced.gram(), 1.1)[0][1]))
         assert abs(lam - 1.0) < 1e-10
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.integers(-(2**300), 2**300), min_size=1, max_size=6),
+        st.integers(1, 2**200),
+        st.integers(1, 2**128),
+    )
+    def test_every_entry_moves_by_at_most_half_over_q(self, entries, denominator, q):
+        lat = EmbeddedLattice(
+            dimension=len(entries),
+            basis_vectors=[entries],
+            error_radius=mpmath.mpf(0),
+            zbasis_elements=(),
+            denominator=denominator,
+        )
+        basis = rationalize(lat, q)
+        for x, y in zip(entries, basis.columns[0]):
+            assert y.denominator <= q and q % y.denominator == 0
+            assert abs(y - Fraction(x, denominator)) <= Fraction(1, 2 * q)
 
     def test_rejects_bad_denominator(self):
         t = matrix_units_table(2)
@@ -741,18 +762,18 @@ class TestRationalizedLatticesStay:
     instances with their hidden order: the digests of this lattice."""
 
     DIGESTS = {
-        ("Q", 2, 1): "4d63307b77e18b4f",
-        ("Q", 2, 2): "23b3b7a8fe1b9e1a",
-        ("Q", 2, 3): "0f90436abb5e3252",
-        ("Q", 3, 1): "4549b2c74f4d6ba6",
-        ("Q", 3, 2): "69404d2e2802e58d",
-        ("Q", 3, 3): "8a03221b523b9f98",
-        ("gauss", 2, 1): "3d6dec8cab6d9805",
-        ("gauss", 2, 2): "11f3ebf1315adc92",
-        ("gauss", 2, 3): "73714e7f39e73532",
-        ("eisenstein", 2, 1): "2c1bcbd75e4eb7be",
-        ("eisenstein", 2, 2): "cd4a73ab4acc9e73",
-        ("eisenstein", 2, 3): "574cdd356b9a3125",
+        ("Q", 2, 1): "dea1ee05e514eff2",
+        ("Q", 2, 2): "f9875247b3118540",
+        ("Q", 2, 3): "2559050962a91d87",
+        ("Q", 3, 1): "a6dcc431a76c2b6b",
+        ("Q", 3, 2): "d0a996f2fef4469c",
+        ("Q", 3, 3): "63c4a04b0690eee8",
+        ("gauss", 2, 1): "df9e73bb6f583494",
+        ("gauss", 2, 2): "b61935b154e3ada9",
+        ("gauss", 2, 3): "711bc34891e7b0f1",
+        ("eisenstein", 2, 1): "24e7af15eeb45267",
+        ("eisenstein", 2, 2): "82dae97b275e78e3",
+        ("eisenstein", 2, 3): "74cb52ebbb107427",
     }
 
     @pytest.mark.parametrize("name,n,seed", sorted(DIGESTS))

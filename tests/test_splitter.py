@@ -4,9 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matsplit.algebra import (
     AlgebraElement,
+    _omega_times,
     find_identity,
     ideal_rank,
     matrix_units_table,
@@ -21,6 +24,7 @@ from matsplit.orders import maximal_order
 from matsplit.serialize import order_to_json, result_to_json, verify_result_json
 from matsplit.splitter import (
     SplitConfig,
+    _unit_multiples,
     dynamic_bound_update,
     generate_instance,
     instance_from_base_change,
@@ -120,30 +124,31 @@ class TestBoxEngine:
 
 
 class TestBoxTraversal:
-    # Nodes visited, static box and rank-one element of the pruned walk;
-    # a change to the walk, its pruning or its tie order shows here.
+    # Nodes visited, static box and rank-one element of the pruned walk
+    # (the element as its sign with the greatest coordinates); a change to
+    # the walk, its pruning or its tie order shows here.
     PINNED = [
         (2, 1, 38, 297, ["1", "0", "-1", "3"]),
-        (2, 2, 96, 135, ["-2", "2", "3", "-1"]),
+        (2, 2, 96, 135, ["2", "-2", "-3", "1"]),
         (2, 3, 7, 27, ["1", "0", "-1", "-1/2"]),
-        (2, 4, 16, 45, ["-1", "4", "-10", "-11"]),
-        (2, 5, 17, 63, ["-1", "-1", "0", "-2"]),
+        (2, 4, 16, 45, ["1", "-4", "10", "11"]),
+        (2, 5, 17, 63, ["1", "1", "0", "2"]),
         (2, 6, 18, 81, ["1", "-1", "-1", "-1"]),
         (2, 7, 7, 27, ["1", "-1", "2", "0"]),
-        (2, 8, 8, 45, ["0", "-2", "-1", "0"]),
+        (2, 8, 8, 45, ["0", "2", "1", "0"]),
         (2, 9, 16, 45, ["2", "-11", "8", "0"]),
         (2, 10, 8, 45, ["1", "-1", "2", "0"]),
         (2, 11, 16, 81, ["0", "1", "-1", "-2"]),
-        (2, 12, 42, 81, ["-94", "45", "78", "39/2"]),
-        (2, 13, 8, 45, ["-1", "2", "0", "0"]),
+        (2, 12, 42, 81, ["94", "-45", "-78", "-39/2"]),
+        (2, 13, 8, 45, ["1", "-2", "0", "0"]),
         (2, 14, 17, 63, ["1", "4", "-2", "6"]),
-        (2, 15, 8, 45, ["-2", "-9", "5", "-8"]),
-        (2, 16, 16, 45, ["-327", "-85", "-153", "5"]),
-        (2, 17, 23, 171, ["0", "-1", "0", "1"]),
+        (2, 15, 8, 45, ["2", "9", "-5", "8"]),
+        (2, 16, 16, 45, ["327", "85", "153", "-5"]),
+        (2, 17, 23, 171, ["0", "1", "0", "-1"]),
         (2, 18, 7, 27, ["3", "1", "-6", "0"]),
-        (2, 19, 7, 27, ["-28", "9", "11", "129"]),
-        (2, 20, 42, 81, ["-53", "-27", "387", "57"]),
-        (3, 3, 2693, 14175, ["0", "0", "-1", "0", "0", "-1", "2", "0", "-1"]),
+        (2, 19, 7, 27, ["28", "-9", "-11", "-129"]),
+        (2, 20, 42, 81, ["53", "27", "-387", "-57"]),
+        (3, 3, 2693, 14175, ["0", "0", "1", "0", "0", "1", "-2", "0", "1"]),
     ]
 
     @pytest.mark.parametrize(
@@ -201,14 +206,14 @@ class TestSplitImagQuad:
 class TestSplit:
     # Values recorded before split_over_Q and split_imag_quad became one
     # pipeline; a change to the bound ladder, the class cut or the tie
-    # order of the searches shows up here.  Over Q(sqrt(-3)) the unit
-    # multiples C, omega C, omega^2 C have the same exact norm, so which one
-    # comes first is decided by the rounding of the embedded basis, and with
-    # it by the orthonormal basis chosen for the eigenspace.
+    # order of the searches shows up here.  The element is the unit
+    # multiple of the one the search finds whose (1, omega) coordinates are
+    # lexicographically greatest, so no rounding picks among C, -C or
+    # omega^k C.
     GOLDEN = [
         ("Q", 42, {}, ["3", "-12", "1", "-4"], 1, [1], None),
         ("Q", 3, {"engine": "box"}, ["1", "0", "-1", "-1/2"], 7, [256, 1], None),
-        ("gauss", 13, {}, ["0", "-1/2+1/2*sqrt(-1)", "0", "0"], 1, [1024, 256], 2),
+        ("gauss", 13, {}, ["0", "1/2+1/2*sqrt(-1)", "0", "0"], 1, [1024, 256], 2),
         ("eisenstein", 1, {}, ["0", "0", "1", "0"], 1, [81, 81], 3),
     ]
 
@@ -224,6 +229,23 @@ class TestSplit:
         assert res.stats.nodes_visited == nodes
         assert res.stats.disc_trace == disc_trace
         assert res.stats.minimal_class_size == class_size
+
+    @pytest.mark.parametrize(
+        "field,seed",
+        [("eisenstein", 1), ("eisenstein", 2), ("eisenstein", 3), ("gauss", 13), ("Q", 42)],
+    )
+    def test_result_does_not_depend_on_precision(self, field, seed):
+        inst = generate_instance(2, field, 10, seed=seed)
+        docs = []
+        for bits in (128, 256):
+            doc = result_to_json(split(inst.table, SplitConfig(seed=seed, precision_bits=bits)), inst.table)
+            for key in ("wall_time", "found_norm", "norm_bound", "precision_bits"):
+                doc["stats"].pop(key)
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        if field == "eisenstein":
+            # C, omega C and omega^2 C: the class cut sees all three
+            assert docs[1]["stats"]["minimal_class_size"] == 3
 
     def test_precision_beyond_the_float_range(self):
         # 2048 bits round at denominator 2^1024, which no float can hold
@@ -262,6 +284,22 @@ class TestSplit:
     def test_box_engine_is_for_Q_only(self, d):
         with pytest.raises(InputError):
             split(matrix_units_table(2, Field(d)), SplitConfig(engine="box"))
+
+
+class TestUnitMultiples:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([QQ, Field(1), Field(3)]), st.lists(st.integers(-50, 50), min_size=2, max_size=8))
+    def test_canonical_multiple_is_one_per_unit_class(self, field, v):
+        if not field.is_rational:
+            v = v[: len(v) // 2 * 2]
+        orbit = _unit_multiples(field, v)
+        assert len(orbit) == (2 if field.is_rational else 4 if field.d == 1 else 6)
+        if not field.is_rational:
+            # the orbit closes: omega^4 = 1 over Q(i), omega^6 = 1 over Q(sqrt(-3))
+            assert _omega_times(orbit[-1], int(field.has_half_integers)) == v
+        canonical = max(orbit)
+        assert canonical in orbit
+        assert all(max(_unit_multiples(field, u)) == canonical for u in orbit)
 
 
 ELIMINATION_METHODS = ["_echelon", "det", "rank", "solve", "inverse"]
