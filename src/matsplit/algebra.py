@@ -374,9 +374,14 @@ def _omega_times(x: Sequence, t: int) -> list:
 
 def _integral(field: Field, values: Sequence) -> tuple[list, int]:
     """The (1, omega) coordinates of the values times the lcm D of their denominators, and D."""
-    coords = restrict_coords(field, values)
-    D = math.lcm(*(x.denominator for x in coords))
-    return [x.numerator * (D // x.denominator) for x in coords], D
+    (w,), D = _integral_rows([restrict_coords(field, values)])
+    return w, D
+
+
+def _integral_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """The rational rows times the lcm D of all their denominators, as ints, and D."""
+    D = math.lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (D // x.denominator) for x in r] for r in rows], D
 
 
 class AlgebraElement:

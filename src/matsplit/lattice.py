@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
 
+from .algebra import _integral_rows
 from .errors import EnumerationBudgetError, InputError, InternalError
 from .exactnum import int_det, int_gauss_jordan, int_inverse
 
@@ -46,13 +47,11 @@ class LatticeBasis:
         dim = len(cols[0])
         if any(len(c) != dim for c in cols):
             raise InputError("ragged basis columns")
-        den = math.lcm(*(x.denominator for c in cols for x in c))
+        ints, den = _integral_rows(cols)
         object.__setattr__(self, "ambient_dim", dim)
         object.__setattr__(self, "rank", len(cols))
         object.__setattr__(self, "columns", tuple(cols))
-        object.__setattr__(
-            self, "_ints", tuple(tuple(x.numerator * (den // x.denominator) for x in c) for c in cols)
-        )
+        object.__setattr__(self, "_ints", tuple(map(tuple, ints)))
         object.__setattr__(self, "_den", den)
         if unimodular_history is None:
             unimodular_history = tuple(
@@ -412,10 +411,8 @@ def short_vectors(
     A LatticeBasis lists the same classes with its own short_vectors.
     """
     bound_sq = _norm_bound_sq(norm_bound)
-    rows = [[Fraction(x) for x in row] for row in gram]
-    s = math.lcm(*(x.denominator for row in rows for x in row))
-    return _walk(*integral_gso([[x.numerator * (s // x.denominator) for x in row] for row in rows]),
-                 s, bound_sq, budget)
+    G, s = _integral_rows([_fracv(row) for row in gram])
+    return _walk(*integral_gso(G), s, bound_sq, budget)
 
 
 def _walk(lam, d, s: int, bound_sq: Fraction, budget: int | None):
@@ -587,6 +584,5 @@ def trace_product_check(A, B) -> bool:
 
 def _rational_det(rows: list[list[Fraction]]) -> Fraction:
     """det M = det(D M) / D^n, D the lcm of the denominators of the n x n matrix M."""
-    D = math.lcm(*(x.denominator for row in rows for x in row))
-    det = int_det([[x.numerator * (D // x.denominator) for x in row] for row in rows])
-    return Fraction(det, D ** len(rows))
+    M, D = _integral_rows(rows)
+    return Fraction(int_det(M), D ** len(rows))

@@ -9,8 +9,10 @@ saturated there like a rational order, and comes back to a
 ring-of-integers basis once, by Euclidean column reduction; a maximal
 integral order in an algebra with quadratic center is automatically a
 maximal module over the ring of integers of the center.  Every order keeps
-an integer Z-basis (over Q(i) and Q(sqrt(-3)) the b_j and omega b_j in
-(1, omega) coordinates), so order coordinates and products are integer work.
+one integer Z-basis, columns over one denominator (over Q(i) and Q(sqrt(-3))
+the b_j and omega b_j in (1, omega) coordinates), so order coordinates,
+products and lattice comparisons are integer work; ``basis_matrix`` is a
+view of that basis over the field.
 """
 
 from __future__ import annotations
@@ -18,15 +20,17 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Sequence
 
 from .algebra import (
     AlgebraElement,
     StructureConstants,
+    _combination,
     _int_dot,
     _integral,
+    _integral_rows,
     _omega_times,
     lift_coords,
     restrict_coords,
@@ -106,68 +110,6 @@ def congruence_kernel(rows: Sequence[Sequence[int]], q: int, dim: int) -> list[l
                 raise InternalError("dual lattice basis is not integral")
         duals.append(x)
     return hnf_columns(duals, dim)
-
-
-class ZLattice:
-    """Full-rank lattice in Q^dim held as a canonical integer Hermite basis."""
-
-    __slots__ = ("dim", "den", "cols")
-
-    def __init__(self, dim: int, den: int, int_columns: Sequence[Sequence[int]]):
-        basis = hnf_columns(int_columns, dim)
-        if len(basis) != dim:
-            raise InputError("lattice generators do not have full rank")
-        g = den
-        for c in basis:
-            for x in c:
-                g = math.gcd(g, abs(x))
-        if g > 1:
-            den //= g
-            basis = [[x // g for x in c] for c in basis]
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "cols", tuple(tuple(c) for c in basis))
-
-    def __setattr__(self, *args):
-        raise AttributeError("ZLattice is immutable")
-
-    @classmethod
-    def from_rational_columns(cls, columns: Sequence[Sequence[Fraction]], dim: int) -> "ZLattice":
-        fracs = [[Fraction(x) for x in c] for c in columns]
-        den = math.lcm(1, *(x.denominator for c in fracs for x in c))
-        ints = [[x.numerator * (den // x.denominator) for x in c] for c in fracs]
-        return cls(dim, den, ints)
-
-    def basis_fractions(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(Fraction(x, self.den) for x in c) for c in self.cols]
-
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        w, D = _integral(QQ, vec)
-        if any(x * self.den % D for x in w):
-            return False
-        t = [x * self.den // D for x in w]
-        # forward substitution: column j of the Hermite basis starts at row j
-        for j, col in enumerate(self.cols):
-            c, rem = divmod(t[j], col[j])
-            if rem:
-                return False
-            if c:
-                t = [a - c * b for a, b in zip(t, col)]
-        return True
-
-    def sum(self, other: "ZLattice") -> "ZLattice":
-        den = self.den * other.den // math.gcd(self.den, other.den)
-        cols = [[x * (den // self.den) for x in c] for c in self.cols]
-        cols += [[x * (den // other.den) for x in c] for c in other.cols]
-        return ZLattice(self.dim, den, cols)
-
-    def __eq__(self, other):
-        if not isinstance(other, ZLattice):
-            return NotImplemented
-        return self.dim == other.dim and self.den == other.den and self.cols == other.cols
-
-    def __hash__(self):
-        return hash((self.dim, self.den, self.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -330,29 +272,55 @@ def _poly_eval(f: list[int], a: int, p: int) -> int:
 class Order:
     """Unital multiplicatively closed full lattice in a structure-constant algebra.
 
-    The order keeps its Z-basis on integers: den, the columns C = den * basis
+    The order keeps one Z-basis, on integers: den, the columns C = den * basis
     (over Q(i) and Q(sqrt(-3)) of b_1..b_m, omega b_1..omega b_m, in (1, omega)
-    coordinates), and the pair (E, d) with C^-1 = E / d, d > 0.
+    coordinates), and the pair (E, d) with C^-1 = E / d, d > 0.  The basis
+    matrix over the field is a view of it, built on first use.
     """
 
     def __init__(self, table: StructureConstants, basis_matrix: ExactMatrix):
         if basis_matrix.rows != table.m or basis_matrix.cols != table.m:
             raise InputError("order basis must be square of the algebra dimension")
+        field = table.field
+        if basis_matrix.field != field:
+            raise InputError(f"order basis over {basis_matrix.field} for an algebra over {field}")
+        cols = [restrict_coords(field, c) for c in basis_matrix.columns()]
+        if not field.is_rational:
+            cols += [_omega_times(c, int(field.has_half_integers)) for c in cols]
+        C, den = _integral_rows(cols)
+        self._set_basis(table, den, C)
+
+    @classmethod
+    def _spanned(cls, table: StructureConstants, den: int, gens: Sequence[Sequence[int]]) -> "Order":
+        """The order of a table over Q spanned by the integer columns gens / den.
+
+        Its basis is the Hermite form of the generators over den divided by
+        their common content, so equal lattices get equal (den, C).
+        """
+        C = hnf_columns(gens, table.m)
+        if len(C) != table.m:
+            raise InputError("lattice generators do not have full rank")
+        g = math.gcd(den, *(x for c in C for x in c))
+        order = cls.__new__(cls)
+        order._set_basis(table, den // g, [[x // g for x in c] for c in C])
+        return order
+
+    def _set_basis(self, table: StructureConstants, den: int, C: list[list[int]]):
         self.table = table
-        self.basis_matrix = basis_matrix
         self._mult_table: list[list[tuple]] | None = None
         self._int_table: list[list[list[int]]] | None = None
         self._products: tuple[list, int] | None = None
         self._radicals: dict[int, list[list[int]]] = {}
-        self._disc = None
-        field = table.field
-        cols = [restrict_coords(field, c) for c in basis_matrix.columns()]
-        if not field.is_rational:
-            cols += [_omega_times(c, int(field.has_half_integers)) for c in cols]
-        den = math.lcm(1, *(x.denominator for c in cols for x in c))
-        C = [[x.numerator * (den // x.denominator) for x in c] for c in cols]
         E, d = int_inverse(C)
         self._int = (den, C, E, d)
+
+    @cached_property
+    def basis_matrix(self) -> ExactMatrix:
+        """The basis b_1..b_m as matrix columns over the table's field."""
+        den, C, _, _ = self._int
+        field = self.table.field
+        cols = [lift_coords(field, [Fraction(x, den) for x in c]) for c in C[: self.table.m]]
+        return ExactMatrix.from_columns(field, cols)
 
     # coordinates of order basis element j in the a-basis
     def element(self, j: int) -> AlgebraElement:
@@ -373,9 +341,13 @@ class Order:
         return lift_coords(self.table.field, [Fraction(den * _int_dot(row, w), d * D) for row in E])
 
     def contains(self, coords: Sequence) -> bool:
-        den, _, E, d = self._int
         w, D = _integral(self.table.field, coords)
-        return all(den * _int_dot(row, w) % (d * D) == 0 for row in E)
+        return self._contains_columns([w], D)
+
+    def _contains_columns(self, cols: Sequence[Sequence[int]], D: int) -> bool:
+        """Whether the lattice contains every vector w / D for w in the integer columns."""
+        den, _, E, d = self._int
+        return all(den * _int_dot(row, w) % (d * D) == 0 for w in cols for row in E)
 
     def multiplication_table(self) -> list[list[tuple]]:
         """Products of basis pairs in order coordinates; entries are integral."""
@@ -418,7 +390,7 @@ class Order:
                     problems.append(f"product b_{i} b_{j} leaves the lattice")
         return problems
 
-    @property
+    @cached_property
     def discriminant(self):
         """Determinant of the matrix-trace Gram of the order basis.
 
@@ -431,25 +403,20 @@ class Order:
         the inverse E / d with d = |det C|, and over Q(i) and Q(sqrt(-3))
         det(den B) is the omega_det of the Z[omega] integers den b_ij.
         """
-        if self._disc is None:
-            m, field = self.table.m, self.table.field
-            den, C, _, d = self._int
-            if field.is_rational:
-                det_b = Fraction(d, den**m)
-            else:
-                # the first m columns of C are den b_j as Z[omega] integers
-                rows = [[(c[i], c[m + i]) for i in range(m)] for c in C[:m]]
-                det = omega_det(rows, int(field.has_half_integers))
-                det_b = lift_coords(field, [Fraction(x, den**m) for x in det])[0]
-            self._disc = self.table._trace_gram_det() * det_b * det_b / _trace_divisor(m) ** m
-        return self._disc
+        m, field = self.table.m, self.table.field
+        den, C, _, d = self._int
+        if field.is_rational:
+            det_b = Fraction(d, den**m)
+        else:
+            # the first m columns of C are den b_j as Z[omega] integers
+            rows = [[(c[i], c[m + i]) for i in range(m)] for c in C[:m]]
+            det = omega_det(rows, int(field.has_half_integers))
+            det_b = lift_coords(field, [Fraction(x, den**m) for x in det])[0]
+        return self.table._trace_gram_det() * det_b * det_b / _trace_divisor(m) ** m
 
     def same_lattice(self, other: "Order") -> bool:
-        cols_self = [self.basis_matrix.column(j) for j in range(self.table.m)]
-        cols_other = [other.basis_matrix.column(j) for j in range(self.table.m)]
-        return all(other.contains(c) for c in cols_self) and all(
-            self.contains(c) for c in cols_other
-        )
+        (den, C, _, _), (other_den, other_C, _, _) = self._int, other._int
+        return other._contains_columns(C, den) and self._contains_columns(other_C, other_den)
 
     def __repr__(self):
         return f"Order(dim={self.table.m} over {self.table.field})"
@@ -490,11 +457,6 @@ def _trace_divisor(m: int) -> int:
     return 1
 
 
-def _order_from_zlattice(table: StructureConstants, lat: ZLattice) -> Order:
-    cols = lat.basis_fractions()
-    return Order(table, ExactMatrix.from_columns(QQ, [list(c) for c in cols]))
-
-
 # ---------------------------------------------------------------------------
 # initial order
 # ---------------------------------------------------------------------------
@@ -521,7 +483,8 @@ def initial_order(table: StructureConstants) -> Order:
     m = rt.m
     _, ell = rt._integral_gamma()
     gens += [[ell if k == i else 0 for k in range(m)] for i in range(m)]
-    return _order_from_zlattice(rt, ZLattice.from_rational_columns(gens, m))
+    ints, den = _integral_rows(gens)
+    return Order._spanned(rt, den, ints)
 
 
 # Euclidean column reduction over the ring of integers of Q(sqrt(-d))
@@ -688,17 +651,9 @@ def _idealizer(order: Order, ideal_cols: list[list[int]], p: int, side: str) -> 
     W = congruence_kernel(stacked, Q, m)
     # new basis in a-coordinates: OrderBasis * W / p = C W / (p den)
     den, C, _, _ = order._int
-    gens = []
-    for w in W:
-        v = [0] * m
-        for x, col in zip(w, C):
-            if x:
-                v = [a + x * b for a, b in zip(v, col)]
-        gens.append(v)
-    new_order = _order_from_zlattice(order.table, ZLattice(m, p * den, gens))
-    for j in range(m):
-        if not new_order.contains(order.basis_matrix.column(j)):
-            raise InternalError("idealizer lost the original order")
+    new_order = Order._spanned(order.table, p * den, [_combination(w, C) for w in W])
+    if not new_order._contains_columns(C, den):
+        raise InternalError("idealizer lost the original order")
     return new_order
 
 
@@ -1070,6 +1025,7 @@ def restricted_table(table: StructureConstants) -> StructureConstants:
 
 def _restricted_to_k(table: StructureConstants, rest_order: Order) -> Order:
     field = table.field
-    cols_k = [lift_coords(field, c) for c in rest_order.basis_matrix.columns()]
+    den, C, _, _ = rest_order._int
+    cols_k = [lift_coords(field, [Fraction(x, den) for x in c]) for c in C]
     basis = _ok_triangular(field, cols_k, table.m)
     return Order(table, ExactMatrix.from_columns(field, [list(c) for c in basis]))

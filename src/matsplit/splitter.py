@@ -24,6 +24,7 @@ from .algebra import (
     StructureConstants,
     _combination,
     _int_ideal_rank,
+    _integral_rows,
     _omega_times,
     build_isomorphism,
     lift_coords,
@@ -95,9 +96,7 @@ def _lifter(table, reduced: LatticeBasis, zbasis_elements):
     vectors feed _int_ideal_rank directly; the element with coordinates
     v / D is built only for the answer.
     """
-    rows = [restrict_coords(table.field, el.coords) for el in zbasis_elements]
-    D = math.lcm(*(x.denominator for r in rows for x in r))
-    Z = [[x.numerator * (D // x.denominator) for x in r] for r in rows]
+    Z, D = _integral_rows([restrict_coords(table.field, el.coords) for el in zbasis_elements])
     history = reduced.unimodular_history
 
     def lift(coeffs: Sequence[int]) -> list[int]:

@@ -15,7 +15,6 @@ from matsplit.exactnum import QQ, ExactMatrix, Field, as_rational
 from matsplit.fixtures import quaternion_table
 from matsplit.orders import (
     Order,
-    ZLattice,
     _fp_kernel,
     _ideal_lattice,
     _idealizer,
@@ -27,6 +26,7 @@ from matsplit.orders import (
     congruence_kernel,
     enlarge_at_p,
     factor_integer,
+    hnf_columns,
     initial_order,
     maximal_order,
     p_radical,
@@ -49,26 +49,23 @@ def zi_plus_2m2(table):
     return suborder(table, [(1, 0, 0, 1), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0)])
 
 
-class TestZLattice:
-    def test_canonical_equality(self):
-        a = ZLattice.from_rational_columns([(1, 0), (0, 1)], 2)
-        b = ZLattice.from_rational_columns([(1, 1), (0, 1), (1, 0)], 2)
-        assert a == b
+def _hnf(columns, dim):
+    """(den, H): H / den is the Hermite basis of the span of the columns, den least, so canonical."""
+    fracs = [[Fraction(x) for x in c] for c in columns]
+    den = math.lcm(*(x.denominator for c in fracs for x in c))
+    H = hnf_columns([[int(x * den) for x in c] for c in fracs], dim)
+    g = math.gcd(den, *(x for c in H for x in c))
+    return den // g, [tuple(x // g for x in c) for c in H]
 
-    def test_membership(self):
-        lat = ZLattice.from_rational_columns([(2, 0), (1, 1)], 2)
-        assert lat.contains([3, 1])
-        assert not lat.contains([Fraction(1, 2), 0])
 
-    def test_sum(self):
-        a = ZLattice.from_rational_columns([(2, 0), (0, 2)], 2)
-        b = ZLattice.from_rational_columns([(1, 1), (0, 2)], 2)
-        s = a.sum(b)
-        assert s.contains([1, 1]) and s.contains([2, 0])
+def _in_span(columns, v):
+    """Whether v is an integer combination of the independent columns, by an exact solve."""
+    x = ExactMatrix.from_columns(QQ, columns).solve(v)
+    return x is not None and all(Fraction(t).denominator == 1 for t in x)
 
 
 def _reference_initial_lattice(table):
-    """The initial order by Fraction products, as a ZLattice in the restriction.
+    """The initial order by Fraction products, as the _hnf pair in the restriction.
 
     Over Q: ell a_i and e, closed with ``table.multiply``.  Over Q(i) and
     Q(sqrt(-3)): the same generators closed as an O_K-module with the
@@ -84,12 +81,12 @@ def _reference_initial_lattice(table):
 
     def span(vecs):
         if field == QQ:
-            lat = ZLattice.from_rational_columns(vecs, m)
-            return lat, [list(c) for c in lat.basis_fractions()]
+            den, H = _hnf(vecs, m)
+            return (den, H), [[Fraction(x, den) for x in c] for c in H]
         cols = [list(c) for c in _ok_triangular(field, vecs, m)]
         restricted = [restrict_coords(field, c) for c in cols]
         restricted += [restrict_coords(field, [field.omega() * x for x in c]) for c in cols]
-        return ZLattice.from_rational_columns(restricted, 2 * m), cols
+        return _hnf(restricted, 2 * m), cols
 
     lat, cols = span(gens)
     while True:
@@ -158,8 +155,7 @@ class TestInitialOrder:
     def test_integer_closure_matches_the_fraction_closure(self, name, table):
         got = initial_order(table)
         assert got.table.field == QQ and got.table.m == table.m * (1 if table.field == QQ else 2)
-        lattice = ZLattice.from_rational_columns(got.basis_matrix.columns(), got.table.m)
-        assert lattice == _reference_initial_lattice(table)
+        assert _hnf(got.basis_matrix.columns(), got.table.m) == _reference_initial_lattice(table)
 
     @pytest.mark.parametrize("name,table", INITIAL_CORPUS, ids=[n for n, _ in INITIAL_CORPUS])
     def test_the_generators_already_span_an_order(self, name, table):
@@ -301,6 +297,30 @@ class TestMaximalOrder:
         assert a.same_lattice(b)
         assert abs(as_rational(a.discriminant)) == 1
 
+    @pytest.mark.parametrize("name,n,seed", [
+        ("Q", 3, 1), ("Q", 3, 2), ("Q", 3, 3), ("Q", 2, 3), ("Q", 3, 5), ("quaternion", 2, 0),
+        ("gauss", 2, 1), ("eisenstein", 2, 1),
+    ])
+    def test_saturation_builds_no_exact_matrix_over_q(self, monkeypatch, name, n, seed):
+        # orders are built on integers; only the conversion of the saturated
+        # restriction to an O_K-basis goes through the public constructor
+        if name == "quaternion":
+            table = quaternion_table(-1, -1)
+        else:
+            table = generate_instance(n, name, 10, seed).table
+        built, init = [], ExactMatrix.__init__
+
+        def counting(self, field, entries):
+            built.append(field)
+            init(self, field, entries)
+
+        monkeypatch.setattr(ExactMatrix, "__init__", counting)
+        trace = []
+        maximal_order(table, disc_trace=trace)
+        assert built == ([] if table.field == QQ else [table.field])
+        if (name, n, seed) in (("Q", 2, 3), ("Q", 3, 5), ("quaternion", 2, 0)):
+            assert trace[0] > trace[-1]  # saturation built idealizers
+
     def test_factor_budget_error(self):
         # a cofactor with two large prime factors cannot be certified
         with pytest.raises(FactorBudgetError):
@@ -315,6 +335,24 @@ class TestMaximalOrder:
 
     def test_factor_integer_smooth(self):
         assert factor_integer(720) == {2: 4, 3: 2, 5: 1}
+
+
+class TestOrderBasis:
+    def test_a_basis_over_another_field_is_refused(self, m2):
+        with pytest.raises(InputError, match="order basis over Q\\(sqrt\\(-1\\)\\) for an algebra over Q$"):
+            Order(m2, ExactMatrix.identity(Field(1), 4))
+        with pytest.raises(InputError, match="order basis over Q for an algebra over Q\\(sqrt\\(-1\\)\\)"):
+            Order(matrix_units_table(2, Field(1)), ExactMatrix.identity(QQ, 4))
+
+    @pytest.mark.parametrize("d", [None, 1, 3])
+    def test_the_basis_matrix_is_the_given_basis(self, d):
+        field = Field(d)
+        table = generate_instance(2, {None: "Q", 1: "gauss", 3: "eisenstein"}[d], 10, 2).table
+        B = maximal_order(table).basis_matrix
+        scaled = ExactMatrix.from_columns(field, [[x / 3 for x in c] for c in B.columns()])
+        for M in (B, scaled):
+            got = Order(table, M).basis_matrix
+            assert got == M and got.field == field
 
 
 class TestQuadraticFieldOrders:
@@ -575,8 +613,8 @@ def _z_plus(order, p):
     m = order.table.m
     gens = [[p * x for x in c] for c in order.basis_matrix.columns()]
     gens.append(order.table.find_identity().coords)
-    lat = ZLattice.from_rational_columns(gens, m)
-    return Order(order.table, ExactMatrix.from_columns(QQ, [list(c) for c in lat.basis_fractions()]))
+    den, H = _hnf(gens, m)
+    return Order(order.table, ExactMatrix.from_columns(QQ, [[Fraction(x, den) for x in c] for c in H]))
 
 
 def _oracle_orders():
@@ -691,21 +729,24 @@ class TestIntegerKernelsAgainstOracles:
             assert span == brute
             assert basis == sorted(basis, key=lambda c: next(i for i, x in enumerate(c) if x))
 
-    def test_zlattice_membership_matches_fractions(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            dim = rng.randint(1, 4)
-            cols = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
-                    for _ in range(dim + 1)]
-            try:
-                lat = ZLattice.from_rational_columns(cols, dim)
-            except InputError:
-                continue
-            B = ExactMatrix.from_columns(QQ, [list(c) for c in lat.basis_fractions()])
-            for _ in range(5):
-                v = [Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3])) for _ in range(dim)]
-                coefs = B.solve(v)
-                assert lat.contains(v) == all(x.denominator == 1 for x in coefs)
+    @pytest.mark.parametrize("name,order", ORACLE_ORDERS, ids=[n for n, _ in ORACLE_ORDERS])
+    def test_same_lattice_matches_fraction_membership(self, name, order):
+        # sub- and superorders of one order, and the same lattice on two bases
+        rng = random.Random(len(name))
+        family = [order, _scrambled(order, rng), _z_plus(order, 2), _z_plus(order, 3)]
+        family += [enlarge_at_p(order, p) for p in (2, 3)]
+
+        def within(a, b):
+            return all(_in_span(a.basis_matrix.columns(), c) for c in b.basis_matrix.columns())
+
+        seen = set()
+        for a in family:
+            for b in family:
+                inside = within(a, b)
+                assert all(a.contains(c) for c in b.basis_matrix.columns()) == inside
+                assert a.same_lattice(b) == (inside and within(b, a))
+                seen.add(a.same_lattice(b))
+        assert seen == {False, True}
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize(
@@ -728,16 +769,13 @@ class TestIntegerKernelsAgainstOracles:
         units = [[int(i == j) for i in range(m)] for j in range(m)]
         sided = [times(e, b) if side == "left" else times(b, e) for e in units]
         ideal = _ideal_lattice(order, p, sided)
-        I = ZLattice(m, 1, ideal)
         gens = [[p * x for x in e] for e in units]
         for w in product(range(p), repeat=m):
             pairs = [(w, u) if side == "left" else (u, w) for u in ideal]
-            if all(I.contains([Fraction(x, p) for x in times(a, b)]) for a, b in pairs):
+            if all(_in_span(ideal, [Fraction(x, p) for x in times(a, b)]) for a, b in pairs):
                 gens.append(list(w))
         # back to a-coordinates: B gens / p
         B = order.basis_matrix
-        expected = ZLattice.from_rational_columns(
-            [[x / p for x in B.mul_vector(g)] for g in gens], m
-        )
+        expected = _hnf([[x / p for x in B.mul_vector(g)] for g in gens], m)
         got = _idealizer(order, ideal, p, side)
-        assert ZLattice.from_rational_columns(got.basis_matrix.columns(), m) == expected
+        assert _hnf(got.basis_matrix.columns(), m) == expected

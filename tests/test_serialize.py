@@ -260,6 +260,17 @@ LATTICE_LIKE = st.fixed_dictionaries({
 })
 
 
+class TestOrderDocuments:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name,n", [("Q", 2), ("Q", 3), ("gauss", 2), ("eisenstein", 2)])
+    def test_a_maximal_order_document_reads_back_to_itself(self, name, n, seed):
+        # order_from_json builds through the public constructor, order_to_json
+        # writes the basis view of the order's integer basis
+        table = generate_instance(n, name, 10, seed=seed).table
+        doc = json.loads(json.dumps(order_to_json(maximal_order(table))))
+        assert order_to_json(order_from_json(table, doc)) == doc
+
+
 class TestLatticeBoundary:
     @pytest.mark.parametrize(
         "doc",
