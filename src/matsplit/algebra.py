@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InputError, InternalError, NoIdentityError, PromiseViolation
@@ -46,6 +47,25 @@ class StructureConstants:
         self._identity: tuple | None = None
         self._int_gamma: tuple[list, int] | None = None
         self._gram_det = None
+
+    @classmethod
+    def _over_q(cls, G: list, d: int, identity: tuple) -> "StructureConstants":
+        """The table G / d over Q with the coordinates of its two-sided identity.
+
+        (G, d) must be what _integral_gamma gives, d the lcm of the
+        denominators of G / d, so it is kept as the table's integer form;
+        gamma is built from it on first read.
+        """
+        table = cls.__new__(cls)
+        table.field, table.m = QQ, len(G)
+        table._identity, table._int_gamma, table._gram_det = identity, (G, d), None
+        return table
+
+    @cached_property
+    def gamma(self) -> tuple:
+        """gamma[i][j][k] over the field, as nested tuples."""
+        G, d = self._int_gamma
+        return tuple(tuple(tuple(Fraction(x, d) for x in gij) for gij in gi) for gi in G)
 
     # -- basic structure ----------------------------------------------------
 
@@ -78,22 +98,6 @@ class StructureConstants:
                     if gij[k]:
                         out[k] = out[k] + c * gij[k]
         return tuple(out)
-
-    def left_regular(self, x: Sequence) -> ExactMatrix:
-        """Matrix of y -> x * y in the a-basis."""
-        zero = self.field.zero()
-        rows = [[zero] * self.m for _ in range(self.m)]
-        for i in range(self.m):
-            xi = self.field.coerce(x[i])
-            if not xi:
-                continue
-            gi = self.gamma[i]
-            for j in range(self.m):
-                gij = gi[j]
-                for k in range(self.m):
-                    if gij[k]:
-                        rows[k][j] = rows[k][j] + xi * gij[k]
-        return ExactMatrix(self.field, rows)
 
     def find_identity(self) -> "AlgebraElement":
         """The two-sided identity; raises NoIdentityError when none exists.
@@ -459,10 +463,6 @@ def find_identity(table: StructureConstants) -> AlgebraElement:
 
 def validate(table: StructureConstants) -> list[str]:
     return table.validate()
-
-
-def left_regular(x: AlgebraElement) -> ExactMatrix:
-    return x.table.left_regular(x.coords)
 
 
 def ideal_rank(C: AlgebraElement, n: int | None = None) -> int:

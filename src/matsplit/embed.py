@@ -376,7 +376,7 @@ def _images(table: StructureConstants, W: list) -> list:
         lefts, scale = table._integral_gamma()
         tests = W
     else:
-        fixed = [[_fixed_complex(gij, F) for gij in gi] for gi in table.gamma]
+        fixed = _fixed_gamma(table, F)
         lefts, scale = [g + [[-x for x in v[m:]] + v[:m] for v in g] for g in fixed], 1 << F
         tests = W + [[-y for y in w[m:]] + w[:m] for w in W]
     scale <<= F
@@ -429,9 +429,9 @@ def _measure_residual(table: StructureConstants, fixed) -> mpf:
     else:
         P = [_realified(X + Y, n, 0) for X, Y in fixed]
         P += [_realified([-y for y in Y] + X, n, 0) for X, Y in fixed]
-        G = [[_fixed_complex(gij, F) for gij in gi] for gi in table.gamma]
+        G = _fixed_gamma(table, F)
         d = D
-        E, de = _fixed_complex(e, F), D
+        E, de = _fixed_omega(*_integral(field, e), field, F), D
         size, fold = 2 * n, 2
     row_defects = _pair_defects(P, G, d, D, size)
     pair_sq = max(
@@ -464,14 +464,35 @@ def _fixed_scalar(x, F: int) -> tuple[int, int]:
     return _fixed_sqrt(Fraction(x), 1, F), 0
 
 
-def _fixed_complex(values, F: int) -> list:
-    """Real parts, then imaginary parts, of a + b sqrt(-d) at scale 2^F.
+def _fixed_gamma(table: StructureConstants, F: int) -> list:
+    """The constants gamma_ij, i, j < m, of a table over Q(i) or Q(sqrt(-3)) by _fixed_omega.
 
-    Each part is rounded toward zero, so the imaginary part b sqrt(d) 2^F
-    is exact up to one unit with no floating point.
+    Read from the integer table (G, d): G[i][j] holds the (1, omega)
+    coordinates of d gamma_ij.
     """
-    parts = [_fixed_scalar(x, F) for x in values]
-    return [x for x, _ in parts] + [y for _, y in parts]
+    G, d = table._integral_gamma()
+    m, field = table.m, table.field
+    return [[_fixed_omega(gij, d, field, F) for gij in gi[:m]] for gi in G[:m]]
+
+
+def _fixed_omega(X: Sequence[int], den: int, field, F: int) -> list:
+    """Real parts, then imaginary parts, of the values (u_r + v_r omega) / den at scale 2^F.
+
+    X holds the ints u_1..u_k, v_1..v_k.  With 2 omega = ta + tb sqrt(-d)
+    a value is (2u + ta v + tb v sqrt(-d)) / (2 den).  Each part is rounded
+    toward zero on ints, so the imaginary part is exact up to one unit with
+    no floating point: floor(sqrt(floor(y))) = floor(sqrt(y)) for y >= 0.
+    """
+    w, k, den2 = field.omega(), len(X) // 2, 2 * den
+    ta, tb = int(2 * w.a), int(2 * w.b)
+    re = [_toward_zero((2 * u + ta * v) << F, den2) for u, v in zip(X[:k], X[k:])]
+    im = [math.isqrt((field.d * (tb * v) ** 2 << 2 * F) // (den2 * den2)) for v in X[k:]]
+    return re + [-y if v < 0 else y for v, y in zip(X[k:], im)]
+
+
+def _toward_zero(a: int, b: int) -> int:
+    """a / b rounded toward zero, for b > 0."""
+    return -(-a // b) if a < 0 else a // b
 
 
 def _fixed_sqrt(q: Fraction, d: int, F: int) -> int:

@@ -12,11 +12,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import StructureConstants, matrix_units_table
+from .algebra import StructureConstants, _integral_rows, lift_coords, matrix_units_table, restrict_coords
 from .errors import InputError
 from .exactnum import QQ, ExactMatrix, Field, QuadScalar
 from .lattice import LatticeBasis, dual_basis
-from .orders import Order, _ok_triangular
+from .orders import Order, _omega_triangular
 
 
 def quaternion_table(a, b, field: Field = QQ) -> StructureConstants:
@@ -81,7 +81,8 @@ def gaussian_lambda_order() -> Order:
                     if not integral((a + b + c + e) / two):
                         continue
                     gens.append((a, b, c, e))
-    module_basis = _ok_triangular(field, gens, 4)
+    ints, _ = _integral_rows([restrict_coords(field, g) for g in gens])
+    module_basis = [lift_coords(field, c) for c in _omega_triangular(ints, 4, 0)]
     cols = [[s * x for x in col] for col in module_basis]
     order = Order(table, ExactMatrix.from_columns(field, cols))
     if order.verify():

@@ -6,13 +6,13 @@ ideal, and when that stalls refine along the minimal two-sided ideals
 of the semisimple quotient.  Over Q(i) and Q(sqrt(-3))
 the initial order is built on the rank-2m restriction of scalars, is
 saturated there like a rational order, and comes back to a
-ring-of-integers basis once, by Euclidean column reduction; a maximal
-integral order in an algebra with quadratic center is automatically a
-maximal module over the ring of integers of the center.  Every order keeps
-one integer Z-basis, columns over one denominator (over Q(i) and Q(sqrt(-3))
-the b_j and omega b_j in (1, omega) coordinates), so order coordinates,
-products and lattice comparisons are integer work; ``basis_matrix`` is a
-view of that basis over the field.
+ring-of-integers basis once, by Euclidean column reduction on Z[omega]
+integers; a maximal integral order in an algebra with quadratic center is
+automatically a maximal module over the ring of integers of the center.
+Every order keeps one integer Z-basis, columns over one denominator (over
+Q(i) and Q(sqrt(-3)) the b_j and omega b_j in (1, omega) coordinates), so
+order coordinates, products, radicals and lattice comparisons are integer
+work; ``basis_matrix`` is a view of that basis over the field.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .errors import (
     InternalError,
     PromiseViolation,
 )
-from .exactnum import QQ, ExactMatrix, Field, as_rational, int_inverse, omega_det
-from .quadfield import FieldData, nearest_integer
+from .exactnum import ExactMatrix, as_rational, int_inverse, omega_det
+from .quadfield import FieldData, nearest_omega
 
 # ---------------------------------------------------------------------------
 # integer lattice utilities
@@ -300,6 +300,11 @@ class Order:
         C = hnf_columns(gens, table.m)
         if len(C) != table.m:
             raise InputError("lattice generators do not have full rank")
+        return cls._reduced(table, den, C)
+
+    @classmethod
+    def _reduced(cls, table: StructureConstants, den: int, C: list[list[int]]) -> "Order":
+        """The order with the basis columns C / den, both divided by their common content."""
         g = math.gcd(den, *(x for c in C for x in c))
         order = cls.__new__(cls)
         order._set_basis(table, den // g, [[x // g for x in c] for c in C])
@@ -487,33 +492,49 @@ def initial_order(table: StructureConstants) -> Order:
     return Order._spanned(rt, den, ints)
 
 
-# Euclidean column reduction over the ring of integers of Q(sqrt(-d))
+# Euclidean column reduction over Z[omega]
 
 
-def _ok_triangular(field: Field, columns, dim: int):
-    work = [list(field.coerce(x) for x in c) for c in columns]
-    work = [c for c in work if any(not x.is_zero() for x in c)]
+def _omega_triangular(columns: Sequence[Sequence[int]], k: int, t: int) -> list[list[int]]:
+    """k columns spanning the same Z[omega]-module as the given ones, triangular.
+
+    A column is a K-vector of length k as the ints u_1..u_k, v_1..v_k of its
+    entries u_r + v_r omega, omega^2 = t omega - 1 (omega = i for t = 0, (1 +
+    sqrt(-3))/2 for t = 1).  Row by row, the columns whose entry r is not
+    zero are sorted by its norm, stably, and each later one loses its
+    nearest_omega multiple of the first, until one column is left there; it
+    is the pivot of row r.  Raises InternalError when fewer than k pivots
+    are found.
+    """
+    d = 3 if t else 1
+    work = [list(c) for c in columns if any(c)]
     result = []
-    for r in range(dim):
-        live = [c for c in work if not c[r].is_zero()]
+    for r in range(k):
+        live = [c for c in work if c[r] or c[k + r]]
         if not live:
             continue
         while len(live) > 1:
-            live.sort(key=lambda c: c[r].norm())
+            live.sort(key=lambda c: c[r] * c[r] + t * c[r] * c[k + r] + c[k + r] * c[k + r])
             a = live[0]
+            au, av = a[r], a[k + r]
+            norm = au * au + t * au * av + av * av
+            wa = _omega_times(a, t)
             for c in live[1:]:
-                q = nearest_integer(c[r] / a[r])
-                if not q.is_zero():
-                    for i in range(dim):
-                        c[i] = c[i] - q * a[i]
-            work = [c for c in work if any(not x.is_zero() for x in c)]
-            live = [c for c in work if not c[r].is_zero()]
+                # c_r / a_r = c_r conj(a_r) / norm = (X + Y omega) / norm with
+                # conj(a_r) = (au + t av) - av omega, and 2 omega = t + (2 - t) sqrt(-d)
+                x, y = c[r], c[k + r]
+                X, Y = x * (au + t * av) + y * av, y * au - x * av
+                qu, qv = nearest_omega(2 * X + t * Y, (2 - t) * Y, 2 * norm, d)
+                if qu or qv:
+                    c[:] = [z - qu * p - qv * q for z, p, q in zip(c, a, wa)]
+            work = [c for c in work if any(c)]
+            live = [c for c in work if c[r] or c[k + r]]
         piv = live[0]
         work.remove(piv)
         result.append(piv)
-    if len(result) != dim:
-        raise InputError("generators do not span a full module")
-    return [tuple(c) for c in result]
+    if len(result) != k:
+        raise InternalError("the columns do not span a full Z[omega]-module")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +584,16 @@ def p_radical(order: Order, p: int) -> list[list[int]]:
     mod p.  Left multiplication is a homomorphism, so Tr(M_z^(p^j)) =
     <t, z^(p^j)> with t the trace vector t_k = Tr(M_{b_k}); the power is
     taken in the order modulo p^(2j+1).  The function z -> Tr(M_z^(p^j))/p^j
-    mod p is linear on the previous stage, an ideal (Ronyai 1990; Cohen,
+    mod p is linear on the previous stage V, an ideal (Ronyai 1990; Cohen,
     Ivanyos and Wales 1997), so it is powered out once per echelon basis
-    vector of that stage and read off the pivot coordinates of each xy.
-    Returns integer vectors whose residues span the radical, a fresh list
-    each call; the order remembers its radical at each p.
+    vector of V into a functional g.  Each product x b_y of the stage is
+    read through a basis of the annihilator Ann(V) and g, one dot product
+    per column: it lies in V exactly when Ann(V) kills it.  p must pass
+    the Miller-Rabin test that factor_integer uses.  Returns integer
+    vectors whose residues span the radical, a fresh list each call; the
+    order remembers its radical at each p.
     """
-    if p < 2 or any(p % k == 0 for k in range(2, min(p, 1 + math.isqrt(p)))):
+    if not _is_probable_prime(p):
         raise InputError(f"{p} is not prime")
     if not order.table.field.is_rational:
         raise InputError("the radical needs an order over Q; saturate the restriction of scalars")
@@ -582,16 +606,14 @@ def _radical_mod_p(order: Order, p: int) -> list[list[int]]:
     c = _order_int_mult(order)
     m = order.table.m
     flat = _flat_constants(c)
-    # right[y][k][i] = c[i][y][k]: the matrix of x -> x b_y
-    right = [[col[y::m] for col in flat] for y in range(m)]
     trace = [sum(c[k][j][j] for j in range(m)) for k in range(m)]
     current = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
     j = 0
     while p**j <= m and current:
         pj = p**j
         modulus = p ** (2 * j + 1)
-        # g(z) = Tr(M_z^pj)/pj mod p on the echelon basis of the stage V;
-        # xy lies in V, so g(xy) is the pivot coordinates of xy against g
+        # g(z) = Tr(M_z^pj)/pj mod p on the echelon basis of the stage V; a
+        # vector of V is its pivot coordinates times that basis, so g(v) = <g, v>
         ech, pivots = _fp_rref(current, p)
         ech = ech[: len(pivots)]
         g = [0] * m
@@ -600,21 +622,18 @@ def _radical_mod_p(order: Order, p: int) -> list[list[int]]:
             if t % pj:
                 raise InternalError("trace-of-power divisibility failed")
             g[col] = (t // pj) % p
-        rows = []
-        for y in range(m):
-            row = []
-            for x in current:
-                xy = [sum(map(mul, x, r)) % p for r in right[y]]
-                rest = xy
-                for e, col in zip(ech, pivots):
-                    if rest[col]:
-                        f = rest[col]
-                        rest = [(a - f * b) % p for a, b in zip(rest, e)]
-                if any(rest):
-                    raise InternalError("a radical stage is not an ideal mod p")
-                row.append(_int_dot(g, xy) % p)
-            rows.append(row)
-        ker = _fp_kernel(rows, len(current), p)
+        # every x b_y is read through Z = [a basis of Ann(V) | g]: x b_y lies in
+        # V = Ann(Ann(V)) exactly when it is orthogonal to Ann(V), and
+        # <z, x b_y> = sum_i x_i T_z[i][y] with T_z[i][y] = sum_k z_k c[i][y][k]
+        T = [_combination(z, flat) for z in _fp_kernel(ech, m, p) + [g]]
+        blocks = [[Tz[i * m:(i + 1) * m] for i in range(m)] for Tz in T]
+        cols = []
+        for x in current:
+            *ann, gx = [[v % p for v in _combination(x, b)] for b in blocks]
+            if any(map(any, ann)):
+                raise InternalError("a radical stage is not an ideal mod p")
+            cols.append(gx)
+        ker = _fp_kernel([list(r) for r in zip(*cols)], len(current), p)
         current = [
             [sum(coef[t] * current[t][i] for t in range(len(current))) % p for i in range(m)]
             for coef in ker
@@ -1015,17 +1034,24 @@ def restricted_table(table: StructureConstants) -> StructureConstants:
     """The 2m-dimensional rational algebra underlying a quadratic one.
 
     Basis order: a_1..a_m, omega*a_1..omega*a_m; the constants are the
-    integer table ``_integral_gamma`` of the quadratic table over its d.
+    integer table ``_integral_gamma`` of the quadratic table over its d,
+    and the identity is the restriction of the quadratic table's.
     """
     if table.field.is_rational:
         raise InputError("restriction applies to quadratic fields only")
     G, d = table._integral_gamma()
-    return StructureConstants(QQ, [[[Fraction(x, d) for x in gij] for gij in gi] for gi in G])
+    e = restrict_coords(table.field, table.find_identity().coords)
+    return StructureConstants._over_q(G, d, e)
 
 
 def _restricted_to_k(table: StructureConstants, rest_order: Order) -> Order:
-    field = table.field
+    """The O_K-order whose restriction of scalars is rest_order.
+
+    The columns C / den of rest_order are Z[omega]-vectors of length m
+    that span it as an O_K-module; the Euclidean reduction gives m of them,
+    the b_j, and the order keeps the b_j and omega b_j over den.
+    """
     den, C, _, _ = rest_order._int
-    cols_k = [lift_coords(field, [Fraction(x, den) for x in c]) for c in C]
-    basis = _ok_triangular(field, cols_k, table.m)
-    return Order(table, ExactMatrix.from_columns(field, [list(c) for c in basis]))
+    t = int(table.field.has_half_integers)
+    B = _omega_triangular(C, table.m, t)
+    return Order._reduced(table, den, B + [_omega_times(b, t) for b in B])

@@ -152,31 +152,33 @@ def tau(d: int) -> int:
 
 
 def nearest_integer(x: QuadScalar) -> QuadScalar:
-    """Nearest ring-of-integers element to an exact field element.
-
-    Scans the rectangular grid a + b sqrt(-d) and, when d = 3 mod 4, also
-    the half-integer shifted grid; the exact squared distance
-    (a-u)^2 + d (b-v)^2 picks the winner.
-    """
+    """Nearest ring-of-integers element to an exact field element (see nearest_omega)."""
     d = x.d
-    best = None
-    best_dist = None
+    e = math.lcm(x.a.denominator, x.b.denominator)
+    u, v = nearest_omega(int(x.a * e), int(x.b * e), e, d)
+    w = Field(d).omega()
+    return QuadScalar(d, u + v * w.a, v * w.b)
 
-    def consider(u: Fraction, v: Fraction):
-        nonlocal best, best_dist
-        cand = QuadScalar(d, u, v)
-        dist = (x.a - u) ** 2 + d * (x.b - v) ** 2
-        if best_dist is None or dist < best_dist:
-            best, best_dist = cand, dist
 
-    for u in (math.floor(x.a), math.ceil(x.a)):
-        for v in (math.floor(x.b), math.ceil(x.b)):
-            consider(Fraction(u), Fraction(v))
+def nearest_omega(a: int, b: int, e: int, d: int) -> tuple[int, int]:
+    """The ring integer u + v omega nearest to (a + b sqrt(-d)) / e, e > 0, as (u, v).
+
+    Scans the rectangular grid x + y sqrt(-d), x and y the floor or the
+    ceiling of the coordinates, and when d = 3 mod 4 also the half-integer
+    shifted grid; the exact squared distance (a/e - x)^2 + d (b/e - y)^2
+    picks the winner, and on a tie the candidate scanned first.  Candidates
+    are held doubled, X = 2x and Y = 2y, so that every distance is the
+    integer (2a - X e)^2 + d (2b - Y e)^2 over 4 e^2.
+    """
+    cands = [(2 * x, 2 * y) for x in (a // e, -(-a // e)) for y in (b // e, -(-b // e))]
     if d % 4 == 3:
-        for u2 in (math.floor(x.a - Fraction(1, 2)), math.ceil(x.a - Fraction(1, 2))):
-            for v2 in (math.floor(x.b - Fraction(1, 2)), math.ceil(x.b - Fraction(1, 2))):
-                consider(Fraction(u2) + Fraction(1, 2), Fraction(v2) + Fraction(1, 2))
-    return best
+        # x - 1/2 = (2a - e) / 2e, and its floor and ceiling shifted back up
+        cands += [(2 * x + 1, 2 * y + 1)
+                  for x in ((2 * a - e) // (2 * e), -((e - 2 * a) // (2 * e)))
+                  for y in ((2 * b - e) // (2 * e), -((e - 2 * b) // (2 * e)))]
+    X, Y = min(cands, key=lambda c: (2 * a - c[0] * e) ** 2 + d * (2 * b - c[1] * e) ** 2)
+    # (X + Y sqrt(-d)) / 2 on (1, omega): omega = sqrt(-d), or (1 + sqrt(-d)) / 2
+    return ((X - Y) // 2, Y) if d % 4 == 3 else (X // 2, Y // 2)
 
 
 def nearest_ok(z, d: int) -> QuadScalar:

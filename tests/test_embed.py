@@ -15,6 +15,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_algebra import left_regular
 
 from matsplit import embed, serialize
 from matsplit.algebra import (
@@ -28,8 +29,10 @@ from matsplit.embed import (
     EmbeddedLattice,
     _eigenspace,
     _fixed,
-    _fixed_complex,
+    _fixed_gamma,
+    _fixed_omega,
     _fixed_parts,
+    _fixed_scalar,
     _images,
     _is_squarefree,
     _measure_residual,
@@ -130,6 +133,32 @@ def oracle_residual(table, images):
     for k, c in enumerate(table.find_identity().coords):
         acc += images[k] * _scalar_to_mp(c)
     return max(worst, frob(acc))
+
+
+def _fixed_complex(values, F):
+    """Real parts, then imaginary parts, of the QuadScalar values at 2^F, each by _fixed_scalar."""
+    parts = [_fixed_scalar(x, F) for x in values]
+    return [x for x, _ in parts] + [y for _, y in parts]
+
+
+class TestFixedConstants:
+    """The constants at 2^F from the integer table against the QuadScalar route."""
+
+    @pytest.mark.parametrize("name", ["gauss", "eisenstein"])
+    @pytest.mark.parametrize("F", [64, 160, 301])
+    def test_the_table_constants_match(self, name, F):
+        for seed in range(1, 9):
+            table = generate_instance(2, name, 10, seed).table
+            assert _fixed_gamma(table, F) == [[_fixed_complex(gij, F) for gij in gi] for gi in table.gamma]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 3]), st.lists(st.integers(-10**9, 10**9), min_size=2, max_size=8),
+           st.integers(1, 10**6), st.integers(1, 200))
+    def test_the_values_match(self, d, ints, den, F):
+        field = Field(d)
+        X = ints[: len(ints) // 2 * 2]
+        values = lift_coords(field, [Fraction(x, den) for x in X])
+        assert _fixed_omega(X, den, field, F) == _fixed_complex(values, F)
 
 
 def scalar_residual(table, images):
@@ -441,7 +470,7 @@ class TestEigenspaceOracle:
                 M = _mp_image(table, XY)
                 unit = [table.field.zero()] * table.m
                 unit[i] = table.field.one()
-                L = _mp_matrix(table.left_regular(unit))
+                L = _mp_matrix(left_regular(table, unit))
                 want = W.transpose_conj() * L * W
                 assert _max_abs(M - want) <= mpmath.mpf(2) ** -EIGEN_PREC
 

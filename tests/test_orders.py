@@ -8,18 +8,23 @@ from itertools import product
 import pytest
 import sympy
 
+from test_quadfield import reference_nearest
+
 from matsplit import orders
-from matsplit.algebra import StructureConstants, matrix_units_table
+from matsplit.algebra import StructureConstants, lift_coords, matrix_units_table
 from matsplit.errors import FactorBudgetError, InputError, InternalError
 from matsplit.exactnum import QQ, ExactMatrix, Field, as_rational
-from matsplit.fixtures import quaternion_table
+from matsplit.fixtures import gaussian_lambda_order, quaternion_table
 from matsplit.orders import (
     Order,
+    _flat_constants,
     _fp_kernel,
+    _fp_rref,
     _ideal_lattice,
     _idealizer,
+    _int_power_mod,
     _minimal_ideal_refinement,
-    _ok_triangular,
+    _omega_triangular,
     _order_int_mult,
     _restricted_to_k,
     _saturate_at_prime,
@@ -62,6 +67,34 @@ def _in_span(columns, v):
     """Whether v is an integer combination of the independent columns, by an exact solve."""
     x = ExactMatrix.from_columns(QQ, columns).solve(v)
     return x is not None and all(Fraction(t).denominator == 1 for t in x)
+
+
+def _ok_triangular(field, columns, dim):
+    """Euclidean column reduction over O_K on QuadScalar columns: the reference
+    for the Z[omega] version orders._omega_triangular."""
+    work = [list(field.coerce(x) for x in c) for c in columns]
+    work = [c for c in work if any(not x.is_zero() for x in c)]
+    result = []
+    for r in range(dim):
+        live = [c for c in work if not c[r].is_zero()]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda c: c[r].norm())
+            a = live[0]
+            for c in live[1:]:
+                q = reference_nearest(c[r] / a[r])
+                if not q.is_zero():
+                    for i in range(dim):
+                        c[i] = c[i] - q * a[i]
+            work = [c for c in work if any(not x.is_zero() for x in c)]
+            live = [c for c in work if not c[r].is_zero()]
+        piv = live[0]
+        work.remove(piv)
+        result.append(piv)
+    if len(result) != dim:
+        raise InputError("generators do not span a full module")
+    return [tuple(c) for c in result]
 
 
 def _reference_initial_lattice(table):
@@ -207,6 +240,22 @@ class TestPRadical:
     def test_rejects_composite_p(self, m2):
         with pytest.raises(InputError):
             p_radical(initial_order(m2), 6)
+        with pytest.raises(InputError):
+            p_radical(initial_order(m2), 1)
+
+    def test_a_large_prime_is_recognized_at_once(self, m2):
+        # q = 2^61 - 1 is prime; the initial order of M_2(Q) on the basis
+        # with a_2 scaled by q has discriminant q^2, so maximal_order takes
+        # the radical at q (a primality test by trial division to sqrt(q) hangs)
+        q = 2**61 - 1
+        rows = [[1, 0, 0, 0], [0, q, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        table = instance_from_base_change(m2, rows, QQ).table
+        trace = []
+        order = maximal_order(table, disc_trace=trace)
+        assert trace == [q * q, 1] and abs(as_rational(order.discriminant)) == 1
+        assert p_radical(initial_order(table), q) != []
+        with pytest.raises(InputError, match="not prime"):
+            p_radical(initial_order(table), q * q)
 
 
 def _in_span_mod2(target, rad):
@@ -302,8 +351,8 @@ class TestMaximalOrder:
         ("gauss", 2, 1), ("eisenstein", 2, 1),
     ])
     def test_saturation_builds_no_exact_matrix_over_q(self, monkeypatch, name, n, seed):
-        # orders are built on integers; only the conversion of the saturated
-        # restriction to an O_K-basis goes through the public constructor
+        # orders are built on integers, the conversion of the saturated
+        # restriction to an O_K-basis included
         if name == "quaternion":
             table = quaternion_table(-1, -1)
         else:
@@ -317,7 +366,7 @@ class TestMaximalOrder:
         monkeypatch.setattr(ExactMatrix, "__init__", counting)
         trace = []
         maximal_order(table, disc_trace=trace)
-        assert built == ([] if table.field == QQ else [table.field])
+        assert built == []
         if (name, n, seed) in (("Q", 2, 3), ("Q", 3, 5), ("quaternion", 2, 0)):
             assert trace[0] > trace[-1]  # saturation built idealizers
 
@@ -395,6 +444,77 @@ class TestQuadraticFieldOrders:
             enlarge_at_p(o, 2)
         with pytest.raises(InputError, match="order over Q"):
             p_radical(o, 2)
+
+
+K_CORPUS = [(n, t) for n, t in INITIAL_CORPUS if n.startswith(("gauss", "eisenstein"))]
+
+
+class TestOmegaEuclid:
+    """orders._omega_triangular on Z[omega] ints against the QuadScalar reduction."""
+
+    @staticmethod
+    def _random_columns(rng, k, count, bound):
+        return [[rng.randint(-bound, bound) for _ in range(2 * k)] for _ in range(count)]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_the_quadscalar_reduction(self, d):
+        field, t = Field(d), int(d == 3)
+        rng = random.Random(d)
+        for trial in range(150):
+            k = rng.randint(1, 4)
+            cols = self._random_columns(rng, k, rng.randint(k, 2 * k + 2), rng.choice([1, 3, 50]))
+            if trial % 5 == 0:
+                # repeated columns and an omega multiple tie in the norm sort
+                cols += [list(cols[0]), orders._omega_times(cols[0], t)]
+            try:
+                expected = _ok_triangular(field, [lift_coords(field, c) for c in cols], k)
+            except InputError:
+                with pytest.raises(InternalError, match="full Z\\[omega\\]-module"):
+                    _omega_triangular(cols, k, t)
+                continue
+            got = _omega_triangular(cols, k, t)
+            assert [lift_coords(field, c) for c in got] == expected
+
+    def test_rank_loss_is_an_internal_error(self):
+        with pytest.raises(InternalError, match="full Z\\[omega\\]-module"):
+            _omega_triangular([[1, 2, 0, 0], [2, 4, 0, 0]], 2, 0)
+        with pytest.raises(InternalError):
+            _omega_triangular([[0, 0, 0, 0]], 2, 1)
+
+    @pytest.mark.parametrize("name,table", K_CORPUS, ids=[n for n, _ in K_CORPUS])
+    def test_the_way_back_matches_the_quadscalar_reduction(self, name, table):
+        # the O_K-order of the initial order and of the maximal order, against
+        # the public constructor on the reference reduction's basis
+        field = table.field
+        rest = initial_order(table)
+        for order in (rest, _restriction(maximal_order(table))):
+            den, C, _, _ = order._int
+            cols = [lift_coords(field, [Fraction(x, den) for x in c]) for c in C]
+            basis = _ok_triangular(field, cols, table.m)
+            expected = Order(table, ExactMatrix.from_columns(field, [list(c) for c in basis]))
+            got = _restricted_to_k(table, order)
+            assert got._int == expected._int
+            assert got.basis_matrix == expected.basis_matrix
+
+    def test_the_gaussian_fixture_is_unchanged(self):
+        # the fixture's module basis from the reference reduction
+        field = Field(1)
+        one, i, two = field.one(), field.omega(), field.coerce(2)
+        residues = [field.zero(), one, i, one + i]
+
+        def integral(x):
+            return x.is_integral()
+
+        gens = [tuple(two if t == k else field.zero() for t in range(4)) for k in range(4)]
+        gens += [
+            (a, b, c, e) for a, b, c, e in product(residues, repeat=4)
+            if integral((a - b) / (one + i)) and integral((b - c) / (one + i))
+            and integral((c - e) / (one + i)) and integral((a + b + c + e) / two)
+        ]
+        s = (one + i) / two
+        cols = [[s * x for x in c] for c in _ok_triangular(field, gens, 4)]
+        expected = Order(matrix_units_table(2, field), ExactMatrix.from_columns(field, cols))
+        assert gaussian_lambda_order()._int == expected._int
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +717,57 @@ def _reference_radical(order, p):
     return current
 
 
+def _reference_stages(order, p):
+    """The radical stages with each product x b_y reduced against the echelon
+    basis of the stage V: the reference for the check through Ann(V)."""
+    c = _order_int_mult(order)
+    m = order.table.m
+    flat = _flat_constants(c)
+    right = [[col[y::m] for col in flat] for y in range(m)]
+    trace = [sum(c[k][j][j] for j in range(m)) for k in range(m)]
+    current = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
+    j = 0
+    while p**j <= m and current:
+        pj, modulus = p**j, p ** (2 * j + 1)
+        ech, pivots = _fp_rref(current, p)
+        ech = ech[: len(pivots)]
+        g = [0] * m
+        for row, col in zip(ech, pivots):
+            t = sum(a * b for a, b in zip(trace, _int_power_mod(flat, row, pj, modulus))) % modulus
+            if t % pj:
+                raise InternalError("trace-of-power divisibility failed")
+            g[col] = (t // pj) % p
+        rows = []
+        for y in range(m):
+            row = []
+            for x in current:
+                xy = [sum(a * b for a, b in zip(x, r)) % p for r in right[y]]
+                rest = xy
+                for e, col in zip(ech, pivots):
+                    if rest[col]:
+                        f = rest[col]
+                        rest = [(a - f * b) % p for a, b in zip(rest, e)]
+                if any(rest):
+                    raise InternalError("a radical stage is not an ideal mod p")
+                row.append(sum(a * b for a, b in zip(g, xy)) % p)
+            rows.append(row)
+        ker = _fp_kernel(rows, len(current), p)
+        current = [
+            [sum(coef[t] * current[t][i] for t in range(len(current))) % p for i in range(m)]
+            for coef in ker
+        ]
+        j += 1
+    return current
+
+
+def _unital_table(rng, m):
+    """A random integer table with a_1 a two-sided identity, associative or not."""
+    gamma = [[[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)] for _ in range(m)]
+    for j in range(m):
+        gamma[0][j] = gamma[j][0] = [int(k == j) for k in range(m)]
+    return StructureConstants(QQ, gamma)
+
+
 def _scrambled(order, rng):
     """The same lattice on a random non-triangular basis (a unimodular change)."""
     cols = [list(c) for c in order.basis_matrix.columns()]
@@ -710,6 +881,28 @@ class TestIntegerKernelsAgainstOracles:
         fake = Order(StructureConstants(QQ, gamma), ExactMatrix.identity(QQ, 3))
         with pytest.raises(InternalError, match="not an ideal"):
             p_radical(fake, 2)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_the_annihilator_check_is_the_echelon_check(self, p):
+        # on unital tables that are mostly not associative, p_radical raises
+        # "not an ideal" (or the divisibility error) exactly when the
+        # reduction of x b_y against V's echelon basis does, and else
+        # returns the same radical
+        rng = random.Random(p)
+        outcomes = set()
+        for _ in range(60):
+            m = rng.randint(2, 5)
+            order = Order(_unital_table(rng, m), ExactMatrix.identity(QQ, m))
+            try:
+                expected = _reference_stages(order, p)
+            except InternalError as exc:
+                with pytest.raises(InternalError, match=str(exc)):
+                    p_radical(order, p)
+                outcomes.add(str(exc))
+                continue
+            assert p_radical(order, p) == expected
+            outcomes.add("radical")
+        assert "a radical stage is not an ideal mod p" in outcomes and "radical" in outcomes
 
     def test_congruence_kernel_matches_enumeration(self):
         rng = random.Random(7)

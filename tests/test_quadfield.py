@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matsplit.errors import InputError
 from matsplit.exactnum import Field, QuadScalar
@@ -20,6 +22,7 @@ from matsplit.quadfield import (
     kappa,
     nearest_integer,
     nearest_ok,
+    nearest_omega,
     r_lambda_upper,
     tau,
 )
@@ -140,6 +143,62 @@ class TestNearest:
         q = nearest_integer(x)
         assert q.is_integral()
         assert (x - q).norm() <= kappa(3).value_sq() + Fraction(1, 10**24)
+
+
+def reference_nearest(x: QuadScalar) -> QuadScalar:
+    """The nearest ring integer by a QuadScalar scan: the floor and ceiling
+    grid a + b sqrt(-d), then for d = 3 mod 4 the half-integer shifted grid;
+    the first candidate at the least exact distance wins."""
+    d, best, best_dist = x.d, None, None
+    grids = [(math.floor(x.a), math.ceil(x.a), math.floor(x.b), math.ceil(x.b), 0)]
+    if d % 4 == 3:
+        half = Fraction(1, 2)
+        grids.append((math.floor(x.a - half), math.ceil(x.a - half),
+                      math.floor(x.b - half), math.ceil(x.b - half), half))
+    for u0, u1, v0, v1, shift in grids:
+        for u in (u0, u1):
+            for v in (v0, v1):
+                cand = QuadScalar(d, u + shift, v + shift)
+                dist = (x - cand).norm()
+                if best_dist is None or dist < best_dist:
+                    best, best_dist = cand, dist
+    return best
+
+
+class TestNearestOmega:
+    """nearest_omega on ints against the QuadScalar scan, ties included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 3]), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+           st.integers(1, 10**4))
+    @example(1, 1, 1, 2)  # (1 + i) / 2: four integer points at one distance
+    @example(1, 1, 0, 2)  # 1/2: 0 and 1 tie
+    @example(3, 1, 1, 3)  # (1 + sqrt(-3)) / 3, a deep hole: 0, 1 and omega tie
+    @example(3, -1, -1, 3)
+    @example(3, 1, 0, 2)  # 1/2: 0 and 1 tie on the integer grid
+    @example(3, 0, 1, 2)  # sqrt(-3) / 2: the half grid ties with itself
+    def test_matches_the_quadscalar_scan(self, d, a, b, e):
+        x = QuadScalar(d, Fraction(a, e), Fraction(b, e))
+        u, v = nearest_omega(a, b, e, d)
+        w = Field(d).omega()
+        assert u * Field(d).one() + v * w == reference_nearest(x)
+        assert nearest_integer(x) == reference_nearest(x)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_every_tie_on_a_fine_grid(self, d):
+        # points (a + b sqrt(-d)) / 12 over one fundamental cell hit every
+        # tie between two, three and four lattice points
+        w = Field(d).omega()
+        ring = [s + t * w for s in range(-3, 4) for t in range(-3, 4)]
+        ties = set()
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                x = QuadScalar(d, Fraction(a, 12), Fraction(b, 12))
+                ref = reference_nearest(x)
+                u, v = nearest_omega(a, b, 12, d)
+                assert u + v * w == ref
+                ties.add(sum((x - ref).norm() == (x - y).norm() for y in ring))
+        assert ties == ({1, 2, 4} if d == 1 else {1, 2, 3})
 
 
 def standard_lattice(d):
