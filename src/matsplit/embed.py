@@ -478,15 +478,15 @@ def _fixed_gamma(table: StructureConstants, F: int) -> list:
 def _fixed_omega(X: Sequence[int], den: int, field, F: int) -> list:
     """Real parts, then imaginary parts, of the values (u_r + v_r omega) / den at scale 2^F.
 
-    X holds the ints u_1..u_k, v_1..v_k.  With 2 omega = ta + tb sqrt(-d)
-    a value is (2u + ta v + tb v sqrt(-d)) / (2 den).  Each part is rounded
+    X holds the ints u_1..u_k, v_1..v_k.  With 2 omega = t + (2 - t) sqrt(-d),
+    t = 1 when omega = (1 + sqrt(-d))/2 and 0 when omega = sqrt(-d), a value
+    is (2u + t v + (2 - t) v sqrt(-d)) / (2 den).  Each part is rounded
     toward zero on ints, so the imaginary part is exact up to one unit with
     no floating point: floor(sqrt(floor(y))) = floor(sqrt(y)) for y >= 0.
     """
-    w, k, den2 = field.omega(), len(X) // 2, 2 * den
-    ta, tb = int(2 * w.a), int(2 * w.b)
-    re = [_toward_zero((2 * u + ta * v) << F, den2) for u, v in zip(X[:k], X[k:])]
-    im = [math.isqrt((field.d * (tb * v) ** 2 << 2 * F) // (den2 * den2)) for v in X[k:]]
+    t, k, den2 = int(field.has_half_integers), len(X) // 2, 2 * den
+    re = [_toward_zero((2 * u + t * v) << F, den2) for u, v in zip(X[:k], X[k:])]
+    im = [math.isqrt((field.d * ((2 - t) * v) ** 2 << 2 * F) // (den2 * den2)) for v in X[k:]]
     return re + [-y if v < 0 else y for v, y in zip(X[k:], im)]
 
 
