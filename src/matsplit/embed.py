@@ -42,7 +42,7 @@ from .algebra import (
 )
 from .errors import InputError, PrecisionError, PromiseViolation
 from .exactnum import ExactMatrix, QuadScalar, int_gauss_jordan
-from .lattice import LatticeBasis
+from .lattice import LatticeBasis, _lowest_terms
 from .orders import Order
 
 _MIN_PRECISION = 64
@@ -175,6 +175,7 @@ def split_numeric(
     rng = random.Random(seed)
     no_split_count = 0
     with workprec(precision_bits + 32):
+        gamma = _fixed_gamma(table, mp.prec)
         gap_floor = mpf(2) ** (-(precision_bits // 4))
         for _ in range(_MAX_ATTEMPTS):
             coords = _random_order_element(order, rng)
@@ -195,7 +196,7 @@ def split_numeric(
             W = _eigenspace(table, f, powers, lam, precision_bits)
             if W is None:
                 continue
-            emb = _embedding(table, _images(table, W), precision_bits)
+            emb = _embedding(table, _images(table, W, gamma), gamma, precision_bits)
             if emb.residual <= mpf(2) ** (-(precision_bits // 2)):
                 return emb
     if no_split_count >= _MAX_ATTEMPTS // 2:
@@ -360,14 +361,14 @@ def _pivoted_gram_schmidt(cols: list, n: int, precision_bits: int, is_complex: b
     return W
 
 
-def _images(table: StructureConstants, W: list) -> list:
+def _images(table: StructureConstants, W: list, gamma) -> list:
     """W^H L_i W, L_i left multiplication by a_i, on ints from W at scale 2^F.
 
     Over Q column j of L_i is G[i][j] / d.  Over Q(i) and Q(sqrt(-3)) x + iy
     is realified as [x; y], gamma_ij = g + ih at scale 2^F gives the columns
     [g; h] for x_j and [-h; g] for y_j, and i w_s = [-y; x] gives Im rows.
     Each entry is rounded once to 2^F; the result is the (X, Y) pair of
-    Embedding.fixed for each a_i.
+    Embedding.fixed for each a_i.  gamma is _fixed_gamma(table, F).
     """
     F = mp.prec
     m, n = table.m, len(W)
@@ -376,8 +377,7 @@ def _images(table: StructureConstants, W: list) -> list:
         lefts, scale = table._integral_gamma()
         tests = W
     else:
-        fixed = _fixed_gamma(table, F)
-        lefts, scale = [g + [[-x for x in v[m:]] + v[:m] for v in g] for g in fixed], 1 << F
+        lefts, scale = [g + [[-x for x in v[m:]] + v[:m] for v in g] for g in gamma], 1 << F
         tests = W + [[-y for y in w[m:]] + w[:m] for w in W]
     scale <<= F
     images = []
@@ -393,15 +393,15 @@ def _round_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-def _embedding(table: StructureConstants, fixed, precision_bits: int) -> Embedding:
+def _embedding(table: StructureConstants, fixed, gamma, precision_bits: int) -> Embedding:
     """The fixed-point images with their measured residual and the error radius it gives."""
-    residual = _measure_residual(table, fixed)
+    residual = _measure_residual(table, fixed, gamma)
     radius = residual + mpf(2) ** (-(precision_bits - 8))
     n = math.isqrt(len(fixed[0][0]))
     return Embedding(table, n, precision_bits, tuple(fixed), residual, radius)
 
 
-def _measure_residual(table: StructureConstants, fixed) -> mpf:
+def _measure_residual(table: StructureConstants, fixed, gamma) -> mpf:
     """Largest Frobenius defect of a_i -> fixed[i] as a unital homomorphism.
 
     fixed[i] is the (X, Y) pair of Embedding.fixed: the image of a_i, flat
@@ -411,7 +411,8 @@ def _measure_residual(table: StructureConstants, fixed) -> mpf:
     (G, d).  Over Q(i) and Q(sqrt(-3)) a complex matrix X + iY is written as
     the real matrix [[X, -Y], [Y, X]], which keeps products and doubles
     squared norms, and gamma_ijk = g + ih enters as fixed-point g and h at
-    scale 2^F against the images of a_k and of i a_k.  The pairs run through
+    scale 2^F against the images of a_k and of i a_k: gamma is
+    _fixed_gamma(table, F).  The pairs run through
     the packed kernel algebra._pair_defects, which unpacks only the nonzero
     defects.  The squared defects are compared exactly and one square root
     is taken at the end.
@@ -429,8 +430,7 @@ def _measure_residual(table: StructureConstants, fixed) -> mpf:
     else:
         P = [_realified(X + Y, n, 0) for X, Y in fixed]
         P += [_realified([-y for y in Y] + X, n, 0) for X, Y in fixed]
-        G = _fixed_gamma(table, F)
-        d = D
+        G, d = gamma, D
         E, de = _fixed_omega(*_integral(field, e), field, F), D
         size, fold = 2 * n, 2
     row_defects = _pair_defects(P, G, d, D, size)
@@ -464,12 +464,15 @@ def _fixed_scalar(x, F: int) -> tuple[int, int]:
     return _fixed_sqrt(Fraction(x), 1, F), 0
 
 
-def _fixed_gamma(table: StructureConstants, F: int) -> list:
+def _fixed_gamma(table: StructureConstants, F: int) -> list | None:
     """The constants gamma_ij, i, j < m, of a table over Q(i) or Q(sqrt(-3)) by _fixed_omega.
 
     Read from the integer table (G, d): G[i][j] holds the (1, omega)
-    coordinates of d gamma_ij.
+    coordinates of d gamma_ij.  None over Q, where the images and the
+    residual read (G, d) itself.
     """
+    if table.field.is_rational:
+        return None
     G, d = table._integral_gamma()
     m, field = table.m, table.field
     return [[_fixed_omega(gij, d, field, F) for gij in gi[:m]] for gi in G[:m]]
@@ -516,7 +519,7 @@ def embedding_from_images(
             parts = [_fixed_scalar(x, F) for row in M.entries for x in row]
             X, Y = [x for x, _ in parts], [y for _, y in parts]
             fixed.append((X, None if table.field.is_rational else Y))
-        return _embedding(table, fixed, precision_bits)
+        return _embedding(table, fixed, _fixed_gamma(table, F), precision_bits)
 
 
 @dataclass
@@ -588,12 +591,12 @@ def rationalize(embedded: EmbeddedLattice, target_denominator: int) -> LatticeBa
     Entry x = X / D, D = embedded.denominator, becomes nint(X q / D) / q,
     q = target_denominator, rounded exactly on ints.  So x moves by at most
     1/(2q), which the recorded perturbation, 1/q plus the embedding error
-    radius, covers.
+    radius, covers.  The basis takes the rounded ints over q in lowest terms.
     """
     if target_denominator < 1:
         raise InputError("target denominator must be positive")
     q, D = int(target_denominator), embedded.denominator
-    cols = [tuple(Fraction(_round_div(x * q, D), q) for x in vec) for vec in embedded.basis_vectors]
+    cols = [[_round_div(x * q, D) for x in vec] for vec in embedded.basis_vectors]
     # int / int, not 1.0 / q: q = 2^1024 and above has no float value
     perturbation = float(embedded.error_radius) + 1 / q
-    return LatticeBasis(cols, perturbation=perturbation)
+    return LatticeBasis._of_ints(*_lowest_terms(cols, q), perturbation=perturbation)

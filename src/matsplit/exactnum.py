@@ -483,12 +483,43 @@ def int_gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
     return a, pivots
 
 
+def int_forward(rows: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """Fraction-free (Bareiss) forward elimination of [M | R], M the leading n x n block.
+
+    n is the number of rows; the columns after the first n (R) ride along.
+    Returns U, zero below the diagonal of its leading block, or None when M
+    is singular.  Step k replaces each entry x below row k by
+    (p x - f y) / q, p the pivot, f the entry below p in x's row, y the entry
+    above x in p's row and q the previous pivot; every entry stays a minor
+    of the input (Bareiss, Math. Comp. 22, 1968), so each division is exact.
+    A row swap negates the row moved down, which keeps every minor, so
+    U[n-1][n-1] is det M itself.  Each step is an invertible row operation
+    over Q, so U X = U_R has the same solutions as M X = R, U_R the columns
+    after the first n.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return None
+        if piv != c:
+            a[c], a[piv] = a[piv], [-x for x in a[c]]
+        top, p = a[c], a[c][c]
+        for i in range(c + 1, n):
+            row, f = a[i], a[i][c]
+            a[i] = [0] * (c + 1) + [(p * x - f * y) // prev for x, y in zip(row[c + 1:], top[c + 1:])]
+        prev = p
+    return a
+
+
 def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix: the last Bareiss pivot, or 0."""
     if not rows:
         return 1
-    red, pivots = int_gauss_jordan(rows)
-    return red[-1][-1] if len(pivots) == len(rows) else 0
+    U = int_forward(rows)
+    return 0 if U is None else U[-1][-1]
 
 
 def int_inverse(cols: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:

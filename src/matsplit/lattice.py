@@ -1,12 +1,16 @@
 """Rational lattices: LLL, duals, constants, enumeration, tensor products.
 
 All lattice data is exact.  A basis keeps its columns as integers over one
-common denominator, and every kernel works on those integers and on the
-integral Gram-Schmidt data (d, lambda) of their Gram matrix (Cohen, GTM 138,
-2.6): LLL runs the classical d/lambda bookkeeping and certifies its output
-on the output's own data, which the basis keeps for its enumeration, and
-lattice equality is one fraction-free elimination.  The Hermite constant
-table carries the nine dimensions with known exact values.
+common denominator, in lowest terms, and every kernel works on those
+integers and on the integral Gram-Schmidt data (d, lambda) of their Gram
+matrix (Cohen, GTM 138, 2.6): LLL runs the classical d/lambda bookkeeping
+and certifies its output on the output's own data, which the basis keeps
+for its enumeration, and lattice equality is one fraction-free forward
+elimination with an exact back substitution.  The kernels that make a basis
+(LLL, rationalization, the JSON reader, duals and tensor products) hand
+their integers straight to it, so no Fraction is built unless the columns
+are read.  The Hermite constant table carries the nine dimensions with
+known exact values.
 """
 
 from __future__ import annotations
@@ -19,24 +23,41 @@ from typing import Sequence
 
 from .algebra import _integral_rows
 from .errors import EnumerationBudgetError, InputError, InternalError
-from .exactnum import int_det, int_gauss_jordan, int_inverse
+from .exactnum import int_det, int_forward, int_gauss_jordan, int_inverse
 
 Vec = tuple[Fraction, ...]
 
 
 def _fracv(v) -> Vec:
-    return tuple(Fraction(x) for x in v)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
+
+
+def _lowest_terms(ints: Sequence[Sequence[int]], den: int) -> tuple[list, int]:
+    """The int columns and den != 0 divided by their common gcd, sign into den > 0.
+
+    The columns ints[j] / den are then in lowest terms, as LatticeBasis._of_ints takes them.
+    """
+    g = math.gcd(den, *(x for col in ints for x in col))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return ints, den
+    return [[x // g for x in col] for col in ints], den // g
 
 
 class LatticeBasis:
     """Basis of a rational lattice, columns plus the transform that made it.
 
-    The columns are kept as Fraction tuples (``columns``) and as integer
-    tuples over their one common denominator, on which the kernels work.
+    The columns are kept as integer tuples ``_ints`` over their one common
+    denominator ``_den``, in lowest terms: den > 0 and gcd(all ints, den) = 1,
+    so every basis has one such form.  The kernels work on those integers.
+    ``columns`` gives the columns as Fraction tuples; a basis made by
+    LatticeBasis._of_ints builds them on first read and keeps them.
     """
 
     __slots__ = (
-        "ambient_dim", "rank", "columns", "unimodular_history", "perturbation", "_ints", "_den",
+        "ambient_dim", "rank", "unimodular_history", "perturbation", "_ints", "_den",
+        "_columns",  # the Fraction columns, built on first read and kept
         "_gso",  # integral_gso(), computed on first use and kept
     )
 
@@ -48,21 +69,46 @@ class LatticeBasis:
         if any(len(c) != dim for c in cols):
             raise InputError("ragged basis columns")
         ints, den = _integral_rows(cols)
-        object.__setattr__(self, "ambient_dim", dim)
-        object.__setattr__(self, "rank", len(cols))
-        object.__setattr__(self, "columns", tuple(cols))
+        self._set(ints, den, unimodular_history, perturbation)
+        object.__setattr__(self, "_columns", tuple(cols))
+
+    @classmethod
+    def _of_ints(cls, ints: Sequence[Sequence[int]], den: int,
+                 unimodular_history=None, perturbation=None) -> "LatticeBasis":
+        """The basis with columns ints[j] / den, building no Fraction.
+
+        The caller hands the columns over in lowest terms, den > 0 and
+        gcd(all ints, den) = 1 (``_lowest_terms`` makes them so), and not
+        empty or ragged.
+        """
+        self = cls.__new__(cls)
+        self._set(ints, den, unimodular_history, perturbation)
+        object.__setattr__(self, "_columns", None)
+        return self
+
+    def _set(self, ints, den: int, unimodular_history, perturbation):
+        rank = len(ints)
+        object.__setattr__(self, "ambient_dim", len(ints[0]))
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_ints", tuple(map(tuple, ints)))
         object.__setattr__(self, "_den", den)
         if unimodular_history is None:
-            unimodular_history = tuple(
-                tuple(1 if i == j else 0 for j in range(len(cols))) for i in range(len(cols))
-            )
+            unimodular_history = [[int(i == j) for j in range(rank)] for i in range(rank)]
         object.__setattr__(self, "unimodular_history", tuple(tuple(r) for r in unimodular_history))
         object.__setattr__(self, "perturbation", perturbation)
         object.__setattr__(self, "_gso", None)
 
     def __setattr__(self, *args):
         raise AttributeError("LatticeBasis is immutable")
+
+    @property
+    def columns(self) -> tuple[Vec, ...]:
+        """The columns as Fraction tuples."""
+        if self._columns is None:
+            den = self._den
+            object.__setattr__(self, "_columns", tuple(
+                tuple(Fraction(x, den) for x in col) for col in self._ints))
+        return self._columns
 
     def int_gram(self) -> list[list[int]]:
         """Gram matrix of the integer columns: gram() times the denominator squared."""
@@ -130,9 +176,13 @@ def integral_gso(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[i
 def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
     """LLL-reduced basis of the same lattice, with certified output.
 
-    Runs the integer d/lambda variant on the scaled Gram, applies the
-    accumulated unimodular transform to the input columns, and then verifies
-    size reduction and the Lovasz condition exactly before returning.
+    Runs the integer d/lambda variant on the integer columns, carrying the
+    accumulated unimodular transform along, and then verifies size reduction
+    and the Lovasz condition exactly before returning.  The output keeps the
+    input's denominator: a unimodular transform U keeps the content (the gcd
+    of all entries) of the integer basis matrix C, since the content of C
+    divides that of C U and the content of C U divides that of C U U^-1 = C,
+    so the reduced columns over that denominator are still in lowest terms.
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
@@ -190,9 +240,8 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
                 red(k, l)
             k += 1
 
-    out_cols = [tuple(Fraction(x, scale) for x in col) for col in cols]
     history = _compose_history(basis.unimodular_history, U)
-    out = LatticeBasis(out_cols, unimodular_history=history, perturbation=basis.perturbation)
+    out = LatticeBasis._of_ints(cols, scale, history, basis.perturbation)
     _certify_lll(out, delta)
     return out
 
@@ -256,11 +305,33 @@ def dual_basis(basis: LatticeBasis) -> LatticeBasis:
         raise InputError("dual basis requires a full-rank lattice")
     # B = C / den for the integer columns C, and C^-1 = E / d, so B^-1 = den E / d
     E, d = int_inverse(basis._ints)
-    return LatticeBasis([[Fraction(basis._den * x, d) for x in row] for row in E])
+    den = basis._den
+    return LatticeBasis._of_ints(*_lowest_terms([[den * x for x in row] for row in E], d))
 
 
 def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
-    """True when the two bases span the same lattice."""
+    """True when the two bases span the same lattice.
+
+    With A and B the integer columns of a and b over their common
+    denominator and A nonsingular, B = A X for X = A^-1 B.  The columns of
+    B lie in the lattice of A exactly when X is integral, and the lattices
+    are then equal exactly when X is invertible over Z, |det X| = 1.  A
+    singular A spans no full-rank lattice, and gives False.
+
+    int_forward takes [A | B] to [U | R], U upper triangular with nonzero
+    diagonal and U X = R.  The back substitution then computes, from the
+    last row up, X[i][j] = (R[i][j] - sum_{k > i} U[i][k] X[k][j]) / U[i][i]
+    in integers, and returns False at the first division that leaves a
+    remainder.  Every division is exact if and only if A^-1 B is integral:
+    - If X* = A^-1 B is integral, then by induction from the last row the
+      rows below i are X*'s, so the numerator of row i is U[i][i] X*[i][j]
+      (because U X* = R), which U[i][i] divides exactly, giving X*[i][j].
+    - If every division is exact, the computed X is integral and each
+      numerator is U[i][i] X[i][j], so U X = R; U is nonsingular, hence
+      X = U^-1 R = A^-1 B, which is then integral.
+    So a remainder proves A^-1 B is not integral, and otherwise X = A^-1 B
+    is exact, with det X = det B / det A an integer that int_det computes.
+    """
     if a.ambient_dim != b.ambient_dim or a.rank != b.rank:
         return False
     if a.rank != a.ambient_dim:
@@ -268,18 +339,22 @@ def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
     n = a.rank
     den = math.lcm(a._den, b._den)
     fa, fb = den // a._den, den // b._den
-    # for a nonsingular A, [A | B] reduces to [d I | d A^-1 B] with d = det A
-    red, pivots = int_gauss_jordan(
+    U = int_forward(
         [[fa * c[i] for c in a._ints] + [fb * c[i] for c in b._ints] for i in range(n)]
     )
-    if pivots != list(range(n)):
+    if U is None:
         return False
-    d = red[0][0]
-    if any(x % d for row in red for x in row[n:]):
-        return False
-    # X = A^-1 B is integral; the lattices agree when |det X| = |det B| / |det A| = 1
-    X, pivots = int_gauss_jordan([[x // d for x in row[n:]] for row in red])
-    return len(pivots) == n and abs(X[-1][-1]) == 1
+    X = [None] * n
+    for i in range(n - 1, -1, -1):
+        row, p = U[i], U[i][i]
+        xi = []
+        for j in range(n):
+            q, r = divmod(row[n + j] - sum(row[k] * X[k][j] for k in range(i + 1, n)), p)
+            if r:
+                return False
+            xi.append(q)
+        X[i] = xi
+    return abs(int_det(X)) == 1
 
 
 # -- constants ---------------------------------------------------------------
@@ -500,8 +575,8 @@ def box_enumerate(bounds: Sequence[int]):
 
 def tensor_product(L: LatticeBasis, M: LatticeBasis) -> LatticeBasis:
     """Kronecker-product basis of L (x) M, columns ordered pairwise (i, j)."""
-    return LatticeBasis([tuple(a * b for a in bi for b in cj)
-                         for bi in L.columns for cj in M.columns])
+    cols = [[a * b for a in bi for b in cj] for bi in L._ints for cj in M._ints]
+    return LatticeBasis._of_ints(*_lowest_terms(cols, L._den * M._den))
 
 
 @dataclass

@@ -11,6 +11,7 @@ shipped with the package.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from importlib import resources
@@ -24,7 +25,7 @@ from .algebra import (
 )
 from .errors import InputError
 from .exactnum import QQ, ExactMatrix, Field, QuadScalar
-from .lattice import LatticeBasis
+from .lattice import LatticeBasis, _lowest_terms
 from .orders import Order
 
 
@@ -38,6 +39,12 @@ def rational_to_str(x) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
+    p, q = _ratio_from_str(s)
+    return Fraction(p) if q == 1 else Fraction(p, q)
+
+
+def _ratio_from_str(s: str) -> tuple[int, int]:
+    """(p, q) with q > 0 and p / q the rational s, not always in lowest terms."""
     # "p" and "p/q" in ASCII digits, the form rational_to_str writes, parse with
     # int(); every other string goes through Fraction's own grammar
     plain = _PLAIN_RATIONAL.fullmatch(s) if isinstance(s, str) else None
@@ -46,11 +53,15 @@ def rational_from_str(s: str) -> Fraction:
         raise InputError(f"a rational must be a string without exponent, got {_shown(s)}")
     try:
         if plain is None:
-            return Fraction(s)
+            return Fraction(s).as_integer_ratio()
+        # int() refuses more digits than sys.get_int_max_str_digits() with a ValueError
         p, q = plain.groups()
-        return Fraction(int(p), int(q)) if q else Fraction(int(p))
+        p, q = int(p), int(q or 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational literal {_shown(s)}") from exc
+    if not q:
+        raise InputError(f"bad rational literal {_shown(s)}")
+    return p, q
 
 
 def scalar_to_json(x):
@@ -214,15 +225,23 @@ def lattice_to_json(basis: LatticeBasis) -> dict:
 
 
 def lattice_from_json(obj) -> LatticeBasis:
+    """The basis of a lattice document, read as ints over the lcm of the leaves' denominators.
+
+    Each leaf has rational_from_str's grammar and InputErrors.
+    """
     dim, basis = _typed(obj, dict, "a lattice document").get("dim"), obj.get("basis")
     if type(dim) is not int:
         raise InputError(f"lattice dim must be an integer, got {dim!r}")
     if not isinstance(basis, list) or not all(isinstance(col, list) for col in basis):
         raise InputError("a lattice basis must be a list of vectors")
-    cols = [[rational_from_str(x) for x in col] for col in basis]
+    cols = [[_ratio_from_str(x) for x in col] for col in basis]
     if any(len(c) != dim for c in cols):
         raise InputError("basis vectors do not match the declared dimension")
-    return LatticeBasis(cols)
+    if not cols:
+        raise InputError("empty basis")
+    den = math.lcm(*(q for col in cols for _, q in col))
+    ints = [[p * (den // q) for p, q in col] for col in cols]
+    return LatticeBasis._of_ints(*_lowest_terms(ints, den))
 
 
 def result_to_json(result, table: StructureConstants) -> dict:

@@ -2,13 +2,18 @@
 
 The library runs the lattice layer on integers; these textbook versions
 work on exact rationals instead and serve the tests as independent oracles.
+Two more references decide lattice equality: sympy's rational matrices, and
+the integer version with two Gauss-Jordan eliminations that the library's
+single forward elimination replaced.
 """
 
 import math
 from fractions import Fraction
 
+from sympy import Matrix, Rational
+
 from matsplit.errors import InputError, InternalError
-from matsplit.exactnum import QQ, ExactMatrix
+from matsplit.exactnum import QQ, ExactMatrix, int_gauss_jordan
 
 
 def gram_schmidt(gram):
@@ -84,3 +89,33 @@ def lattice_equal(a, b):
     except InputError:
         return False
     return all(x.denominator == 1 for row in X.entries for x in row) and abs(X.det()) == 1
+
+
+def sympy_lattice_equal(a, b):
+    """A^-1 B is integral and unimodular, in sympy's rational matrices."""
+    A, B = ([[Rational(x.numerator, x.denominator) for x in col] for col in basis.columns]
+            for basis in (a, b))
+    # Matrix(rows) of the columns is the transpose; A^T^-1 B^T is (B A^-1)^T
+    A, B = Matrix(A).T, Matrix(B).T
+    if A.det() == 0:
+        return False
+    X = A.inv() * B
+    return all(x.is_integer for x in X) and abs(X.det()) == 1
+
+
+def two_elimination_lattice_equal(a, b):
+    """lattice_equal as Gauss-Jordan of [A | B], then Gauss-Jordan of X = A^-1 B."""
+    n = a.rank
+    den = math.lcm(a._den, b._den)
+    fa, fb = den // a._den, den // b._den
+    # for a nonsingular A, [A | B] reduces to [d I | d A^-1 B] with d = det A
+    red, pivots = int_gauss_jordan(
+        [[fa * c[i] for c in a._ints] + [fb * c[i] for c in b._ints] for i in range(n)]
+    )
+    if pivots != list(range(n)):
+        return False
+    d = red[0][0]
+    if any(x % d for row in red for x in row[n:]):
+        return False
+    X, pivots = int_gauss_jordan([[x // d for x in row[n:]] for row in red])
+    return len(pivots) == n and abs(X[-1][-1]) == 1

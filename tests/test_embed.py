@@ -267,7 +267,7 @@ class TestResidualOracle:
             images = [M.copy() for M in emb.images]
             k = table.m - 1
             images[k][0, 1] += step
-            got = _measure_residual(table, fixed_images(images))
+            got = _measure_residual(table, fixed_images(images), _fixed_gamma(table, mpmath.mp.prec))
         with mpmath.workprec(2 * RESIDUAL_PREC):
             want = oracle_residual(table, images)
             assert want > mpmath.mpf(2) ** -42
@@ -288,7 +288,7 @@ class TestResidualOracle:
                 if images == "moved":
                     moved[0][1, 0] += mpmath.mpf(2) ** -40
                     moved[-1][0, 0] -= mpmath.mpf(3) ** 50
-            got = _measure_residual(table, fixed_images(moved))
+            got = _measure_residual(table, fixed_images(moved), _fixed_gamma(table, mpmath.mp.prec))
             assert got == scalar_residual(table, moved)
             assert got > 0 or images == "exact"
 
@@ -297,7 +297,7 @@ class TestResidualOracle:
         table, emb = self.images_of(case)
         with mpmath.workprec(RESIDUAL_PREC + 32):
             zero = [mpmath.zeros(emb.n, emb.n) for _ in range(table.m)]
-            got = _measure_residual(table, fixed_images(zero))
+            got = _measure_residual(table, fixed_images(zero), _fixed_gamma(table, mpmath.mp.prec))
             assert abs(got - mpmath.sqrt(emb.n)) < mpmath.mpf(10) ** -30
 
 
@@ -465,7 +465,7 @@ class TestEigenspaceOracle:
             _, f, powers, lam = _good_draw(table, order, 6)
             W_int = _eigenspace(table, f, powers, lam, EIGEN_PREC)
             W = _mp_columns(table, W_int)
-            got = _images(table, W_int)
+            got = _images(table, W_int, _fixed_gamma(table, mpmath.mp.prec))
             for i, XY in enumerate(got):
                 M = _mp_image(table, XY)
                 unit = [table.field.zero()] * table.m

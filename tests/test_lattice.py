@@ -9,11 +9,12 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from matsplit.errors import EnumerationBudgetError, InputError, InternalError
-from matsplit.exactnum import QQ, ExactMatrix
+from matsplit.exactnum import QQ, ExactMatrix, int_inverse
 from matsplit.fixtures import a2_basis, a2_dual_basis, z2_basis
 from matsplit.lattice import (
     LatticeBasis,
@@ -39,8 +40,9 @@ from matsplit.lattice import (
     tensor_product,
     trace_product_check,
 )
-from matsplit.embed import embed_order, rationalize, split_numeric
+from matsplit.embed import EmbeddedLattice, _round_div, embed_order, rationalize, split_numeric
 from matsplit.orders import hnf_columns, maximal_order
+from matsplit.serialize import lattice_from_json, rational_from_str
 from matsplit.splitter import generate_instance
 
 import lattice_oracle as oracle
@@ -591,12 +593,166 @@ class TestLatticeEqualAgainstOracle:
         b = data.draw(rational_bases(max_rank=3, max_num=3))
         assume(a.rank == b.rank)
         assert lattice_equal(a, b) == oracle.lattice_equal(a, b)
+        assert lattice_equal(a, b) == oracle.two_elimination_lattice_equal(a, b)
 
     def test_singular_bases_are_not_equal(self):
         singular = LatticeBasis([(1, 2), (2, 4)])
         assert not lattice_equal(singular, z2_basis())
         assert not lattice_equal(z2_basis(), singular)
         assert not oracle.lattice_equal(singular, z2_basis())
+
+
+def _random_basis(rng, k):
+    """A nonsingular k x k basis, each column over its own denominator from DENOMINATORS."""
+    while True:
+        cols = []
+        for _ in range(k):
+            den = rng.choice(DENOMINATORS)
+            bound = 40 * (den if den > 10 else 1)
+            cols.append(tuple(Fraction(rng.randint(-bound, bound), den) for _ in range(k)))
+        if ExactMatrix.from_columns(QQ, [list(c) for c in cols]).det():
+            return LatticeBasis(cols)
+
+
+def _random_unimodular(rng, k):
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i != j:
+            c = rng.randint(-3, 3)
+            U = [row[:j] + [row[j] + c * row[i]] + row[j + 1:] for row in U]
+    return U
+
+
+def _embedded_q3(seed):
+    """A rank-9 basis as the lattice-enum benchmark makes them: the maximal
+    order of a Q n = 3 instance, embedded at 128 bits, rationalized at 2^64."""
+    inst = generate_instance(3, "Q", 10, seed)
+    order = maximal_order(inst.table)
+    emb = split_numeric(inst.table, order, 128, seed=seed)
+    return rationalize(embed_order(emb, order), 2**64)
+
+
+def _equality_cases():
+    """(case, a, b, whether they span one lattice) on seeded random bases."""
+    rng = random.Random(26)
+    for trial in range(10):
+        k = rng.randint(1, 5)
+        a = _random_basis(rng, k)
+        U = _random_unimodular(rng, k)
+        rest = [1] * (k - 1)
+        yield "unimodular", a, _transformed(a, U), True
+        yield "det X = 2", a, _transformed(a, _diag_times(U, [2] + rest)), False
+        yield "non-integral X", a, _transformed(a, _diag_times(U, [Fraction(1, 3)] + rest)), False
+        if k > 1:
+            yield "non-integral X, det 1", a, _transformed(
+                a, _diag_times(U, [2, Fraction(1, 2)] + rest[1:])), False
+            cols = list(a.columns)
+            cols[-1] = tuple(x + 2 * y for x, y in zip(cols[0], cols[1]))
+            yield "singular A", LatticeBasis(cols), a, False
+        # the columns over another denominator: a different lattice
+        yield "mismatched denominators", a, _transformed(a, _diag_times(U, [Fraction(1, 7)] * k)), False
+        yield "random pair", a, _random_basis(rng, k), False
+
+
+EQUALITY_CASES = list(_equality_cases())
+
+
+def _assert_agrees_both_ways(a, b, want):
+    for x, y in ((a, b), (b, a)):
+        assert lattice_equal(x, y) == want
+        assert oracle.sympy_lattice_equal(x, y) == want
+        assert oracle.two_elimination_lattice_equal(x, y) == want
+
+
+class TestLatticeEqualAgainstSympy:
+    """lattice_equal against sympy's rational A^-1 B, and against the
+    two-elimination version that the forward elimination replaced."""
+
+    @pytest.mark.parametrize("case,a,b,want", EQUALITY_CASES,
+                             ids=[f"{i}-{c[0]}" for i, c in enumerate(EQUALITY_CASES)])
+    def test_random_bases(self, case, a, b, want):
+        _assert_agrees_both_ways(a, b, want)
+
+    def test_every_case_kind_is_covered(self):
+        kinds = {case for case, *_ in EQUALITY_CASES}
+        assert {"singular A", "non-integral X", "det X = 2", "mismatched denominators"} <= kinds
+        assert any(a._den != b._den for case, a, b, _ in EQUALITY_CASES
+                   if case == "mismatched denominators")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_embedded_rank_9_against_its_lll_output(self, seed):
+        a = _embedded_q3(seed)
+        reduced = lll_reduce(a)
+        _assert_agrees_both_ways(a, reduced, True)
+        cols = list(reduced.columns)
+        cols[0] = tuple(x / 2 for x in cols[0])
+        _assert_agrees_both_ways(a, LatticeBasis(cols), False)
+
+
+def _assert_lowest_terms(basis, columns):
+    """basis holds its columns in lowest terms, and they are ``columns``, all Fractions."""
+    assert basis._den > 0
+    assert math.gcd(basis._den, *(x for col in basis._ints for x in col)) == 1
+    assert basis.columns == tuple(map(tuple, columns))
+    assert all(type(x) is Fraction for col in basis.columns for x in col)
+    rebuilt = LatticeBasis(basis.columns)
+    assert (rebuilt._ints, rebuilt._den) == (basis._ints, basis._den)
+
+
+class TestLowestTerms:
+    """Every basis a kernel hands over as ints is what the Fraction constructor makes of
+    its columns, and its lazily built columns are the ones the kernel used to build."""
+
+    BASES = [
+        LatticeBasis([(Fraction(2, 3), Fraction(4, 3)), (2, 0)]),
+        LatticeBasis([(Fraction(1, 6), Fraction(1, 4)), (Fraction(1, 10), 3)]),
+        LatticeBasis([(201, 1), (200, 1)]),
+        a2_basis(),
+    ]
+
+    @pytest.mark.parametrize("i", range(len(BASES)))
+    def test_lll_reduce(self, i):
+        a = self.BASES[i]
+        reduced = lll_reduce(a)
+        H, k = reduced.unimodular_history, a.rank
+        # column j of the output is sum_i H[i][j] a_i
+        want = [[sum(H[i][j] * a.columns[i][t] for i in range(k)) for t in range(a.ambient_dim)]
+                for j in range(k)]
+        _assert_lowest_terms(reduced, want)
+
+    def test_rationalize(self):
+        vectors = [[6, 4, -5], [2, 0, 16], [1, 3, 7]]
+        emb = EmbeddedLattice(3, vectors, mpf(0), (), 8)
+        for q in (1, 4, 12, 2**64, 3 * 2**64):
+            want = [[Fraction(_round_div(x * q, 8), q) for x in v] for v in vectors]
+            _assert_lowest_terms(rationalize(emb, q), want)
+        basis = _embedded_q3(1)
+        assert basis.perturbation is not None
+        _assert_lowest_terms(basis, basis.columns)
+
+    def test_lattice_from_json(self):
+        for basis in (
+            [["2/4", "-0"], ["6/8", "3"]],
+            [["4/2", "0"], ["0", "-6/3"]],
+            [["1/3", "1/6"], ["2/9", "-0"]],
+            [["-0"]],
+        ):
+            got = lattice_from_json({"dim": len(basis[0]), "basis": basis})
+            _assert_lowest_terms(got, [[rational_from_str(x) for x in col] for col in basis])
+
+    @pytest.mark.parametrize("i", range(len(BASES)))
+    def test_dual_basis(self, i):
+        a = self.BASES[i]
+        E, d = int_inverse(a._ints)
+        _assert_lowest_terms(dual_basis(a), [[Fraction(a._den * x, d) for x in row] for row in E])
+
+    @pytest.mark.parametrize("i", range(len(BASES)))
+    @pytest.mark.parametrize("j", range(len(BASES)))
+    def test_tensor_product(self, i, j):
+        L, M = self.BASES[i], self.BASES[j]
+        want = [[a * b for a in bi for b in cj] for bi in L.columns for cj in M.columns]
+        _assert_lowest_terms(tensor_product(L, M), want)
 
 
 class TestShortVectorsAgainstOracles:

@@ -28,6 +28,7 @@ from matsplit.serialize import (
     check_schema,
     lattice_from_json,
     load_schema,
+    rational_from_str,
     matrix_to_json,
     order_from_json,
     order_to_json,
@@ -271,6 +272,23 @@ class TestOrderDocuments:
         assert order_to_json(order_from_json(table, doc)) == doc
 
 
+def _fraction_route(doc):
+    """lattice_from_json by way of rational_from_str and the public constructor."""
+    cols = [[rational_from_str(x) for x in col] for col in doc["basis"]]
+    if any(len(c) != doc["dim"] for c in cols):
+        raise InputError("basis vectors do not match the declared dimension")
+    return LatticeBasis(cols)
+
+
+def _lattice_outcome(read, doc):
+    """The basis a reader gives, as columns, ints and denominator, or its InputError."""
+    try:
+        basis = read(doc)
+    except InputError as exc:
+        return "error", str(exc)
+    return "basis", basis.columns, basis._ints, basis._den
+
+
 class TestLatticeBoundary:
     @pytest.mark.parametrize(
         "doc",
@@ -296,6 +314,34 @@ class TestLatticeBoundary:
     def test_a_well_formed_document_parses(self):
         basis = lattice_from_json({"dim": 2, "basis": [["1", "1/2"], ["0", "3"]]})
         assert basis.columns == ((1, Fraction(1, 2)), (0, 3))
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            [["1" * 5000]],
+            [["1/2", "-" + "1" * 5000]],
+            [["1/" + "1" * 5000, "0"]],
+            [["1/0", "1"]],
+            [["2/4", "-0"], ["6/8", "3"]],
+            [["-0", "-0"], ["0", "1"]],
+            [["1.5", "1/3"], ["-2.25", " 7"]],
+            [["1", "0"], ["0"]],
+            [["1", "0"], ["0", "1", "2"]],
+            [["1", "x"], ["0"]],
+        ],
+        ids=["5000 digits", "-5000 digits", "5000-digit denominator", "1/0", "2/4",
+             "-0", "1.5", "short column", "long column", "bad leaf, short column"],
+    )
+    def test_leaves_read_as_rational_from_str_reads_them(self, basis):
+        doc = {"dim": 2, "basis": basis}
+        assert _lattice_outcome(lattice_from_json, doc) == _lattice_outcome(_fraction_route, doc)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(basis=st.lists(st.lists(st.text(alphabet="0123456789/-+ .٣", max_size=6),
+                                   min_size=2, max_size=2), min_size=1, max_size=3))
+    def test_any_leaves_read_as_rational_from_str_reads_them(self, basis):
+        doc = {"dim": 2, "basis": basis}
+        assert _lattice_outcome(lattice_from_json, doc) == _lattice_outcome(_fraction_route, doc)
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(doc=st.one_of(JSON_VALUES, LATTICE_LIKE))
