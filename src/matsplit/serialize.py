@@ -39,12 +39,6 @@ def rational_to_str(x) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
-    p, q = _ratio_from_str(s)
-    return Fraction(p) if q == 1 else Fraction(p, q)
-
-
-def _ratio_from_str(s: str) -> tuple[int, int]:
-    """(p, q) with q > 0 and p / q the rational s, not always in lowest terms."""
     # "p" and "p/q" in ASCII digits, the form rational_to_str writes, parse with
     # int(); every other string goes through Fraction's own grammar
     plain = _PLAIN_RATIONAL.fullmatch(s) if isinstance(s, str) else None
@@ -53,15 +47,32 @@ def _ratio_from_str(s: str) -> tuple[int, int]:
         raise InputError(f"a rational must be a string without exponent, got {_shown(s)}")
     try:
         if plain is None:
-            return Fraction(s).as_integer_ratio()
-        # int() refuses more digits than sys.get_int_max_str_digits() with a ValueError
+            return Fraction(s)
         p, q = plain.groups()
-        p, q = int(p), int(q or 1)
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational literal {_shown(s)}") from exc
-    if not q:
-        raise InputError(f"bad rational literal {_shown(s)}")
-    return p, q
+
+
+def _ratio_from_str(s) -> tuple[int, int]:
+    """(p, q) with q > 0 and p / q = rational_from_str(s), not always in lowest terms.
+
+    A plain "p" or "p/q" is read with int() alone; every other leaf, and a
+    plain one that int() refuses or whose q is 0, goes through
+    rational_from_str, so the values and the InputErrors are its own.
+    """
+    plain = _PLAIN_RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if plain is not None:
+        p, q = plain.groups()
+        try:
+            p, q = int(p), int(q or 1)
+        except ValueError:
+            # more digits than sys.get_int_max_str_digits(): rational_from_str raises
+            pass
+        else:
+            if q:
+                return p, q
+    return rational_from_str(s).as_integer_ratio()
 
 
 def scalar_to_json(x):
