@@ -535,8 +535,13 @@ class EmbeddedLattice:
     dimension: int
     basis_vectors: list  # list of lists of int, over denominator
     error_radius: object
-    zbasis_elements: tuple  # exact AlgebraElements matching basis_vectors
     denominator: int
+
+
+def _zbasis_columns(order: Order) -> list[list[int]]:
+    """Order._int's columns in embed_order's order: over K, b_j and omega b_j alternate."""
+    C, m = order._int[1], order.table.m
+    return [C[s * m + j] for j in range(m) for s in range(len(C) // m)]
 
 
 def embed_order(embedding: Embedding, order: Order) -> EmbeddedLattice:
@@ -552,7 +557,7 @@ def embed_order(embedding: Embedding, order: Order) -> EmbeddedLattice:
     with workprec(embedding.precision_bits + 32):
         F = mp.prec
         den, C, _, _ = order._int
-        zs, m = order.z_basis(), table.m
+        m = table.m
         if table.field.is_rational:
             T = [X for X, _ in embedding.fixed]
         else:
@@ -560,10 +565,7 @@ def embed_order(embedding: Embedding, order: Order) -> EmbeddedLattice:
             T = [X + Y for X, Y in embedding.fixed]
             T += [[(wr * x - wi * y) >> F for x, y in zip(X, Y)]
                   + [(wr * y + wi * x) >> F for x, y in zip(X, Y)] for X, Y in embedding.fixed]
-        # over Q(i) and Q(sqrt(-3)) b_j and omega b_j alternate
-        index = [s * m + j for j in range(m) for s in range(len(zs) // m)]
-        vectors = [_combination(C[i], T) for i in index]
-        elements = [zs[i] for i in index]
+        vectors = [_combination(c, T) for c in _zbasis_columns(order)]
         # sum_r |a_r| + |b_r| over the coordinates a_r + b_r sqrt(-d) = u_r + v_r omega
         # of each element; 2 omega = ta + tb sqrt(-d) with ints ta, tb
         if table.field.is_rational:
@@ -580,7 +582,6 @@ def embed_order(embedding: Embedding, order: Order) -> EmbeddedLattice:
             dimension=dim,
             basis_vectors=vectors,
             error_radius=embedding.error_radius * (1 + mpf(scale.numerator) / scale.denominator),
-            zbasis_elements=tuple(elements),
             denominator=den << F,
         )
 

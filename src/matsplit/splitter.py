@@ -1,11 +1,11 @@
-"""The split pipeline: one algorithm, three search policies.
+"""The split pipeline: one algorithm, two search policies.
 
 Maximal order, numerical embedding, rational approximation and LLL are
-shared by every field.  Only the search for a rank-one element differs:
-over Q short vectors are walked by norm (or, with the box engine, inside a
-Lenstra coefficient box); over Q(i) and Q(sqrt(-3)) the order embeds into
-R^8 and only the minimal-norm class needs testing.  Floating point steers
-the search; every accepted answer is verified in exact arithmetic.
+shared by every field, and so is the default search: only the minimal-norm
+class of the embedded order needs testing (over Q(i) and Q(sqrt(-3)) the
+order embeds into R^8).  Over Q the box engine instead walks a Lenstra
+coefficient box.  Floating point steers the search; every accepted answer
+is verified in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -24,18 +24,15 @@ from .algebra import (
     StructureConstants,
     _combination,
     _int_ideal_rank,
-    _integral_rows,
     _omega_times,
     build_isomorphism,
     lift_coords,
     matrix_units_table,
-    restrict_coords,
 )
-from .embed import embed_order, rationalize, split_numeric
+from .embed import _zbasis_columns, embed_order, rationalize, split_numeric
 from .errors import EnumerationBudgetError, InputError, PrecisionError, PromiseViolation
 from .exactnum import ExactMatrix, Field, QQ
 from .lattice import (
-    LatticeBasis,
     berge_martinet_upper,
     box_enumerate,
     c_m,
@@ -55,7 +52,8 @@ ENUMERATION_BUDGET = 10**6  # nodes per short-vector listing, tuples per static 
 class SplitConfig:
     seed: int = 0
     precision_bits: int = 128
-    engine: str = "ordered"  # "ordered" or "box"; "box" is for Q only
+    # "ordered" (the minimal class, every field) or "box" (Q only)
+    engine: str = "ordered"
 
     def __post_init__(self):
         if self.engine not in ("ordered", "box"):
@@ -88,23 +86,6 @@ class SplitResult:
     stats: SplitStats
 
 
-def _lifter(table, reduced: LatticeBasis, zbasis_elements):
-    """(lift, D): lift maps enumeration coefficients over the reduced basis to
-    the (1, omega) coordinates of the element they name times D, as ints.
-
-    D is the lcm of the denominators of the z-basis coordinates, so the
-    vectors feed _int_ideal_rank directly; the element with coordinates
-    v / D is built only for the answer.
-    """
-    Z, D = _integral_rows([restrict_coords(table.field, el.coords) for el in zbasis_elements])
-    history = reduced.unimodular_history
-
-    def lift(coeffs: Sequence[int]) -> list[int]:
-        return _combination([sum(map(operator.mul, h, coeffs)) for h in history], Z)
-
-    return lift, D
-
-
 def split(
     table: StructureConstants,
     config: SplitConfig | None = None,
@@ -113,10 +94,10 @@ def split(
     """Rank-one element and explicit isomorphism A -> M_n(K).
 
     K = Q needs n <= 43 and searches with ``config.engine``; K = Q(i) or
-    Q(sqrt(-3)) needs n = 2 and rank-tests the minimal-norm class.  The
-    numerical stage is retried at doubled precision up to
-    MAX_PRECISION_BITS.  ``order`` skips the maximal order computation (and
-    leaves ``disc_trace`` empty).
+    Q(sqrt(-3)) needs n = 2.  The default engine rank-tests the minimal-norm
+    class for every field.  The numerical stage is retried at doubled
+    precision up to MAX_PRECISION_BITS.  ``order`` skips the maximal order
+    computation (and leaves ``disc_trace`` empty).
     """
     config = config or SplitConfig()
     field = table.field
@@ -127,7 +108,6 @@ def split(
                 f"n = {n} exceeds {MAX_RATIONAL_SIZE}; minimal vectors are "
                 "no longer guaranteed to have rank one"
             )
-        search = _search_box if config.engine == "box" else _search_ordered
     else:
         if field.d not in (1, 3):
             raise InputError("the quadratic-field pipeline needs d = 1 or d = 3")
@@ -135,7 +115,7 @@ def split(
             raise InputError("the quadratic-field pipeline is for 2x2 algebras")
         if config.engine != "ordered":
             raise InputError("the box engine is for algebras over Q")
-        search = _search_minimal_class
+    search = _search_box if config.engine == "box" else _search_minimal_class
     table.find_identity()
     start = time.monotonic()
     disc_trace: list = []
@@ -154,7 +134,15 @@ def split(
     reduced = lll_reduce(rationalize(embedded, 2 ** max(48, precision // 2)))
     slack = 2.0 ** (-(precision // 4))
     pert = (reduced.perturbation or 0.0) * reduced.rank
-    lift, D = _lifter(table, reduced, embedded.zbasis_elements)
+    # lift maps enumeration coefficients over the reduced basis to the
+    # (1, omega) coordinates of the element they name times D, as ints: the
+    # z-basis is Order._int's columns over D = its den, so the vectors feed
+    # _int_ideal_rank directly, and v / D is built only for the answer
+    Z, D, history = _zbasis_columns(order), order._int[0], reduced.unimodular_history
+
+    def lift(coeffs: Sequence[int]) -> list[int]:
+        return _combination([sum(map(operator.mul, h, coeffs)) for h in history], Z)
+
     v, nsq, policy_stats = search(table, reduced, lift, slack, pert)
     v = max(_unit_multiples(field, v))  # C up to units: the greatest coordinates win
     element = AlgebraElement(table, lift_coords(field, [Fraction(x, D) for x in v]))
@@ -169,8 +157,8 @@ def split(
             found_norm=found_norm,
             disc_trace=disc_trace,
             wall_time=time.monotonic() - start,
-            # over Q(i) and Q(sqrt(-3)) the bound is the class cut, which
-            # the minimal class meets by construction
+            # the found vector meets the class cut by construction; over Q
+            # its norm is held against gamma_n, which the box can exceed
             norm_bound_satisfied=not field.is_rational
             or found_norm <= hermite_gamma(n)[0] * (1 + slack) + pert,
             **policy_stats,
@@ -211,41 +199,10 @@ def split_imag_quad(
     return split(table, config, order)
 
 
-def _first_bound(reduced: LatticeBasis, slack: float, pert: float) -> float:
-    """sqrt(min_i |b_i|^2) (1 + slack) + pert, raised until its exact square reaches
-    min_i |b_i|^2: at 256 bits and more 1 + slack rounds to 1.0."""
-    shortest = min(map(reduced.norm_sq, range(reduced.rank)))
-    bound = math.sqrt(float(shortest)) * (1 + slack) + pert
-    while Fraction(bound) ** 2 < shortest:
-        bound = math.nextafter(bound, math.inf)
-    return bound
-
-
 # Each search policy reads the reduced basis, whose listings walk the GSO
 # data kept from the LLL certificate, and returns (the lifted vector of a
 # rank-one element, its squared norm, the SplitStats fields the policy
 # determines) or raises PromiseViolation.
-
-
-def _search_ordered(table, reduced, lift, slack, pert):
-    """Short vectors by norm, up a three-rung ladder of bounds."""
-    full_bound = berge_martinet_upper(table.n) * (1 + slack) + pert
-    # start at the shortest reduced vector: by the rank-one property of
-    # minimal vectors this almost always suffices, and it keeps skewed
-    # embeddings from flooding the enumeration
-    ladder = [_first_bound(reduced, slack, pert), full_bound, 2 * full_bound]
-    nodes = 0
-    for bound in ladder:
-        vecs = reduced.short_vectors(bound, budget=ENUMERATION_BUDGET)
-        for coeffs, nsq in vecs:
-            nodes += 1
-            v = lift(coeffs)
-            if _int_ideal_rank(table, v, table.n) == 1:
-                return v, nsq, {"nodes_visited": nodes, "norm_bound": full_bound}
-    raise PromiseViolation(
-        "enumeration exhausted without a rank-one element; "
-        "the input algebra is most likely not split"
-    )
 
 
 def _search_box(table, reduced, lift, slack, pert):
@@ -316,26 +273,62 @@ def dynamic_bound_update(d_current: float, norm_c: float, rank_c: int) -> float:
 
 
 def _search_minimal_class(table, reduced, lift, slack, pert):
-    """Every vector of the minimal-norm class (up to the precision slack),
-    rank-tested exactly in norm-then-lex order; the first rank-one element
-    wins.  Over Q(sqrt(-3)) the first minimal vector is already the answer;
-    over Q(i) at least one member of the class is."""
-    # never empty: the bound reaches the shortest basis vector
-    vecs = reduced.short_vectors(_first_bound(reduced, slack, pert), budget=ENUMERATION_BUDGET)
-    lam_sq = float(vecs[0][1])
-    class_cut = lam_sq * (1 + slack) ** 2 + 2 * pert
-    minimal_class = [cv for cv in vecs if float(cv[1]) <= class_cut]
+    """The minimal-norm class, rank-tested exactly in norm-then-lex order; the
+    first rank-one element wins.
+
+    A splitting phi maps the maximal order Lambda onto End(L) = L (x) L* for
+    a lattice L of K^n (O_K has class number one): phi(Lambda) = g M_n(O_K)
+    g^-1 with L = g O_K^n, L* = g^-H O_K^n and x (x) y = x y^H.  As
+    tr((x y^H)(x' y'^H)^H) = (x'^H x)(y^H y'), phi(Lambda) is isometric to
+    L (x) L* under the Frobenius norm.  Its minimal vectors are split, so of
+    rank one: all of them over Q for n <= 43 (Kitaoka), some of them for
+    n = 2 over Q(i) and all over Q(sqrt(-3)) (Coulangeon).  With min the
+    least squared norm, as in Bergé-Martinet, min(phi Lambda) <= min L
+    min L* <= gamma'_n^2 <= gamma_n^2, as min L <= gamma_n det(L)^(1/n) and
+    det(L) det(L*) = 1.  So the found *norm* is at most gamma'_n <= gamma_n,
+    which caps the listing over Q; the cap is on the norm, not its square:
+    Q n = 2, seed 2 finds 1.0761 > sqrt(gamma_2) = 1.0746.
+
+    The class cut is in norm units like pert, the recorded perturbation
+    taken as a bound on how far a listed norm moves (the listing bound adds
+    it to a norm); the slack covers the float rounding.  The unperturbed
+    minimum mu is at most sqrt(lam_sq) + pert, lam_sq the first listed
+    squared norm, so a vector of norm mu lists at most sqrt(lam_sq) + 2 pert.
+    The cut sqrt(lam_sq) (1 + slack) + 2 pert, the reported norm_bound,
+    keeps every listed vector whose unperturbed norm may be the minimum.
+    """
+    n = table.n
+    # the listing reaches the shortest basis vector, so only the cap over Q
+    # can leave it empty; the bound is raised until its exact square reaches
+    # that vector's, as from 256 bits on 1 + slack rounds to 1.0
+    shortest = min(map(reduced.norm_sq, range(reduced.rank)))
+    bound = math.sqrt(float(shortest)) * (1 + slack) + pert
+    while Fraction(bound) ** 2 < shortest:
+        bound = math.nextafter(bound, math.inf)
+    if table.field.is_rational:
+        bound = min(bound, berge_martinet_upper(n) * (1 + slack) + pert)
+    vecs = reduced.short_vectors(bound, budget=ENUMERATION_BUDGET)
+    if not vecs:
+        raise PromiseViolation(
+            f"no vector of the embedded maximal order has norm within the Berge-Martinet "
+            f"bound gamma'_{n} <= {berge_martinet_upper(n):.6g} (up to the recorded "
+            f"perturbation); a split algebra has one, so the algebra is not M_{n}(Q)"
+        )
+    cut = math.sqrt(float(vecs[0][1])) * (1 + slack) + 2 * pert
+    # norms, not squares: the first vector's float norm never exceeds the cut
+    minimal_class = [cv for cv in vecs if math.sqrt(float(cv[1])) <= cut]
     for nodes, (coeffs, nsq) in enumerate(minimal_class, 1):
         v = lift(coeffs)
-        if _int_ideal_rank(table, v, table.n) == 1:
+        if _int_ideal_rank(table, v, n) == 1:
             return v, nsq, {
                 "nodes_visited": nodes,
-                "norm_bound": math.sqrt(class_cut),
+                "norm_bound": cut,
                 "minimal_class_size": len(minimal_class),
             }
+    theorem = "Kitaoka's theorem" if table.field.is_rational else "Coulangeon's theorem"
     raise PromiseViolation(
-        "no minimal-norm vector has rank one; the algebra violates the "
-        "split promise"
+        f"none of the {len(minimal_class)} vectors of the minimal class (norm within the "
+        f"class cut {cut:.6g}) has rank one; by {theorem} a split algebra has one"
     )
 
 

@@ -199,15 +199,19 @@ def _minimal_class(order, slack=1e-9, embedding=None):
     return reduced, lat, cls, lam_sq
 
 
-def _lift(table, reduced, lat, coeffs):
+def _lift(order, reduced, coeffs):
+    table = order.table
     hist = reduced.unimodular_history
     k = reduced.rank
     zc = [sum(hist[i][j] * coeffs[j] for j in range(k)) for i in range(k)]
+    # the embedded basis lists b_j and, over Q(i) and Q(sqrt(-3)), omega b_j in turn
+    zs, m = order.z_basis(), table.m
+    zs = [zs[s * m + j] for j in range(m) for s in range(len(zs) // m)]
     coords = [table.field.zero()] * table.m
     for i, c in enumerate(zc):
         if c:
             cc = table.field.coerce(c)
-            coords = [a + cc * b for a, b in zip(coords, lat.zbasis_elements[i].coords)]
+            coords = [a + cc * b for a, b in zip(coords, zs[i].coords)]
     return AlgebraElement(table, coords)
 
 
@@ -220,7 +224,7 @@ def test_criterion_5_gaussian_fixture():
     rank_one_seen = False
     id_coords = [table.field.coerce(v) for v in (1, 0, 0, 1)]
     for coeffs, _ in cls:
-        el = _lift(table, reduced, lat, coeffs)
+        el = _lift(order, reduced, coeffs)
         if ideal_rank(el, 2) == 1:
             rank_one_seen = True
         plus = all((a - b).is_zero() for a, b in zip(el.coords, id_coords))
@@ -252,7 +256,7 @@ def test_criterion_6_eisenstein_minimal_vectors():
         reduced, lat, cls, _ = _minimal_class(order, embedding=embedding)
         assert cls, "minimal class cannot be empty"
         for coeffs, _ in cls:
-            el = _lift(table, reduced, lat, coeffs)
+            el = _lift(order, reduced, coeffs)
             assert ideal_rank(el, 2) == 1
             checked += 1
     assert checked >= 11

@@ -555,6 +555,9 @@ class TestEmbedOrder:
         o = maximal_order(t)
         emb = split_numeric(t, o, 128, seed=5)
         lat = embed_order(emb, o)
+        # the embedded basis lists b_j and omega b_j in turn
+        zs = o.z_basis()
+        zs = [zs[s * 4 + j] for j in range(4) for s in range(2)]
         rng = random.Random(0)
         with mpmath.workprec(192):
             for _ in range(100):
@@ -569,7 +572,7 @@ class TestEmbedOrder:
                     if c:
                         el_coords = [
                             a + t.field.coerce(c) * b
-                            for a, b in zip(el_coords, lat.zbasis_elements[j].coords)
+                            for a, b in zip(el_coords, zs[j].coords)
                         ]
                 mat = emb.phi(el_coords)
                 for i in range(2):
@@ -596,7 +599,6 @@ class TestRationalize:
             dimension=1,
             basis_vectors=[[pi]],
             error_radius=mpmath.mpf(0),
-            zbasis_elements=(),
             denominator=2**160,
         )
         basis = rationalize(lat, 10**6)
@@ -609,7 +611,6 @@ class TestRationalize:
             dimension=2,
             basis_vectors=[[2**200, math.isqrt(3 << 400)], [2**201, 0]],
             error_radius=mpmath.mpf(0),
-            zbasis_elements=(),
             denominator=2**201,
         )
         basis = rationalize(lat, 10**12)
@@ -628,7 +629,6 @@ class TestRationalize:
             dimension=len(entries),
             basis_vectors=[entries],
             error_radius=mpmath.mpf(0),
-            zbasis_elements=(),
             denominator=denominator,
         )
         basis = rationalize(lat, q)

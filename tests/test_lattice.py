@@ -659,7 +659,7 @@ class TestLowestTerms:
 
     def test_rationalize(self):
         vectors = [[6, 4, -5], [2, 0, 16], [1, 3, 7]]
-        emb = EmbeddedLattice(3, vectors, mpf(0), (), 8)
+        emb = EmbeddedLattice(3, vectors, mpf(0), 8)
         for q in (1, 4, 12, 2**64, 3 * 2**64):
             want = [[Fraction(_round_div(x * q, 8), q) for x in v] for v in vectors]
             _assert_lowest_terms(rationalize(emb, q), want)

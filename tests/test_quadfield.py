@@ -285,14 +285,17 @@ def _embedded_order_lattice(order):
             )
     emb = embedding_from_images(table, units, 192)
     lat = embed_order(emb, order)
-    reduced = lll_reduce(rationalize(lat, 2**60))
-    return table, lat, reduced
+    return lll_reduce(rationalize(lat, 2**60))
 
 
-def _rank_fn(table, lat, reduced):
+def _rank_fn(order, reduced):
     from matsplit.algebra import AlgebraElement, ideal_rank
 
+    table = order.table
     hist = reduced.unimodular_history
+    # the embedded basis lists b_j and omega b_j in turn
+    zs = order.z_basis()
+    zs = [zs[s * 4 + j] for j in range(4) for s in range(2)]
 
     def fn(coeffs):
         zc = [sum(hist[i][j] * coeffs[j] for j in range(8)) for i in range(8)]
@@ -300,7 +303,7 @@ def _rank_fn(table, lat, reduced):
         for i, c in enumerate(zc):
             if c:
                 cc = table.field.coerce(c)
-                coords = [a + cc * b for a, b in zip(coords, lat.zbasis_elements[i].coords)]
+                coords = [a + cc * b for a, b in zip(coords, zs[i].coords)]
         return ideal_rank(AlgebraElement(table, coords), 2)
 
     return fn
@@ -316,8 +319,8 @@ class TestEmpiricalRatio:
 
         table = matrix_units_table(2, Field(d))
         order = Order(table, ExactMatrix.identity(Field(d), 4))
-        table, lat, reduced = _embedded_order_lattice(order)
-        ratio = empirical_r_lambda(reduced, _rank_fn(table, lat, reduced), d)
+        reduced = _embedded_order_lattice(order)
+        ratio = empirical_r_lambda(reduced, _rank_fn(order, reduced), d)
         assert ratio <= float(r_lambda_upper(d)) + 1e-9
         # dyads at norm 1 versus the identity at norm sqrt(2)
         assert abs(ratio - 0.5) < 1e-9
@@ -327,6 +330,6 @@ class TestEmpiricalRatio:
         from matsplit.quadfield import empirical_r_lambda
 
         order = gaussian_lambda_order()
-        table, lat, reduced = _embedded_order_lattice(order)
-        ratio = empirical_r_lambda(reduced, _rank_fn(table, lat, reduced), 1)
+        reduced = _embedded_order_lattice(order)
+        ratio = empirical_r_lambda(reduced, _rank_fn(order, reduced), 1)
         assert abs(ratio - 1.0) < 1e-9

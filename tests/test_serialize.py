@@ -382,7 +382,7 @@ class TestOutputsStay:
               for seed in range(1, 13)]
     DIGESTS = {
         "algebra_to_json": "5d7c1b83e3fde882",
-        "result_to_json": "a3dd3d02c5225dcb",
+        "result_to_json": "c9a6e44f90f129c2",
         "order_to_json": "2329fe203af928a2",
         "verify_result_json": "e8a5bcf4f17c8f1d",
     }

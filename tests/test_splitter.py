@@ -205,13 +205,14 @@ class TestSplitImagQuad:
 
 class TestSplit:
     # Values recorded before split_over_Q and split_imag_quad became one
-    # pipeline; a change to the bound ladder, the class cut or the tie
+    # pipeline; a change to the listing bound, the class cut or the tie
     # order of the searches shows up here.  The element is the unit
     # multiple of the one the search finds whose (1, omega) coordinates are
     # lexicographically greatest, so no rounding picks among C, -C or
     # omega^k C.
     GOLDEN = [
-        ("Q", 42, {}, ["3", "-12", "1", "-4"], 1, [1], None),
+        ("Q", 42, {}, ["3", "-12", "1", "-4"], 1, [1], 1),
+        ("Q", 2, {}, ["2", "-2", "-3", "1"], 1, [1], 1),
         ("Q", 3, {"engine": "box"}, ["1", "0", "-1", "-1/2"], 7, [256, 1], None),
         ("gauss", 13, {}, ["0", "1/2+1/2*sqrt(-1)", "0", "0"], 1, [1024, 256], 2),
         ("eisenstein", 1, {}, ["0", "0", "1", "0"], 1, [81, 81], 3),
@@ -220,7 +221,7 @@ class TestSplit:
     @pytest.mark.parametrize(
         "field,seed,options,element,nodes,disc_trace,class_size",
         GOLDEN,
-        ids=["Q-42", "Q-3-box-pruned", "gauss-13", "eisenstein-1"],
+        ids=["Q-42", "Q-2", "Q-3-box-pruned", "gauss-13", "eisenstein-1"],
     )
     def test_golden_results(self, field, seed, options, element, nodes, disc_trace, class_size):
         inst = generate_instance(2, field, 10, seed=seed)
@@ -229,6 +230,11 @@ class TestSplit:
         assert res.stats.nodes_visited == nodes
         assert res.stats.disc_trace == disc_trace
         assert res.stats.minimal_class_size == class_size
+        if (field, seed) == ("Q", 2):
+            # the Bergé–Martinet bound caps the norm, not its square:
+            # sqrt(gamma_2) = 1.0746 < found norm 1.0761 <= gamma_2 = 1.1547
+            gamma = hermite_gamma(2)[0]
+            assert math.sqrt(gamma) < res.stats.found_norm <= gamma
 
     @pytest.mark.parametrize(
         "field,seed",
