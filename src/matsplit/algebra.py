@@ -41,31 +41,37 @@ class StructureConstants:
                     raise InputError("gamma must be an m x m x m grid")
                 plane.append(tuple(field.coerce(x) for x in gamma[i][j]))
             coerced.append(tuple(plane))
-        self.field = field
-        self.m = m
+        flat, d = _integral(field, [x for gi in coerced for gij in gi for x in gij])
+        self._set_ints(field, _restricted_gamma(field, m, flat), d)
         self.gamma = tuple(coerced)
-        self._identity: tuple | None = None
-        self._int_gamma: tuple[list, int] | None = None
-        self._gram_det = None
 
     @classmethod
-    def _over_q(cls, G: list, d: int, identity: tuple) -> "StructureConstants":
-        """The table G / d over Q with the coordinates of its two-sided identity.
+    def _of_ints(cls, field: Field, G: list, d: int, identity: tuple | None = None) -> "StructureConstants":
+        """The table whose integer form is (G, d), with the coordinates of its identity if known.
 
-        (G, d) must be what _integral_gamma gives, d the lcm of the
-        denominators of G / d, so it is kept as the table's integer form;
-        gamma is built from it on first read.
+        (G, d) must be what _integral_gamma gives: d the lcm of the
+        denominators of G / d, and over Q(i) and Q(sqrt(-3)) G the rank-2m
+        restriction _restricted_gamma builds.  gamma is built from it on first read.
         """
         table = cls.__new__(cls)
-        table.field, table.m = QQ, len(G)
-        table._identity, table._int_gamma, table._gram_det = identity, (G, d), None
+        table._set_ints(field, G, d, identity)
         return table
+
+    def _set_ints(self, field: Field, G: list, d: int, identity: tuple | None = None):
+        self.field = field
+        self.m = len(G) if field.is_rational else len(G) // 2
+        self._identity = identity
+        self._int_gamma = (G, d)
+        self._gram_det = None
 
     @cached_property
     def gamma(self) -> tuple:
         """gamma[i][j][k] over the field, as nested tuples."""
         G, d = self._int_gamma
-        return tuple(tuple(tuple(Fraction(x, d) for x in gij) for gij in gi) for gi in G)
+        m, field = self.m, self.field
+        return tuple(
+            tuple(lift_coords(field, [Fraction(x, d) for x in gij]) for gij in gi[:m]) for gi in G[:m]
+        )
 
     # -- basic structure ----------------------------------------------------
 
@@ -168,25 +174,8 @@ class StructureConstants:
         """The integer table as nested lists G[i][j][k], and d with G = d * gamma.
 
         d is the lcm of the denominators.  Over Q(i) and Q(sqrt(-3)) G is the
-        table of the rank-2m restriction of scalars on a_1..a_m, omega a_1..omega
-        a_m, (omega^s a_i)(omega^t a_j) = omega^(s+t) gamma_ij in (1, omega) coordinates.
+        table of the rank-2m restriction of scalars (see _restricted_gamma).
         """
-        if self._int_gamma is None:
-            m, field = self.m, self.field
-            flat, d = _integral(field, [x for gi in self.gamma for gij in gi for x in gij])
-            # gamma_ij at r = i m + j; over Q(i) and Q(sqrt(-3)) the u parts, then the v parts
-            rows = [flat[r:r + m] for r in range(0, len(flat), m)]
-            if field.is_rational:
-                G = [rows[i * m:(i + 1) * m] for i in range(m)]
-            else:
-                # g[r] = [gamma_r, omega gamma_r, omega^2 gamma_r]
-                t, g = int(field.has_half_integers), [[u + v] for u, v in zip(rows, rows[m * m:])]
-                for p in g:
-                    for _ in range(2):
-                        p.append(_omega_times(p[-1], t))
-                basis = [(s, i) for s in (0, 1) for i in range(m)]  # omega^s a_i
-                G = [[g[i * m + j][s + u] for u, j in basis] for s, i in basis]
-            self._int_gamma = (G, d)
         return self._int_gamma
 
     def _trace_gram_det(self):
@@ -286,7 +275,9 @@ class StructureConstants:
     def __eq__(self, other):
         if not isinstance(other, StructureConstants):
             return NotImplemented
-        return self.field == other.field and self.gamma == other.gamma
+        # (G, d) is the table's one integer form: d is the lcm of its denominators
+        (G, d), (H, e) = self._int_gamma, other._int_gamma
+        return self.field == other.field and d == e and G == H
 
     def __repr__(self):
         return f"StructureConstants(dim={self.m} over {self.field})"
@@ -374,6 +365,26 @@ def _omega_times(x: Sequence, t: int) -> list:
     """omega x in (1, omega) coordinates: (u + v omega) omega = -v + (u + tv) omega."""
     k = len(x) // 2
     return [-v for v in x[k:]] + [u + t * v for u, v in zip(x[:k], x[k:])]
+
+
+def _restricted_gamma(field: Field, m: int, flat: Sequence[int]) -> list:
+    """The integer table G[i][j][k] from the (1, omega) coordinates of gamma over d.
+
+    flat holds gamma_ij at r = i m + j, m values each; over Q(i) and
+    Q(sqrt(-3)) the u parts, then the v parts.  There G is the table of the
+    rank-2m restriction of scalars on a_1..a_m, omega a_1..omega a_m,
+    (omega^s a_i)(omega^t a_j) = omega^(s+t) gamma_ij in (1, omega) coordinates.
+    """
+    rows = [flat[r:r + m] for r in range(0, len(flat), m)]
+    if field.is_rational:
+        return [rows[i * m:(i + 1) * m] for i in range(m)]
+    # g[r] = [gamma_r, omega gamma_r, omega^2 gamma_r]
+    t, g = int(field.has_half_integers), [[u + v] for u, v in zip(rows, rows[m * m:])]
+    for p in g:
+        for _ in range(2):
+            p.append(_omega_times(p[-1], t))
+    basis = [(s, i) for s in (0, 1) for i in range(m)]  # omega^s a_i
+    return [[g[i * m + j][s + u] for u, j in basis] for s, i in basis]
 
 
 def _integral(field: Field, values: Sequence) -> tuple[list, int]:

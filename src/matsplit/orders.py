@@ -41,7 +41,7 @@ from .errors import (
     InternalError,
     PromiseViolation,
 )
-from .exactnum import ExactMatrix, as_rational, int_inverse, omega_det
+from .exactnum import QQ, ExactMatrix, as_rational, int_inverse, omega_det
 from .quadfield import FieldData, nearest_omega
 
 # ---------------------------------------------------------------------------
@@ -1041,7 +1041,7 @@ def restricted_table(table: StructureConstants) -> StructureConstants:
         raise InputError("restriction applies to quadratic fields only")
     G, d = table._integral_gamma()
     e = restrict_coords(table.field, table.find_identity().coords)
-    return StructureConstants._over_q(G, d, e)
+    return StructureConstants._of_ints(QQ, G, d, e)
 
 
 def _restricted_to_k(table: StructureConstants, rest_order: Order) -> Order:

@@ -2,8 +2,11 @@
 
 Rationals serialize as "p/q" strings (bare "p" when the denominator is 1);
 quadratic scalars as {"a": "p/q", "b": "p/q"} with the field descriptor
-carried once at top level.  Each document is read with one scalar reader,
-so a scalar that occurs many times in it is parsed once.  A small
+carried once at top level.  Each document is read with one reader, so a
+string that occurs many times in it is parsed once.  Structure constants
+and order bases are read straight into the integer form the exact kernels
+use, (1, omega) coordinates over one common denominator, and written back
+from it; the grammar and the InputErrors are scalar_from_json's.  A small
 structural schema checker validates documents against the schema files
 shipped with the package.
 """
@@ -15,17 +18,21 @@ import math
 import re
 from fractions import Fraction
 from importlib import resources
-from typing import Any
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Sequence
 
 from .algebra import (
     AlgebraElement,
     StructureConstants,
+    _omega_times,
+    _restricted_gamma,
     ideal_rank,
     witness_problems,
 )
-from .errors import InputError
+from .errors import InputError, InternalError
 from .exactnum import QQ, ExactMatrix, Field, QuadScalar
-from .lattice import LatticeBasis, _lowest_terms
+from .lattice import LatticeBasis
 from .orders import Order
 
 
@@ -75,6 +82,12 @@ def _ratio_from_str(s) -> tuple[int, int]:
     return rational_from_str(s).as_integer_ratio()
 
 
+def _ratio_to_str(p: int, q: int) -> str:
+    """rational_to_str(Fraction(p, q)) for q > 0, with one gcd."""
+    g = math.gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
 def scalar_to_json(x):
     if isinstance(x, QuadScalar):
         return {"a": rational_to_str(x.a), "b": rational_to_str(x.b)}
@@ -110,29 +123,104 @@ def _typed(obj, kind: type, what: str):
     return obj
 
 
-def _reader(field: Field):
-    """scalar_from_json for one document, parsing each distinct leaf once.
+class _Memo(dict):
+    """A dict that computes a missing value as fill(key) and keeps it."""
 
-    The memo is keyed on the leaf: a string, or the (a, b) strings of a
-    quadratic scalar.  A first occurrence and every other kind of leaf go
-    through scalar_from_json, so the values and the InputErrors are its own.
-    """
-    memo = {}
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
 
-    def read(obj):
-        if type(obj) is str:
-            key = obj
-        elif (type(obj) is dict and len(obj) == 2
-              and type(obj.get("a")) is str and type(obj.get("b")) is str):
-            key = obj["a"], obj["b"]
-        else:
-            return scalar_from_json(field, obj)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = scalar_from_json(field, obj)
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
         return value
 
-    return read
+
+class _Reader:
+    """The scalar leaves of one document, each distinct string parsed once.
+
+    scalar_from_json accepts a string leaf, and over Q(i) and Q(sqrt(-3))
+    an object whose "a" and "b" are strings.  The reader parses those
+    strings with _ratio_from_str into (p, q) pairs.  ``values`` gives the
+    leaves' values in the field, ``coords`` the (1, omega) coordinates of
+    each as such pairs: (p, q) over Q, ((p_u, q_u), (p_v, q_v)) over Q(i)
+    and Q(sqrt(-3)).  Every other leaf goes to scalar_from_json for its
+    InputError.
+    """
+
+    def __init__(self, field: Field):
+        self.field = field
+        self._ratios = _Memo(_ratio_from_str)
+        # keyed on a string leaf, or on the ("a", "b") strings of an object leaf;
+        # over Q the coordinates of a leaf are its (p, q)
+        self._values = _Memo(self._value)
+        self._coords = self._ratios if field.is_rational else _Memo(self._quad_coords)
+
+    def values(self, leaves: list) -> list:
+        """[scalar_from_json(field, x) for x in leaves]."""
+        return self._read(self._values, leaves)
+
+    def coords(self, leaves: list) -> list:
+        return self._read(self._coords, leaves)
+
+    def _read(self, memo: _Memo, leaves: list) -> list:
+        if set(map(type, leaves)) == _STRINGS:  # each string leaf is its own key
+            return list(map(memo.__getitem__, leaves))
+        return [memo[self._key(x)] for x in leaves]
+
+    def _key(self, obj):
+        if isinstance(obj, str):
+            return obj
+        if (isinstance(obj, dict) and not self.field.is_rational
+                and isinstance(obj.get("a"), str) and isinstance(obj.get("b"), str)):
+            return obj["a"], obj["b"]
+        scalar_from_json(self.field, obj)
+        raise InternalError(f"scalar_from_json accepted the leaf {_shown(obj)}")
+
+    def _value(self, key):
+        if isinstance(key, str):
+            return self.field.coerce(Fraction(*self._ratios[key]))
+        a, b = self._ratios[key[0]], self._ratios[key[1]]
+        return QuadScalar(self.field.d, Fraction(*a), Fraction(*b))
+
+    def _quad_coords(self, key) -> tuple:
+        if isinstance(key, str):
+            return self._ratios[key], (0, 1)
+        (p, q), (r, s) = a, b = self._ratios[key[0]], self._ratios[key[1]]
+        if self.field.has_half_integers:  # a + b sqrt(-3) = (a - b) + 2b omega
+            return (p * s - r * q, q * s), (2 * r, s)
+        return a, b
+
+
+_STRINGS = {str}
+
+
+def _common_ints(field: Field, vectors: Sequence[Sequence[tuple]]) -> tuple[list[list[int]], int]:
+    """Vectors of ``coords`` leaves as ints u_1..u_k, v_1..v_k over one denominator, in lowest terms.
+
+    That denominator is the lcm of the lowest-terms denominators of the
+    coordinates: over the lcm L of all the q, a prime power p^k exactly
+    dividing it divides some q exactly, and its numerator times L / q is
+    prime to p, so dividing by the common content leaves exactly that lcm.
+    """
+    if not field.is_rational:  # the u parts, then the v parts
+        vectors = [[c[0] for c in v] + [c[1] for c in v] for v in vectors]
+    den = math.lcm(*set().union(*(map(itemgetter(1), v) for v in vectors)))
+    ints = [[p * (den // q) for p, q in v] for v in vectors]
+    g = math.gcd(den, *chain.from_iterable(ints))
+    if g == 1:
+        return ints, den
+    return [[x // g for x in v] for v in ints], den // g
+
+
+def _vector_to_json(field: Field, w: Sequence[int], d: int) -> list:
+    """vector_to_json of the K-vector with (1, omega) coordinates w / d, one gcd a rational."""
+    if field.is_rational:
+        return [_ratio_to_str(x, d) for x in w]
+    k = len(w) // 2
+    if field.has_half_integers:  # u + v omega = (2u + v)/2 + (v/2) sqrt(-3)
+        return [{"a": _ratio_to_str(2 * u + v, 2 * d), "b": _ratio_to_str(v, 2 * d)}
+                for u, v in zip(w[:k], w[k:])]
+    return [{"a": _ratio_to_str(u, d), "b": _ratio_to_str(v, d)} for u, v in zip(w[:k], w[k:])]
 
 
 def field_to_json(field: Field) -> dict:
@@ -157,14 +245,13 @@ def field_from_json(obj) -> Field:
 
 
 def algebra_to_json(table: StructureConstants) -> dict:
+    G, d = table._integral_gamma()
+    m, field = table.m, table.field
+    # G[i][j] for i, j < m holds the (1, omega) coordinates of gamma_ij over d
     return {
-        "field": field_to_json(table.field),
-        "dim": table.m,
-        "gamma": [
-            [[scalar_to_json(table.gamma[i][j][k]) for k in range(table.m)]
-             for j in range(table.m)]
-            for i in range(table.m)
-        ],
+        "field": field_to_json(field),
+        "dim": m,
+        "gamma": [[_vector_to_json(field, gij, d) for gij in gi[:m]] for gi in G[:m]],
     }
 
 
@@ -174,19 +261,31 @@ def _gamma_level(obj, m: int) -> list:
     return obj
 
 
-def _read_algebra(obj) -> tuple[StructureConstants, Any]:
-    """The table of an algebra document, and the reader that parsed it."""
+def _read_algebra(obj) -> tuple[StructureConstants, _Reader]:
+    """The table of an algebra document, and the reader that parsed it.
+
+    The constants are read into the integer form (G, d) of _integral_gamma,
+    d the lcm of their lowest-terms denominators.
+    """
     field = field_from_json(_typed(obj, dict, "an algebra document").get("field"))
     m = obj.get("dim")
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputError(f"algebra dim must be an integer, got {m!r}")
-    read = _reader(field)
-    # the m x m x m shape is checked level by level as the entries are read
-    grid = [
-        [list(map(read, _gamma_level(row, m))) for row in _gamma_level(plane, m)]
-        for plane in _gamma_level(obj.get("gamma"), m)
-    ]
-    return StructureConstants(field, grid), read
+    read, leaves = _Reader(field), []
+    # the m x m x m shape is checked level by level; at a bad level the
+    # leaves before it are read first, so the first error is still the
+    # first one in reading order
+    try:
+        for plane in _gamma_level(obj.get("gamma"), m):
+            for row in _gamma_level(plane, m):
+                leaves += _gamma_level(row, m)
+    except InputError:
+        read.coords(leaves)
+        raise
+    if m == 0:
+        raise InputError("an algebra needs at least one basis element")
+    (flat,), d = _common_ints(field, [read.coords(leaves)])
+    return StructureConstants._of_ints(field, _restricted_gamma(field, m, flat), d), read
 
 
 def algebra_from_json(obj) -> StructureConstants:
@@ -202,10 +301,13 @@ def matrix_to_json(M: ExactMatrix) -> list:
 
 
 def order_to_json(order: Order) -> dict:
+    den, C, _, _ = order._int
+    field, m = order.table.field, order.table.m
     return {
-        "field": field_to_json(order.table.field),
-        "dim": order.table.m,
-        "basis": [vector_to_json(order.basis_matrix.column(j)) for j in range(order.table.m)],
+        "field": field_to_json(field),
+        "dim": m,
+        # the first m integer columns are den b_1..den b_m
+        "basis": [_vector_to_json(field, c, den) for c in C[:m]],
         "discriminant": scalar_to_json(order.discriminant),
     }
 
@@ -214,6 +316,12 @@ def order_from_json(table: StructureConstants, obj) -> Order:
     """An order of ``table`` from a document of order.schema.json's shape, else InputError.
 
     Only ``basis`` is required; a given ``field`` and ``dim`` must be the table's.
+    _common_ints reads the columns as ints C over D, the lcm of the
+    lowest-terms denominators of their coordinates, and (D, C) has content
+    1; Order.__init__ clears the same coordinates with the same D.  Over
+    Q(i) and Q(sqrt(-3)) both then add the omega multiples of the columns,
+    integer combinations of them, which keep that lcm and that content.  So
+    Order._reduced divides by 1 and gives the (den, C) of Order.__init__.
     """
     problems = check_schema(obj, {**_shipped_schema("order"), "required": ["basis"]})
     if problems:
@@ -224,8 +332,12 @@ def order_from_json(table: StructureConstants, obj) -> Order:
     # the schema has made basis a list of lists
     if obj.get("dim", m) != m or len(basis) != m or any(len(c) != m for c in basis):
         raise InputError(f"an order basis needs {m} columns of {m} scalars")
-    read = _reader(table.field)
-    return Order(table, ExactMatrix.from_columns(table.field, [tuple(map(read, c)) for c in basis]))
+    field = table.field
+    read = _Reader(field)
+    C, den = _common_ints(field, [read.coords(c) for c in basis])
+    if not field.is_rational:
+        C += [_omega_times(c, int(field.has_half_integers)) for c in C]
+    return Order._reduced(table, den, C)
 
 
 def lattice_to_json(basis: LatticeBasis) -> dict:
@@ -250,9 +362,7 @@ def lattice_from_json(obj) -> LatticeBasis:
         raise InputError("basis vectors do not match the declared dimension")
     if not cols:
         raise InputError("empty basis")
-    den = math.lcm(*(q for col in cols for _, q in col))
-    ints = [[p * (den // q) for p, q in col] for col in cols]
-    return LatticeBasis._of_ints(*_lowest_terms(ints, den))
+    return LatticeBasis._of_ints(*_common_ints(QQ, cols))
 
 
 def result_to_json(result, table: StructureConstants) -> dict:
@@ -298,7 +408,7 @@ def verify_result_json(obj) -> list[str]:
     """
     problems = []
     # one reader for the whole document: the algebra, the basis, the element
-    # and the images share their scalars
+    # and the images share their parsed strings
     table, read = _read_algebra(_typed(obj, dict, "a result document").get("algebra"))
     if field_from_json(obj.get("field")) != table.field:
         raise InputError("the result's field differs from its algebra's")
@@ -310,12 +420,12 @@ def verify_result_json(obj) -> list[str]:
     if len(basis) != n or any(not isinstance(v, list) or len(v) != table.m for v in basis):
         raise InputError(f"the left ideal basis must hold {n} vectors of length {table.m}")
     for v in basis:
-        tuple(map(read, v))
+        read.values(v)
     coords = _typed(obj.get("rank_one_element"), list, "the rank one element")
-    element = AlgebraElement(table, tuple(map(read, coords)))
+    element = AlgebraElement(table, read.values(coords))
     if ideal_rank(element, n) != 1:
         problems.append("claimed element does not have ideal rank one")
-    images = [ExactMatrix(table.field, [list(map(read, _typed(row, list, "an image row")))
+    images = [ExactMatrix(table.field, [read.values(_typed(row, list, "an image row"))
                                         for row in _typed(M, list, "an image")])
               for M in _typed(witness.get("images"), list, "the images")]
     if len(images) != table.m:

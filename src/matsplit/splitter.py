@@ -66,6 +66,15 @@ class SplitConfig:
 
 @dataclass
 class SplitStats:
+    """What a split measured.
+
+    norm_bound_satisfied is found_norm <= gamma_n (1 + slack) + pert over Q.
+    Under the default ``ordered`` engine it is true by construction: the
+    found vector lies under the listing bound, which is at most that value,
+    and over Q(i) and Q(sqrt(-3)) it is true by definition.  Only the box
+    engine, over Q, can report false.
+    """
+
     engine: str
     precision_bits: int
     nodes_visited: int
@@ -157,8 +166,8 @@ def split(
             found_norm=found_norm,
             disc_trace=disc_trace,
             wall_time=time.monotonic() - start,
-            # the found vector meets the class cut by construction; over Q
-            # its norm is held against gamma_n, which the box can exceed
+            # true under the default engine, whose listing bound over Q is
+            # at most gamma_n (1 + slack) + pert; only the box can exceed it
             norm_bound_satisfied=not field.is_rational
             or found_norm <= hermite_gamma(n)[0] * (1 + slack) + pert,
             **policy_stats,

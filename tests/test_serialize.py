@@ -1,9 +1,10 @@
 """The JSON boundary: the per-document scalar reader, schemas, lattices, outputs.
 
-The reader must give the value, or the InputError, that scalar_from_json
-gives; lattice_from_json must turn any JSON value into a basis or an
-InputError; load_schema must hand out copies; and the serialized outputs
-of a fixed split corpus must stay byte for byte what they are.
+The reader, and algebra_from_json, which reads the constants straight into
+ints, must give the value, or the InputError, that scalar_from_json gives;
+lattice_from_json must turn any JSON value into a basis or an InputError;
+load_schema must hand out copies; and the serialized outputs of a fixed
+split corpus must stay byte for byte what they are.
 """
 
 import copy
@@ -17,15 +18,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matsplit import serialize
+from matsplit.algebra import StructureConstants
 from matsplit.errors import InputError
-from matsplit.exactnum import EISENSTEIN, GAUSS, QQ, QuadScalar
+from matsplit.exactnum import EISENSTEIN, GAUSS, QQ, ExactMatrix, QuadScalar
 from matsplit.lattice import LatticeBasis
-from matsplit.orders import maximal_order
+from matsplit.orders import Order, maximal_order
 from matsplit.serialize import (
-    _reader,
+    _Reader,
     algebra_from_json,
     algebra_to_json,
     check_schema,
+    field_from_json,
+    field_to_json,
     lattice_from_json,
     load_schema,
     rational_from_str,
@@ -34,6 +38,7 @@ from matsplit.serialize import (
     order_to_json,
     result_to_json,
     scalar_from_json,
+    scalar_to_json,
     vector_to_json,
     verify_result_json,
 )
@@ -51,15 +56,43 @@ def _outcome(parse, leaf):
     return "value", type(value), value
 
 
+def _read_one(field):
+    """A reader for one document, taking one leaf at a time."""
+    reader = _Reader(field)
+    return lambda x: reader.values([x])[0]
+
+
 def _assert_reader_agrees(field, leaf):
     expected = _outcome(lambda x: scalar_from_json(field, x), leaf)
-    read = _reader(field)
+    read = _read_one(field)
     # a first occurrence, a repeat, and a repeat after other leaves were read
     assert _outcome(read, leaf) == expected
     assert _outcome(read, leaf) == expected
     for other in ("1", "0", "-1/2", {"a": "1", "b": "0"}, {"a": "0", "b": "1"}):
         _outcome(read, other)
     assert _outcome(read, leaf) == expected
+    _assert_documents_agree(field, leaf, expected)
+
+
+def _document(field, dim, leaves):
+    """An algebra document of dimension dim: the given {(i, j, k): leaf} constants, else "0"."""
+    gamma = [[[leaves.get((i, j, k), "0") for k in range(dim)] for j in range(dim)]
+             for i in range(dim)]
+    return {"field": field_to_json(field), "dim": dim, "gamma": gamma}
+
+
+def _assert_documents_agree(field, leaf, expected):
+    """algebra_from_json reads the leaf as the constant of a dim-1 document and as
+    gamma_123 of a dim-4 one, as scalar_from_json does; a bad constant read after
+    it does not hide the leaf's own InputError."""
+    def constant(dim, at):
+        return lambda x: algebra_from_json(_document(field, dim, {at: x})).gamma[at[0]][at[1]][at[2]]
+
+    assert _outcome(constant(1, (0, 0, 0)), leaf) == expected
+    assert _outcome(constant(4, (1, 2, 3)), leaf) == expected
+    later = _outcome(lambda x: algebra_from_json(_document(field, 4, {(1, 2, 3): x, (3, 3, 3): "x"})),
+                     leaf)
+    assert later == (expected if expected[0] == "error" else ("error", "bad rational literal 'x'"))
 
 
 LENIENT = [
@@ -90,20 +123,20 @@ ODD_LEAVES = [
 
 
 class TestReaderOracle:
-    """_reader(field) against scalar_from_json, leaf by leaf."""
+    """_Reader(field) and algebra_from_json against scalar_from_json, leaf by leaf."""
 
     @pytest.mark.parametrize("text,value", LENIENT)
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_lenient_forms_parse(self, field, text, value):
         _assert_reader_agrees(field, text)
-        assert _reader(field)(text) == field.coerce(Fraction(value))
+        assert _read_one(field)(text) == field.coerce(Fraction(value))
 
     @pytest.mark.parametrize("text", REJECTED, ids=lambda t: t[:12])
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_rejected_forms_raise(self, field, text):
         _assert_reader_agrees(field, text)
         with pytest.raises(InputError):
-            _reader(field)(text)
+            _read_one(field)(text)
 
     @pytest.mark.parametrize("leaf", ODD_LEAVES, ids=repr)
     @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -139,16 +172,17 @@ class TestReaderOracle:
         (y,) = algebra_from_json(doc).gamma[0][0]
         assert type(y) is QuadScalar and y.d == 1 and (y.a, y.b) == (3, 0)
 
-    def test_one_reader_per_document(self):
+    def test_one_reader_per_document(self, monkeypatch):
         doc = algebra_to_json(generate_instance(2, "Q", 0).table)  # the matrix units
-        first, second = algebra_from_json(doc), algebra_from_json(doc)
-        entries = [x for plane in first.gamma for row in plane for x in row]
-        zeros = [x for x in entries if x == 0]
-        # within a document each distinct leaf is one object; across
-        # documents nothing is shared
-        assert len(zeros) > 1 and all(z is zeros[0] for z in zeros)
-        assert first.gamma[0][0][0] == second.gamma[0][0][0]
-        assert first.gamma[0][0][0] is not second.gamma[0][0][0]
+        calls = _count_parses(monkeypatch)
+        first = algebra_from_json(doc)
+        once = list(calls)
+        # within a document each distinct leaf is parsed once: "0" and "1"
+        assert sorted(once) == ["0", "1"]
+        # across documents nothing is shared: the second one is parsed anew
+        second = algebra_from_json(doc)
+        assert calls == once + once
+        assert first == second and first is not second
 
     @pytest.mark.parametrize("name", ["Q", "gauss"])
     def test_verify_parses_each_distinct_leaf_once(self, monkeypatch, name):
@@ -156,18 +190,120 @@ class TestReaderOracle:
         doc = json.loads(json.dumps(result_to_json(split(inst.table, SplitConfig(seed=1)), inst.table)))
         leaves = [*_leaves(doc["algebra"]["gamma"]), *_leaves(doc["rank_one_element"]),
                   *_leaves(doc["witness"]["left_ideal_basis"]), *_leaves(doc["witness"]["images"])]
-        distinct = {x if isinstance(x, str) else (x["a"], x["b"]) for x in leaves}
-        calls = []
-        parse = serialize._parse_scalar
-
-        def counting(field, obj):
-            calls.append(obj)
-            return parse(field, obj)
-
-        monkeypatch.setattr(serialize, "_parse_scalar", counting)
+        # the strings of the leaves: a rational, or the "a" and "b" of a quadratic scalar
+        strings = [s for x in leaves for s in ([x] if isinstance(x, str) else [x["a"], x["b"]])]
+        calls = _count_parses(monkeypatch)
         assert verify_result_json(doc) == []
-        assert len(calls) == len(distinct)
-        assert name != "Q" or len(distinct) < len(leaves)
+        # the constants, the element, the basis and the images share one reader
+        assert sorted(calls) == sorted(set(strings))
+        assert len(calls) < len(strings)
+        if name == "Q":
+            assert len(calls) == len(set(leaves)) < len(leaves)
+
+
+def _count_parses(monkeypatch) -> list:
+    """The leaves handed to _ratio_from_str and _parse_scalar from now on, in one list."""
+    calls = []
+    ratio, parse = serialize._ratio_from_str, serialize._parse_scalar
+
+    def counting_ratio(s):
+        calls.append(s)
+        return ratio(s)
+
+    def counting_parse(field, obj):
+        calls.append(obj)
+        return parse(field, obj)
+
+    monkeypatch.setattr(serialize, "_ratio_from_str", counting_ratio)
+    monkeypatch.setattr(serialize, "_parse_scalar", counting_parse)
+    return calls
+
+
+def _non_canonical(obj):
+    """The leaves with each integer k != 0 written "2k/2" and each 0 as "-0"."""
+    if isinstance(obj, list):
+        return [_non_canonical(x) for x in obj]
+    if isinstance(obj, dict):
+        return {key: _non_canonical(x) for key, x in obj.items()}
+    return obj if "/" in obj else ("-0" if int(obj) == 0 else f"{2 * int(obj)}/2")
+
+
+def _fraction_table(doc):
+    """algebra_from_json's reading order with scalar_from_json per leaf and the public constructor."""
+    field, m, level = field_from_json(doc["field"]), doc["dim"], serialize._gamma_level
+    return StructureConstants(field, [[[scalar_from_json(field, x) for x in level(row, m)]
+                                       for row in level(plane, m)]
+                                      for plane in level(doc["gamma"], m)])
+
+
+def _fraction_to_json(table):
+    """algebra_to_json by way of the grid of field scalars and scalar_to_json."""
+    return {"field": field_to_json(table.field), "dim": table.m,
+            "gamma": [[[scalar_to_json(x) for x in row] for row in plane] for plane in table.gamma]}
+
+
+def _table_outcome(read, doc):
+    """The table a reader gives, as the document it writes, or its InputError."""
+    try:
+        table = read(doc)
+    except InputError as exc:
+        return "error", str(exc)
+    return "table", algebra_to_json(table)
+
+
+GAMMA_LEAVES = st.sampled_from(["0", "1", "-1/2", "2/4", "-0", "x", "1/0", {"a": "1", "b": "-2/3"},
+                                {"a": "x", "b": "0"}, {"a": "1", "b": 2}, None, {}, ["1"]])
+
+
+@st.composite
+def _algebra_documents(draw):
+    m = draw(st.integers(1, 2))
+
+    def level(inner):
+        # mostly the right length; sometimes a wrong one, or a leaf where a list belongs
+        shapes = [st.lists(inner, min_size=m, max_size=m), st.lists(inner, max_size=m + 1), GAMMA_LEAVES]
+        return st.integers(0, 19).flatmap(lambda k: shapes[max(k - 17, 0)])
+
+    field = draw(st.sampled_from(FIELDS))
+    return {"field": field_to_json(field), "dim": m, "gamma": draw(level(level(level(GAMMA_LEAVES))))}
+
+
+ALGEBRAS = [(name, n, seed) for name, n in (("Q", 2), ("Q", 3), ("gauss", 2), ("eisenstein", 2))
+            for seed in (1, 2, 3)]
+
+
+class TestAlgebraDocuments:
+    """algebra_from_json and algebra_to_json on ints against the Fraction route."""
+
+    @pytest.mark.parametrize("name,n,seed", ALGEBRAS)
+    def test_the_int_route_writes_what_the_fraction_route_writes(self, name, n, seed):
+        doc = json.loads(json.dumps(algebra_to_json(generate_instance(n, name, 10, seed=seed).table)))
+        nc = {**doc, "gamma": _non_canonical(doc["gamma"])}
+        assert nc != doc
+        for d in (doc, nc):
+            assert algebra_to_json(algebra_from_json(d)) == _fraction_to_json(_fraction_table(d)) == doc
+        assert algebra_from_json(nc) == algebra_from_json(doc)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(doc=_algebra_documents())
+    def test_any_grid_reads_as_the_fraction_route_reads_it(self, doc):
+        # the same table, or the same first InputError in reading order
+        assert _table_outcome(algebra_from_json, doc) == _table_outcome(_fraction_table, doc)
+
+    @pytest.mark.parametrize("name,n,seed", ALGEBRAS[::3])
+    def test_equal_tables_compare_on_ints(self, name, n, seed):
+        doc = json.loads(json.dumps(algebra_to_json(generate_instance(n, name, 10, seed=seed).table)))
+        built, parsed = _fraction_table(doc), algebra_from_json(doc)
+        assert parsed == built and built == parsed
+        # the comparison builds no grid of field scalars
+        assert "gamma" not in vars(parsed)
+        changed = copy.deepcopy(doc)
+        x = changed["gamma"][0][1][2]
+        changed["gamma"][0][1][2] = (str(Fraction(x) + 1) if isinstance(x, str)
+                                     else {**x, "b": str(Fraction(x["b"]) + 1)})
+        other = algebra_from_json(changed)
+        assert other != built and built != other
+        assert other != parsed and parsed != other
 
 
 GRID = [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]
@@ -190,6 +326,25 @@ GRID = [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]
 )
 def test_a_gamma_of_the_wrong_shape_is_named(gamma):
     with pytest.raises(InputError, match="gamma grid does not match the declared dimension"):
+        algebra_from_json({"field": {"type": "Q"}, "dim": 2, "gamma": gamma})
+
+
+@pytest.mark.parametrize(
+    "gamma, message",
+    [
+        ([[["x", "0"], ["0", "1"]], [["0", "1"], ["1"]]], "bad rational literal 'x'"),
+        ([[["1", "0"], ["0", "1"]], [["0", "x"], ["1"]]], "bad rational literal 'x'"),
+        ([[["1", "0"], ["0"]], [["x", "1"], ["1", "0"]]], "gamma grid does not match"),
+        ([[["1", "0"], ["0", "1"]], [["0", "1"], ["x", "1"]], []], "gamma grid does not match"),
+        ([[["1", {}], ["0", "1"]], "x"], "bad scalar"),
+    ],
+    ids=["leaf, then short row", "leaf in the plane of the short row", "short row, then leaf",
+         "leaf, then third plane", "odd leaf, then string plane"],
+)
+def test_the_first_error_in_reading_order_is_raised(gamma, message):
+    # a leaf is read after the shape of its row and before the rows that follow it;
+    # a plane's shape is checked before its rows, and the grid's before its planes
+    with pytest.raises(InputError, match=message):
         algebra_from_json({"field": {"type": "Q"}, "dim": 2, "gamma": gamma})
 
 
@@ -271,8 +426,19 @@ class TestOrderDocuments:
         doc = json.loads(json.dumps(order_to_json(maximal_order(table))))
         assert order_to_json(order_from_json(table, doc)) == doc
 
+    @pytest.mark.parametrize("name,n,seed", ALGEBRAS)
+    def test_the_int_route_gives_the_constructors_basis(self, name, n, seed):
+        # on the document and on its non-canonical copy, order_from_json gives the
+        # (den, C) of Order.__init__ on the scalar_from_json values
+        table = generate_instance(n, name, 10, seed=seed).table
+        doc = json.loads(json.dumps(order_to_json(maximal_order(table))))
+        for d in (doc, {**doc, "basis": _non_canonical(doc["basis"])}):
+            cols = [[scalar_from_json(table.field, x) for x in c] for c in d["basis"]]
+            built = Order(table, ExactMatrix.from_columns(table.field, cols))
+            assert order_from_json(table, d)._int[:2] == built._int[:2]
 
-def _fraction_route(doc):
+
+def _lattice_fraction_route(doc):
     """lattice_from_json by way of rational_from_str and the public constructor."""
     cols = [[rational_from_str(x) for x in col] for col in doc["basis"]]
     if any(len(c) != doc["dim"] for c in cols):
@@ -334,14 +500,14 @@ class TestLatticeBoundary:
     )
     def test_leaves_read_as_rational_from_str_reads_them(self, basis):
         doc = {"dim": 2, "basis": basis}
-        assert _lattice_outcome(lattice_from_json, doc) == _lattice_outcome(_fraction_route, doc)
+        assert _lattice_outcome(lattice_from_json, doc) == _lattice_outcome(_lattice_fraction_route, doc)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(basis=st.lists(st.lists(st.text(alphabet="0123456789/-+ .٣", max_size=6),
                                    min_size=2, max_size=2), min_size=1, max_size=3))
     def test_any_leaves_read_as_rational_from_str_reads_them(self, basis):
         doc = {"dim": 2, "basis": basis}
-        assert _lattice_outcome(lattice_from_json, doc) == _lattice_outcome(_fraction_route, doc)
+        assert _lattice_outcome(lattice_from_json, doc) == _lattice_outcome(_lattice_fraction_route, doc)
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(doc=st.one_of(JSON_VALUES, LATTICE_LIKE))
