@@ -419,8 +419,8 @@ def verify_result_json(obj) -> list[str]:
     basis = _typed(witness.get("left_ideal_basis"), list, "the left ideal basis")
     if len(basis) != n or any(not isinstance(v, list) or len(v) != table.m for v in basis):
         raise InputError(f"the left ideal basis must hold {n} vectors of length {table.m}")
-    for v in basis:
-        read.values(v)
+    for v in basis:  # checked only: every leaf must parse
+        read.coords(v)
     coords = _typed(obj.get("rank_one_element"), list, "the rank one element")
     element = AlgebraElement(table, read.values(coords))
     if ideal_rank(element, n) != 1:
