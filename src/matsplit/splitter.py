@@ -25,6 +25,7 @@ from .algebra import (
     _combination,
     _int_ideal_rank,
     _omega_times,
+    _restricted_gamma,
     build_isomorphism,
     lift_coords,
     matrix_units_table,
@@ -33,6 +34,7 @@ from .embed import _zbasis_columns, embed_order, rationalize, split_numeric
 from .errors import EnumerationBudgetError, InputError, PrecisionError, PromiseViolation
 from .exactnum import ExactMatrix, Field, QQ
 from .lattice import (
+    _lowest_terms,
     berge_martinet_upper,
     box_enumerate,
     c_m,
@@ -463,7 +465,14 @@ def instance_from_base_change(
 ) -> GeneratedInstance:
     """Instance whose basis is b_i = sum_j rows[i][j] a_j over a given table."""
     # columns of M are the a-coordinates of the new basis; Order multiplies
-    # any basis on ints, in its own coordinates
+    # any basis on ints, in its own coordinates: N[i][j] / s holds b_i b_j
+    # in (1, omega) coordinates on b_1..b_m for i, j < m
     M = ExactMatrix(field, [list(col) for col in zip(*rows)])
-    new_table = StructureConstants(field, Order(table, M).multiplication_table())
+    N, s = Order(table, M)._product_numerators()
+    m = table.m
+    products = [v for row in N[:m] for v in row[:m]]
+    # the u parts of the products, then over Q(i) and Q(sqrt(-3)) the v parts
+    flat = [x for part in range(0, len(products[0]), m) for v in products for x in v[part:part + m]]
+    (flat,), d = _lowest_terms([flat], s)
+    new_table = StructureConstants._of_ints(field, _restricted_gamma(field, m, flat), d)
     return GeneratedInstance(table=new_table, base_change=M, field=field)
