@@ -197,10 +197,11 @@ _STRINGS = {str}
 def _common_ints(field: Field, vectors: Sequence[Sequence[tuple]]) -> tuple[list[list[int]], int]:
     """Vectors of ``coords`` leaves as ints u_1..u_k, v_1..v_k over one denominator, in lowest terms.
 
-    That denominator is the lcm of the lowest-terms denominators of the
-    coordinates: over the lcm L of all the q, a prime power p^k exactly
-    dividing it divides some q exactly, and its numerator times L / q is
-    prime to p, so dividing by the common content leaves exactly that lcm.
+    That denominator is D, the lcm of the lowest-terms denominators of the
+    coordinates.  The lcm of all the q is t D, the ints over it are t times
+    those over D, and those have content 1 with D: a prime power l^k that
+    exactly divides D exactly divides some lowest-terms denominator q, whose
+    numerator times D / q is prime to l.  So dividing by the content leaves D.
     """
     if not field.is_rational:  # the u parts, then the v parts
         vectors = [[c[0] for c in v] + [c[1] for c in v] for v in vectors]
