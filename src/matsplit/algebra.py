@@ -47,11 +47,12 @@ class StructureConstants:
 
     @classmethod
     def _of_ints(cls, field: Field, G: list, d: int, identity: tuple | None = None) -> "StructureConstants":
-        """The table whose integer form is (G, d), with the coordinates of its identity if known.
+        """The table whose integer form is (G, d), with the integer form of its identity if known.
 
         (G, d) must be what _integral_gamma gives: d the lcm of the
         denominators of G / d, and over Q(i) and Q(sqrt(-3)) G the rank-2m
-        restriction _restricted_gamma builds.  gamma is built from it on first read.
+        restriction _restricted_gamma builds; identity what _integral_identity
+        gives.  gamma is built from it on first read.
         """
         table = cls.__new__(cls)
         table._set_ints(field, G, d, identity)
@@ -116,11 +117,16 @@ class StructureConstants:
         = e'), so it is their solution, and substituting it into all 2m^2
         equations, in O(m^3) integer operations, decides whether it is one.
         """
+        E, de = self._integral_identity()
+        return AlgebraElement(self, lift_coords(self.field, [Fraction(x, de) for x in E]))
+
+    def _integral_identity(self) -> tuple[list[int], int]:
+        """(E, de), the _integral of the identity's coordinates, solved once (see find_identity)."""
         if self._identity is None:
             self._identity = self._solve_identity()
-        return AlgebraElement(self, self._identity)
+        return self._identity
 
-    def _solve_identity(self) -> tuple:
+    def _solve_identity(self) -> tuple[list[int], int]:
         # over Q(i) and Q(sqrt(-3)) the unknowns are the 2m restricted coordinates
         # of e, and e (omega a_j) = omega (e a_j) leaves the equations for the a_j
         G, d = self._integral_gamma()
@@ -158,7 +164,7 @@ class StructureConstants:
             # e[c] is still 0, and the other nonzero columns of p are pivots
             # kept later, solved already
             e[c] = Fraction(p[w] - sum(x * y for x, y in zip(p, e)), p[c])
-        E, de = _integral(QQ, e)
+        (E,), de = _integral_rows([e])
         nz = [(i, x) for i, x in enumerate(E) if x]
         for j in range(m):
             for k in range(w):
@@ -168,7 +174,7 @@ class StructureConstants:
                     or sum(x * G[j][i][k] for i, x in nz) != want
                 ):
                     raise NoIdentityError("the table has no two-sided identity")
-        return lift_coords(self.field, e)
+        return E, de
 
     def _integral_gamma(self) -> tuple[list, int]:
         """The integer table as nested lists G[i][j][k], and d with G = d * gamma.
@@ -216,7 +222,7 @@ class StructureConstants:
         if r * r != self.m:
             violations.append(f"dimension {self.m} is not a perfect square")
         try:
-            identity = self.find_identity().coords
+            identity = self._integral_identity()[0]
         except NoIdentityError:
             identity = None
         for i, j in self._associativity_failures(identity):
@@ -225,7 +231,7 @@ class StructureConstants:
             violations.append("no two-sided identity element")
         return violations
 
-    def _associativity_failures(self, identity: Sequence | None) -> list[tuple[int, int]]:
+    def _associativity_failures(self, identity: Sequence[int] | None) -> list[tuple[int, int]]:
         """Pairs (i, j) with (a_i a_j) a_k != a_i (a_j a_k) for some k.
 
         That is L(a_i) L(a_j) != sum_r G_ijr L(a_r) on the integer table G,
@@ -245,8 +251,8 @@ class StructureConstants:
         the left-normed words e g_1 g_2 ... in the generators that passed span
         A, T = A and every later row passes: the scan stops there.  Before
         that, and after any row fails (then T != A), rows are scanned as they
-        come, so the failing pairs do not depend on the stop.  Without an
-        identity every row is scanned.
+        come, so the failing pairs do not depend on the stop.  e is identity,
+        the E of _integral_identity; with identity None every row is scanned.
         """
         m = self.m
         gamma, _ = self._integral_gamma()
@@ -256,7 +262,7 @@ class StructureConstants:
         # L(a_r) flat row-major, entry (s, k) the coordinate s of a_r a_k
         lefts = [[gr[k][s] for s in range(w) for k in range(w)] for gr in gamma]
         row_defects = _pair_defects(lefts, [gi[:m] for gi in gamma[:m]], 1, 1, w)
-        words = None if identity is None else _LeftWords(nz, _integral(self.field, identity)[0])
+        words = None if identity is None else _LeftWords(nz, identity)
         failures = []
         for i in range(m):
             if words is not None and words.spans():
@@ -506,7 +512,8 @@ def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> Isomorphi
     """Explicit isomorphism A -> M_n(K) from a rank one element C.
 
     phi(a_i) is left multiplication by a_i on the left ideal A*C (dimension
-    n), checked exactly by witness_problems.  int_gauss_jordan of the columns
+    n), checked exactly by _witness_problems on ints before it is lifted to
+    field values.  int_gauss_jordan of the columns
     b_q C over the integer table, each omega a_k C right after its a_k C,
     gives a_k C = sum_t X[t][k] w_t over the pivots w_t = a_{p_t} C; over
     Q(i) and Q(sqrt(-3)) the pivots come in pairs (w_t, omega w_t), whose two
@@ -526,14 +533,15 @@ def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> Isomorphi
     if len(pivots) != h * n:
         raise InputError("build_isomorphism requires a rank one element")
     dp = red[0][pivots[0]]  # every pivot entry is the signed last pivot
-    images = []
+    sign, den, L = (1 if dp > 0 else -1), d * abs(dp), n * n
+    nums = []  # the (1, omega) coordinates of each image over den, each part flat row-major
     for gi in G[:m]:
         # row h t + s of red is coordinate s along w_t, d a_i a_{p_t} dotted with it
         prods = [[gi[order[c]][q] for q in order] for c in pivots[::h]]
-        x = lift_coords(field, [Fraction(_int_dot(g, red[h * r + s]), d * dp)
-                                for s in range(h) for r in range(n) for g in prods])
-        images.append(ExactMatrix(field, [x[r * n:(r + 1) * n] for r in range(n)]))
-    problems = witness_problems(table, images)
+        nums.append([sign * _int_dot(g, red[h * r + s])
+                     for s in range(h) for r in range(n) for g in prods])
+    flat = [x for s in range(h) for v in nums for x in v[s * L:(s + 1) * L]]  # 1-parts, then omega-parts
+    problems = _witness_problems(table, flat, den)
     if problems.pairs:
         raise InternalError(f"multiplicativity fails on the basis pair {problems.pairs[0]}")
     if problems.identity_fails:
@@ -543,6 +551,8 @@ def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> Isomorphi
             "the images of the basis are linearly dependent: A -> M_n(K) is not "
             "injective, so the algebra is not simple"
         )
+    lifted = [lift_coords(field, [Fraction(y, den) for y in v]) for v in nums]
+    images = [ExactMatrix(field, [x[r * n:(r + 1) * n] for r in range(n)]) for x in lifted]
     ideal = [lift_coords(field, [Fraction(v, d * D) for v in cols[c]]) for c in pivots[::h]]
     return IsomorphismWitness(
         left_ideal_basis=tuple(AlgebraElement(table, x) for x in ideal),
@@ -567,25 +577,37 @@ def witness_problems(table: StructureConstants, images: Sequence[ExactMatrix]) -
     on every basis pair, the m = n^2 images must be linearly independent,
     and phi(1) = I must hold: a unital multiplicative linear bijection is an
     isomorphism, while a non-simple algebra such as K^4 has unital
-    homomorphisms to M_n(K) that are not injective.  The arithmetic is on
-    ints.  Over Q, P_k is phi(a_k) times the lcm D of the image
-    denominators; over Q(i) and Q(sqrt(-3)), P_k and P_{m+k} are the
-    realified phi(a_k) and omega phi(a_k), so that sum_k G_ijk P_k runs over
-    the restricted table (G, d).  Each pair checks d P_i P_j = D sum_k
-    G_ijk P_k on packed matrices (see _pair_defects), and the images are
-    independent when the P_k have full rank.  Independent images that pass
-    every pair make phi a bijective homomorphism onto M_n(K), so A has the
-    identity phi^-1(I), phi(1) = I holds, and the identity is solved and
-    checked only for dependent images.  Raises InputError unless there are m
-    images, each n x n over the table's field, and NoIdentityError when
+    homomorphisms to M_n(K) that are not injective.  _witness_problems
+    checks the _integral of the images.  Raises InputError unless there are
+    m images, each n x n over the table's field, and NoIdentityError when
     every pair holds, the images are dependent and the table has no identity.
     """
+    _check_witness_shape(table, [(M.field, M.rows, M.cols) for M in images])
+    entries = [x for M in images for row in M.entries for x in row]
+    return _witness_problems(table, *_integral(table.field, entries))
+
+
+def _check_witness_shape(table: StructureConstants, shapes: Sequence[tuple]) -> None:
+    """InputError unless shapes, the (field, rows, cols) of each image, are m times (K, n, n)."""
     n, m, field = table.n, table.m, table.field
-    if len(images) != m or any(
-        M.field != field or M.rows != n or M.cols != n for M in images
-    ):
+    if len(shapes) != m or any(s != (field, n, n) for s in shapes):
         raise InputError(f"a witness needs {m} images of shape {n} x {n} over {field}")
-    flat, D = _integral(field, [x for M in images for row in M.entries for x in row])
+
+
+def _witness_problems(table: StructureConstants, flat: Sequence[int], D: int) -> WitnessProblems:
+    """witness_problems of the m n x n images with (1, omega) coordinates flat / D, D > 0.
+
+    flat holds the 1-parts of the images, each flat row-major, then over
+    Q(i) and Q(sqrt(-3)) their omega-parts.  Over Q, P_k is D phi(a_k);
+    over Q(i) and Q(sqrt(-3)), P_k and P_{m+k} are the realified D phi(a_k)
+    and D omega phi(a_k), so sum_k G_ijk P_k runs over the restricted table
+    (G, d).  Each pair checks d P_i P_j = D sum_k G_ijk P_k on packed
+    matrices (see _pair_defects); the images are independent when the P_k
+    have full rank.  Independent images that pass every pair make phi a
+    bijective homomorphism onto M_n(K), so A has the identity phi^-1(I) and
+    phi(1) = I holds: the identity is solved and checked only for dependent images.
+    """
+    n, m, field = table.n, table.m, table.field
     P = [flat[k * n * n:(k + 1) * n * n] for k in range(len(flat) // (n * n))]
     if not field.is_rational:
         t, Z = int(field.has_half_integers), [u + v for u, v in zip(P[:m], P[m:])]
@@ -598,7 +620,7 @@ def witness_problems(table: StructureConstants, images: Sequence[ExactMatrix]) -
     not_injective = len(int_gauss_jordan(P)[1]) < len(P)
     identity_fails = False
     if not pairs and not_injective:
-        E, de = _integral(field, table.find_identity().coords)
+        E, de = table._integral_identity()
         identity_fails = _combination(E, P) != _scaled_eye(size, de * D)
     return WitnessProblems(pairs, identity_fails, not_injective)
 

@@ -33,7 +33,6 @@ from .algebra import (
     StructureConstants,
     _combination,
     _int_dot,
-    _integral,
     _omega_times,
     _pair_defects,
     _realified,
@@ -98,20 +97,19 @@ def _scalar_to_mp(x):
     return mpf(f.numerator) / f.denominator
 
 
-def _min_poly(table: StructureConstants, coords) -> tuple[list, list]:
+def _min_poly(table: StructureConstants, Z: Sequence[int], dz: int) -> tuple[list, list]:
     """Monic minimal polynomial f (ascending, exact) of z, and [(P_t, s_t) for t < deg f].
 
-    On the integral table (G, d) and Z = dz z, z^k = P_k / s_k with P_0 / s_0
-    the identity, P_{k+1} = R_Z P_k and s_{k+1} = s_k dz d, R_Z[r][i] =
-    sum_j Z[j] G[i][j][r]; over Q(i) and Q(sqrt(-3)) these are (1, omega)
-    coordinates on the restriction.  The K-span of the P_t is the Q-span of
+    On the integral table (G, d) and Z = dz z, dz > 0, z^k = P_k / s_k with
+    P_0 / s_0 = E / de the identity, P_{k+1} = R_Z P_k and s_{k+1} = s_k dz d,
+    R_Z[r][i] = sum_j Z[j] G[i][j][r]; over Q(i) and Q(sqrt(-3)) these are
+    (1, omega) coordinates on the restriction.  The K-span of the P_t is the Q-span of
     the P_t and omega P_t, so one elimination of P_0, omega P_0, .., P_n,
     omega P_n gives deg f as their rank over K and P_k in the P_t.
     """
     field, n = table.field, table.n
     G, d = table._integral_gamma()
-    Z, dz = _integral(field, coords)
-    E, de = _integral(field, table.find_identity().coords)
+    E, de = table._integral_identity()
     RZ = list(zip(*(_combination(Z, gi) for gi in G)))
     powers = [(E, de)]
     for _ in range(n):
@@ -178,8 +176,7 @@ def split_numeric(
         gamma = _fixed_gamma(table, mp.prec)
         gap_floor = mpf(2) ** (-(precision_bits // 4))
         for _ in range(_MAX_ATTEMPTS):
-            coords = _random_order_element(order, rng)
-            f, powers = _min_poly(table, coords)
+            f, powers = _min_poly(table, *_random_order_element(order, rng))
             if len(f) - 1 != n or not _is_squarefree(f):
                 # degenerate draw: no evidence about splitness either way
                 continue
@@ -207,15 +204,16 @@ def split_numeric(
     raise PrecisionError("precision insufficient for a stable eigenspace")
 
 
-def _random_order_element(order: Order, rng: random.Random):
-    """sum_j w_j b_j for random weights w_j in [-3, 3], not all zero, on the order's int columns."""
+def _random_order_element(order: Order, rng: random.Random) -> tuple[list[int], int]:
+    """(Z, dz), the _integral of sum_j w_j b_j for random weights w_j in [-3, 3], not all zero."""
     m = order.table.m
     while True:
         weights = [rng.randint(-3, 3) for _ in range(m)]
         if any(weights):
             break
     den, C, _, _ = order._int
-    return lift_coords(order.table.field, [Fraction(x, den) for x in _combination(weights, C[:m])])
+    (Z,), dz = _lowest_terms([_combination(weights, C[:m])], den)
+    return Z, dz
 
 
 def _pick_eigenvalue(f: list, table: StructureConstants, precision_bits: int):
@@ -421,17 +419,16 @@ def _measure_residual(table: StructureConstants, fixed, gamma) -> mpf:
     D = 1 << F
     n = math.isqrt(len(fixed[0][0]))
     field = table.field
-    e = table.find_identity().coords
+    E, de = table._integral_identity()
     if field.is_rational:
         P = [X for X, _ in fixed]
         G, d = table._integral_gamma()
-        E, de = _integral(field, e)
         size, fold = n, 1
     else:
         P = [_realified(X + Y, n, 0) for X, Y in fixed]
         P += [_realified([-y for y in Y] + X, n, 0) for X, Y in fixed]
         G, d = gamma, D
-        E, de = _fixed_omega(*_integral(field, e), field, F), D
+        E, de = _fixed_omega(E, de, field, F), D
         size, fold = 2 * n, 2
     row_defects = _pair_defects(P, G, d, D, size)
     pair_sq = max(

@@ -312,7 +312,6 @@ class Order:
 
     def _set_basis(self, table: StructureConstants, den: int, C: list[list[int]]):
         self.table = table
-        self._mult_table: list[list[tuple]] | None = None
         self._int_table: list[list[list[int]]] | None = None
         self._products: tuple[list, int] | None = None
         self._radicals: dict[int, list[list[int]]] = {}
@@ -354,16 +353,6 @@ class Order:
         den, _, E, d = self._int
         return all(den * _int_dot(row, w) % (d * D) == 0 for w in cols for row in E)
 
-    def multiplication_table(self) -> list[list[tuple]]:
-        """Products of basis pairs in order coordinates; entries are integral."""
-        if self._mult_table is None:
-            N, s = self._product_numerators()
-            m, field = self.table.m, self.table.field
-            self._mult_table = [
-                [lift_coords(field, [Fraction(x, s) for x in v]) for v in row[:m]] for row in N[:m]
-            ]
-        return self._mult_table
-
     def _product_numerators(self) -> tuple[list[list[list[int]]], int]:
         """(N, s) with N[i][j] / s the integer-basis coordinates of c_i c_j.
 
@@ -382,8 +371,8 @@ class Order:
         """Exact closure and unitality violations (empty for a genuine order)."""
         problems = []
         try:
-            e = self.table.find_identity()
-            if not self.contains(e.coords):
+            E, de = self.table._integral_identity()
+            if not self._contains_columns([E], de):
                 problems.append("identity is not in the lattice")
         except Exception as exc:  # NoIdentityError propagates as a message
             problems.append(str(exc))
@@ -480,16 +469,15 @@ def initial_order(table: StructureConstants) -> Order:
     restriction of the O_K-order that ell a_i and e generate.
     """
     field = table.field
-    e = restrict_coords(field, table.find_identity().coords)
+    E, de = table._integral_identity()
     if field.is_rational:
-        rt, gens = table, [e]
+        rt, gens = table, [E]
     else:
-        rt, gens = restricted_table(table), [e, _omega_times(e, int(field.has_half_integers))]
+        rt, gens = restricted_table(table), [E, _omega_times(E, int(field.has_half_integers))]
     m = rt.m
     _, ell = rt._integral_gamma()
-    gens += [[ell if k == i else 0 for k in range(m)] for i in range(m)]
-    ints, den = _integral_rows(gens)
-    return Order._spanned(rt, den, ints)
+    gens += [[de * ell if k == i else 0 for k in range(m)] for i in range(m)]
+    return Order._spanned(rt, de, gens)
 
 
 # Euclidean column reduction over Z[omega]
@@ -1040,8 +1028,7 @@ def restricted_table(table: StructureConstants) -> StructureConstants:
     if table.field.is_rational:
         raise InputError("restriction applies to quadratic fields only")
     G, d = table._integral_gamma()
-    e = restrict_coords(table.field, table.find_identity().coords)
-    return StructureConstants._of_ints(QQ, G, d, e)
+    return StructureConstants._of_ints(QQ, G, d, table._integral_identity())
 
 
 def _restricted_to_k(table: StructureConstants, rest_order: Order) -> Order:

@@ -3,12 +3,12 @@
 Rationals serialize as "p/q" strings (bare "p" when the denominator is 1);
 quadratic scalars as {"a": "p/q", "b": "p/q"} with the field descriptor
 carried once at top level.  Each document is read with one reader, so a
-string that occurs many times in it is parsed once.  Structure constants
-and order bases are read straight into the integer form the exact kernels
-use, (1, omega) coordinates over one common denominator, and written back
-from it; the grammar and the InputErrors are scalar_from_json's.  A small
-structural schema checker validates documents against the schema files
-shipped with the package.
+string that occurs many times in it is parsed once.  Structure constants,
+order bases and a result's element and images are read straight into the
+integer form the exact kernels use, (1, omega) coordinates over one common
+denominator; the grammar and the InputErrors are scalar_from_json's.  A
+small structural schema checker validates documents against the schema
+files shipped with the package.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from operator import itemgetter
 from typing import Any, Sequence
 
 from .algebra import (
-    AlgebraElement,
     StructureConstants,
+    _check_witness_shape,
+    _int_ideal_rank,
     _omega_times,
     _restricted_gamma,
-    ideal_rank,
-    witness_problems,
+    _witness_problems,
 )
 from .errors import InputError, InternalError
 from .exactnum import QQ, ExactMatrix, Field, QuadScalar
@@ -140,11 +140,11 @@ class _Reader:
 
     scalar_from_json accepts a string leaf, and over Q(i) and Q(sqrt(-3))
     an object whose "a" and "b" are strings.  The reader parses those
-    strings with _ratio_from_str into (p, q) pairs.  ``values`` gives the
-    leaves' values in the field, ``coords`` the (1, omega) coordinates of
-    each as such pairs: (p, q) over Q, ((p_u, q_u), (p_v, q_v)) over Q(i)
-    and Q(sqrt(-3)).  Every other leaf goes to scalar_from_json for its
-    InputError.
+    strings with _ratio_from_str into (p, q) pairs; ``coords`` gives the (1,
+    omega) coordinates of scalar_from_json's value of each leaf as such
+    pairs, (p, q) over Q, ((p_u, q_u), (p_v, q_v)) over Q(i) and
+    Q(sqrt(-3)), for _common_ints to clear.  Every other leaf goes to
+    scalar_from_json for its InputError.
     """
 
     def __init__(self, field: Field):
@@ -152,20 +152,12 @@ class _Reader:
         self._ratios = _Memo(_ratio_from_str)
         # keyed on a string leaf, or on the ("a", "b") strings of an object leaf;
         # over Q the coordinates of a leaf are its (p, q)
-        self._values = _Memo(self._value)
         self._coords = self._ratios if field.is_rational else _Memo(self._quad_coords)
 
-    def values(self, leaves: list) -> list:
-        """[scalar_from_json(field, x) for x in leaves]."""
-        return self._read(self._values, leaves)
-
     def coords(self, leaves: list) -> list:
-        return self._read(self._coords, leaves)
-
-    def _read(self, memo: _Memo, leaves: list) -> list:
         if set(map(type, leaves)) == _STRINGS:  # each string leaf is its own key
-            return list(map(memo.__getitem__, leaves))
-        return [memo[self._key(x)] for x in leaves]
+            return list(map(self._coords.__getitem__, leaves))
+        return [self._coords[self._key(x)] for x in leaves]
 
     def _key(self, obj):
         if isinstance(obj, str):
@@ -175,12 +167,6 @@ class _Reader:
             return obj["a"], obj["b"]
         scalar_from_json(self.field, obj)
         raise InternalError(f"scalar_from_json accepted the leaf {_shown(obj)}")
-
-    def _value(self, key):
-        if isinstance(key, str):
-            return self.field.coerce(Fraction(*self._ratios[key]))
-        a, b = self._ratios[key[0]], self._ratios[key[1]]
-        return QuadScalar(self.field.d, Fraction(*a), Fraction(*b))
 
     def _quad_coords(self, key) -> tuple:
         if isinstance(key, str):
@@ -422,17 +408,24 @@ def verify_result_json(obj) -> list[str]:
         raise InputError(f"the left ideal basis must hold {n} vectors of length {table.m}")
     for v in basis:  # checked only: every leaf must parse
         read.coords(v)
-    coords = _typed(obj.get("rank_one_element"), list, "the rank one element")
-    element = AlgebraElement(table, read.values(coords))
-    if ideal_rank(element, n) != 1:
+    field, m = table.field, table.m
+    element = read.coords(_typed(obj.get("rank_one_element"), list, "the rank one element"))
+    if len(element) != m:
+        raise InputError("coordinate length mismatch")
+    if _int_ideal_rank(table, _common_ints(field, [element])[0][0], n) != 1:
         problems.append("claimed element does not have ideal rank one")
-    images = [ExactMatrix(table.field, [read.values(_typed(row, list, "an image row"))
-                                        for row in _typed(M, list, "an image")])
-              for M in _typed(witness.get("images"), list, "the images")]
-    if len(images) != table.m:
+    images = []  # the coords of each image's rows
+    for M in _typed(witness.get("images"), list, "the images"):
+        rows = [read.coords(_typed(row, list, "an image row")) for row in _typed(M, list, "an image")]
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise InputError("ragged matrix rows")
+        images.append(rows)
+    if len(images) != m:
         problems.append("wrong number of image matrices")
         return problems
-    found = witness_problems(table, images)
+    _check_witness_shape(table, [(field, len(M), len(M[0]) if M else 0) for M in images])
+    (flat,), D = _common_ints(field, [[x for M in images for row in M for x in row]])
+    found = _witness_problems(table, flat, D)
     if found.pairs:
         i, j = found.pairs[0]
         problems.append(f"multiplicativity fails at basis pair ({i}, {j})")

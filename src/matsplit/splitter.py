@@ -127,7 +127,7 @@ def split(
         if config.engine != "ordered":
             raise InputError("the box engine is for algebras over Q")
     search = _search_box if config.engine == "box" else _search_minimal_class
-    table.find_identity()
+    table._integral_identity()
     start = time.monotonic()
     disc_trace: list = []
     if order is None:

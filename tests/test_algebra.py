@@ -14,9 +14,11 @@ from matsplit.algebra import (
     AlgebraElement,
     StructureConstants,
     WitnessProblems,
+    _integral,
     build_isomorphism,
     find_identity,
     ideal_rank,
+    lift_coords,
     matrix_units_table,
     multiply,
     trace_gram,
@@ -26,7 +28,7 @@ from matsplit.algebra import (
 from matsplit.errors import InputError, InternalError, NoIdentityError, PromiseViolation
 from matsplit.exactnum import EISENSTEIN, GAUSS, QQ, ExactMatrix, QuadScalar
 from matsplit.fixtures import quaternion_table
-from matsplit.orders import Order, _restricted_to_k, initial_order, maximal_order
+from matsplit.orders import Order, _restricted_to_k, initial_order, maximal_order, restricted_table
 from matsplit.splitter import generate_instance
 
 
@@ -505,6 +507,31 @@ def _witness_oracle(table, images):
     return WitnessProblems(pairs, identity_fails, not_injective)
 
 
+class TestIntegralIdentity:
+    """_integral_identity, the identity's one integer form, against find_identity."""
+
+    @pytest.mark.parametrize("n, field", [(2, "Q"), (3, "Q"), (2, "gauss"), (2, "eisenstein")])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_the_integral_identity_is_the_identity_cleared(self, n, field, seed):
+        # find_identity lifts _integral_identity; over Q(i) and Q(sqrt(-3)) the
+        # restriction is handed the same ints, which it would also solve for itself
+        table = generate_instance(n, FIELDS[field], 10, seed).table
+        tables = [table] if table.field.is_rational else [table, restricted_table(table)]
+        for t in tables:
+            assert t._integral_identity() == _integral(t.field, t.find_identity().coords)
+        if len(tables) == 2:
+            fresh = StructureConstants._of_ints(QQ, *tables[1]._integral_gamma())
+            assert fresh._integral_identity() == table._integral_identity()
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_without_an_identity_both_forms_raise(self, field):
+        # a_i a_j = a_j: left identities only
+        t = StructureConstants(FIELDS[field], [[[int(j == k) for k in range(4)] for j in range(4)]] * 4)
+        for read in (t._integral_identity, t.find_identity):
+            with pytest.raises(NoIdentityError):
+                read()
+
+
 class TestIdentityAndWitnessAgainstOracles:
     @pytest.mark.parametrize(
         "n, field, seed",
@@ -821,13 +848,16 @@ class TestWitnessAgainstSolves:
         gamma = [[[int(i == j == k) for k in range(4)] for j in range(4)] for i in range(4)]
         table = StructureConstants(FIELDS[field], gamma)
         C = table.element([1, 1, 0, 0])
-        checked = []
+        checked, core = [], algebra._witness_problems
 
-        def spy(table, images):
-            checked.append(images)
-            return witness_problems(table, images)
+        def spy(table, flat, D):
+            # the images whose (1, omega) coordinates are flat / D
+            n, x = table.n, lift_coords(table.field, [Fraction(y, D) for y in flat])
+            checked.append([ExactMatrix(table.field, [x[k + r * n:k + (r + 1) * n] for r in range(n)])
+                            for k in range(0, len(x), n * n)])
+            return core(table, flat, D)
 
-        monkeypatch.setattr(algebra, "witness_problems", spy)
+        monkeypatch.setattr(algebra, "_witness_problems", spy)
         with pytest.raises(PromiseViolation, match="not injective"):
             build_isomorphism(table, C)
         assert checked == [_solved_images(table, C)]

@@ -334,13 +334,19 @@ def _powers_by_multiply(table, coords, count):
     return out
 
 
+def _drawn(table, order, rng):
+    """The coordinates of the next _random_order_element draw, as field values."""
+    Z, dz = _random_order_element(order, rng)
+    return lift_coords(table.field, [Fraction(x, dz) for x in Z])
+
+
 def _good_draw(table, order, seed):
     """The first draw that split_numeric would pass to _eigenspace; call it
     at the working precision, as lam comes out at mp.prec bits."""
     rng = random.Random(seed)
     while True:
-        coords = _random_order_element(order, rng)
-        f, powers = _min_poly(table, coords)
+        coords = _drawn(table, order, rng)
+        f, powers = _min_poly(table, *_integral(table.field, coords))
         if len(f) - 1 == table.n and _is_squarefree(f):
             lam, _ = _pick_eigenvalue(f, table, EIGEN_PREC)
             if lam is not None:
@@ -390,11 +396,11 @@ class TestEigenspaceOracle:
         table, order = EIGEN_CASES[case]()
         rng = random.Random(11)
         for draw in range(6):
-            coords = _random_order_element(order, rng)
+            coords = _drawn(table, order, rng)
             if draw == 0:
                 # a scalar multiple of the identity has degree 1
                 coords = tuple(table.field.coerce(3) * x for x in table.find_identity().coords)
-            f, powers = _min_poly(table, coords)
+            f, powers = _min_poly(table, *_integral(table.field, coords))
             rz = _right_regular(table, coords)
             acc = ExactMatrix.zeros(table.field, table.m, table.m)
             power = ExactMatrix.identity(table.field, table.m)
@@ -416,7 +422,7 @@ class TestEigenspaceOracle:
         table, _ = EIGEN_CASES[case]()
         omega = table.field.omega()
         coords = tuple(omega * x for x in table.find_identity().coords)
-        f, powers = _min_poly(table, coords)
+        f, powers = _min_poly(table, *_integral(table.field, coords))
         assert f == [-omega, table.field.one()]
         assert len(powers) == 1
 
@@ -656,7 +662,7 @@ def _min_polys(name, n, seeds, per_seed):
         rng = random.Random(seed)
         found = 0
         while found < per_seed:
-            f, _ = _min_poly(table, _random_order_element(order, rng))
+            f, _ = _min_poly(table, *_random_order_element(order, rng))
             if len(f) - 1 == n and _is_squarefree(f):
                 polys.append(f)
                 found += 1
@@ -771,7 +777,7 @@ class TestIntegerEigenspace:
             rng = random.Random(7)
             checked = 0
             while checked < 3:
-                f, powers = _min_poly(table, _random_order_element(order, rng))
+                f, powers = _min_poly(table, *_random_order_element(order, rng))
                 if len(f) - 1 != table.n or not _is_squarefree(f):
                     continue
                 lam, _ = _pick_eigenvalue(f, table, precision)

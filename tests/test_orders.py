@@ -212,7 +212,8 @@ class TestPRadical:
         rad = p_radical(sub, 2)
         assert len(rad) == 3
         # oracle: the span is a nilpotent ideal of Lambda/2Lambda
-        tab = sub.multiplication_table()
+        N, s = sub._product_numerators()
+        tab = [[[x // s for x in v] for v in row] for row in N]
 
         def mod2(vec):
             return tuple(int(Fraction(x)) % 2 for x in vec)

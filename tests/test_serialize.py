@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matsplit import serialize
-from matsplit.algebra import StructureConstants
+from matsplit import algebra, serialize
+from matsplit.algebra import StructureConstants, WitnessProblems, lift_coords, witness_problems
 from matsplit.errors import InputError
 from matsplit.exactnum import EISENSTEIN, GAUSS, QQ, ExactMatrix, QuadScalar
 from matsplit.lattice import LatticeBasis
@@ -57,9 +57,14 @@ def _outcome(parse, leaf):
 
 
 def _read_one(field):
-    """A reader for one document, taking one leaf at a time."""
+    """A reader for one document, taking one leaf at a time: its coordinates, lifted."""
     reader = _Reader(field)
-    return lambda x: reader.values([x])[0]
+
+    def read(x):
+        (c,) = reader.coords([x])
+        return lift_coords(field, [Fraction(*c)] if field.is_rational else [Fraction(*r) for r in c])[0]
+
+    return read
 
 
 def _assert_reader_agrees(field, leaf):
@@ -537,6 +542,89 @@ def _tampered(doc):
     else:
         M[0][0] = str(Fraction(x) + 1)
     return out
+
+
+class TestVerifyReadsTheWitnessCore:
+    """verify_result_json reads the images as ints and hands them to _witness_problems;
+    it must report what witness_problems reports on the same images as field values."""
+
+    # generate_instance(2, name) split with SplitConfig(seed), and the sign of the
+    # last pivot dp of build_isomorphism's elimination on it
+    CASES = [("Q", 1, -1), ("gauss", 1, 1), ("eisenstein", 2, -1)]
+
+    @pytest.fixture(scope="class")
+    def documents(self):
+        out = {}
+        for name, seed, _ in self.CASES:
+            table = generate_instance(2, name, 10, seed=seed).table
+            result = split(table, SplitConfig(seed=seed))
+            calls = []
+
+            def spy(rows, real=algebra.int_gauss_jordan):
+                calls.append(real(rows))
+                return calls[-1]
+
+            # the first elimination of build_isomorphism is the one dp comes from
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(algebra, "int_gauss_jordan", spy)
+                algebra.build_isomorphism(table, result.rank_one_element)
+            red, pivots = calls[0]
+            dp = red[0][pivots[0]]
+            out[name] = json.loads(json.dumps(result_to_json(result, table))), (dp > 0) - (dp < 0)
+        return out
+
+    @staticmethod
+    def _public(doc):
+        """witness_problems on the images of doc read as field values, or its InputError."""
+        table = algebra_from_json(doc["algebra"])
+        try:
+            images = [ExactMatrix(table.field, [[scalar_from_json(table.field, x) for x in row]
+                                                for row in M]) for M in doc["witness"]["images"]]
+            return witness_problems(table, images)
+        except InputError as exc:
+            return str(exc)
+
+    @staticmethod
+    def _core(doc, monkeypatch):
+        """What _witness_problems returned inside verify_result_json(doc), or its InputError."""
+        seen, core = [], algebra._witness_problems
+        monkeypatch.setattr(serialize, "_witness_problems", lambda *a: seen.append(core(*a)) or seen[-1])
+        try:
+            verify_result_json(doc)
+        except InputError as exc:
+            return str(exc)
+        (found,) = seen
+        return found
+
+    def test_the_cases_have_both_signs_of_the_last_pivot(self, documents):
+        assert [documents[name][1] for name, _, _ in self.CASES] == [s for _, _, s in self.CASES]
+
+    @pytest.mark.parametrize("name", ["Q", "gauss", "eisenstein"])
+    def test_every_entry_plus_a_third(self, documents, name, monkeypatch):
+        doc, _ = documents[name]
+        field = field_from_json(doc["field"])
+        assert self._core(doc, monkeypatch) == self._public(doc) == WitnessProblems((), False, False)
+        shifts = [Fraction(1, 3)] + ([] if field.is_rational else [field.omega() * Fraction(1, 3)])
+        for k, M in enumerate(doc["witness"]["images"]):
+            for r, row in enumerate(M):
+                for c, x in enumerate(row):
+                    for shift in shifts:
+                        bad = copy.deepcopy(doc)
+                        bad["witness"]["images"][k][r][c] = scalar_to_json(scalar_from_json(field, x) + shift)
+                        found = self._core(bad, monkeypatch)
+                        assert found == self._public(bad)
+                        assert found.pairs
+
+    @pytest.mark.parametrize("name", ["Q", "gauss", "eisenstein"])
+    def test_a_ragged_row_and_a_three_by_three_image(self, documents, name, monkeypatch):
+        doc, _ = documents[name]
+        ragged, big = copy.deepcopy(doc), copy.deepcopy(doc)
+        ragged["witness"]["images"][1][0].append("0")
+        big["witness"]["images"][2] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        assert self._core(ragged, monkeypatch) == self._public(ragged) == "ragged matrix rows"
+        message = self._core(big, monkeypatch)
+        assert message == self._public(big)
+        assert message.startswith("a witness needs 4 images of shape 2 x 2")
 
 
 class TestOutputsStay:
