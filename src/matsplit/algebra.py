@@ -509,7 +509,12 @@ def _int_ideal_rank(table: StructureConstants, E: Sequence[int], n: int) -> int:
 
 
 def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> IsomorphismWitness:
-    """Explicit isomorphism A -> M_n(K) from a rank one element C.
+    """Explicit isomorphism A -> M_n(K) from a rank one element C: _build_isomorphism of its _integral."""
+    return _build_isomorphism(table, *_integral(table.field, C.coords))
+
+
+def _build_isomorphism(table: StructureConstants, E: Sequence[int], D: int) -> IsomorphismWitness:
+    """The isomorphism A -> M_n(K) from the rank one element C with (1, omega) coordinates E / D, D > 0.
 
     phi(a_i) is left multiplication by a_i on the left ideal A*C (dimension
     n), checked exactly by _witness_problems on ints before it is lifted to
@@ -525,7 +530,6 @@ def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> Isomorphi
     """
     n, m, field = table.n, table.m, table.field
     G, d = table._integral_gamma()
-    E, D = _integral(field, C.coords)
     h = len(G) // m  # Q-pivots per K-pivot
     order = [q for k in range(m) for q in range(k, len(G), m)]  # a_k, then omega a_k
     cols = [_combination(E, G[q]) for q in order]
@@ -557,7 +561,7 @@ def build_isomorphism(table: StructureConstants, C: AlgebraElement) -> Isomorphi
     return IsomorphismWitness(
         left_ideal_basis=tuple(AlgebraElement(table, x) for x in ideal),
         images=tuple(images),
-        rank_one_element=C,
+        rank_one_element=AlgebraElement(table, lift_coords(field, [Fraction(x, D) for x in E])),
     )
 
 

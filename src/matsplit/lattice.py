@@ -19,6 +19,7 @@ import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .algebra import _integral_rows
@@ -37,7 +38,7 @@ def _lowest_terms(ints: Sequence[Sequence[int]], den: int) -> tuple[list, int]:
 
     The columns ints[j] / den are then in lowest terms, as LatticeBasis._of_ints takes them.
     """
-    g = math.gcd(den, *(x for col in ints for x in col))
+    g = math.gcd(den, *chain.from_iterable(ints))
     if den < 0:
         g = -g
     if g == 1:

@@ -2,8 +2,11 @@
 
 Over Q the saturation works on integer lattices in the a-basis: find the
 radical of Lambda/p Lambda, pass to the left order of the corresponding
-ideal, and when that stalls refine along the minimal two-sided ideals
-of the semisimple quotient.  Over Q(i) and Q(sqrt(-3))
+ideal J, and when that stalls take the left orders of the preimages of the
+simple components of Lambda/J.  Only left orders are taken: a stall makes
+the order hereditary at p, and there the right order of each of these
+ideals enlarges exactly when the left one does (the proof is in
+_minimal_ideal_refinement).  Over Q(i) and Q(sqrt(-3))
 the initial order is built on the rank-2m restriction of scalars, is
 saturated there like a rational order, and comes back to a
 ring-of-integers basis once, by Euclidean column reduction on Z[omega]
@@ -42,6 +45,7 @@ from .errors import (
     PromiseViolation,
 )
 from .exactnum import QQ, ExactMatrix, as_rational, int_inverse, omega_det
+from .lattice import _lowest_terms
 from .quadfield import FieldData, nearest_omega
 
 # ---------------------------------------------------------------------------
@@ -305,9 +309,9 @@ class Order:
     @classmethod
     def _reduced(cls, table: StructureConstants, den: int, C: list[list[int]]) -> "Order":
         """The order with the basis columns C / den, both divided by their common content."""
-        g = math.gcd(den, *(x for c in C for x in c))
+        C, den = _lowest_terms(C, den)
         order = cls.__new__(cls)
-        order._set_basis(table, den // g, [[x // g for x in c] for c in C])
+        order._set_basis(table, den, C)
         return order
 
     def _set_basis(self, table: StructureConstants, den: int, C: list[list[int]]):
@@ -642,8 +646,8 @@ def _ideal_lattice(order: Order, p: int, extra_vectors: list[list[int]]) -> list
     return hnf_columns(gens, m)
 
 
-def _idealizer(order: Order, ideal_cols: list[list[int]], p: int, side: str) -> Order:
-    """O_l(I) or O_r(I) for an ideal p*Lambda <= I <= Lambda, as a new Order."""
+def _idealizer(order: Order, ideal_cols: list[list[int]], p: int) -> Order:
+    """O_l(I) = {x : x I <= I} for an ideal p*Lambda <= I <= Lambda, as a new Order."""
     flat = _flat_constants(_order_int_mult(order))
     m = order.table.m
     # adj = det * I^-1 on order coordinates, so x is in I iff adj x = 0 mod det
@@ -651,8 +655,8 @@ def _idealizer(order: Order, ideal_cols: list[list[int]], p: int, side: str) -> 
     Q = p * det
     stacked = []
     for u in ideal_cols:
-        # the left order needs x u in I, the right order u x in I
-        cols = _mult_columns(flat, u, side)
+        # column i is b_i u: x is in O_l(I) when every x u lies in I
+        cols = [[sum(map(mul, u, col[i * m:(i + 1) * m])) for col in flat] for i in range(m)]
         for row_a in adj:
             stacked.append([_int_dot(row_a, col) % Q for col in cols])
     W = congruence_kernel(stacked, Q, m)
@@ -664,14 +668,6 @@ def _idealizer(order: Order, ideal_cols: list[list[int]], p: int, side: str) -> 
     return new_order
 
 
-def _mult_columns(flat, u: Sequence[int], side: str) -> list[list[int]]:
-    """Columns b_i u (side "left") or u b_i (side "right") of x -> x u or x -> u x."""
-    m = len(u)
-    if side == "left":
-        return [[sum(map(mul, u, col[i * m:(i + 1) * m])) for col in flat] for i in range(m)]
-    return [[sum(map(mul, u, col[i::m])) for col in flat] for i in range(m)]
-
-
 def enlarge_at_p(order: Order, p: int) -> Order:
     """Left order of (p*Lambda + radical preimage); contains the input.
 
@@ -680,24 +676,39 @@ def enlarge_at_p(order: Order, p: int) -> Order:
     """
     rad = p_radical(order, p)
     ideal = _ideal_lattice(order, p, rad)
-    return _idealizer(order, ideal, p, "left")
+    return _idealizer(order, ideal, p)
 
 
 def _minimal_ideal_refinement(order: Order, p: int) -> Order:
-    """Idealizers of the preimages of minimal ideals of the quotient.
+    """The first left order O_l(J_i) > Lambda, J_i the preimage of a simple component of Lambda/J.
 
-    When the radical idealizer stalls on a non-maximal order (the hereditary
-    case), some minimal two-sided ideal of Lambda/I has a strictly larger
-    left or right order; try them all and return the first enlargement.
+    J is the radical ideal p Lambda + rad.  The refinement runs only when
+    O_l(J) = Lambda, so Lambda is hereditary at p, and then O_r(J_i) > Lambda
+    exactly when O_l(J_i) > Lambda (Reiner, Maximal Orders, section 39).
+    Lambda_p is a product of block-triangular orders Lambda_k, one per simple
+    factor of A_p: Lambda_k is the order of a chain L_0 > L_1 > ... >
+    L_{r-1} > pi L_0 = L_r of lattices, the x with x L_t <= L_t for every t,
+    and its radical J_k, the x with x L_t <= L_{t+1} for every t, is
+    invertible.  Lambda_k / J_k has r simple components, one per t, so J_i
+    is in one factor the x of Lambda_k with x L_t <= L_{t+1} for every t but
+    one s, and J_k in every other.  With r = 1 that factor's part is
+    Lambda_k, and O_l(J_i) = O_r(J_i) = Lambda.  With r >= 2, O_l(J_i)
+    contains the order of the chain without L_{s+1}, and O_r(J_i) the order
+    of the chain without L_s, each strictly larger than Lambda_k.  So the
+    right order never needs a try.
+
+    S = Lambda / J is held in the order coordinates off the pivots of the
+    radical's echelon form; its simple components are cut by the primitive
+    idempotents of the Frobenius-fixed centre of S.
     """
-    c = _order_int_mult(order)
     m = order.table.m
     rad = p_radical(order, p)
     ideal = _ideal_lattice(order, p, rad)
-    # semisimple quotient S = (Lambda/p) / radical
-    rad_rows = [list(v) for v in rad]
-    srref, spivots = _fp_rref(rad_rows, p) if rad_rows else ([], [])
+    srref, spivots = _fp_rref(rad, p) if rad else ([], [])
     comp_idx = [i for i in range(m) if i not in spivots]
+    sdim = len(comp_idx)
+    if sdim == 0:
+        return order
 
     def project(vec):
         # reduce mod the radical span, then take complement coordinates
@@ -714,60 +725,40 @@ def _minimal_ideal_refinement(order: Order, p: int) -> Order:
             v[idx] = val % p
         return v
 
-    sdim = len(comp_idx)
-    if sdim == 0:
-        return order
-
-    flat = _flat_constants(c)
+    flat = _flat_constants(_order_int_mult(order))
 
     def smul(a, b):
         return project(_int_mult_vectors(flat, unproject(a), unproject(b)))
 
-    e_ord = order.to_order_coords(order.table.find_identity().coords)
-    e_int = [int(Fraction(x)) % p for x in e_ord]
-    one_s = project(e_int)
+    # the identity den E^-1 e / d in order coordinates is integral: the order holds it
+    den, _, E, d = order._int
+    e, de = order.table._integral_identity()
+    one_s = project([den * _int_dot(row, e) // (d * de) for row in E])
 
     # center of S: kernel of z -> (z b_i - b_i z for all i)
     sbasis = [[1 if i == j else 0 for i in range(sdim)] for j in range(sdim)]
     commut_rows = []
     for bi in sbasis:
-        # map z -> z*b_i - b_i*z is linear in z; build its matrix columns
-        colmat = []
-        for zunit in sbasis:
-            diff = [
-                (x - y) % p for x, y in zip(smul(zunit, bi), smul(bi, zunit))
-            ]
-            colmat.append(diff)
-        for row in range(sdim):
-            commut_rows.append([colmat[zi][row] for zi in range(sdim)])
+        # the columns of the linear map z -> z b_i - b_i z
+        colmat = [[(x - y) % p for x, y in zip(smul(z, bi), smul(bi, z))] for z in sbasis]
+        commut_rows += [list(row) for row in zip(*colmat)]
     z_basis = _fp_kernel(commut_rows, sdim, p)
     if not z_basis:
         return order
     zdim = len(z_basis)
 
-    # fixed points of Frobenius inside the center
-    def s_pow(vec, e):
-        result = one_s
-        base = vec
-        while e:
-            if e & 1:
-                result = smul(result, base)
-            base = smul(base, base)
-            e >>= 1
-        return result
-
+    # fixed points of Frobenius inside the center; project is a ring map, so
+    # the p-th power is taken in Lambda / p
     frob_rows = []
-    z_mat_rows = [[z_basis[t][i] for t in range(zdim)] for i in range(sdim)]
-    for t in range(zdim):
-        img = s_pow(z_basis[t], p)
-        diff = [(a - b) % p for a, b in zip(img, z_basis[t])]
+    z_mat_rows = [list(row) for row in zip(*z_basis)]
+    for z in z_basis:
+        img = project(_int_power_mod(flat, unproject(z), p, p))
+        diff = [(a - b) % p for a, b in zip(img, z)]
         sol = _fp_solve(z_mat_rows, diff, p)
         if sol is None:
             raise InternalError("Frobenius image left the center")
         frob_rows.append(sol)
-    fixed_coef = _fp_kernel(
-        [[frob_rows[t][u] for t in range(zdim)] for u in range(zdim)], zdim, p
-    )
+    fixed_coef = _fp_kernel([list(row) for row in zip(*frob_rows)], zdim, p)
     f_basis = [
         [sum(cf[t] * z_basis[t][i] for t in range(zdim)) % p for i in range(sdim)]
         for cf in fixed_coef
@@ -776,22 +767,23 @@ def _minimal_ideal_refinement(order: Order, p: int) -> Order:
         return order
 
     rng = random.Random(0x5EED ^ p)
-    idempotents = _primitive_idempotents(f_basis, one_s, smul, p, rng, sdim)
-    for e_i in idempotents:
-        # minimal two-sided ideal: e_i * S, lifted on top of the ideal I
-        span = []
-        for b in sbasis:
-            span.append(unproject(smul(e_i, b)))
-        J = hnf_columns([list(v) for v in ideal] + span, m)
-        for side in ("left", "right"):
-            cand = _idealizer(order, J, p, side)
-            if not cand.same_lattice(order):
-                return cand
+    for e_i in _primitive_idempotents(f_basis, one_s, smul, p, rng, sdim):
+        # J_i: the component e_i S, lifted on top of the ideal J
+        J = hnf_columns(ideal + [unproject(smul(e_i, b)) for b in sbasis], m)
+        cand = _idealizer(order, J, p)
+        if not cand.same_lattice(order):
+            return cand
     return order
 
 
 def _primitive_idempotents(f_basis, one_s, smul, p, rng, sdim):
-    """Split the split-semisimple commutative algebra F into its idempotents."""
+    """Split the split-semisimple commutative algebra F into its idempotents.
+
+    A block (basis, ident) splits along an element v whose minimal polynomial
+    has roots lam_1..lam_r, r >= 2: the piece for lam is the kernel of
+    multiplication by v - lam, and its identity the Lagrange product
+    ident prod_{mu != lam} (v - mu) / (lam - mu).
+    """
     blocks = [(f_basis, one_s)]
     done = []
     while blocks:
@@ -800,7 +792,6 @@ def _primitive_idempotents(f_basis, one_s, smul, p, rng, sdim):
             done.append(ident)
             continue
         # find a basis element that is not a scalar multiple of the identity
-        split_done = False
         for v in basis:
             minpoly = _element_min_poly(v, basis, ident, smul, p)
             if len(minpoly) <= 2:
@@ -808,46 +799,27 @@ def _primitive_idempotents(f_basis, one_s, smul, p, rng, sdim):
             roots = _split_roots(minpoly, p, rng)
             if len(roots) < 2:
                 continue
-            row_space = [[basis[t][i] for t in range(len(basis))] for i in range(sdim)]
             pieces = []
             for lam in roots:
                 # kernel of (mult-by-v - lam) restricted to the block
-                rows = []
-                images = []
-                for b in basis:
-                    img = smul(v, b)
-                    images.append([(x - lam * y) % p for x, y in zip(img, b)])
-                for i in range(sdim):
-                    rows.append([images[t][i] for t in range(len(basis))])
-                ker = _fp_kernel(rows, len(basis), p)
-                sub = [
-                    [
-                        sum(cf[t] * basis[t][i] for t in range(len(basis))) % p
-                        for i in range(sdim)
-                    ]
+                images = [[(x - lam * y) % p for x, y in zip(smul(v, b), b)] for b in basis]
+                ker = _fp_kernel([list(row) for row in zip(*images)], len(basis), p)
+                piece = [
+                    [sum(cf[t] * basis[t][i] for t in range(len(basis))) % p for i in range(sdim)]
                     for cf in ker
                 ]
-                pieces.append(sub)
-            # decompose the block identity across the pieces
-            allvecs = [v2 for piece in pieces for v2 in piece]
-            rows = [[allvecs[t][i] for t in range(len(allvecs))] for i in range(sdim)]
-            sol = _fp_solve(rows, ident, p)
-            if sol is None:
-                raise InternalError("identity failed to decompose across eigenblocks")
-            offset = 0
-            for piece in pieces:
-                e_piece = [0] * sdim
-                for t in range(len(piece)):
-                    cf = sol[offset + t]
-                    if cf:
-                        e_piece = [
-                            (a + cf * b) % p for a, b in zip(e_piece, piece[t])
-                        ]
-                offset += len(piece)
-                blocks.append((piece, e_piece))
-            split_done = True
+                e_piece = ident
+                for mu in roots:
+                    if mu != lam:
+                        inv = _fp_inv(lam - mu, p)
+                        shifted = [(a - mu * b) % p for a, b in zip(v, ident)]
+                        e_piece = [x * inv % p for x in smul(e_piece, shifted)]
+                pieces.append((piece, e_piece))
+            if [sum(col) % p for col in zip(*(e for _, e in pieces))] != ident:
+                raise InternalError("the block idempotents do not sum to the block identity")
+            blocks += pieces
             break
-        if not split_done:
+        else:
             # every element acts as a scalar: one-dimensional over F_p in spirit
             done.append(ident)
     return done

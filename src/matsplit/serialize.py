@@ -18,7 +18,6 @@ import math
 import re
 from fractions import Fraction
 from importlib import resources
-from itertools import chain
 from operator import itemgetter
 from typing import Any, Sequence
 
@@ -32,7 +31,7 @@ from .algebra import (
 )
 from .errors import InputError, InternalError
 from .exactnum import QQ, ExactMatrix, Field, QuadScalar
-from .lattice import LatticeBasis
+from .lattice import LatticeBasis, _lowest_terms
 from .orders import Order
 
 
@@ -193,10 +192,7 @@ def _common_ints(field: Field, vectors: Sequence[Sequence[tuple]]) -> tuple[list
         vectors = [[c[0] for c in v] + [c[1] for c in v] for v in vectors]
     den = math.lcm(*set().union(*(map(itemgetter(1), v) for v in vectors)))
     ints = [[p * (den // q) for p, q in v] for v in vectors]
-    g = math.gcd(den, *chain.from_iterable(ints))
-    if g == 1:
-        return ints, den
-    return [[x // g for x in v] for v in ints], den // g
+    return _lowest_terms(ints, den)
 
 
 def _vector_to_json(field: Field, w: Sequence[int], d: int) -> list:

@@ -22,12 +22,11 @@ from .algebra import (
     AlgebraElement,
     IsomorphismWitness,
     StructureConstants,
+    _build_isomorphism,
     _combination,
     _int_ideal_rank,
     _omega_times,
     _restricted_gamma,
-    build_isomorphism,
-    lift_coords,
     matrix_units_table,
 )
 from .embed import _zbasis_columns, embed_order, rationalize, split_numeric
@@ -148,7 +147,7 @@ def split(
     # lift maps enumeration coefficients over the reduced basis to the
     # (1, omega) coordinates of the element they name times D, as ints: the
     # z-basis is Order._int's columns over D = its den, so the vectors feed
-    # _int_ideal_rank directly, and v / D is built only for the answer
+    # _int_ideal_rank and, in lowest terms, _build_isomorphism directly
     Z, D, history = _zbasis_columns(order), order._int[0], reduced.unimodular_history
 
     def lift(coeffs: Sequence[int]) -> list[int]:
@@ -156,11 +155,11 @@ def split(
 
     v, nsq, policy_stats = search(table, reduced, lift, slack, pert)
     v = max(_unit_multiples(field, v))  # C up to units: the greatest coordinates win
-    element = AlgebraElement(table, lift_coords(field, [Fraction(x, D) for x in v]))
-    witness = build_isomorphism(table, element)
+    (v,), D = _lowest_terms([v], D)
+    witness = _build_isomorphism(table, v, D)
     found_norm = math.sqrt(float(nsq))
     return SplitResult(
-        rank_one_element=element,
+        rank_one_element=witness.rank_one_element,
         witness=witness,
         stats=SplitStats(
             engine=config.engine,

@@ -556,6 +556,16 @@ def _restriction(order):
     return Order(restricted_table(table), ExactMatrix.from_columns(QQ, [list(c) for c in cols]))
 
 
+def _right_idealizer(order, ideal, p):
+    """O_r(I) = {x : I x <= I}, as the left idealizer of the same columns in the
+    opposite table gamma_op[i][j][k] = gamma[j][i][k], on the same integer basis."""
+    table = order.table
+    G, d = table._integral_gamma()
+    op = StructureConstants._of_ints(QQ, [list(row) for row in zip(*G)], d, table._integral_identity())
+    den, C, _, _ = order._int
+    return _idealizer(Order._reduced(op, den, C), ideal, p)
+
+
 class TestDiscriminantStopRule:
     @pytest.mark.parametrize(
         "name,table", SATURATION_CORPUS, ids=[n for n, _ in SATURATION_CORPUS]
@@ -569,7 +579,7 @@ class TestDiscriminantStopRule:
         for p in _square_primes(table):
             ideal = _ideal_lattice(order, p, p_radical(order, p))
             assert enlarge_at_p(order, p).same_lattice(order)
-            assert _idealizer(order, ideal, p, "right").same_lattice(order)
+            assert _right_idealizer(order, ideal, p).same_lattice(order)
             assert _minimal_ideal_refinement(order, p).same_lattice(order)
 
     def test_the_corpus_saturates(self):
@@ -648,7 +658,83 @@ class TestRightRadicalIdealizer:
         assert stalls
         for order, p in stalls:
             ideal = _ideal_lattice(order, p, p_radical(order, p))
-            assert _idealizer(order, ideal, p, "right").same_lattice(order)
+            assert _right_idealizer(order, ideal, p).same_lattice(order)
+
+
+# the generated tables whose saturation reaches the minimal-ideal refinement
+# (seed 1014 is a q-split benchmark instance)
+REFINEMENT_SEEDS = (
+    [(2, QQ, s) for s in (5, 36)]
+    + [(2, "gauss", s) for s in (1, 13, 31, 46, 48, 49)]
+    + [(2, "eisenstein", 49)]
+    + [(3, QQ, s) for s in (8, 21, 28, 1014)]
+)
+REFINEMENT_CORPUS = {
+    **RIGHT_IDEALIZER_CORPUS,
+    "refinement": lambda: [generate_instance(n, f, 10, s).table for n, f, s in REFINEMENT_SEEDS],
+}
+
+
+def _spy_refinement(monkeypatch, tables):
+    """maximal_order of each table; returns the (order, J, p, O_l(J)) of every
+    idealizer that _minimal_ideal_refinement takes, and the (arguments, result)
+    of every _primitive_idempotents call."""
+    inside, idealizers, splits = [], [], []
+    refine, idealizer, idempotents = (
+        orders._minimal_ideal_refinement, orders._idealizer, orders._primitive_idempotents
+    )
+
+    def refine_spy(order, p):
+        inside.append(p)
+        try:
+            return refine(order, p)
+        finally:
+            inside.pop()
+
+    def idealizer_spy(order, J, p):
+        got = idealizer(order, J, p)
+        if inside:
+            idealizers.append((order, J, p, got))
+        return got
+
+    def idempotents_spy(*args):
+        got = idempotents(*args)
+        splits.append((args, got))
+        return got
+
+    monkeypatch.setattr(orders, "_minimal_ideal_refinement", refine_spy)
+    monkeypatch.setattr(orders, "_idealizer", idealizer_spy)
+    monkeypatch.setattr(orders, "_primitive_idempotents", idempotents_spy)
+    for table in tables:
+        maximal_order(table)
+    return idealizers, splits
+
+
+class TestMinimalIdealRefinement:
+    @pytest.mark.parametrize("family", sorted(REFINEMENT_CORPUS))
+    def test_the_right_idealizer_of_a_candidate_stalls_with_the_left(self, family, monkeypatch):
+        # the refinement takes only O_l(J_i); its docstring proves that O_r(J_i)
+        # enlarges exactly when O_l(J_i) does, so every candidate it tried
+        # must stall or enlarge on both sides alike
+        idealizers, _ = _spy_refinement(monkeypatch, REFINEMENT_CORPUS[family]())
+        assert idealizers
+        for order, J, p, left in idealizers:
+            assert _right_idealizer(order, J, p).same_lattice(order) == left.same_lattice(order)
+
+    def test_the_idempotents_are_the_primitive_central_ones(self, monkeypatch):
+        # on each quotient S the refinement reaches: orthogonal central
+        # idempotents of S, as many as F has dimensions, summing to 1_S
+        _, splits = _spy_refinement(monkeypatch, REFINEMENT_CORPUS["refinement"]())
+        assert splits
+        for (f_basis, one_s, smul, p, _, sdim), got in splits:
+            units = [[int(i == j) for i in range(sdim)] for j in range(sdim)]
+            assert all(smul(one_s, b) == b == smul(b, one_s) for b in units)
+            assert len(got) == len(f_basis)
+            assert [sum(col) % p for col in zip(*got)] == one_s
+            for s, e in enumerate(got):
+                assert any(e) and all(smul(e, b) == smul(b, e) for b in units)
+                for t, f in enumerate(got):
+                    assert smul(e, f) == (e if s == t else [0] * sdim)
 
 
 # ---------------------------------------------------------------------------
@@ -971,5 +1057,5 @@ class TestIntegerKernelsAgainstOracles:
         # back to a-coordinates: B gens / p
         B = order.basis_matrix
         expected = _hnf([[x / p for x in B.mul_vector(g)] for g in gens], m)
-        got = _idealizer(order, ideal, p, side)
+        got = (_idealizer if side == "left" else _right_idealizer)(order, ideal, p)
         assert _hnf(got.basis_matrix.columns(), m) == expected
