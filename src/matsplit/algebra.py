@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import InputError, InternalError, NoIdentityError, PromiseViolation
-from .exactnum import QQ, ExactMatrix, Field, QuadScalar, int_det, int_gauss_jordan, omega_det
+from .exactnum import QQ, ExactMatrix, Field, QuadScalar, int_det, int_gauss_jordan, int_rank, omega_det
 
 
 class StructureConstants:
@@ -499,7 +499,7 @@ def _int_ideal_rank(table: StructureConstants, E: Sequence[int], n: int) -> int:
     """ideal_rank of the element whose (1, omega) coordinates are E / D for some integer D > 0."""
     G, _ = table._integral_gamma()
     cols = [_combination(E, [gi[j] for gi in G]) for j in range(len(G))]
-    dim = len(int_gauss_jordan(cols)[1]) * table.m // len(G)
+    dim = int_rank(cols) * table.m // len(G)
     if dim % n != 0:
         raise PromiseViolation(
             f"dim(C*A) = {dim} is not divisible by n = {n}; "
@@ -621,7 +621,7 @@ def _witness_problems(table: StructureConstants, flat: Sequence[int], D: int) ->
     K_rows = [gi[:m] for gi in G[:m]]
     row_defects = _pair_defects(P, K_rows, d, D, size)
     pairs = tuple((i, j) for i in range(m) for j, _ in row_defects(i))
-    not_injective = len(int_gauss_jordan(P)[1]) < len(P)
+    not_injective = int_rank(P) < len(P)
     identity_fails = False
     if not pairs and not_injective:
         E, de = table._integral_identity()

@@ -8,11 +8,12 @@ the column space of the spectral projector g(R_z), g = f / (x - lam), up to
 the scalar f'(lam).  Pivoted Gram-Schmidt on g(R_z) gives an orthonormal
 basis W of it and gates its rank, and the images W^H L_i W of left
 multiplication follow, all on Python ints at one fixed-point scale 2^F, F
-the working precision; mpmath only refines the roots of f.  The order
-lattice keeps those ints over one denominator, so its rational
-approximation is rounded exactly.  Soundness never rests on these
-approximations (rank decisions are exact); precision only affects whether
-the search sees the short vectors it needs.
+the working precision.  The roots of f are refined on ints too, 32 bits
+below that scale, from complex-double starting points.  The order lattice
+keeps those ints over one denominator, so its rational approximation is
+rounded exactly.  Soundness never rests on these approximations (rank
+decisions are exact); precision only affects whether the search sees the
+short vectors it needs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Sequence
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import fzero, mpf_shift, to_int
 from mpmath.libmp.libhyper import NoConvergence
 
 from .algebra import (
@@ -46,6 +46,8 @@ from .orders import Order
 
 _MIN_PRECISION = 64
 _MAX_ATTEMPTS = 60
+_GUARD = 32  # bits the root refinement carries below the working precision
+_MAX_SWEEPS = 200
 
 
 @dataclass
@@ -159,7 +161,7 @@ def split_numeric(
     n, a root lam (real over Q) lies 2^(-p/4) or more from the others, the
     rank gate of the Gram-Schmidt on the projector g(R_z) passes at 2^(-p/4)
     and the fixed-point images W^H L_i W have residual at most 2^(-p/2).
-    A draw whose roots the root finder cannot converge on is skipped, like a
+    A draw whose roots _refine_roots cannot converge on is skipped, like a
     degenerate one.
 
     Raises PrecisionError when the working precision cannot separate the
@@ -174,21 +176,21 @@ def split_numeric(
     no_split_count = 0
     with workprec(precision_bits + 32):
         gamma = _fixed_gamma(table, mp.prec)
-        gap_floor = mpf(2) ** (-(precision_bits // 4))
+        gap_floor_sq = 1 << 2 * (mp.prec - precision_bits // 4)  # 2^(-2 (p/4)) at 2^(2F)
         for _ in range(_MAX_ATTEMPTS):
             f, powers = _min_poly(table, *_random_order_element(order, rng))
             if len(f) - 1 != n or not _is_squarefree(f):
                 # degenerate draw: no evidence about splitness either way
                 continue
             try:
-                lam, sep = _pick_eigenvalue(f, table, precision_bits)
+                lam, sep_sq = _pick_eigenvalue(f, table, precision_bits)
             except NoConvergence:
                 # the root finder gave up: no evidence either
                 continue
             if lam is None:
                 no_split_count += 1
                 continue
-            if sep < gap_floor:
+            if sep_sq < gap_floor_sq:
                 continue
             W = _eigenspace(table, f, powers, lam, precision_bits)
             if W is None:
@@ -220,44 +222,129 @@ def _pick_eigenvalue(f: list, table: StructureConstants, precision_bits: int):
     """A well-separated eigenvalue usable for the ideal extraction.
 
     Over Q the eigenvalue must be real; over a quadratic field any simple
-    root works.  mpmath.polyroots refines the roots from _seed_roots.  The
-    root farthest from the others wins.  With tol = 2^(-p/2), ties are
-    broken by an explicit rule, so that rounding noise never decides:
-    separations within tol relative of the largest tie; among those roots
-    the least |Im| wins, |Im| values within tol relative tying; among those
-    the least real part wins.  Returns (root, separation), or (None, 0) when
-    no root is usable.  mpmath's NoConvergence propagates.
+    root works.  _refine_roots gives the roots as (re, im) int pairs at 2^K,
+    K = F + 32, F = mp.prec, and every rule compares them exactly, squared
+    distances in place of distances.  With tol = 2^(-p/2), a root is real
+    over Q when |Im| <= tol (1 + |Re|), and its Im is then taken as 0.  The
+    root farthest from the others wins, and ties are broken by an explicit
+    rule, so that neither rounding noise nor the order of the roots
+    decides: squared separations within 2 tol relative of the largest tie;
+    among those roots the least |Im| wins, |Im| values within tol (1 + |Im|)
+    tying; among those the least real part wins, real parts within
+    tol (1 + |Re|) tying; among those the greatest Im wins, so of a
+    conjugate pair the one with positive Im.  Returns (lam, sep_sq): the
+    root's (re, im) at 2^F, im 0 over Q, and its squared separation at
+    2^(2F); or (None, 0) when no root is usable.  NoConvergence from
+    _refine_roots propagates.
     """
-    coeffs = [_scalar_to_mp(c) for c in reversed(f)]
-    roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=precision_bits,
-                             roots_init=_seed_roots([complex(c) for c in coeffs]))
-    tol = mpf(2) ** (-(precision_bits // 2))
-    if table.field.is_rational:
-        usable = [r for r in roots if abs(mpmath.im(r)) <= tol * (1 + abs(r))]
+    K = mp.prec + _GUARD
+    h, one, is_rational = precision_bits // 2, 1 << K, table.field.is_rational
+    roots = _refine_roots(f, K)
+    if is_rational:
+        roots = [(x, 0) if abs(y) << h <= one + abs(x) else (x, y) for x, y in roots]
+    ranked = [(min(((x - u) ** 2 + (y - v) ** 2 for j, (u, v) in enumerate(roots) if j != i),
+                   default=one * one), x, y)
+              for i, (x, y) in enumerate(roots) if not (is_rational and y)]
+    top = max((s for s, _, _ in ranked), default=0)
+    if not top:
+        return None, 0
+    tied = [(s, x, y) for s, x, y in ranked if s >= top - (top >> (h - 1))]
+    low = min(abs(y) for _, _, y in tied)
+    tied = [(s, x, y) for s, x, y in tied if (abs(y) - low) << h <= one + abs(y)]
+    low = min(x for _, x, _ in tied)
+    tied = [(s, x, y) for s, x, y in tied if (x - low) << h <= one + abs(x)]
+    sep_sq, x, y = max(tied, key=lambda r: r[2])
+    half = 1 << (_GUARD - 1)
+    return ((x + half) >> _GUARD, (y + half) >> _GUARD), sep_sq >> 2 * _GUARD
+
+
+def _refine_roots(f: list, K: int) -> list[tuple[int, int]]:
+    """The roots of the monic f (ascending coefficients) as (re, im) int pairs at 2^K.
+
+    Durand-Kerner (Weierstrass) sweeps on fixed-point ints (Kerner, Numer.
+    Math. 8, 1966): each root z_i in turn moves by f(z_i) / prod_{j != i}
+    (z_i - z_j), every product rounded to 2^K and the quotient once.  The
+    sweeps start from the roots of _seed_roots, converted exactly, or when
+    it gives none from _polygon_start.  A sweep that moves no root by
+    2^(32-K) or more ends the refinement; after 200 sweeps without one, or
+    when two iterates meet, NoConvergence is raised.
+    """
+    one = 1 << K
+    c = [_fixed_scalar(x, K) for x in reversed(f)]
+    seeds = _seed_roots(c, K)
+    if seeds is not None:
+        z = [(_fixed_double(x.real, K), _fixed_double(x.imag, K)) for x in seeds]
     else:
-        usable = roots
-    seps = [min((abs(r - s) for s in roots if s is not r), default=mpf(1)) for r in usable]
-    top = max(seps, default=mpf(0))
-    if top == 0:
-        return None, mpf(0)
-    tied = [(r, s) for r, s in zip(usable, seps) if s >= top * (1 - tol)]
-    low = min(abs(mpmath.im(r)) for r, _ in tied)
-    r, sep = min(((r, s) for r, s in tied if abs(mpmath.im(r)) - low <= tol * abs(mpmath.im(r))),
-                 key=lambda rs: mpmath.re(rs[0]))
-    return (mpmath.re(r) if table.field.is_rational else r), sep
+        z = _polygon_start(c, K)
+    limit = 1 << 2 * _GUARD
+    for _ in range(_MAX_SWEEPS):
+        moved = 0
+        for i, (x, y) in enumerate(z):
+            pr, pi = one, 0
+            for cr, ci in c[1:]:
+                pr, pi = ((pr * x - pi * y) >> K) + cr, ((pr * y + pi * x) >> K) + ci
+            qr, qi = one, 0
+            for j, (u, v) in enumerate(z):
+                if j != i:
+                    u, v = x - u, y - v
+                    qr, qi = (qr * u - qi * v) >> K, (qr * v + qi * u) >> K
+            norm = qr * qr + qi * qi
+            if not norm:
+                raise NoConvergence("two Durand-Kerner iterates met")
+            sr, si = ((pr * qr + pi * qi) << K) // norm, ((pi * qr - pr * qi) << K) // norm
+            z[i] = (x - sr, y - si)
+            moved = max(moved, sr * sr + si * si)
+        if moved < limit:
+            return z
+    raise NoConvergence(f"the roots did not converge in {_MAX_SWEEPS} sweeps")
 
 
-def _seed_roots(coeffs: list) -> list | None:
-    """Starting points for polyroots: complex-double Durand-Kerner roots of
-    the monic polynomial with these descending coefficients.
+def _polygon_start(coeffs: list, K: int) -> list[tuple[int, int]]:
+    """Durand-Kerner starting points on circles from the Newton polygon (Bini,
+    Numer. Algorithms 13, 1996), as (re, im) int pairs at 2^K.
 
-    None when doubles overflow or two iterates meet; polyroots then starts
-    from its own points.
+    coeffs are the descending (re, im) coefficients at 2^K of a monic
+    polynomial.  With l_k the bit length of coefficient a_k of x^k (a
+    zero counted as one unit), each edge of the upper convex hull of the
+    points (k, l_k) from k to k + m carries m starting points of modulus
+    about 2^((l_k - l_(k+m)) / m), the size of m of the roots.  Point j
+    is 2^e (0.4 + 0.9i)^j, so no two coincide.
     """
-    n = len(coeffs) - 1
-    radius = 1 + max(map(abs, coeffs[1:]), default=0)  # Cauchy: every root lies inside
-    z = [radius * (0.4 + 0.9j) ** k for k in range(n)]
+    bits = [max(1, *map(abs, c)).bit_length() for c in reversed(coeffs)]  # l_0 .. l_n
+    hull: list[int] = []
+    for k, b in enumerate(bits):
+        # drop the last vertex while it lies on or under the chord to (k, b)
+        while len(hull) > 1 and (bits[hull[-1]] - bits[hull[-2]]) * (k - hull[-2]) <= (
+                (b - bits[hull[-2]]) * (hull[-1] - hull[-2])):
+            hull.pop()
+        hull.append(k)
+    radii = [max(-(K // 2), (bits[k] - bits[l]) // (l - k))
+             for k, l in zip(hull, hull[1:]) for _ in range(l - k)]
+    z, w = [], (1, 0)
+    for j, e in enumerate(radii):
+        z.append(((w[0] << K + e) // 10**j, (w[1] << K + e) // 10**j))
+        w = (4 * w[0] - 9 * w[1], 9 * w[0] + 4 * w[1])  # times 4 + 9i
+    return z
+
+
+def _fixed_double(x: float, K: int) -> int:
+    """The double x times 2^K, exactly when that is an int, else rounded down."""
+    num, den = x.as_integer_ratio()
+    return (num << K) // den
+
+
+def _seed_roots(coeffs: list, K: int) -> list | None:
+    """Starting points for _refine_roots: complex-double Durand-Kerner roots
+    of the monic polynomial with these descending (re, im) coefficients at 2^K.
+
+    None when doubles overflow or two iterates meet; _refine_roots then
+    starts from its own points.
+    """
+    n, one = len(coeffs) - 1, 1 << K
     try:
+        coeffs = [complex(a / one, b / one) for a, b in coeffs]
+        radius = 1 + max(map(abs, coeffs[1:]), default=0)  # Cauchy: every root lies inside
+        z = [radius * (0.4 + 0.9j) ** k for k in range(n)]
         for _ in range(100):
             moved = 0.0
             for i, x in enumerate(z):
@@ -296,7 +383,7 @@ def _eigenspace(table: StructureConstants, f: list, powers: list, lam, precision
     n, m = len(f) - 1, table.m
     field = table.field
     G, d = table._integral_gamma()
-    (lr,), (li,) = _fixed_parts([lam], F)
+    lr, li = lam
     c = [(1 << F, 0)]
     for k in range(n - 1, 0, -1):
         (ar, ai), (cr, ci) = _fixed_scalar(f[k], F), c[-1]
@@ -441,17 +528,6 @@ def _measure_residual(table: StructureConstants, fixed, gamma) -> mpf:
         Fraction(identity_sq, fold * (de * D) ** 2),
     )
     return mpmath.sqrt(mpf(worst.numerator) / worst.denominator)
-
-
-def _fixed(x: tuple, F: int) -> int:
-    """The mpf value x (as its raw tuple) times 2^F, rounded to the nearest int."""
-    return to_int(mpf_shift(x, F), "n")
-
-
-def _fixed_parts(values, F: int) -> tuple[list, list]:
-    """Real and imaginary parts of mpf or mpc values at scale 2^F, as two lists."""
-    parts = [v._mpc_ if isinstance(v, mpc) else (v._mpf_, fzero) for v in values]
-    return [_fixed(x, F) for x, _ in parts], [_fixed(y, F) for _, y in parts]
 
 
 def _fixed_scalar(x, F: int) -> tuple[int, int]:

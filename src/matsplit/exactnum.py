@@ -2,9 +2,10 @@
 
 Scalars are ``fractions.Fraction`` over Q, or :class:`QuadScalar` values
 a + b*sqrt(-d) with rational a, b over Q(sqrt(-d)); every operation is exact.
-The split pipeline eliminates fraction-free on integers: ``int_gauss_jordan``
-and ``int_inverse`` over Z, ``omega_det`` over Z[omega] for determinants over
-Q(i) and Q(sqrt(-3)).  ``ExactMatrix`` elimination serves the public API.
+The split pipeline eliminates fraction-free on integers: ``int_gauss_jordan``,
+``int_rank`` and ``int_inverse`` over Z, ``omega_det`` over Z[omega] for
+determinants over Q(i) and Q(sqrt(-3)).  ``ExactMatrix`` elimination serves
+the public API.
 """
 
 from __future__ import annotations
@@ -481,6 +482,31 @@ def int_gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], li
         prev = d
         pivots.append(c)
     return a, pivots
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) forward elimination.
+
+    Each step takes the first remaining row with a nonzero entry in the
+    current column as pivot p, drops it, and replaces every entry x of the
+    other remaining rows by (p x - f y) / q, f the row's entry in that
+    column, y the entry above x in p's row and q the previous pivot.  Every
+    entry stays a minor of the input (Bareiss, Math. Comp. 22, 1968), so
+    each division is exact.  Nothing above a pivot is eliminated: the rank
+    is the number of pivots.
+    """
+    a = [list(r) for r in rows]
+    rank, prev = 0, 1
+    while a and a[0]:
+        piv = next((i for i, row in enumerate(a) if row[0]), None)
+        if piv is None:
+            a = [row[1:] for row in a]
+            continue
+        top = a.pop(piv)
+        p, rest = top[0], top[1:]
+        a = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], rest)] for row in a]
+        rank, prev = rank + 1, p
+    return rank
 
 
 def int_forward(rows: Sequence[Sequence[int]]) -> list[list[int]] | None:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .algebra import _integral_rows
 from .errors import EnumerationBudgetError, InputError, InternalError
-from .exactnum import int_det, int_forward, int_gauss_jordan, int_inverse
+from .exactnum import int_det, int_forward, int_inverse, int_rank
 
 Vec = tuple[Fraction, ...]
 
@@ -624,7 +624,7 @@ def min_norm_by_matrix_rank(
     for coeffs, nsq in vecs:
         kron_coeffs = [sum(map(operator.mul, h, coeffs)) for h in hist]
         rows = [kron_coeffs[i * M.rank : (i + 1) * M.rank] for i in range(L.rank)]
-        r = len(int_gauss_jordan(rows)[1])
+        r = int_rank(rows)
         if r == 0:
             continue
         if r not in by_rank or nsq < by_rank[r]:

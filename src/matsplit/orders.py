@@ -343,11 +343,6 @@ class Order:
         lifted = [lift_coords(self.table.field, [Fraction(x, den) for x in c]) for c in C]
         return [AlgebraElement(self.table, x) for x in lifted]
 
-    def to_order_coords(self, coords: Sequence) -> tuple:
-        den, _, E, d = self._int
-        w, D = _integral(self.table.field, coords)
-        return lift_coords(self.table.field, [Fraction(den * _int_dot(row, w), d * D) for row in E])
-
     def contains(self, coords: Sequence) -> bool:
         w, D = _integral(self.table.field, coords)
         return self._contains_columns([w], D)

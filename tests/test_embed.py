@@ -13,6 +13,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from mpmath.libmp import fzero, mpf_shift, to_int
+from mpmath.libmp.libhyper import NoConvergence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_algebra import left_regular
@@ -28,10 +30,8 @@ from matsplit.algebra import (
 from matsplit.embed import (
     EmbeddedLattice,
     _eigenspace,
-    _fixed,
     _fixed_gamma,
     _fixed_omega,
-    _fixed_parts,
     _fixed_scalar,
     _images,
     _is_squarefree,
@@ -39,6 +39,7 @@ from matsplit.embed import (
     _min_poly,
     _pick_eigenvalue,
     _random_order_element,
+    _refine_roots,
     _scalar_to_mp,
     embed_order,
     embedding_from_images,
@@ -68,6 +69,17 @@ def standard_images(field, n):
                 )
             )
     return units
+
+
+def _fixed(x: tuple, F: int) -> int:
+    """The mpf value x (as its raw tuple) times 2^F, rounded to the nearest int."""
+    return to_int(mpf_shift(x, F), "n")
+
+
+def _fixed_parts(values, F: int) -> tuple[list, list]:
+    """Real and imaginary parts of mpf or mpc values at scale 2^F, as two lists."""
+    parts = [v._mpc_ if isinstance(v, mpmath.mpc) else (v._mpf_, fzero) for v in values]
+    return [_fixed(x, F) for x, _ in parts], [_fixed(y, F) for _, y in parts]
 
 
 def dot_products(lat):
@@ -340,9 +352,16 @@ def _drawn(table, order, rng):
     return lift_coords(table.field, [Fraction(x, dz) for x in Z])
 
 
+def _lam_value(table, lam):
+    """The (re, im) ints at 2^F of _pick_eigenvalue as an mpf over Q, an mpc otherwise."""
+    D = mpmath.mpf(2) ** mpmath.mp.prec
+    re, im = lam
+    return re / D if table.field.is_rational else mpmath.mpc(re / D, im / D)
+
+
 def _good_draw(table, order, seed):
     """The first draw that split_numeric would pass to _eigenspace; call it
-    at the working precision, as lam comes out at mp.prec bits."""
+    at the working precision, as lam comes out at 2^F, F = mp.prec."""
     rng = random.Random(seed)
     while True:
         coords = _drawn(table, order, rng)
@@ -435,7 +454,7 @@ class TestEigenspaceOracle:
             W = _mp_columns(table, _eigenspace(table, f, powers, lam, EIGEN_PREC))
             A = _mp_matrix(_right_regular(table, coords))
             for i in range(m):
-                A[i, i] -= lam
+                A[i, i] -= _lam_value(table, lam)
             if table.field.is_rational:
                 _, _, V = mpmath.svd_r(A, full_matrices=True)
             else:
@@ -453,7 +472,7 @@ class TestEigenspaceOracle:
             coords, f, powers, lam = _good_draw(table, order, 4)
             W = _mp_columns(table, _eigenspace(table, f, powers, lam, EIGEN_PREC))
             rz = _mp_matrix(_right_regular(table, coords))
-            assert _max_abs(rz * W - W * lam) <= mpmath.mpf(2) ** -(EIGEN_PREC // 2)
+            assert _max_abs(rz * W - W * _lam_value(table, lam)) <= mpmath.mpf(2) ** -(EIGEN_PREC // 2)
 
     @pytest.mark.parametrize("case", sorted(EIGEN_CASES))
     def test_rank_gate_rejects_a_shifted_eigenvalue(self, case):
@@ -461,7 +480,7 @@ class TestEigenspaceOracle:
         with mpmath.workprec(EIGEN_PREC + 32):
             _, f, powers, lam = _good_draw(table, order, 5)
             assert _eigenspace(table, f, powers, lam, EIGEN_PREC) is not None
-            shifted = lam + mpmath.mpf(2) ** -(EIGEN_PREC // 8)
+            shifted = (lam[0] + (1 << mpmath.mp.prec - EIGEN_PREC // 8), lam[1])
             assert _eigenspace(table, f, powers, shifted, EIGEN_PREC) is None
 
     @pytest.mark.parametrize("case", sorted(EIGEN_CASES))
@@ -683,41 +702,87 @@ def _root_polys():
     )
 
 
+def _fixed_coeffs(f, K):
+    """The descending (re, im) coefficients of f at 2^K, as _refine_roots hands them to _seed_roots."""
+    return [_fixed_scalar(c, K) for c in reversed(f)]
+
+
+def _matched(got, want):
+    """The largest distance of a one-to-one nearest-root matching of got to want, or None."""
+    nearest = [min(range(len(want)), key=lambda k: abs(r - want[k])) for r in got]
+    if sorted(nearest) != list(range(len(want))):
+        return None
+    return max((abs(r - want[k]) for r, k in zip(got, nearest)), default=mpmath.mpf(0))
+
+
+def _as_mpc(roots, K):
+    D = mpmath.mpf(2) ** K
+    return [mpmath.mpc(x / D, y / D) for x, y in roots]
+
+
 class TestSeededRoots:
-    """polyroots from the complex-double Durand-Kerner seeds against polyroots from its own start."""
+    """_refine_roots from the complex-double Durand-Kerner seeds and from its own start,
+    against mpmath.polyroots as an oracle."""
 
     def test_the_corpus_holds_at_least_200_polynomials(self):
         assert len(_root_polys()) >= 200
 
     @pytest.mark.parametrize("precision", [128, 256])
-    def test_seeded_roots_equal_unseeded_roots(self, precision):
-        with mpmath.workprec(precision + 32):
-            F = mpmath.mp.prec
-            for f in _root_polys():
-                coeffs = [_scalar_to_mp(c) for c in reversed(f)]
-                seeds = embed._seed_roots([complex(c) for c in coeffs])
-                assert seeds is not None
-                seeded = mpmath.polyroots(coeffs, maxsteps=200, extraprec=precision, roots_init=seeds)
-                plain = mpmath.polyroots(coeffs, maxsteps=200, extraprec=precision)
-                for r in seeded:
-                    assert min(abs(r - s) for s in plain) <= mpmath.mpf(2) ** -(F - 8) * abs(r)
-                # cleanup makes real roots exactly real, and they sort by value
-                assert [r for r in seeded if mpmath.im(r) == 0] == pytest.approx(
-                    [r for r in plain if mpmath.im(r) == 0], rel=2.0**-50)
-                assert len([r for r in seeded if mpmath.im(r) == 0]) == len(
-                    [r for r in plain if mpmath.im(r) == 0])
+    def test_seeded_roots_equal_unseeded_roots(self, precision, monkeypatch):
+        K = precision + 64
+        seeded = []
+        for f in _root_polys():
+            assert embed._seed_roots(_fixed_coeffs(f, K), K) is not None
+            seeded.append(_refine_roots(f, K))
+        monkeypatch.setattr(embed, "_seed_roots", lambda *a: None)
+        with mpmath.workprec(K):
+            for f, roots in zip(_root_polys(), seeded):
+                # both starts converge to the same roots, up to rounding noise at 2^-K
+                dist = _matched(_as_mpc(roots, K), _as_mpc(_refine_roots(f, K), K))
+                assert dist is not None and dist <= mpmath.mpf(2) ** -(K - 8)
+
+    @pytest.mark.parametrize("precision", [128, 512, 2048])
+    def test_refined_roots_match_polyroots(self, precision):
+        F = precision + 32
+        K = F + embed._GUARD
+        for f in _root_polys():
+            got = _refine_roots(f, K)
+            assert len(got) == len(f) - 1
+            with mpmath.workprec(F + 64):
+                want = mpmath.polyroots([_scalar_to_mp(c) for c in reversed(f)], maxsteps=200, extraprec=64)
+                dist = _matched(_as_mpc(got, K), want)
+                assert dist is not None and dist <= mpmath.mpf(2) ** -(F - 4)
+
+    def test_coefficients_beyond_the_double_range_converge(self):
+        # (x - 2^1100)(x - 3)(x + 5): its coefficients have no double value
+        big = 2**1100
+        f = [Fraction(15 * big), Fraction(-15 - 2 * big), Fraction(2 - big), Fraction(1)]
+        F = 160
+        K = F + embed._GUARD
+        assert embed._seed_roots(_fixed_coeffs(f, K), K) is None
+        got = sorted(_refine_roots(f, K))
+        want = [(-5 << K, 0), (3 << K, 0), (big << K, 0)]
+        for (x, y), (u, v) in zip(got, want):
+            assert abs(x - u) <= 1 << (K - F + 4) and abs(y - v) <= 1 << (K - F + 4)
 
     def test_overflowing_doubles_give_no_seed(self):
-        assert embed._seed_roots([1, 0, complex(1e300) * 1e300]) is None
+        K = 192
+        assert embed._seed_roots([(1 << K, 0), (0, 0), (10**400 << K, 0)], K) is None
 
     def test_a_failed_root_finder_is_not_evidence_of_non_splitness(self, monkeypatch):
         def give_up(*args, **kwargs):
-            raise mpmath.libmp.libhyper.NoConvergence("no convergence")
+            raise NoConvergence("no convergence")
 
-        monkeypatch.setattr(mpmath, "polyroots", give_up)
+        monkeypatch.setattr(embed, "_refine_roots", give_up)
         t = matrix_units_table(2)
         with pytest.raises(PrecisionError):
             split_numeric(t, maximal_order(t), 128, seed=1)
+
+
+def _reordered(monkeypatch, reverse):
+    """Make _refine_roots list the roots by real part, then imaginary part, in either direction."""
+    refine = embed._refine_roots
+    monkeypatch.setattr(embed, "_refine_roots", lambda *a: sorted(refine(*a), reverse=reverse))
 
 
 class TestEigenvalueChoice:
@@ -728,27 +793,42 @@ class TestEigenvalueChoice:
         field = Field(3)
         t = matrix_units_table(2, field)
         f = [QuadScalar(3, 36, -52), field.coerce(8), field.one()]
-        polyroots = mpmath.polyroots
         with mpmath.workprec(160):
             lam, _ = _pick_eigenvalue(f, t, 128)
-            assert mpmath.re(lam) < -4
+            assert lam[0] < -4 << 160
             for reverse in (False, True):
-                # whatever order polyroots returns the roots in
-                monkeypatch.setattr(mpmath, "polyroots", lambda *a, **k: sorted(
-                    polyroots(*a, **k), key=lambda r: mpmath.re(r), reverse=reverse))
+                # whatever order the refiner returns the roots in
+                _reordered(monkeypatch, reverse)
                 assert _pick_eigenvalue(f, t, 128)[0] == lam
 
     def test_equally_separated_real_roots_take_the_least(self, monkeypatch):
         # (x - 1)(x - 2)(x - 3): every root is 1 from its nearest neighbour
         f = [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]
-        polyroots = mpmath.polyroots
         with mpmath.workprec(160):
             for reverse in (False, True):
-                monkeypatch.setattr(mpmath, "polyroots", lambda *a, **k: sorted(
-                    polyroots(*a, **k), key=lambda r: mpmath.re(r), reverse=reverse))
-                lam, sep = _pick_eigenvalue(f, matrix_units_table(3), 128)
-                assert abs(lam - 1) < mpmath.mpf(2) ** -100
-                assert abs(sep - 1) < mpmath.mpf(2) ** -100
+                _reordered(monkeypatch, reverse)
+                (re, im), sep_sq = _pick_eigenvalue(f, matrix_units_table(3), 128)
+                assert abs(re - (1 << 160)) < 1 << 60 and im == 0
+                assert abs(sep_sq - (1 << 320)) < 1 << 220
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("coeffs", [(1, 0), (5, -2), (7, 3)], ids=["x2+1", "x2-2x+5", "x2+3x+7"])
+    def test_a_conjugate_pair_takes_the_positive_imaginary_part(self, monkeypatch, d, coeffs):
+        # x^2 + b x + c with rational b, c and no real root: the roots a +- bi tie
+        # in separation, in |Im| and in Re
+        field = Field(d)
+        t = matrix_units_table(2, field)
+        c, b = coeffs
+        f = [field.coerce(c), field.coerce(b), field.one()]
+        with mpmath.workprec(160):
+            picks = set()
+            for reverse in (False, True):
+                _reordered(monkeypatch, reverse)
+                picks.add(_pick_eigenvalue(f, t, 128)[0])
+            (lam,) = picks
+            root = (-b + mpmath.sqrt(b * b - 4 * c)) / 2
+            assert lam[1] > 0
+            assert abs(mpmath.mpc(lam[0], lam[1]) / 2**160 - root) < mpmath.mpf(2) ** -150
 
 
 def _mp_projector_columns(table, f, powers, lam):
@@ -784,7 +864,7 @@ class TestIntegerEigenspace:
                 if lam is None:
                     continue
                 W = _mp_columns(table, _eigenspace(table, f, powers, lam, precision))
-                for col in _mp_projector_columns(table, f, powers, lam):
+                for col in _mp_projector_columns(table, f, powers, _lam_value(table, lam)):
                     g = mpmath.matrix(col)
                     rest = g - W * (W.transpose_conj() * g)
                     assert mpmath.mnorm(rest, "f") <= mpmath.mpf(2) ** -(precision // 2) * (

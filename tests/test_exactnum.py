@@ -16,6 +16,7 @@ from matsplit.exactnum import (
     QuadScalar,
     int_det,
     int_gauss_jordan,
+    int_rank,
     omega_det,
 )
 from matsplit.fixtures import d5_matrix
@@ -201,6 +202,46 @@ class TestMatrixOps:
         for i, row in enumerate(red):
             assert row[:k] == [d if j == i else 0 for j in range(k)]
             assert row[k:] == [d * x for x in inv.row(i)]
+
+
+@st.composite
+def int_matrices(draw):
+    """An integer matrix of 0-7 rows and 1-6 columns, entries small or above 2^200,
+    with rows that are combinations of others and zero rows mixed in on request."""
+    cols = draw(st.integers(min_value=1, max_value=6))
+    bound = draw(st.sampled_from([4, 2**210]))
+    entry = st.integers(min_value=-bound, max_value=bound)
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=5))
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if rows else 0):
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.insert(draw(st.integers(0, len(rows))), [a * x + b * y for x, y in zip(u, v)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
+    return rows
+
+
+class TestIntRank:
+    """int_rank against sympy's Matrix.rank."""
+
+    BIG = 2**201 + 7
+
+    @pytest.mark.parametrize("rows", [
+        [[2, 4], [1, 3]],  # square, full rank
+        [[1, 2, 3], [2, 4, 6], [0, 0, 0]],  # square, rank one, a zero row
+        [[0, 0, 5, 1], [0, 3, 1, 2]],  # wide, leading zero column
+        [[1, BIG], [BIG, 1], [2, 2 * BIG], [0, 0]],  # tall, rank two, entries above 2^200
+        [[BIG, BIG + 1, 3], [2 * BIG, 2 * BIG + 2, 6], [BIG, -BIG, 0]],  # rank two above 2^200
+        [[0, 0], [0, 0]],  # zero
+        [],
+    ], ids=["square", "rank-one", "wide", "tall", "big-deficient", "zero", "empty"])
+    def test_cases(self, rows):
+        assert int_rank(rows) == sympy.Matrix(rows).rank()
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrices())
+    def test_matches_sympy(self, rows):
+        assert int_rank(rows) == sympy.Matrix(rows).rank() == len(int_gauss_jordan(rows)[1])
 
 
 X = sympy.symbols("x")

@@ -932,7 +932,6 @@ class TestIntegerKernelsAgainstOracles:
         inv = order.basis_matrix.inverse()
         for _ in range(5):
             v = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(order.table.m)]
-            assert order.to_order_coords(v) == inv.mul_vector(v)
             assert order.contains(v) == all(x.denominator == 1 for x in inv.mul_vector(v))
 
     def test_non_integral_product_raises(self, m2):
