@@ -9,11 +9,11 @@ the scalar f'(lam).  Pivoted Gram-Schmidt on g(R_z) gives an orthonormal
 basis W of it and gates its rank, and the images W^H L_i W of left
 multiplication follow, all on Python ints at one fixed-point scale 2^F, F
 the working precision.  The roots of f are refined on ints too, 32 bits
-below that scale, from complex-double starting points.  The order lattice
-keeps those ints over one denominator, so its rational approximation is
-rounded exactly.  Soundness never rests on these approximations (rank
-decisions are exact); precision only affects whether the search sees the
-short vectors it needs.
+below that scale, from points on the circles of f's Newton polygon.  The
+order lattice keeps those ints over one denominator, so its rational
+approximation is rounded exactly.  Soundness never rests on these
+approximations (rank decisions are exact); precision only affects whether
+the search sees the short vectors it needs.
 """
 
 from __future__ import annotations
@@ -264,18 +264,13 @@ def _refine_roots(f: list, K: int) -> list[tuple[int, int]]:
     Durand-Kerner (Weierstrass) sweeps on fixed-point ints (Kerner, Numer.
     Math. 8, 1966): each root z_i in turn moves by f(z_i) / prod_{j != i}
     (z_i - z_j), every product rounded to 2^K and the quotient once.  The
-    sweeps start from the roots of _seed_roots, converted exactly, or when
-    it gives none from _polygon_start.  A sweep that moves no root by
+    sweeps start from _polygon_start.  A sweep that moves no root by
     2^(32-K) or more ends the refinement; after 200 sweeps without one, or
     when two iterates meet, NoConvergence is raised.
     """
     one = 1 << K
     c = [_fixed_scalar(x, K) for x in reversed(f)]
-    seeds = _seed_roots(c, K)
-    if seeds is not None:
-        z = [(_fixed_double(x.real, K), _fixed_double(x.imag, K)) for x in seeds]
-    else:
-        z = _polygon_start(c, K)
+    z = _polygon_start(c, K)
     limit = 1 << 2 * _GUARD
     for _ in range(_MAX_SWEEPS):
         moved = 0
@@ -325,43 +320,6 @@ def _polygon_start(coeffs: list, K: int) -> list[tuple[int, int]]:
         z.append(((w[0] << K + e) // 10**j, (w[1] << K + e) // 10**j))
         w = (4 * w[0] - 9 * w[1], 9 * w[0] + 4 * w[1])  # times 4 + 9i
     return z
-
-
-def _fixed_double(x: float, K: int) -> int:
-    """The double x times 2^K, exactly when that is an int, else rounded down."""
-    num, den = x.as_integer_ratio()
-    return (num << K) // den
-
-
-def _seed_roots(coeffs: list, K: int) -> list | None:
-    """Starting points for _refine_roots: complex-double Durand-Kerner roots
-    of the monic polynomial with these descending (re, im) coefficients at 2^K.
-
-    None when doubles overflow or two iterates meet; _refine_roots then
-    starts from its own points.
-    """
-    n, one = len(coeffs) - 1, 1 << K
-    try:
-        coeffs = [complex(a / one, b / one) for a, b in coeffs]
-        radius = 1 + max(map(abs, coeffs[1:]), default=0)  # Cauchy: every root lies inside
-        z = [radius * (0.4 + 0.9j) ** k for k in range(n)]
-        for _ in range(100):
-            moved = 0.0
-            for i, x in enumerate(z):
-                num, den = 0j, 1 + 0j
-                for c in coeffs:
-                    num = num * x + c
-                for j, y in enumerate(z):
-                    if j != i:
-                        den *= x - y
-                step = num / den
-                z[i] = x - step
-                moved = max(moved, abs(step))
-            if moved <= 2.0**-50 * radius:
-                break
-    except ArithmeticError:
-        return None
-    return z if all(math.isfinite(abs(x)) for x in z) else None
 
 
 def _eigenspace(table: StructureConstants, f: list, powers: list, lam, precision_bits: int):

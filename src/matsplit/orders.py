@@ -182,92 +182,6 @@ def _fp_solve(rows: list[list[int]], rhs: list[int], p: int):
     return x
 
 
-# polynomial arithmetic mod p (ascending coefficients)
-
-
-def _poly_trim(f: list[int]) -> list[int]:
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_divmod(f: list[int], g: list[int], p: int):
-    f = [x % p for x in f]
-    g = [x % p for x in g]
-    _poly_trim(g)
-    if g == [0]:
-        raise ZeroDivisionError
-    inv = _fp_inv(g[-1], p)
-    q = [0] * max(1, len(f) - len(g) + 1)
-    r = list(f)
-    while len(_poly_trim(r)) >= len(g) and any(r):
-        shift = len(r) - len(g)
-        c = (r[-1] * inv) % p
-        q[shift] = c
-        for i, gc in enumerate(g):
-            r[shift + i] = (r[shift + i] - c * gc) % p
-        _poly_trim(r)
-    return _poly_trim(q), _poly_trim(r)
-
-
-def _poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    f, g = _poly_trim([x % p for x in f]), _poly_trim([x % p for x in g])
-    while any(g):
-        f, g = g, _poly_divmod(f, g, p)[1]
-    if any(f):
-        inv = _fp_inv(f[-1], p)
-        f = [(x * inv) % p for x in f]
-    return f
-
-
-def _poly_mulmod(f, g, h, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _poly_divmod(out, h, p)[1]
-
-
-def _poly_powmod(base, e, h, p):
-    result = [1]
-    base = _poly_divmod(base, h, p)[1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, h, p)
-        base = _poly_mulmod(base, base, h, p)
-        e >>= 1
-    return result
-
-
-def _split_roots(f: list[int], p: int, rng: random.Random) -> list[int]:
-    """Roots of a squarefree monic polynomial that splits completely mod p."""
-    f = _poly_trim([x % p for x in f])
-    if len(f) == 1:
-        return []
-    if len(f) == 2:
-        # x + c -> root -c / lead
-        return [(-f[0] * _fp_inv(f[1], p)) % p]
-    if p <= 29:
-        return [a for a in range(p) if _poly_eval(f, a, p) == 0]
-    # random shift splitting with (x+a)^((p-1)/2) - 1
-    while True:
-        a = rng.randrange(p)
-        probe = _poly_powmod([a, 1], (p - 1) // 2, f, p)
-        probe = _poly_trim([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(probe)] or [0])
-        g = _poly_gcd(f, probe, p)
-        if 1 < len(g) < len(f):
-            h = _poly_divmod(f, g, p)[0]
-            return _split_roots(g, p, rng) + _split_roots(h, p, rng)
-
-
-def _poly_eval(f: list[int], a: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * a + c) % p
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # the Order type
 # ---------------------------------------------------------------------------
@@ -693,8 +607,9 @@ def _minimal_ideal_refinement(order: Order, p: int) -> Order:
     right order never needs a try.
 
     S = Lambda / J is held in the order coordinates off the pivots of the
-    radical's echelon form; its simple components are cut by the primitive
-    idempotents of the Frobenius-fixed centre of S.
+    radical's echelon form.  Its simple components are cut by the primitive
+    idempotents of its Frobenius-fixed centre F, found by powering in S,
+    and the J_i are tried in the order _primitive_idempotents gives them.
     """
     m = order.table.m
     rad = p_radical(order, p)
@@ -738,8 +653,6 @@ def _minimal_ideal_refinement(order: Order, p: int) -> Order:
         colmat = [[(x - y) % p for x, y in zip(smul(z, bi), smul(bi, z))] for z in sbasis]
         commut_rows += [list(row) for row in zip(*colmat)]
     z_basis = _fp_kernel(commut_rows, sdim, p)
-    if not z_basis:
-        return order
     zdim = len(z_basis)
 
     # fixed points of Frobenius inside the center; project is a ring map, so
@@ -758,11 +671,9 @@ def _minimal_ideal_refinement(order: Order, p: int) -> Order:
         [sum(cf[t] * z_basis[t][i] for t in range(zdim)) % p for i in range(sdim)]
         for cf in fixed_coef
     ]
-    if not f_basis:
-        return order
 
     rng = random.Random(0x5EED ^ p)
-    for e_i in _primitive_idempotents(f_basis, one_s, smul, p, rng, sdim):
+    for e_i in _primitive_idempotents(f_basis, one_s, smul, p, rng):
         # J_i: the component e_i S, lifted on top of the ideal J
         J = hnf_columns(ideal + [unproject(smul(e_i, b)) for b in sbasis], m)
         cand = _idealizer(order, J, p)
@@ -771,70 +682,64 @@ def _minimal_ideal_refinement(order: Order, p: int) -> Order:
     return order
 
 
-def _primitive_idempotents(f_basis, one_s, smul, p, rng, sdim):
-    """Split the split-semisimple commutative algebra F into its idempotents.
+def _primitive_idempotents(f_basis, one_s, smul, p, rng):
+    """The primitive idempotents of F, the Frobenius-fixed centre of S, in a fixed order.
 
-    A block (basis, ident) splits along an element v whose minimal polynomial
-    has roots lam_1..lam_r, r >= 2: the piece for lam is the kernel of
-    multiplication by v - lam, and its identity the Lagrange product
-    ident prod_{mu != lam} (v - mu) / (lam - mu).
+    S is semisimple, so S = prod_k M_(n_k)(D_k) for finite division rings
+    D_k (Wedderburn), and finite division rings are fields (Wedderburn's
+    little theorem).  The centre of S is prod_k D_k, and x -> x^p fixes
+    exactly F_p in a finite field of characteristic p, so F = F_p^r with
+    one factor per simple component of S, r = dim F: the primitive
+    idempotents of F are the primitive central idempotents of S.
+
+    F is split by powering in S.  For a random x in F let f = x when p = 2,
+    and f = (y^2 + y) / 2 with y = x^((p-1)/2) for odd p.  In each factor y
+    is 0 or +-1 (Euler's criterion), so f is 0 or 1 there: f is the
+    idempotent of the factors where x is a nonzero square (where x is 1
+    for p = 2).  Each block e splits into fe and e - fe when both are
+    nonzero, until there are r blocks.  One draw separates two given
+    factors with probability at least 4/9, so 100 draws leave them joined
+    with probability below 10^-25; then, or when F is not F_p^r,
+    InternalError is raised.
+
+    The idempotent e of factor k acts on F as evaluation there: b e = b_k e,
+    so (b e)_i / e_i = b_k at every coordinate i with e_i nonzero.  The
+    idempotents are returned in descending order of the tuples of these
+    values over F's basis.  That basis spans F, so two factors differ on
+    one of its elements: the order is total and does not depend on rng.
+    Scalars take one value on every factor, so with r = 2 the first basis
+    element that is not a scalar decides, the larger value first.
     """
-    blocks = [(f_basis, one_s)]
-    done = []
-    while blocks:
-        basis, ident = blocks.pop()
-        if len(basis) == 1:
-            done.append(ident)
-            continue
-        # find a basis element that is not a scalar multiple of the identity
-        for v in basis:
-            minpoly = _element_min_poly(v, basis, ident, smul, p)
-            if len(minpoly) <= 2:
-                continue
-            roots = _split_roots(minpoly, p, rng)
-            if len(roots) < 2:
-                continue
-            pieces = []
-            for lam in roots:
-                # kernel of (mult-by-v - lam) restricted to the block
-                images = [[(x - lam * y) % p for x, y in zip(smul(v, b), b)] for b in basis]
-                ker = _fp_kernel([list(row) for row in zip(*images)], len(basis), p)
-                piece = [
-                    [sum(cf[t] * basis[t][i] for t in range(len(basis))) % p for i in range(sdim)]
-                    for cf in ker
-                ]
-                e_piece = ident
-                for mu in roots:
-                    if mu != lam:
-                        inv = _fp_inv(lam - mu, p)
-                        shifted = [(a - mu * b) % p for a, b in zip(v, ident)]
-                        e_piece = [x * inv % p for x in smul(e_piece, shifted)]
-                pieces.append((piece, e_piece))
-            if [sum(col) % p for col in zip(*(e for _, e in pieces))] != ident:
-                raise InternalError("the block idempotents do not sum to the block identity")
-            blocks += pieces
+    r, blocks = len(f_basis), [one_s]
+    for _ in range(100):
+        if len(blocks) >= r:
             break
-        else:
-            # every element acts as a scalar: one-dimensional over F_p in spirit
-            done.append(ident)
-    return done
+        coef = [rng.randrange(p) for _ in f_basis]
+        f = [sum(map(mul, coef, col)) % p for col in zip(*f_basis)]
+        if p > 2:
+            y, base, k = one_s, f, (p - 1) // 2
+            while k:
+                if k & 1:
+                    y = smul(y, base)
+                k >>= 1
+                if k:
+                    base = smul(base, base)
+            half = (p + 1) // 2  # 1/2 mod p
+            f = [(a + b) * half % p for a, b in zip(smul(y, y), y)]
+        pieces = []
+        for e in blocks:
+            fe = smul(f, e)
+            pieces += [fe, [(a - b) % p for a, b in zip(e, fe)]] if any(fe) and fe != e else [e]
+        blocks = pieces
+    if len(blocks) != r:
+        raise InternalError(f"F did not split into its {r} idempotents in 100 draws")
 
+    def values(e):
+        i = next(i for i, x in enumerate(e) if x)
+        inv = _fp_inv(e[i], p)
+        return [smul(b, e)[i] * inv % p for b in f_basis]
 
-def _element_min_poly(v, basis, ident, smul, p):
-    """Monic minimal polynomial of v inside its commutative block."""
-    sdim = len(ident)
-    powers = [ident]
-    while True:
-        nxt = smul(powers[-1], v)
-        rows = [[powers[t][i] for t in range(len(powers))] for i in range(sdim)]
-        sol = _fp_solve(rows, nxt, p)
-        if sol is not None:
-            # nxt = sum sol_t powers_t -> minimal polynomial coefficients
-            coeffs = [(-s) % p for s in sol] + [1]
-            return coeffs
-        powers.append(nxt)
-        if len(powers) > len(basis) + 1:
-            raise InternalError("minimal polynomial search exceeded the block size")
+    return sorted(blocks, key=values, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -965,8 +870,12 @@ def _saturate_at_prime(order: Order, p: int, floor_exp: int = 0) -> Order:
     hereditary is a two-sided property (Reiner, Maximal Orders, section
     39), so O_r(J) stalls whenever O_l(J) does.
     """
-    # each pass strictly enlarges, so the index bound caps the iterations
-    for _ in range(256):
+    # a strict enlargement at p divides disc by p^2 or more, so at most
+    # (v_p(disc) - floor_exp) / 2 passes enlarge before the stop rule holds
+    num, v = as_rational(order.discriminant).numerator, 0
+    while num and num % p == 0:
+        num, v = num // p, v + 1
+    for _ in range(max(v - floor_exp, 0) // 2 + 1):
         disc = as_rational(order.discriminant)
         # a strict superorder of p-power index would put p^(floor_exp + 2) in disc
         if disc.denominator == 1 and disc.numerator % p ** (floor_exp + 2):

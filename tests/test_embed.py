@@ -702,11 +702,6 @@ def _root_polys():
     )
 
 
-def _fixed_coeffs(f, K):
-    """The descending (re, im) coefficients of f at 2^K, as _refine_roots hands them to _seed_roots."""
-    return [_fixed_scalar(c, K) for c in reversed(f)]
-
-
 def _matched(got, want):
     """The largest distance of a one-to-one nearest-root matching of got to want, or None."""
     nearest = [min(range(len(want)), key=lambda k: abs(r - want[k])) for r in got]
@@ -721,25 +716,10 @@ def _as_mpc(roots, K):
 
 
 class TestSeededRoots:
-    """_refine_roots from the complex-double Durand-Kerner seeds and from its own start,
-    against mpmath.polyroots as an oracle."""
+    """_refine_roots from the Newton-polygon start, against mpmath.polyroots as an oracle."""
 
     def test_the_corpus_holds_at_least_200_polynomials(self):
         assert len(_root_polys()) >= 200
-
-    @pytest.mark.parametrize("precision", [128, 256])
-    def test_seeded_roots_equal_unseeded_roots(self, precision, monkeypatch):
-        K = precision + 64
-        seeded = []
-        for f in _root_polys():
-            assert embed._seed_roots(_fixed_coeffs(f, K), K) is not None
-            seeded.append(_refine_roots(f, K))
-        monkeypatch.setattr(embed, "_seed_roots", lambda *a: None)
-        with mpmath.workprec(K):
-            for f, roots in zip(_root_polys(), seeded):
-                # both starts converge to the same roots, up to rounding noise at 2^-K
-                dist = _matched(_as_mpc(roots, K), _as_mpc(_refine_roots(f, K), K))
-                assert dist is not None and dist <= mpmath.mpf(2) ** -(K - 8)
 
     @pytest.mark.parametrize("precision", [128, 512, 2048])
     def test_refined_roots_match_polyroots(self, precision):
@@ -759,15 +739,10 @@ class TestSeededRoots:
         f = [Fraction(15 * big), Fraction(-15 - 2 * big), Fraction(2 - big), Fraction(1)]
         F = 160
         K = F + embed._GUARD
-        assert embed._seed_roots(_fixed_coeffs(f, K), K) is None
         got = sorted(_refine_roots(f, K))
         want = [(-5 << K, 0), (3 << K, 0), (big << K, 0)]
         for (x, y), (u, v) in zip(got, want):
             assert abs(x - u) <= 1 << (K - F + 4) and abs(y - v) <= 1 << (K - F + 4)
-
-    def test_overflowing_doubles_give_no_seed(self):
-        K = 192
-        assert embed._seed_roots([(1 << K, 0), (0, 0), (10**400 << K, 0)], K) is None
 
     def test_a_failed_root_finder_is_not_evidence_of_non_splitness(self, monkeypatch):
         def give_up(*args, **kwargs):

@@ -26,6 +26,7 @@ from matsplit.orders import (
     _minimal_ideal_refinement,
     _omega_triangular,
     _order_int_mult,
+    _primitive_idempotents,
     _restricted_to_k,
     _saturate_at_prime,
     congruence_kernel,
@@ -675,10 +676,22 @@ REFINEMENT_CORPUS = {
 }
 
 
-def _spy_refinement(monkeypatch, tables):
-    """maximal_order of each table; returns the (order, J, p, O_l(J)) of every
-    idealizer that _minimal_ideal_refinement takes, and the (arguments, result)
-    of every _primitive_idempotents call."""
+def iwahori(p):
+    """The hereditary Iwahori order of M_3(Q) at p: E_ij for i <= j, and p E_ij for i > j.
+
+    Lambda / J is F_p^3, so its minimal-ideal refinement splits three components."""
+    cols = [[(p if i > j else 1) if k == 3 * i + j else 0 for k in range(9)] for i in range(3) for j in range(3)]
+    return suborder(matrix_units_table(3), cols)
+
+
+IWAHORI_PRIMES = (2, 3, 31, 2**31 - 1)
+
+
+def _spy_refinement(monkeypatch, inputs):
+    """maximal_order of each table, or _saturate_at_prime of each (order, p)
+    pair; returns the (order, J, p, O_l(J)) of every idealizer that
+    _minimal_ideal_refinement takes, and the (arguments, result) of every
+    _primitive_idempotents call."""
     inside, idealizers, splits = [], [], []
     refine, idealizer, idempotents = (
         orders._minimal_ideal_refinement, orders._idealizer, orders._primitive_idempotents
@@ -705,8 +718,11 @@ def _spy_refinement(monkeypatch, tables):
     monkeypatch.setattr(orders, "_minimal_ideal_refinement", refine_spy)
     monkeypatch.setattr(orders, "_idealizer", idealizer_spy)
     monkeypatch.setattr(orders, "_primitive_idempotents", idempotents_spy)
-    for table in tables:
-        maximal_order(table)
+    for item in inputs:
+        if isinstance(item, tuple):
+            _saturate_at_prime(*item)
+        else:
+            maximal_order(item)
     return idealizers, splits
 
 
@@ -721,12 +737,26 @@ class TestMinimalIdealRefinement:
         for order, J, p, left in idealizers:
             assert _right_idealizer(order, J, p).same_lattice(order) == left.same_lattice(order)
 
+    @pytest.mark.parametrize("p", IWAHORI_PRIMES)
+    def test_iwahori_orders_need_the_refinement(self, p):
+        # hereditary with three components of Lambda/J: the radical idealizer
+        # stalls and the refinement enlarges, up to a maximal order
+        order = iwahori(p)
+        assert enlarge_at_p(order, p).same_lattice(order)
+        refined = _minimal_ideal_refinement(order, p)
+        assert refined._contains_columns(order._int[1], order._int[0])
+        assert not refined.same_lattice(order)
+        assert abs(as_rational(_saturate_at_prime(order, p).discriminant)) == 1
+
     def test_the_idempotents_are_the_primitive_central_ones(self, monkeypatch):
         # on each quotient S the refinement reaches: orthogonal central
-        # idempotents of S, as many as F has dimensions, summing to 1_S
-        _, splits = _spy_refinement(monkeypatch, REFINEMENT_CORPUS["refinement"]())
-        assert splits
-        for (f_basis, one_s, smul, p, _, sdim), got in splits:
+        # idempotents of S, as many as F has dimensions, summing to 1_S, in
+        # descending order of the values of F's basis on them, whatever the rng
+        inputs = REFINEMENT_CORPUS["refinement"]() + [(iwahori(p), p) for p in IWAHORI_PRIMES]
+        _, splits = _spy_refinement(monkeypatch, inputs)
+        assert {p for (f_basis, _, _, p, _), _ in splits if len(f_basis) == 3} >= set(IWAHORI_PRIMES)
+        for (f_basis, one_s, smul, p, _), got in splits:
+            sdim = len(one_s)
             units = [[int(i == j) for i in range(sdim)] for j in range(sdim)]
             assert all(smul(one_s, b) == b == smul(b, one_s) for b in units)
             assert len(got) == len(f_basis)
@@ -735,6 +765,15 @@ class TestMinimalIdealRefinement:
                 assert any(e) and all(smul(e, b) == smul(b, e) for b in units)
                 for t, f in enumerate(got):
                     assert smul(e, f) == (e if s == t else [0] * sdim)
+            # b e = b_k e on the idempotent e of factor k: read b_k off a nonzero coordinate
+            values = []
+            for e in got:
+                i = next(i for i, x in enumerate(e) if x)
+                values.append([smul(b, e)[i] * pow(e[i], -1, p) % p for b in f_basis])
+                assert all(smul(b, e) == [values[-1][t] * x % p for x in e] for t, b in enumerate(f_basis))
+            assert values == sorted(values, reverse=True) and len(set(map(tuple, values))) == len(values)
+            for seed in (1, 2):
+                assert _primitive_idempotents(f_basis, one_s, smul, p, random.Random(seed)) == got
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,16 @@ class TestSplitOverQ:
         split_over_Q(inst.table, SplitConfig(seed=1))
         assert ranks == [9]
 
+    def test_a_basis_scaled_by_2_300_saturates_in_many_passes(self):
+        # the basis 2^300 E_ij: saturation at 2 takes about 300 passes, more
+        # than any fixed cap below the discriminant's 2-adic valuation allows
+        big = 2**300
+        t = instance_from_base_change(
+            matrix_units_table(2), [[big if i == j else 0 for j in range(4)] for i in range(4)], QQ
+        ).table
+        res = split_over_Q(t, SplitConfig(seed=1))
+        assert verify_result_json(result_to_json(res, t)) == []
+
     def test_scrambled_m2_seed_42(self):
         inst = generate_instance(2, QQ, 10, seed=42)
         res = split_over_Q(inst.table, SplitConfig(seed=42))
