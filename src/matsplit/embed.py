@@ -7,8 +7,8 @@ right regular matrix R_z is n-dimensional and a minimal left ideal.  It is
 the column space of the spectral projector g(R_z), g = f / (x - lam), up to
 the scalar f'(lam).  Pivoted Gram-Schmidt on g(R_z) gives an orthonormal
 basis W of it and gates its rank, and the images W^H L_i W of left
-multiplication follow, all on Python ints at one fixed-point scale 2^F, F
-the working precision.  The roots of f are refined on ints too, 32 bits
+multiplication follow, all on Python ints at one fixed-point scale 2^F,
+F = precision_bits + 32.  The roots of f are refined on ints too, 32 bits
 below that scale, from points on the circles of f's Newton polygon.  The
 order lattice keeps those ints over one denominator, so its rational
 approximation is rounded exactly.  Soundness never rests on these
@@ -21,13 +21,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
-
-import mpmath
-from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp.libhyper import NoConvergence
 
 from .algebra import (
     StructureConstants,
@@ -50,6 +45,10 @@ _GUARD = 32  # bits the root refinement carries below the working precision
 _MAX_SWEEPS = 200
 
 
+class _NoConvergence(ArithmeticError):
+    """_refine_roots gave up on a polynomial."""
+
+
 @dataclass
 class Embedding:
     """Numerical images of the algebra basis with a tracked error radius."""
@@ -60,43 +59,12 @@ class Embedding:
     # per basis element (X, Y): the real and imaginary parts of its image,
     # flat row-major on ints at scale 2^F, F = precision_bits + 32; Y is None over Q
     fixed: tuple
-    residual: object  # mpf: measured multiplicativity defect
-    error_radius: object  # mpf: per-entry absolute error bound
+    residual: Fraction  # measured multiplicativity defect, rounded up
+    error_radius: Fraction  # per-entry absolute error bound
 
     @property
     def is_complex(self) -> bool:
         return not self.table.field.is_rational
-
-    @cached_property
-    def images(self) -> tuple:
-        """The images as mpmath matrices, one per basis element."""
-        n = self.n
-        with workprec(self.precision_bits + 32):
-            D = 1 << mp.prec
-            out = []
-            for X, Y in self.fixed:
-                M = [mpf(x) / D for x in X]
-                if Y is not None:
-                    M = [mpc(x, mpf(y) / D) for x, y in zip(M, Y)]
-                out.append(mpmath.matrix([M[r * n:(r + 1) * n] for r in range(n)]))
-            return tuple(out)
-
-    def phi(self, coords: Sequence) -> mpmath.matrix:
-        """Image of an element given by exact coordinates."""
-        out = mpmath.zeros(self.n, self.n)
-        for i, c in enumerate(coords):
-            s = _scalar_to_mp(c)
-            if s != 0:
-                out += self.images[i] * s
-        return out
-
-
-def _scalar_to_mp(x):
-    if isinstance(x, QuadScalar):
-        return mpc(mpf(x.a.numerator) / x.a.denominator,
-                   (mpf(x.b.numerator) / x.b.denominator) * mpmath.sqrt(x.d))
-    f = Fraction(x)
-    return mpf(f.numerator) / f.denominator
 
 
 def _min_poly(table: StructureConstants, Z: Sequence[int], dz: int) -> tuple[list, list]:
@@ -161,6 +129,7 @@ def split_numeric(
     n, a root lam (real over Q) lies 2^(-p/4) or more from the others, the
     rank gate of the Gram-Schmidt on the projector g(R_z) passes at 2^(-p/4)
     and the fixed-point images W^H L_i W have residual at most 2^(-p/2).
+    The residual is an exact rational, so the last gate compares exactly.
     A draw whose roots _refine_roots cannot converge on is skipped, like a
     degenerate one.
 
@@ -174,30 +143,30 @@ def split_numeric(
     n = table.n
     rng = random.Random(seed)
     no_split_count = 0
-    with workprec(precision_bits + 32):
-        gamma = _fixed_gamma(table, mp.prec)
-        gap_floor_sq = 1 << 2 * (mp.prec - precision_bits // 4)  # 2^(-2 (p/4)) at 2^(2F)
-        for _ in range(_MAX_ATTEMPTS):
-            f, powers = _min_poly(table, *_random_order_element(order, rng))
-            if len(f) - 1 != n or not _is_squarefree(f):
-                # degenerate draw: no evidence about splitness either way
-                continue
-            try:
-                lam, sep_sq = _pick_eigenvalue(f, table, precision_bits)
-            except NoConvergence:
-                # the root finder gave up: no evidence either
-                continue
-            if lam is None:
-                no_split_count += 1
-                continue
-            if sep_sq < gap_floor_sq:
-                continue
-            W = _eigenspace(table, f, powers, lam, precision_bits)
-            if W is None:
-                continue
-            emb = _embedding(table, _images(table, W, gamma), gamma, precision_bits)
-            if emb.residual <= mpf(2) ** (-(precision_bits // 2)):
-                return emb
+    F = precision_bits + 32
+    gamma = _fixed_gamma(table, F)
+    gap_floor_sq = 1 << 2 * (F - precision_bits // 4)  # 2^(-2 (p/4)) at 2^(2F)
+    for _ in range(_MAX_ATTEMPTS):
+        f, powers = _min_poly(table, *_random_order_element(order, rng))
+        if len(f) - 1 != n or not _is_squarefree(f):
+            # degenerate draw: no evidence about splitness either way
+            continue
+        try:
+            lam, sep_sq = _pick_eigenvalue(f, table, precision_bits)
+        except _NoConvergence:
+            # the root finder gave up: no evidence either
+            continue
+        if lam is None:
+            no_split_count += 1
+            continue
+        if sep_sq < gap_floor_sq:
+            continue
+        W = _eigenspace(table, f, powers, lam, precision_bits)
+        if W is None:
+            continue
+        emb = _embedding(table, _images(table, W, gamma, F), gamma, precision_bits)
+        if emb.residual <= Fraction(1, 1 << precision_bits // 2):
+            return emb
     if no_split_count >= _MAX_ATTEMPTS // 2:
         raise PromiseViolation(
             "no splitting element found: the algebra has no real eigenvalues, "
@@ -223,7 +192,7 @@ def _pick_eigenvalue(f: list, table: StructureConstants, precision_bits: int):
 
     Over Q the eigenvalue must be real; over a quadratic field any simple
     root works.  _refine_roots gives the roots as (re, im) int pairs at 2^K,
-    K = F + 32, F = mp.prec, and every rule compares them exactly, squared
+    K = F + 32, F = p + 32, and every rule compares them exactly, squared
     distances in place of distances.  With tol = 2^(-p/2), a root is real
     over Q when |Im| <= tol (1 + |Re|), and its Im is then taken as 0.  The
     root farthest from the others wins, and ties are broken by an explicit
@@ -234,10 +203,10 @@ def _pick_eigenvalue(f: list, table: StructureConstants, precision_bits: int):
     tol (1 + |Re|) tying; among those the greatest Im wins, so of a
     conjugate pair the one with positive Im.  Returns (lam, sep_sq): the
     root's (re, im) at 2^F, im 0 over Q, and its squared separation at
-    2^(2F); or (None, 0) when no root is usable.  NoConvergence from
+    2^(2F); or (None, 0) when no root is usable.  _NoConvergence from
     _refine_roots propagates.
     """
-    K = mp.prec + _GUARD
+    K = precision_bits + 32 + _GUARD
     h, one, is_rational = precision_bits // 2, 1 << K, table.field.is_rational
     roots = _refine_roots(f, K)
     if is_rational:
@@ -266,7 +235,7 @@ def _refine_roots(f: list, K: int) -> list[tuple[int, int]]:
     (z_i - z_j), every product rounded to 2^K and the quotient once.  The
     sweeps start from _polygon_start.  A sweep that moves no root by
     2^(32-K) or more ends the refinement; after 200 sweeps without one, or
-    when two iterates meet, NoConvergence is raised.
+    when two iterates meet, _NoConvergence is raised.
     """
     one = 1 << K
     c = [_fixed_scalar(x, K) for x in reversed(f)]
@@ -285,13 +254,13 @@ def _refine_roots(f: list, K: int) -> list[tuple[int, int]]:
                     qr, qi = (qr * u - qi * v) >> K, (qr * v + qi * u) >> K
             norm = qr * qr + qi * qi
             if not norm:
-                raise NoConvergence("two Durand-Kerner iterates met")
+                raise _NoConvergence("two Durand-Kerner iterates met")
             sr, si = ((pr * qr + pi * qi) << K) // norm, ((pi * qr - pr * qi) << K) // norm
             z[i] = (x - sr, y - si)
             moved = max(moved, sr * sr + si * si)
         if moved < limit:
             return z
-    raise NoConvergence(f"the roots did not converge in {_MAX_SWEEPS} sweeps")
+    raise _NoConvergence(f"the roots did not converge in {_MAX_SWEEPS} sweeps")
 
 
 def _polygon_start(coeffs: list, K: int) -> list[tuple[int, int]]:
@@ -329,15 +298,15 @@ def _eigenspace(table: StructureConstants, f: list, powers: list, lam, precision
     R_{g(z)}, g = f / (x - lam) = sum_k c_k x^k: c_{n-1} = 1, c_{k-1} = f_k +
     lam c_k.  With z^k = P_k / s_k, s_{n-1} g(z) = sum_k c_k (s_{n-1} / s_k)
     P_k, and s_{n-1} / s_k = (dz d)^(n-1-k) is an int; scaling does not
-    change the column space.  So with lam, f_k and c_k at 2^F, F the working
-    precision, Q = sum_k c_k (s_{n-1} / s_k) P_k is an int vector (two over
-    Q(i) and Q(sqrt(-3)): real and imaginary parts), and column j of R_Q is
+    change the column space.  So with lam, f_k and c_k at 2^F, F = p + 32,
+    Q = sum_k c_k (s_{n-1} / s_k) P_k is an int vector (two over Q(i) and
+    Q(sqrt(-3)): real and imaginary parts), and column j of R_Q is
     sum_b Q[b] G[j][b] for the K-basis a_j.  Over Q(i) and Q(sqrt(-3)) its
     (1, omega) coordinates (U, V) give the entries 2^F U + omega V with
     omega at 2^F.  The columns returned are flat int vectors at 2^F: the
     real parts, then over Q(i) and Q(sqrt(-3)) the imaginary parts.
     """
-    F = mp.prec
+    F = precision_bits + 32
     n, m = len(f) - 1, table.m
     field = table.field
     G, d = table._integral_gamma()
@@ -370,11 +339,11 @@ def _pivoted_gram_schmidt(cols: list, n: int, precision_bits: int, is_complex: b
     first column whose squared norm is within 2^(-p/2) relative of the
     largest, so that rounding noise never decides between equal norms; it
     is divided by the integer square root of its squared norm, so the
-    columns returned are unit vectors at 2^F, F = mp.prec.  None unless the
+    columns returned are unit vectors at 2^F, F = p + 32.  None unless the
     largest remaining squared norm is at most 2^(-2 (p/4)) times the n-th
     pivot's; a zero pivot fails too.
     """
-    F = mp.prec
+    F = precision_bits + 32
     half = 1 << (2 * F - 1)
     W = []
     for _ in range(n):
@@ -404,7 +373,7 @@ def _pivoted_gram_schmidt(cols: list, n: int, precision_bits: int, is_complex: b
     return W
 
 
-def _images(table: StructureConstants, W: list, gamma) -> list:
+def _images(table: StructureConstants, W: list, gamma, F: int) -> list:
     """W^H L_i W, L_i left multiplication by a_i, on ints from W at scale 2^F.
 
     Over Q column j of L_i is G[i][j] / d.  Over Q(i) and Q(sqrt(-3)) x + iy
@@ -413,7 +382,6 @@ def _images(table: StructureConstants, W: list, gamma) -> list:
     Each entry is rounded once to 2^F; the result is the (X, Y) pair of
     Embedding.fixed for each a_i.  gamma is _fixed_gamma(table, F).
     """
-    F = mp.prec
     m, n = table.m, len(W)
     is_rational = table.field.is_rational
     if is_rational:
@@ -436,31 +404,38 @@ def _round_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
+def _sqrt_up(x: Fraction, F: int) -> Fraction:
+    """A dyadic r >= sqrt(x) with r^2 - x <= 2^(-F) x, for x >= 0: at least F bits, rounded up."""
+    a, b = x.numerator, x.denominator
+    s = max(0, (2 * F + 6 - a.bit_length() + b.bit_length()) // 2)  # sqrt(x) 2^s >= 2^(F+2)
+    N = -((-a << 2 * s) // b)  # ceil(x 4^s)
+    return Fraction(math.isqrt(N - 1) + 1 if N else 0, 1 << s)
+
+
 def _embedding(table: StructureConstants, fixed, gamma, precision_bits: int) -> Embedding:
     """The fixed-point images with their measured residual and the error radius it gives."""
-    residual = _measure_residual(table, fixed, gamma)
-    radius = residual + mpf(2) ** (-(precision_bits - 8))
+    residual = _measure_residual(table, fixed, gamma, precision_bits + 32)
+    radius = residual + Fraction(1, 1 << precision_bits - 8)
     n = math.isqrt(len(fixed[0][0]))
     return Embedding(table, n, precision_bits, tuple(fixed), residual, radius)
 
 
-def _measure_residual(table: StructureConstants, fixed, gamma) -> mpf:
+def _measure_residual(table: StructureConstants, fixed, gamma, F: int) -> Fraction:
     """Largest Frobenius defect of a_i -> fixed[i] as a unital homomorphism.
 
     fixed[i] is the (X, Y) pair of Embedding.fixed: the image of a_i, flat
-    row-major on ints at scale D = 2^F, F the working precision.  Every
-    basis pair is checked for phi(a_i) phi(a_j) = sum_k gamma_ijk phi(a_k),
-    then phi(1) = I.  Over Q the table enters exactly as its integral form
-    (G, d).  Over Q(i) and Q(sqrt(-3)) a complex matrix X + iY is written as
-    the real matrix [[X, -Y], [Y, X]], which keeps products and doubles
-    squared norms, and gamma_ijk = g + ih enters as fixed-point g and h at
-    scale 2^F against the images of a_k and of i a_k: gamma is
-    _fixed_gamma(table, F).  The pairs run through
-    the packed kernel algebra._pair_defects, which unpacks only the nonzero
-    defects.  The squared defects are compared exactly and one square root
-    is taken at the end.
+    row-major on ints at scale D = 2^F.  Every basis pair is checked for
+    phi(a_i) phi(a_j) = sum_k gamma_ijk phi(a_k), then phi(1) = I.  Over Q
+    the table enters exactly as its integral form (G, d).  Over Q(i) and
+    Q(sqrt(-3)) a complex matrix X + iY is written as the real matrix
+    [[X, -Y], [Y, X]], which keeps products and doubles squared norms, and
+    gamma_ijk = g + ih enters as fixed-point g and h at scale 2^F against
+    the images of a_k and of i a_k: gamma is _fixed_gamma(table, F).  The
+    pairs run through the packed kernel algebra._pair_defects, which
+    unpacks only the nonzero defects.  The squared defects are compared
+    exactly, and the one square root is taken at the end by _sqrt_up, so
+    the residual returned is an exact rational upper bound.
     """
-    F = mp.prec
     D = 1 << F
     n = math.isqrt(len(fixed[0][0]))
     field = table.field
@@ -485,7 +460,7 @@ def _measure_residual(table: StructureConstants, fixed, gamma) -> mpf:
         Fraction(pair_sq, fold * (d * D * D) ** 2),
         Fraction(identity_sq, fold * (de * D) ** 2),
     )
-    return mpmath.sqrt(mpf(worst.numerator) / worst.denominator)
+    return _sqrt_up(worst, F)
 
 
 def _fixed_scalar(x, F: int) -> tuple[int, int]:
@@ -543,14 +518,13 @@ def embedding_from_images(
     """Embedding built from exactly known images (fixtures, oracle tests)."""
     if precision_bits < _MIN_PRECISION:
         raise InputError(f"precision must be at least {_MIN_PRECISION} bits")
-    with workprec(precision_bits + 32):
-        F = mp.prec
-        fixed = []
-        for M in exact_images:
-            parts = [_fixed_scalar(x, F) for row in M.entries for x in row]
-            X, Y = [x for x, _ in parts], [y for _, y in parts]
-            fixed.append((X, None if table.field.is_rational else Y))
-        return _embedding(table, fixed, _fixed_gamma(table, F), precision_bits)
+    F = precision_bits + 32
+    fixed = []
+    for M in exact_images:
+        parts = [_fixed_scalar(x, F) for row in M.entries for x in row]
+        X, Y = [x for x, _ in parts], [y for _, y in parts]
+        fixed.append((X, None if table.field.is_rational else Y))
+    return _embedding(table, fixed, _fixed_gamma(table, F), precision_bits)
 
 
 @dataclass
@@ -565,7 +539,7 @@ class EmbeddedLattice:
 
     dimension: int
     basis_vectors: list  # list of lists of int, over denominator
-    error_radius: object
+    error_radius: Fraction
     denominator: int
 
 
@@ -585,36 +559,35 @@ def embed_order(embedding: Embedding, order: Order) -> EmbeddedLattice:
     over den 2^F.
     """
     table = order.table
-    with workprec(embedding.precision_bits + 32):
-        F = mp.prec
-        den, C, _, _ = order._int
-        m = table.m
-        if table.field.is_rational:
-            T = [X for X, _ in embedding.fixed]
-        else:
-            wr, wi = _fixed_scalar(table.field.omega(), F)
-            T = [X + Y for X, Y in embedding.fixed]
-            T += [[(wr * x - wi * y) >> F for x, y in zip(X, Y)]
-                  + [(wr * y + wi * x) >> F for x, y in zip(X, Y)] for X, Y in embedding.fixed]
-        vectors = [_combination(c, T) for c in _zbasis_columns(order)]
-        # sum_r |a_r| + |b_r| over the coordinates a_r + b_r sqrt(-d) = u_r + v_r omega
-        # of each element; 2 omega = ta + tb sqrt(-d) with ints ta, tb
-        if table.field.is_rational:
-            scale = Fraction(max(sum(map(abs, c)) for c in C), den)
-        else:
-            w = table.field.omega()
-            ta, tb = int(2 * w.a), int(2 * w.b)
-            scale = Fraction(max(sum(abs(2 * u + ta * v) + abs(tb * v) for u, v in zip(c[:m], c[m:]))
-                                 for c in C), 2 * den)
-        dim = len(vectors[0])
-        if len(vectors) != dim:
-            raise InputError("order lattice is not full rank in the embedding space")
-        return EmbeddedLattice(
-            dimension=dim,
-            basis_vectors=vectors,
-            error_radius=embedding.error_radius * (1 + mpf(scale.numerator) / scale.denominator),
-            denominator=den << F,
-        )
+    F = embedding.precision_bits + 32
+    den, C, _, _ = order._int
+    m = table.m
+    if table.field.is_rational:
+        T = [X for X, _ in embedding.fixed]
+    else:
+        wr, wi = _fixed_scalar(table.field.omega(), F)
+        T = [X + Y for X, Y in embedding.fixed]
+        T += [[(wr * x - wi * y) >> F for x, y in zip(X, Y)]
+              + [(wr * y + wi * x) >> F for x, y in zip(X, Y)] for X, Y in embedding.fixed]
+    vectors = [_combination(c, T) for c in _zbasis_columns(order)]
+    # sum_r |a_r| + |b_r| over the coordinates a_r + b_r sqrt(-d) = u_r + v_r omega
+    # of each element; 2 omega = ta + tb sqrt(-d) with ints ta, tb
+    if table.field.is_rational:
+        scale = Fraction(max(sum(map(abs, c)) for c in C), den)
+    else:
+        w = table.field.omega()
+        ta, tb = int(2 * w.a), int(2 * w.b)
+        scale = Fraction(max(sum(abs(2 * u + ta * v) + abs(tb * v) for u, v in zip(c[:m], c[m:]))
+                             for c in C), 2 * den)
+    dim = len(vectors[0])
+    if len(vectors) != dim:
+        raise InputError("order lattice is not full rank in the embedding space")
+    return EmbeddedLattice(
+        dimension=dim,
+        basis_vectors=vectors,
+        error_radius=embedding.error_radius * (1 + scale),
+        denominator=den << F,
+    )
 
 
 def rationalize(embedded: EmbeddedLattice, target_denominator: int) -> LatticeBasis:

@@ -781,11 +781,22 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
+def _int_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method on ints from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def factor_integer(n: int, budget: int = 10**6) -> dict[int, int]:
     """Prime factorization by trial division within the budget.
 
-    Trial division stops at min(budget, 2^20).  Raises FactorBudgetError
-    when a composite cofactor survives division by every prime up to there.
+    Trial division stops at min(budget, 2^20).  A cofactor that survives it
+    is accepted when it is a k-th power of a probable prime, k >= 1; any
+    other raises FactorBudgetError.
     """
     n = abs(n)
     if n == 0:
@@ -799,16 +810,13 @@ def factor_integer(n: int, budget: int = 10**6) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     if n > 1:
-        if _is_probable_prime(n):
-            out[n] = out.get(n, 0) + 1
+        for k in range(1, n.bit_length()):
+            root = _int_root(n, k)
+            if root**k == n and _is_probable_prime(root):
+                out[root] = out.get(root, 0) + k
+                break
         else:
-            root = math.isqrt(n)
-            if root * root == n and _is_probable_prime(root):
-                out[root] = out.get(root, 0) + 2
-            else:
-                raise FactorBudgetError(
-                    f"cofactor {n} resists trial division up to {limit}"
-                )
+            raise FactorBudgetError(f"cofactor {n} resists trial division up to {limit}")
     return out
 
 

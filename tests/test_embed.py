@@ -14,7 +14,6 @@ from pathlib import Path
 import mpmath
 import pytest
 from mpmath.libmp import fzero, mpf_shift, to_int
-from mpmath.libmp.libhyper import NoConvergence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_algebra import left_regular
@@ -40,7 +39,7 @@ from matsplit.embed import (
     _pick_eigenvalue,
     _random_order_element,
     _refine_roots,
-    _scalar_to_mp,
+    _sqrt_up,
     embed_order,
     embedding_from_images,
     rationalize,
@@ -82,6 +81,43 @@ def _fixed_parts(values, F: int) -> tuple[list, list]:
     return [_fixed(x, F) for x, _ in parts], [_fixed(y, F) for _, y in parts]
 
 
+def _scalar_to_mp(x):
+    """A rational or a + b sqrt(-d) as an mpf or mpc at the working precision."""
+    if isinstance(x, QuadScalar):
+        return mpmath.mpc(mpmath.mpf(x.a.numerator) / x.a.denominator,
+                          (mpmath.mpf(x.b.numerator) / x.b.denominator) * mpmath.sqrt(x.d))
+    f = Fraction(x)
+    return mpmath.mpf(f.numerator) / f.denominator
+
+
+def _mp_images(emb):
+    """The images of Embedding.fixed as mpmath matrices, one per basis element, at 2^-F."""
+    n, F = emb.n, emb.precision_bits + 32
+    with mpmath.workprec(F):
+        out = []
+        for X, Y in emb.fixed:
+            M = [mpmath.mpf(x) / (1 << F) for x in X]
+            if Y is not None:
+                M = [mpmath.mpc(x, mpmath.mpf(y) / (1 << F)) for x, y in zip(M, Y)]
+            out.append(mpmath.matrix([M[r * n:(r + 1) * n] for r in range(n)]))
+        return out
+
+
+def _phi(emb, coords):
+    """The mpmath image of an element given by exact coordinates."""
+    out = mpmath.zeros(emb.n, emb.n)
+    for M, c in zip(_mp_images(emb), coords):
+        s = _scalar_to_mp(c)
+        if s != 0:
+            out += M * s
+    return out
+
+
+def _mp_fraction(x):
+    """An exact rational as an mpf at the working precision."""
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
 def dot_products(lat):
     """Exact Gram matrix of an embedded lattice's int vectors over its denominator."""
     vectors, den_sq = lat.basis_vectors, lat.denominator**2
@@ -117,7 +153,19 @@ class TestSplitNumeric:
         t = StructureConstants(field, [[[2]]])
         emb = split_numeric(t, maximal_order(t), 128, seed=1)
         assert float(emb.residual) < 1e-30
-        assert abs(complex(emb.images[0][0, 0]) - 2) < 1e-30
+        assert abs(complex(_mp_images(emb)[0][0, 0]) - 2) < 1e-30
+
+    @pytest.mark.parametrize("precision", [128, 129])
+    def test_the_residual_gate_compares_exactly(self, monkeypatch, precision):
+        # residual <= 2^(-p/2) passes; the next rational up fails every draw
+        t = matrix_units_table(2)
+        o = maximal_order(t)
+        bound = Fraction(1, 1 << precision // 2)
+        monkeypatch.setattr(embed, "_measure_residual", lambda *a: bound)
+        assert split_numeric(t, o, precision, seed=1).residual == bound
+        monkeypatch.setattr(embed, "_measure_residual", lambda *a: bound + Fraction(1, 1 << 4096))
+        with pytest.raises(PrecisionError):
+            split_numeric(t, o, precision, seed=1)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_complex_embedding(self, d):
@@ -153,6 +201,26 @@ def _fixed_complex(values, F):
     return [x for x, _ in parts] + [y for _, y in parts]
 
 
+class TestSqrtUp:
+    """The one square root of the residual: an upper bound at F bits or more."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**600), st.integers(1, 2**600), st.integers(1, 400))
+    def test_an_upper_bound_within_2_to_the_minus_f(self, a, b, F):
+        x = Fraction(a, b)
+        r = _sqrt_up(x, F)
+        assert r >= 0 and r * r >= x
+        assert r * r - x <= x / 2**F
+        assert r.denominator & (r.denominator - 1) == 0  # dyadic
+
+    def test_zero_has_root_zero(self):
+        assert _sqrt_up(Fraction(0), 160) == 0
+
+    def test_an_exact_square_is_its_root(self):
+        assert _sqrt_up(Fraction(9, 4), 160) == Fraction(3, 2)
+        assert _sqrt_up(Fraction(1, 1 << 128), 160) == Fraction(1, 1 << 64)
+
+
 class TestFixedConstants:
     """The constants at 2^F from the integer table against the QuadScalar route."""
 
@@ -173,9 +241,8 @@ class TestFixedConstants:
         assert _fixed_omega(X, den, field, F) == _fixed_complex(values, F)
 
 
-def scalar_residual(table, images):
+def scalar_residual(table, images, F):
     """_measure_residual with every pair defect summed one scalar at a time."""
-    F = mpmath.mp.prec
     D = 1 << F
     n = images[0].rows
     e = table.find_identity().coords
@@ -208,7 +275,7 @@ def scalar_residual(table, images):
         Fraction(pair_sq, fold * (d * D * D) ** 2),
         Fraction(identity_sq, fold * (de * D) ** 2),
     )
-    return mpmath.sqrt(mpmath.mpf(worst.numerator) / worst.denominator)
+    return _sqrt_up(worst, F)
 
 
 def _residual_cases():
@@ -240,11 +307,11 @@ def _scrambled(name, n, seed):
 
 RESIDUAL_CASES = _residual_cases()
 RESIDUAL_PREC = 128
+RESIDUAL_F = RESIDUAL_PREC + 32
 
 
-def fixed_images(images):
-    """mpmath images as the (X, Y) pairs of Embedding.fixed, at the working precision."""
-    F = mpmath.mp.prec
+def fixed_images(images, F):
+    """mpmath images as the (X, Y) pairs of Embedding.fixed, at scale 2^F."""
     return [_fixed_parts([x for row in M.tolist() for x in row], F) for M in images]
 
 
@@ -260,7 +327,7 @@ class TestResidualOracle:
     @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
     def test_exact_images_residual_near_zero(self, case):
         table, emb = self.images_of(case)
-        assert emb.residual < mpmath.mpf(2) ** -(RESIDUAL_PREC + 8)
+        assert emb.residual < Fraction(1, 2 ** (RESIDUAL_PREC + 8))
 
     @pytest.mark.parametrize(
         "case,move",
@@ -273,14 +340,16 @@ class TestResidualOracle:
     )
     def test_moved_entry_matches_the_oracle(self, case, move):
         table, emb = self.images_of(case)
-        with mpmath.workprec(RESIDUAL_PREC + 32):
+        F = RESIDUAL_F
+        with mpmath.workprec(F):
             step = {"2^-40": mpmath.mpf(2) ** -40, "1": mpmath.mpf(1),
                     "i*2^-40": mpmath.mpc(0, mpmath.mpf(2) ** -40)}[move]
-            images = [M.copy() for M in emb.images]
+            images = _mp_images(emb)
             k = table.m - 1
             images[k][0, 1] += step
-            got = _measure_residual(table, fixed_images(images), _fixed_gamma(table, mpmath.mp.prec))
+            got = _measure_residual(table, fixed_images(images, F), _fixed_gamma(table, F), F)
         with mpmath.workprec(2 * RESIDUAL_PREC):
+            got = _mp_fraction(got)
             want = oracle_residual(table, images)
             assert want > mpmath.mpf(2) ** -42
             assert abs(got - want) <= want * mpmath.mpf(10) ** -20
@@ -290,27 +359,29 @@ class TestResidualOracle:
     @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
     @pytest.mark.parametrize("images", ["exact", "moved", "zero"])
     def test_packed_kernel_equals_the_scalar_scan(self, case, images):
-        # not close: the same Fraction, so the same mpf
+        # not close: the same squared defect, so the same rounded-up root
         table, emb = self.images_of(case)
-        with mpmath.workprec(RESIDUAL_PREC + 32):
+        F = RESIDUAL_F
+        with mpmath.workprec(F):
             if images == "zero":
                 moved = [mpmath.zeros(emb.n, emb.n) for _ in range(table.m)]
             else:
-                moved = [M.copy() for M in emb.images]
+                moved = _mp_images(emb)
                 if images == "moved":
                     moved[0][1, 0] += mpmath.mpf(2) ** -40
                     moved[-1][0, 0] -= mpmath.mpf(3) ** 50
-            got = _measure_residual(table, fixed_images(moved), _fixed_gamma(table, mpmath.mp.prec))
-            assert got == scalar_residual(table, moved)
+            got = _measure_residual(table, fixed_images(moved, F), _fixed_gamma(table, F), F)
+            assert got == scalar_residual(table, moved, F)
             assert got > 0 or images == "exact"
 
     @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
     def test_zero_images_fail_only_the_identity(self, case):
         table, emb = self.images_of(case)
-        with mpmath.workprec(RESIDUAL_PREC + 32):
+        F = RESIDUAL_F
+        with mpmath.workprec(F):
             zero = [mpmath.zeros(emb.n, emb.n) for _ in range(table.m)]
-            got = _measure_residual(table, fixed_images(zero), _fixed_gamma(table, mpmath.mp.prec))
-            assert abs(got - mpmath.sqrt(emb.n)) < mpmath.mpf(10) ** -30
+            got = _measure_residual(table, fixed_images(zero, F), _fixed_gamma(table, F), F)
+            assert abs(_mp_fraction(got) - mpmath.sqrt(emb.n)) < mpmath.mpf(10) ** -30
 
 
 def _eigen_cases():
@@ -361,7 +432,7 @@ def _lam_value(table, lam):
 
 def _good_draw(table, order, seed):
     """The first draw that split_numeric would pass to _eigenspace; call it
-    at the working precision, as lam comes out at 2^F, F = mp.prec."""
+    under workprec(EIGEN_PREC + 32), as lam comes out at 2^F, F = EIGEN_PREC + 32."""
     rng = random.Random(seed)
     while True:
         coords = _drawn(table, order, rng)
@@ -486,11 +557,12 @@ class TestEigenspaceOracle:
     @pytest.mark.parametrize("case", sorted(EIGEN_CASES))
     def test_images_match_mpmath_products(self, case):
         table, order = EIGEN_CASES[case]()
-        with mpmath.workprec(EIGEN_PREC + 32):
+        F = EIGEN_PREC + 32
+        with mpmath.workprec(F):
             _, f, powers, lam = _good_draw(table, order, 6)
             W_int = _eigenspace(table, f, powers, lam, EIGEN_PREC)
             W = _mp_columns(table, W_int)
-            got = _images(table, W_int, _fixed_gamma(table, mpmath.mp.prec))
+            got = _images(table, W_int, _fixed_gamma(table, F), F)
             for i, XY in enumerate(got):
                 M = _mp_image(table, XY)
                 unit = [table.field.zero()] * table.m
@@ -599,7 +671,7 @@ class TestEmbedOrder:
                             a + t.field.coerce(c) * b
                             for a, b in zip(el_coords, zs[j].coords)
                         ]
-                mat = emb.phi(el_coords)
+                mat = _phi(emb, el_coords)
                 for i in range(2):
                     for j in range(2):
                         phi_norm_sq += abs(mat[i, j]) ** 2
@@ -746,7 +818,7 @@ class TestSeededRoots:
 
     def test_a_failed_root_finder_is_not_evidence_of_non_splitness(self, monkeypatch):
         def give_up(*args, **kwargs):
-            raise NoConvergence("no convergence")
+            raise embed._NoConvergence("no convergence")
 
         monkeypatch.setattr(embed, "_refine_roots", give_up)
         t = matrix_units_table(2)
@@ -873,6 +945,21 @@ class TestRationalizedLatticesStay:
         basis = rationalize(embed_order(split_numeric(inst.table, order, 128, seed=seed), order), 2**64)
         text = json.dumps(serialize.lattice_to_json(basis))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == self.DIGESTS[name, n, seed]
+
+
+def test_the_library_and_the_cli_run_without_mpmath():
+    code = (
+        "import sys\n"
+        "import matsplit, matsplit.cli\n"
+        "from matsplit.serialize import result_to_json, verify_result_json\n"
+        "from matsplit.splitter import SplitConfig, generate_instance, split\n"
+        "t = generate_instance(2, 'Q', 10, 1).table\n"
+        "assert verify_result_json(result_to_json(split(t, SplitConfig(seed=1)), t)) == []\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+    )
+    src = str(Path(embed.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
 def test_a_split_of_each_field_imports_no_numpy():

@@ -387,6 +387,13 @@ class TestMaximalOrder:
     def test_factor_integer_smooth(self):
         assert factor_integer(720) == {2: 4, 3: 2, 5: 1}
 
+    @pytest.mark.parametrize("p", [1_000_003, 2**31 - 1])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_a_power_of_a_large_prime_is_accepted(self, p, k):
+        # the cofactor p^k left by trial division is a perfect power of a prime
+        assert factor_integer(p**k) == {p: k}
+        assert factor_integer(12 * p**k) == {2: 2, 3: 1, p: k}
+
 
 class TestOrderBasis:
     def test_a_basis_over_another_field_is_refused(self, m2):

@@ -67,6 +67,15 @@ class TestSplitOverQ:
         res = split_over_Q(t, SplitConfig(seed=1))
         assert verify_result_json(result_to_json(res, t)) == []
 
+    @pytest.mark.parametrize("p", [1_000_003, 2**31 - 1])
+    def test_an_iwahori_order_with_a_large_prime_splits(self, p):
+        # the basis E_ij (i <= j) and p E_ij (i > j) of M_3(Q): the initial
+        # order's discriminant holds p^6, a cofactor beyond trial division
+        rows = [[p if k == i and i // 3 > i % 3 else int(k == i) for k in range(9)] for i in range(9)]
+        t = instance_from_base_change(matrix_units_table(3), rows, QQ).table
+        res = split_over_Q(t, SplitConfig(seed=1))
+        assert verify_result_json(result_to_json(res, t)) == []
+
     def test_scrambled_m2_seed_42(self):
         inst = generate_instance(2, QQ, 10, seed=42)
         res = split_over_Q(inst.table, SplitConfig(seed=42))
