@@ -156,8 +156,12 @@ def _fp_rref(rows: list[list[int]], p: int):
 
 
 def _fp_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    if not rows:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    """Basis of the null space of ``rows`` over F_p, read off the reduced echelon form.
+
+    One vector per free column f: 1 at f, minus column f of the echelon rows
+    at the pivots, 0 elsewhere.  It depends only on the row space, and with
+    no rows every column is free, so the basis is the unit vectors.
+    """
     m, pivots = _fp_rref(rows, p)
     free = [c for c in range(ncols) if c not in pivots]
     out = []
@@ -168,18 +172,6 @@ def _fp_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
             v[c] = (-m[r][f]) % p
         out.append(v)
     return out
-
-
-def _fp_solve(rows: list[list[int]], rhs: list[int], p: int):
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = _fp_rref(aug, p)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][ncols] % p
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -606,19 +598,25 @@ def _minimal_ideal_refinement(order: Order, p: int) -> Order:
     of the chain without L_s, each strictly larger than Lambda_k.  So the
     right order never needs a try.
 
-    S = Lambda / J is held in the order coordinates off the pivots of the
-    radical's echelon form.  Its simple components are cut by the primitive
-    idempotents of its Frobenius-fixed centre F, found by powering in S,
-    and the J_i are tried in the order _primitive_idempotents gives them.
+    S = Lambda / J has the basis e_a of the order basis vectors off the
+    pivots of the radical's echelon form.  Reduction mod J is a ring map, so
+    S's table is the image of the order's c[i][j] on them, built once, and
+    every product in S contracts it.  The centre of S is the kernel of the
+    commutators, and F is one more kernel: on the centre, commutative of
+    characteristic p, z -> z^p is additive and fixes F_p, so sum x_t z_t is
+    fixed exactly when sum x_t (z_t^p - z_t) = 0.  The z_t^p - z_t in S
+    coordinates are the columns of Z A, for Z the z_t as columns, of full
+    column rank, and A their coordinates over the z_t (the centre is a
+    subring); Z has a left inverse, so Z A has A's row space and echelon
+    form, and F's basis is the one a kernel of A gives.  The J_i are tried
+    in the order _primitive_idempotents gives the primitive idempotents of F.
     """
     m = order.table.m
     rad = p_radical(order, p)
     ideal = _ideal_lattice(order, p, rad)
-    srref, spivots = _fp_rref(rad, p) if rad else ([], [])
+    srref, spivots = _fp_rref(rad, p)
     comp_idx = [i for i in range(m) if i not in spivots]
     sdim = len(comp_idx)
-    if sdim == 0:
-        return order
 
     def project(vec):
         # reduce mod the radical span, then take complement coordinates
@@ -629,53 +627,32 @@ def _minimal_ideal_refinement(order: Order, p: int) -> Order:
                 v = [(a - f * b) % p for a, b in zip(v, srref[r])]
         return [v[i] for i in comp_idx]
 
-    def unproject(svec):
-        v = [0] * m
-        for idx, val in zip(comp_idx, svec):
-            v[idx] = val % p
-        return v
-
-    flat = _flat_constants(_order_int_mult(order))
+    # the order coordinates of e_a, so sum_a x_a e_a lifts to _combination(x, lift)
+    lift = [[int(i == j) for i in range(m)] for j in comp_idx]
+    c = _order_int_mult(order)
+    # sflat[k][a * sdim + b] is coordinate k of e_a e_b in S
+    sflat = _flat_constants([[project(c[i][j]) for j in comp_idx] for i in comp_idx])
 
     def smul(a, b):
-        return project(_int_mult_vectors(flat, unproject(a), unproject(b)))
+        return [x % p for x in _int_mult_vectors(sflat, a, b)]
 
     # the identity den E^-1 e / d in order coordinates is integral: the order holds it
     den, _, E, d = order._int
     e, de = order.table._integral_identity()
     one_s = project([den * _int_dot(row, e) // (d * de) for row in E])
 
-    # center of S: kernel of z -> (z b_i - b_i z for all i)
-    sbasis = [[1 if i == j else 0 for i in range(sdim)] for j in range(sdim)]
-    commut_rows = []
-    for bi in sbasis:
-        # the columns of the linear map z -> z b_i - b_i z
-        colmat = [[(x - y) % p for x, y in zip(smul(z, bi), smul(bi, z))] for z in sbasis]
-        commut_rows += [list(row) for row in zip(*colmat)]
-    z_basis = _fp_kernel(commut_rows, sdim, p)
-    zdim = len(z_basis)
-
-    # fixed points of Frobenius inside the center; project is a ring map, so
-    # the p-th power is taken in Lambda / p
-    frob_rows = []
-    z_mat_rows = [list(row) for row in zip(*z_basis)]
-    for z in z_basis:
-        img = project(_int_power_mod(flat, unproject(z), p, p))
-        diff = [(a - b) % p for a, b in zip(img, z)]
-        sol = _fp_solve(z_mat_rows, diff, p)
-        if sol is None:
-            raise InternalError("Frobenius image left the center")
-        frob_rows.append(sol)
-    fixed_coef = _fp_kernel([list(row) for row in zip(*frob_rows)], zdim, p)
-    f_basis = [
-        [sum(cf[t] * z_basis[t][i] for t in range(zdim)) % p for i in range(sdim)]
-        for cf in fixed_coef
-    ]
+    # block i, row k: coordinate k of z e_i - e_i z = sum_j z_j (e_j e_i - e_i e_j)
+    z_basis = _fp_kernel([[col[j * sdim + i] - col[i * sdim + j] for j in range(sdim)]
+                          for i in range(sdim) for col in sflat], sdim, p)
+    frob = [[x - y for x, y in zip(_int_power_mod(sflat, z, p, p), z)] for z in z_basis]
+    fixed = _fp_kernel([list(row) for row in zip(*frob)], len(z_basis), p)
+    f_basis = [[x % p for x in _combination(cf, z_basis)] for cf in fixed]
 
     rng = random.Random(0x5EED ^ p)
+    units = [[int(i == j) for i in range(sdim)] for j in range(sdim)]
     for e_i in _primitive_idempotents(f_basis, one_s, smul, p, rng):
         # J_i: the component e_i S, lifted on top of the ideal J
-        J = hnf_columns(ideal + [unproject(smul(e_i, b)) for b in sbasis], m)
+        J = hnf_columns(ideal + [_combination(smul(e_i, b), lift) for b in units], m)
         cand = _idealizer(order, J, p)
         if not cand.same_lattice(order):
             return cand

@@ -69,11 +69,11 @@ class SplitConfig:
 class SplitStats:
     """What a split measured.
 
-    norm_bound_satisfied is found_norm <= gamma_n (1 + slack) + pert over Q.
-    Under the default ``ordered`` engine it is true by construction: the
-    found vector lies under the listing bound, which is at most that value,
-    and over Q(i) and Q(sqrt(-3)) it is true by definition.  Only the box
-    engine, over Q, can report false.
+    norm_bound_satisfied is reported by the search policy.  The box engine,
+    over Q only, compares found_norm with its cap gamma_n (1 + slack) + pert
+    and can report false.  The default ``ordered`` engine reports true: the
+    found vector lies under its listing bound, which over Q is at most that
+    cap, and over Q(i) and Q(sqrt(-3)) the statistic is true by definition.
     """
 
     engine: str
@@ -157,20 +157,15 @@ def split(
     v = max(_unit_multiples(field, v))  # C up to units: the greatest coordinates win
     (v,), D = _lowest_terms([v], D)
     witness = _build_isomorphism(table, v, D)
-    found_norm = math.sqrt(float(nsq))
     return SplitResult(
         rank_one_element=witness.rank_one_element,
         witness=witness,
         stats=SplitStats(
             engine=config.engine,
             precision_bits=precision,
-            found_norm=found_norm,
+            found_norm=math.sqrt(float(nsq)),
             disc_trace=disc_trace,
             wall_time=time.monotonic() - start,
-            # true under the default engine, whose listing bound over Q is
-            # at most gamma_n (1 + slack) + pert; only the box can exceed it
-            norm_bound_satisfied=not field.is_rational
-            or found_norm <= hermite_gamma(n)[0] * (1 + slack) + pert,
             **policy_stats,
         ),
     )
@@ -229,7 +224,7 @@ def _search_box(table, reduced, lift, slack, pert):
     raises EnumerationBudgetError before the first rank test; the pruned
     walk never leaves the static box.  The stats report the nodes visited
     beside the static box and the flat |alpha_i| <= c_m box, Prod(2 b_i + 1)
-    tuples each.
+    tuples each, and whether the found norm is within the cap.
     """
     k = reduced.rank
     norms = [math.sqrt(float(reduced.norm_sq(i))) for i in range(k)]
@@ -269,6 +264,7 @@ def _search_box(table, reduced, lift, slack, pert):
     return v, q / den_sq, {
         "nodes_visited": nodes,
         "norm_bound": cap,
+        "norm_bound_satisfied": math.sqrt(float(q / den_sq)) <= cap,
         "box_nodes_static": static,
         "box_nodes_cm_flat": (2 * int(c_m(k)) + 1) ** k,
     }
@@ -333,6 +329,8 @@ def _search_minimal_class(table, reduced, lift, slack, pert):
             return v, nsq, {
                 "nodes_visited": nodes,
                 "norm_bound": cut,
+                # the listing bound over Q is at most gamma_n (1 + slack) + pert
+                "norm_bound_satisfied": True,
                 "minimal_class_size": len(minimal_class),
             }
     theorem = "Kitaoka's theorem" if table.field.is_rational else "Coulangeon's theorem"

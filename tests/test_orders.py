@@ -782,6 +782,38 @@ class TestMinimalIdealRefinement:
             for seed in (1, 2):
                 assert _primitive_idempotents(f_basis, one_s, smul, p, random.Random(seed)) == got
 
+    def test_f_is_the_frobenius_fixed_centre(self, monkeypatch):
+        # F against its definition, by listing S when p^dim S <= 1000: the z that
+        # commute with every unit vector and have z^p = z are exactly the F_p-span
+        # of f_basis.  The quaternion algebras ramified at p give S = F_(p^2),
+        # whose centre is larger than F.
+        inputs = (REFINEMENT_CORPUS["refinement"]() + REFINEMENT_CORPUS["quaternion"]()
+                  + [(iwahori(p), p) for p in (2, 3)])
+        _, splits = _spy_refinement(monkeypatch, inputs)
+        checked, larger_centre = 0, 0
+        for (f_basis, one_s, smul, p, _), _ in splits:
+            sdim = len(one_s)
+            if p**sdim > 1000:
+                continue
+            units = [[int(i == j) for i in range(sdim)] for j in range(sdim)]
+            central, fixed = set(), set()
+            for z in map(list, product(range(p), repeat=sdim)):
+                if all(smul(z, b) == smul(b, z) for b in units):
+                    central.add(tuple(z))
+                    zp = z
+                    for _ in range(p - 1):
+                        zp = smul(zp, z)
+                    if zp == z:
+                        fixed.add(tuple(z))
+            span = {
+                tuple(sum(c * x for c, x in zip(coef, col)) % p for col in zip(*f_basis))
+                for coef in product(range(p), repeat=len(f_basis))
+            }
+            assert fixed == span
+            checked += 1
+            larger_centre += len(central) > len(fixed)
+        assert checked >= 70 and larger_centre >= 40
+
 
 # ---------------------------------------------------------------------------
 # brute-force oracles for the integer saturation kernels
