@@ -36,7 +36,6 @@ from .lattice import (
     LatticeBasis,
     TensorExperimentReport,
     berge_martinet_upper,
-    box_enumerate,
     c_m,
     dual_basis,
     hermite_gamma,
@@ -68,7 +67,6 @@ from .splitter import (
     GeneratedInstance,
     SplitConfig,
     SplitResult,
-    dynamic_bound_update,
     generate_instance,
     split,
     split_imag_quad,

@@ -163,27 +163,23 @@ def gen(size, field_name, height, seed, output):
 
 @main.command()
 @click.option("--input", "path", default="-", show_default=True)
-@click.option(
-    "--engine", type=click.Choice(["ordered", "box"]), default="ordered", show_default=True
-)
 @click.option("--precision-bits", type=int, default=128, show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--output", default="-", show_default=True)
 @click.option("--human", is_flag=True)
-def split(path, engine, precision_bits, seed, output, human):
+def split(path, precision_bits, seed, output, human):
     """Find a rank-one element and an explicit isomorphism."""
     table = serialize.algebra_from_json(_read_checked(path, "algebra"))
     problems = validate(table)
     if problems:
         raise InputError("invalid structure constants: " + "; ".join(problems[:3]))
     seed = _default_seed() if seed is None else seed
-    config = splitter.SplitConfig(seed=seed, precision_bits=precision_bits, engine=engine)
+    config = splitter.SplitConfig(seed=seed, precision_bits=precision_bits)
     result = splitter.split(table, config)
     if human:
         st = result.stats
         click.echo(f"rank-one element found at Frobenius norm {st.found_norm:.6f}")
-        click.echo(f"engine={st.engine} nodes={st.nodes_visited} "
-                   f"precision={st.precision_bits} time={st.wall_time:.2f}s")
+        click.echo(f"nodes={st.nodes_visited} precision={st.precision_bits} time={st.wall_time:.2f}s")
         click.echo(f"element: {[str(c) for c in result.rank_one_element.coords]}")
     else:
         _write_json(serialize.result_to_json(result, table), output)

@@ -452,7 +452,7 @@ def min_rank_floor(rmax: int) -> tuple[float, int]:
 
 
 def lenstra_coefficient_bounds(c: float, v_norm: float, basis_norms: Sequence[float]) -> list[int]:
-    """Per-coefficient bounds floor(c * ||v|| / ||b_i||) for box enumeration."""
+    """Per-coefficient bounds floor(c * ||v|| / ||b_i||): Lenstra's coefficient box."""
     if c <= 0 or v_norm < 0:
         raise InputError("bounds require c > 0 and a nonnegative norm")
     return [int(math.floor(c * v_norm / bn)) for bn in basis_norms]
@@ -538,37 +538,6 @@ def _walk(lam, d, s: int, bound_sq: Fraction, budget: int | None):
     # one representative per +-class: the one whose first nonzero coefficient is positive
     canonical = [cv for cv in results if next(c for c in cv[0] if c) > 0]
     return sorted(canonical, key=lambda cv: (cv[1], cv[0]))
-
-
-def box_enumerate(bounds: Sequence[int]):
-    """Literal box iteration |alpha_i| <= bounds[i], yielding the nonzero tuples.
-
-    The caller may lower entries of ``bounds`` in place between ``next()``
-    calls; the walk rereads bounds[i] each time it starts, advances or
-    checks coordinate i, so it then skips the regions the lowered bounds
-    exclude.  Left alone it visits all Prod(2 bounds[i] + 1) tuples.  While
-    the bounds stay nonnegative the walk visits the zero tuple exactly once;
-    it never yields it.
-    """
-    if any(b < 0 for b in bounds):
-        raise InputError("negative box bound")
-    m = len(bounds)
-    x = [0] * m
-
-    def level(i: int):
-        if i == m:
-            if any(x):
-                yield tuple(x)
-            return
-        xi = -bounds[i]
-        while xi <= bounds[i]:
-            if abs(xi) <= bounds[i]:
-                x[i] = xi
-                yield from level(i + 1)
-            xi += 1
-        x[i] = 0
-
-    yield from level(0)
 
 
 # -- tensor products ----------------------------------------------------------

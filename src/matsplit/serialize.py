@@ -362,23 +362,13 @@ def result_to_json(result, table: StructureConstants) -> dict:
             "images": [matrix_to_json(M) for M in result.witness.images],
         },
         "stats": {
-            "engine": stats.engine,
-            # the box engine always prunes; the key keeps the result schema
-            "dynamic_pruning": stats.engine == "box",
             "precision_bits": stats.precision_bits,
             "nodes_visited": stats.nodes_visited,
             "found_norm": stats.found_norm,
             "norm_bound": stats.norm_bound,
-            "norm_bound_satisfied": stats.norm_bound_satisfied,
             "disc_trace": [str(x) for x in stats.disc_trace],
             "wall_time": stats.wall_time,
             "minimal_class_size": stats.minimal_class_size,
-            "box_nodes_static": stats.box_nodes_static,
-            "box_nodes_cm_flat": (
-                str(stats.box_nodes_cm_flat)
-                if stats.box_nodes_cm_flat is not None
-                else None
-            ),
         },
     }
 

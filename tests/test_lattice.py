@@ -21,7 +21,6 @@ from matsplit.lattice import (
     _certify_lll,
     _round_ratio,
     berge_martinet_upper,
-    box_enumerate,
     c_m,
     dual_basis,
     gamma_pow,
@@ -743,39 +742,6 @@ class TestBasisShortVectors:
                 z2_basis().short_vectors(bound)
         with pytest.raises(InputError, match="not positive definite"):
             LatticeBasis([(1, 2), (2, 4)]).short_vectors(1)
-
-
-class TestBoxEnumerate:
-    def test_unit_box(self):
-        out = list(box_enumerate([1, 1]))
-        assert len(out) == 8
-        assert all(any(v) for v in out)
-
-    def test_collapse_to_the_zero_tuple(self):
-        # bounds lowered to zero before the first step leave only the zero
-        # tuple, which is visited and not yielded
-        bounds = [5, 5]
-        walk = box_enumerate(bounds)
-        bounds[:] = [0, 0]
-        assert list(walk) == []
-
-    def test_lowered_bounds_are_reread_mid_walk(self):
-        bounds = [1, 1]
-        walk = box_enumerate(bounds)
-        assert next(walk) == (-1, -1)
-        bounds[:] = [0, 0]
-        # the fixed prefix -1 finishes its row inside the lowered bound
-        assert list(walk) == [(-1, 0)]
-
-    def test_nodes_of_the_full_box(self):
-        # 26 nonzero tuples and the zero tuple are the 27 nodes of the box
-        out = list(box_enumerate([1, 1, 1]))
-        assert len(out) + 1 == 27
-        assert len(set(out)) == len(out)
-
-    def test_negative_bound(self):
-        with pytest.raises(InputError):
-            list(box_enumerate([1, -1]))
 
 
 class TestTensor:

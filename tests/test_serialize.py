@@ -404,6 +404,24 @@ class TestSchemas:
             order_from_json(inst.table, {})
         assert order_from_json(inst.table, order_to_json(maximal_order(inst.table)))
 
+    def test_documents_with_the_box_statistics_still_verify(self):
+        from click.testing import CliRunner
+
+        from matsplit.cli import main
+
+        inst = generate_instance(2, "Q", 10, seed=1)
+        doc = json.loads(json.dumps(result_to_json(split(inst.table, SplitConfig(seed=1)), inst.table)))
+        assert check_schema(doc, load_schema("result")) == []
+        # the keys a result document held while a box search existed
+        old = copy.deepcopy(doc)
+        old["stats"].update(engine="box", dynamic_pruning=True, norm_bound_satisfied=True,
+                            box_nodes_static=297, box_nodes_cm_flat=str(1297 ** 4))
+        assert check_schema(old, load_schema("result")) == []
+        assert verify_result_json(old) == []
+        result = CliRunner().invoke(main, ["verify"], input=json.dumps(old))
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == {"valid": True}
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -636,7 +654,7 @@ class TestOutputsStay:
               for seed in range(1, 13)]
     DIGESTS = {
         "algebra_to_json": "5d7c1b83e3fde882",
-        "result_to_json": "c9a6e44f90f129c2",
+        "result_to_json": "753b6be152e1ac46",
         "order_to_json": "2329fe203af928a2",
         "verify_result_json": "e8a5bcf4f17c8f1d",
     }

@@ -25,7 +25,6 @@ from matsplit.serialize import order_to_json, result_to_json, verify_result_json
 from matsplit.splitter import (
     SplitConfig,
     _unit_multiples,
-    dynamic_bound_update,
     generate_instance,
     instance_from_base_change,
     split,
@@ -93,7 +92,7 @@ class TestSplitOverQ:
         for seed in (1, 2, 3):
             inst = generate_instance(2, QQ, 10, seed=seed)
             res = split_over_Q(inst.table, SplitConfig(seed=seed))
-            assert res.stats.norm_bound_satisfied
+            assert res.stats.found_norm <= hermite_gamma(2)[0] + 1e-6
 
     def test_determinism(self):
         inst = generate_instance(2, QQ, 10, seed=6)
@@ -117,80 +116,6 @@ class TestSplitOverQ:
     def test_division_quaternions_violate_the_promise(self):
         with pytest.raises(PromiseViolation):
             split_over_Q(quaternion_table(-1, -1), SplitConfig(seed=1))
-
-
-class TestBoxEngine:
-    def test_engines_agree_on_the_found_norm(self):
-        inst = generate_instance(2, QQ, 10, seed=3)
-        ordered = split_over_Q(inst.table, SplitConfig(seed=3))
-        box = split_over_Q(inst.table, SplitConfig(seed=3, engine="box"))
-        assert abs(box.stats.found_norm - ordered.stats.found_norm) < 1e-9
-
-    def test_dynamic_pruning_never_visits_more(self):
-        # the unpruned box visits every tuple of the static box
-        inst = generate_instance(2, QQ, 10, seed=8)
-        box = split_over_Q(inst.table, SplitConfig(seed=8, engine="box"))
-        assert box.stats.nodes_visited <= box.stats.box_nodes_static
-        assert box.stats.nodes_visited < box.stats.box_nodes_cm_flat
-
-    def test_flat_cm_box_is_astronomical(self):
-        from matsplit.lattice import c_m
-
-        inst = generate_instance(2, QQ, 10, seed=4)
-        res = split_over_Q(inst.table, SplitConfig(seed=4, engine="box"))
-        assert res.stats.box_nodes_cm_flat == (2 * int(c_m(4)) + 1) ** 4
-        assert res.stats.nodes_visited < res.stats.box_nodes_cm_flat
-
-
-class TestBoxTraversal:
-    # Nodes visited, static box and rank-one element of the pruned walk
-    # (the element as its sign with the greatest coordinates); a change to
-    # the walk, its pruning or its tie order shows here.
-    PINNED = [
-        (2, 1, 38, 297, ["1", "0", "-1", "3"]),
-        (2, 2, 96, 135, ["2", "-2", "-3", "1"]),
-        (2, 3, 7, 27, ["1", "0", "-1", "-1/2"]),
-        (2, 4, 16, 45, ["1", "-4", "10", "11"]),
-        (2, 5, 17, 63, ["1", "1", "0", "2"]),
-        (2, 6, 18, 81, ["1", "-1", "-1", "-1"]),
-        (2, 7, 7, 27, ["1", "-1", "2", "0"]),
-        (2, 8, 8, 45, ["0", "2", "1", "0"]),
-        (2, 9, 16, 45, ["2", "-11", "8", "0"]),
-        (2, 10, 8, 45, ["1", "-1", "2", "0"]),
-        (2, 11, 16, 81, ["0", "1", "-1", "-2"]),
-        (2, 12, 42, 81, ["94", "-45", "-78", "-39/2"]),
-        (2, 13, 8, 45, ["1", "-2", "0", "0"]),
-        (2, 14, 17, 63, ["1", "4", "-2", "6"]),
-        (2, 15, 8, 45, ["2", "9", "-5", "8"]),
-        (2, 16, 16, 45, ["327", "85", "153", "-5"]),
-        (2, 17, 23, 171, ["0", "1", "0", "-1"]),
-        (2, 18, 7, 27, ["3", "1", "-6", "0"]),
-        (2, 19, 7, 27, ["28", "-9", "-11", "-129"]),
-        (2, 20, 42, 81, ["53", "27", "-387", "-57"]),
-        (3, 3, 2693, 14175, ["0", "0", "1", "0", "0", "1", "-2", "0", "1"]),
-    ]
-
-    @pytest.mark.parametrize(
-        "n,seed,nodes,static,element", PINNED, ids=[f"Q-n{p[0]}-s{p[1]}" for p in PINNED]
-    )
-    def test_pinned(self, n, seed, nodes, static, element):
-        inst = generate_instance(n, "Q", 10, seed)
-        res = split(inst.table, SplitConfig(seed=seed, engine="box"))
-        assert res.stats.nodes_visited == nodes
-        assert res.stats.box_nodes_static == static
-        assert [str(c) for c in res.rank_one_element.coords] == element
-
-
-class TestDynamicBoundUpdate:
-    def test_rank_one_unit_norm(self):
-        assert dynamic_bound_update(math.inf, 1.0, 1) == 1.0
-
-    def test_rank_two_sqrt_two(self):
-        # gamma_2^2 / sqrt(2) * sqrt(2) = 4/3
-        assert abs(dynamic_bound_update(math.inf, math.sqrt(2), 2) - 4 / 3) < 1e-12
-
-    def test_smaller_current_wins(self):
-        assert dynamic_bound_update(0.5, 10.0, 1) == 0.5
 
 
 class TestSplitImagQuad:
@@ -230,21 +155,21 @@ class TestSplit:
     # lexicographically greatest, so no rounding picks among C, -C or
     # omega^k C.
     GOLDEN = [
-        ("Q", 42, {}, ["3", "-12", "1", "-4"], 1, [1], 1),
-        ("Q", 2, {}, ["2", "-2", "-3", "1"], 1, [1], 1),
-        ("Q", 3, {"engine": "box"}, ["1", "0", "-1", "-1/2"], 7, [256, 1], None),
-        ("gauss", 13, {}, ["0", "1/2+1/2*sqrt(-1)", "0", "0"], 1, [1024, 256], 2),
-        ("eisenstein", 1, {}, ["0", "0", "1", "0"], 1, [81, 81], 3),
+        ("Q", 42, ["3", "-12", "1", "-4"], 1, [1], 1),
+        ("Q", 2, ["2", "-2", "-3", "1"], 1, [1], 1),
+        ("Q", 3, ["1", "0", "-1", "-1/2"], 1, [256, 1], 1),
+        ("gauss", 13, ["0", "1/2+1/2*sqrt(-1)", "0", "0"], 1, [1024, 256], 2),
+        ("eisenstein", 1, ["0", "0", "1", "0"], 1, [81, 81], 3),
     ]
 
     @pytest.mark.parametrize(
-        "field,seed,options,element,nodes,disc_trace,class_size",
+        "field,seed,element,nodes,disc_trace,class_size",
         GOLDEN,
-        ids=["Q-42", "Q-2", "Q-3-box-pruned", "gauss-13", "eisenstein-1"],
+        ids=["Q-42", "Q-2", "Q-3", "gauss-13", "eisenstein-1"],
     )
-    def test_golden_results(self, field, seed, options, element, nodes, disc_trace, class_size):
+    def test_golden_results(self, field, seed, element, nodes, disc_trace, class_size):
         inst = generate_instance(2, field, 10, seed=seed)
-        res = split(inst.table, SplitConfig(seed=seed, **options))
+        res = split(inst.table, SplitConfig(seed=seed))
         assert [str(c) for c in res.rank_one_element.coords] == element
         assert res.stats.nodes_visited == nodes
         assert res.stats.disc_trace == disc_trace
@@ -297,18 +222,12 @@ class TestSplit:
         "options",
         [
             {"precision_bits": 8192},
-            {"engine": "fast"},
         ],
-        ids=["precision-above-default-max", "unknown-engine"],
+        ids=["precision-above-default-max"],
     )
     def test_config_rejects_settings_it_cannot_honour(self, options):
         with pytest.raises(InputError):
             SplitConfig(**options)
-
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_box_engine_is_for_Q_only(self, d):
-        with pytest.raises(InputError):
-            split(matrix_units_table(2, Field(d)), SplitConfig(engine="box"))
 
 
 class TestUnitMultiples:
