@@ -169,6 +169,15 @@ class TestPipelines:
         result = runner.invoke(main, ["split", "--seed", "1"], input=json.dumps(table))
         assert result.exit_code == 2
 
+    def test_n4_over_Q_splits_and_verifies(self, runner):
+        # the minimal-class search splits at n = 4, where the coefficient
+        # box of the earlier algorithm holds about 2.6e13 tuples
+        gen = run_ok(runner, ["gen", "--n", "4", "--field", "Q", "--seed", "1"])
+        start = time.perf_counter()
+        split = run_ok(runner, ["split", "--seed", "1"], input=gen.output)
+        assert time.perf_counter() - start < 10
+        run_ok(runner, ["verify"], input=split.output)
+
     def test_tampered_result_fails_verification(self, runner):
         gen = run_ok(runner, ["gen", "--n", "2", "--seed", "3"])
         split = run_ok(runner, ["split", "--seed", "3"], input=gen.output)

@@ -18,7 +18,7 @@ from matsplit.algebra import (
 from matsplit.errors import InputError, PromiseViolation
 from matsplit.exactnum import QQ, ExactMatrix, Field
 from matsplit.fixtures import gaussian_lambda_order, quaternion_table
-from matsplit import lattice
+from matsplit import lattice, splitter
 from matsplit.lattice import hermite_gamma
 from matsplit.orders import maximal_order
 from matsplit.serialize import order_to_json, result_to_json, verify_result_json
@@ -31,6 +31,8 @@ from matsplit.splitter import (
     split_imag_quad,
     split_over_Q,
 )
+
+from lattice_oracle import short_vectors as oracle_short_vectors
 
 
 class TestSplitOverQ:
@@ -116,6 +118,84 @@ class TestSplitOverQ:
     def test_division_quaternions_violate_the_promise(self):
         with pytest.raises(PromiseViolation):
             split_over_Q(quaternion_table(-1, -1), SplitConfig(seed=1))
+
+
+class TestMinimalClassPinned:
+    # Rank-one element (as its sign with the greatest coordinates), nodes
+    # visited and minimal class size of the search; a change to the listing
+    # bound, the class cut or the tie order shows here.  Seed 21 has a class
+    # of four.
+    PINNED = [
+        (2, 1, ["1", "0", "-1", "3"], 1),
+        (2, 2, ["2", "-2", "-3", "1"], 1),
+        (2, 3, ["1", "0", "-1", "-1/2"], 1),
+        (2, 4, ["1", "-4", "10", "11"], 1),
+        (2, 5, ["1", "1", "0", "2"], 1),
+        (2, 6, ["1", "-1", "-1", "-1"], 1),
+        (2, 7, ["1", "-1", "2", "0"], 1),
+        (2, 8, ["0", "2", "1", "0"], 1),
+        (2, 9, ["2", "-11", "8", "0"], 1),
+        (2, 10, ["1", "-1", "2", "0"], 1),
+        (2, 11, ["0", "1", "-1", "-2"], 1),
+        (2, 12, ["94", "-45", "-78", "-39/2"], 1),
+        (2, 13, ["1", "-2", "0", "0"], 1),
+        (2, 14, ["1", "4", "-2", "6"], 1),
+        (2, 15, ["2", "9", "-5", "8"], 1),
+        (2, 16, ["327", "85", "153", "-5"], 1),
+        (2, 17, ["0", "1", "0", "-1"], 1),
+        (2, 18, ["3", "1", "-6", "0"], 1),
+        (2, 19, ["28", "-9", "-11", "-129"], 1),
+        (2, 20, ["53", "27", "-387", "-57"], 1),
+        (2, 21, ["2", "4", "2", "7"], 4),
+        (3, 3, ["0", "0", "1", "0", "0", "1", "-2", "0", "1"], 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "n,seed,element,class_size", PINNED, ids=[f"Q-n{p[0]}-s{p[1]}" for p in PINNED]
+    )
+    def test_pinned(self, n, seed, element, class_size):
+        inst = generate_instance(n, "Q", 10, seed)
+        res = split(inst.table, SplitConfig(seed=seed))
+        assert [str(c) for c in res.rank_one_element.coords] == element
+        assert res.stats.nodes_visited == 1
+        assert res.stats.minimal_class_size == class_size
+
+
+class TestFoundNormIsLeast:
+    # The Fraction Fincke-Pohst lists the reduced basis up to the found norm
+    # times 1 + 2^-20; each listed vector is rank-tested as its matrix under
+    # the generator's recorded base change.  Some listed vector has rank
+    # one, and none of squared norm below found^2 (1 - 2^-20) has.  Seeds
+    # 1-20 at n = 2 are acceptance criterion 11.
+    CASES = [(2, s) for s in range(21, 41)] + [(3, s) for s in range(1, 6)]
+
+    @pytest.mark.parametrize("n,seed", CASES, ids=[f"Q-n{n}-s{s}" for n, s in CASES])
+    def test_no_shorter_rank_one_element(self, n, seed, monkeypatch):
+        seen = {}
+        real_reduce, real_embed = splitter.lll_reduce, splitter.embed_order
+
+        def reduce_spy(lat):
+            seen["reduced"] = real_reduce(lat)
+            return seen["reduced"]
+
+        def embed_spy(emb, order):
+            seen["order"] = order
+            return real_embed(emb, order)
+
+        monkeypatch.setattr(splitter, "lll_reduce", reduce_spy)
+        monkeypatch.setattr(splitter, "embed_order", embed_spy)
+        inst = generate_instance(n, QQ, 10, seed=seed)
+        found = Fraction(split_over_Q(inst.table, SplitConfig(seed=seed)).stats.found_norm)
+        # over Q the embedded z-basis is the order's basis, in its order
+        reduced, zbasis = seen["reduced"], seen["order"].z_basis()
+        ranks = []
+        for coeffs, nsq in oracle_short_vectors(reduced.gram(), found * (1 + Fraction(1, 2**20))):
+            w = [sum(h * c for h, c in zip(row, coeffs)) for row in reduced.unimodular_history]
+            coords = [sum(wj * z.coords[i] for wj, z in zip(w, zbasis)) for i in range(inst.table.m)]
+            ranks.append((nsq, inst.hidden_matrix(coords).rank()))
+        assert any(r == 1 for _, r in ranks)
+        below = found**2 * (1 - Fraction(1, 2**20))
+        assert all(r != 1 for nsq, r in ranks if nsq < below)
 
 
 class TestSplitImagQuad:
@@ -228,6 +308,11 @@ class TestSplit:
     def test_config_rejects_settings_it_cannot_honour(self, options):
         with pytest.raises(InputError):
             SplitConfig(**options)
+
+    def test_engine_is_not_a_config_field(self):
+        # the box engine is retired; the minimal-class search is the only one
+        with pytest.raises(TypeError):
+            SplitConfig(engine="box")
 
 
 class TestUnitMultiples:
