@@ -109,13 +109,13 @@ class StructureConstants:
     def find_identity(self) -> "AlgebraElement":
         """The two-sided identity; raises NoIdentityError when none exists.
 
-        e = sum_i e_i a_i must solve sum_i e_i gamma_ijk = [j == k] (that is
-        e a_j = a_j) and sum_i e_i gamma_jik = [j == k] (a_j e = a_j).  The
-        scan reduces these 2m^2 integer equations one at a time, fraction-free,
-        against the rows kept so far and divides only to back-substitute its m
-        pivot rows.  A two-sided identity is unique when it exists (e = e e'
-        = e'), so it is their solution, and substituting it into all 2m^2
-        equations, in O(m^3) integer operations, decides whether it is one.
+        e = sum_i e_i a_i must solve sum_i e_i gamma_ijk = [j == k], that is
+        e a_j = a_j.  The scan reduces these m^2 integer equations one at a
+        time, fraction-free, against the rows kept so far and divides only to
+        back-substitute its m pivot rows.  A two-sided identity e is their one
+        solution when it exists, as every left identity is e' = e' e = e; so
+        substituting the solution into e a_j = a_j and a_j e = a_j, in O(m^3)
+        integer operations, decides whether it is one.
         """
         E, de = self._integral_identity()
         return AlgebraElement(self, lift_coords(self.field, [Fraction(x, de) for x in E]))
@@ -131,19 +131,12 @@ class StructureConstants:
         # of e, and e (omega a_j) = omega (e a_j) leaves the equations for the a_j
         G, d = self._integral_gamma()
         m, w = self.m, len(G)
-
-        def equations():
-            for j in range(m):
-                for k in range(w):
-                    yield [G[i][j][k] for i in range(w)] + [d if j == k else 0]
-            for j in range(m):
-                for k in range(w):
-                    yield [G[j][i][k] for i in range(w)] + [d if j == k else 0]
-
+        equations = ([G[i][j][k] for i in range(w)] + [d if j == k else 0]
+                     for j in range(m) for k in range(w))
         # (column, row): an integer row [coefficients | rhs], divided by its
         # content, that is zero in the columns of the pivots kept before it
         pivots = []
-        for row in equations():
+        for row in equations:
             for c, p in pivots:
                 f = row[c]
                 if f:
@@ -526,7 +519,8 @@ def _build_isomorphism(table: StructureConstants, E: Sequence[int], D: int) -> I
     associativity a_i w_t = (a_i a_{p_t}) C, so column t of phi(a_i) is
     sum_k gamma_{i p_t k} X[.][k]; on a table that is not associative these
     images fail the check.  C has rank one when there are n pivots over K,
-    since dim(A C) = n rank(C) in M_n(K).
+    since dim(A C) = n rank(C) in M_n(K).  phi(e) = I by bilinearity alone:
+    its column t holds the coordinates of (e a_{p_t}) C = w_t.
     """
     n, m, field = table.n, table.m, table.field
     G, d = table._integral_gamma()
@@ -548,8 +542,6 @@ def _build_isomorphism(table: StructureConstants, E: Sequence[int], D: int) -> I
     problems = _witness_problems(table, flat, den)
     if problems.pairs:
         raise InternalError(f"multiplicativity fails on the basis pair {problems.pairs[0]}")
-    if problems.identity_fails:
-        raise InternalError("phi(1) is not the identity matrix")
     if problems.not_injective:
         raise PromiseViolation(
             "the images of the basis are linearly dependent: A -> M_n(K) is not "
@@ -627,6 +619,46 @@ def _witness_problems(table: StructureConstants, flat: Sequence[int], D: int) ->
         E, de = table._integral_identity()
         identity_fails = _combination(E, P) != _scaled_eye(size, de * D)
     return WitnessProblems(pairs, identity_fails, not_injective)
+
+
+def _claim_problems(table: StructureConstants, flat: Sequence[int], basis: Sequence[Sequence[int]],
+                    element: Sequence[int]) -> list[str]:
+    """What the printed left ideal basis and rank one element claim that the images deny.
+
+    flat holds the images as in _witness_problems, which they pass: phi is an
+    isomorphism A -> M_n(K).  basis holds the (1, omega) coordinates of the
+    w_t over one common denominator, element those of C over any.  If C has
+    rank one, phi(A C) = {v rho} for the row rho of phi(C); write phi(w_t) =
+    v_t rho, V the matrix with columns v_t.  The images act on the basis as
+    printed, a_i w_t = sum_s phi(a_i)[s][t] w_s, exactly when V commutes with
+    all of M_n(K), that is V = lambda I.  So (i) row t of phi(w_t) is one
+    nonzero row rho for every t, its other rows zero; and (ii) phi(C) != 0
+    has its rows in K rho, which puts the w_t in A C and makes C rank one.
+    """
+    n, m, field = table.n, table.m, table.field
+    L, h, t = n * n, 1 if field.is_rational else 2, int(field.has_half_integers)
+    Z = [[x for s in range(h) for x in flat[(s * m + k) * L:(s * m + k + 1) * L]] for k in range(m)]
+    if h == 2:
+        Z += [_omega_times(z, t) for z in Z]
+
+    def rows(v: Sequence[int]) -> list:  # the rows of phi(v), each in (1, omega) coordinates
+        M = _combination(v, Z)
+        return [[x for s in range(h) for x in M[s * L + r * n:s * L + (r + 1) * n]] for r in range(n)]
+
+    def span(vs: list) -> list:  # Q-generators of the K-span of vs, whose Q-rank is h dim_K
+        return vs + [_omega_times(v, t) for v in vs] if h == 2 else vs
+
+    acts = [rows(w) for w in basis]
+    rho, zero = acts[0][0], [0] * (h * n)
+    problems = []
+    if not any(rho) or any(R != [rho if r == s else zero for r in range(n)] for s, R in enumerate(acts)):
+        problems.append("the images do not act on the left ideal basis as printed")
+    C = rows(element)
+    if int_rank(span(C)) != h:
+        problems.append("claimed element does not have ideal rank one")
+    elif any(rho) and int_rank(span([rho]) + C) != h:
+        problems.append("the left ideal basis does not span A*C")
+    return problems
 
 
 def _pack(v: Sequence[int], W: int) -> bytes:

@@ -85,6 +85,12 @@ def _read_checked(path: str, schema: str):
     return obj
 
 
+def _check_valid(table, cause: Exception | None = None):
+    problems = validate(table)
+    if problems:
+        raise InputError("invalid structure constants: " + "; ".join(problems[:3])) from cause
+
+
 def _write_json(obj, path: str):
     text = json.dumps(obj, indent=2)
     if path == "-":
@@ -170,19 +176,22 @@ def gen(size, field_name, height, seed, output):
 def split(path, precision_bits, seed, output, human):
     """Find a rank-one element and an explicit isomorphism."""
     table = serialize.algebra_from_json(_read_checked(path, "algebra"))
-    problems = validate(table)
-    if problems:
-        raise InputError("invalid structure constants: " + "; ".join(problems[:3]))
-    seed = _default_seed() if seed is None else seed
-    config = splitter.SplitConfig(seed=seed, precision_bits=precision_bits)
-    result = splitter.split(table, config)
-    if human:
-        st = result.stats
-        click.echo(f"rank-one element found at Frobenius norm {st.found_norm:.6f}")
-        click.echo(f"nodes={st.nodes_visited} precision={st.precision_bits} time={st.wall_time:.2f}s")
-        click.echo(f"element: {[str(c) for c in result.rank_one_element.coords]}")
-    else:
-        _write_json(serialize.result_to_json(result, table), output)
+    # a split that returns proves the table valid: its exact witness carries
+    # M_n(K)'s product over.  validate runs only to explain a failure
+    try:
+        seed = _default_seed() if seed is None else seed
+        config = splitter.SplitConfig(seed=seed, precision_bits=precision_bits)
+        result = splitter.split(table, config)
+        if human:
+            st = result.stats
+            click.echo(f"rank-one element found at Frobenius norm {st.found_norm:.6f}")
+            click.echo(f"nodes={st.nodes_visited} precision={st.precision_bits} time={st.wall_time:.2f}s")
+            click.echo(f"element: {[str(c) for c in result.rank_one_element.coords]}")
+        else:
+            _write_json(serialize.result_to_json(result, table), output)
+    except Exception as exc:
+        _check_valid(table, exc)
+        raise
 
 
 @main.command()
@@ -203,9 +212,7 @@ def verify(path):
 def order(path, output, human):
     """Compute a maximal order and print its basis and discriminant."""
     table = serialize.algebra_from_json(_read_checked(path, "algebra"))
-    problems = validate(table)
-    if problems:
-        raise InputError("invalid structure constants: " + "; ".join(problems[:3]))
+    _check_valid(table)  # maximal_order has no witness to prove the table valid
     result = maximal_order(table)
     payload = serialize.order_to_json(result)
     if human:

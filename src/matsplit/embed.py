@@ -595,13 +595,10 @@ def rationalize(embedded: EmbeddedLattice, target_denominator: int) -> LatticeBa
 
     Entry x = X / D, D = embedded.denominator, becomes nint(X q / D) / q,
     q = target_denominator, rounded exactly on ints.  So x moves by at most
-    1/(2q), which the recorded perturbation, 1/q plus the embedding error
-    radius, covers.  The basis takes the rounded ints over q in lowest terms.
+    1/(2q).  The basis takes the rounded ints over q in lowest terms.
     """
     if target_denominator < 1:
         raise InputError("target denominator must be positive")
     q, D = int(target_denominator), embedded.denominator
     cols = [[_round_div(x * q, D) for x in vec] for vec in embedded.basis_vectors]
-    # int / int, not 1.0 / q: q = 2^1024 and above has no float value
-    perturbation = float(embedded.error_radius) + 1 / q
-    return LatticeBasis._of_ints(*_lowest_terms(cols, q), perturbation=perturbation)
+    return LatticeBasis._of_ints(*_lowest_terms(cols, q))

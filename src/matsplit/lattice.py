@@ -57,12 +57,12 @@ class LatticeBasis:
     """
 
     __slots__ = (
-        "ambient_dim", "rank", "unimodular_history", "perturbation", "_ints", "_den",
+        "ambient_dim", "rank", "unimodular_history", "_ints", "_den",
         "_columns",  # the Fraction columns, built on first read and kept
         "_gso",  # integral_gso(), computed on first use and kept
     )
 
-    def __init__(self, columns: Sequence[Sequence], unimodular_history=None, perturbation=None):
+    def __init__(self, columns: Sequence[Sequence], unimodular_history=None):
         cols = [_fracv(c) for c in columns]
         if not cols:
             raise InputError("empty basis")
@@ -70,12 +70,11 @@ class LatticeBasis:
         if any(len(c) != dim for c in cols):
             raise InputError("ragged basis columns")
         ints, den = _integral_rows(cols)
-        self._set(ints, den, unimodular_history, perturbation)
+        self._set(ints, den, unimodular_history)
         object.__setattr__(self, "_columns", tuple(cols))
 
     @classmethod
-    def _of_ints(cls, ints: Sequence[Sequence[int]], den: int,
-                 unimodular_history=None, perturbation=None) -> "LatticeBasis":
+    def _of_ints(cls, ints: Sequence[Sequence[int]], den: int, unimodular_history=None) -> "LatticeBasis":
         """The basis with columns ints[j] / den, building no Fraction.
 
         The caller hands the columns over in lowest terms, den > 0 and
@@ -83,11 +82,11 @@ class LatticeBasis:
         empty or ragged.
         """
         self = cls.__new__(cls)
-        self._set(ints, den, unimodular_history, perturbation)
+        self._set(ints, den, unimodular_history)
         object.__setattr__(self, "_columns", None)
         return self
 
-    def _set(self, ints, den: int, unimodular_history, perturbation):
+    def _set(self, ints, den: int, unimodular_history):
         rank = len(ints)
         object.__setattr__(self, "ambient_dim", len(ints[0]))
         object.__setattr__(self, "rank", rank)
@@ -96,7 +95,6 @@ class LatticeBasis:
         if unimodular_history is None:
             unimodular_history = [[int(i == j) for j in range(rank)] for i in range(rank)]
         object.__setattr__(self, "unimodular_history", tuple(tuple(r) for r in unimodular_history))
-        object.__setattr__(self, "perturbation", perturbation)
         object.__setattr__(self, "_gso", None)
 
     def __setattr__(self, *args):
@@ -242,7 +240,7 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
             k += 1
 
     history = _compose_history(basis.unimodular_history, U)
-    out = LatticeBasis._of_ints(cols, scale, history, basis.perturbation)
+    out = LatticeBasis._of_ints(cols, scale, history)
     _certify_lll(out, delta)
     return out
 

@@ -24,7 +24,7 @@ from typing import Any, Sequence
 from .algebra import (
     StructureConstants,
     _check_witness_shape,
-    _int_ideal_rank,
+    _claim_problems,
     _omega_times,
     _restricted_gamma,
     _witness_problems,
@@ -376,7 +376,10 @@ def result_to_json(result, table: StructureConstants) -> dict:
 def verify_result_json(obj) -> list[str]:
     """Re-run the exact checks on a serialized split result.
 
-    Returns a list of failure descriptions; empty means the witness is valid.
+    The images must make an isomorphism phi (_witness_problems); then the
+    left ideal basis and the rank one element must be what phi says they
+    are (_claim_problems).  Returns a list of failure descriptions; empty
+    means the document is a valid certificate.
     Raises InputError when a field it reads has the wrong type or shape.
     """
     problems = []
@@ -392,14 +395,11 @@ def verify_result_json(obj) -> list[str]:
     basis = _typed(witness.get("left_ideal_basis"), list, "the left ideal basis")
     if len(basis) != n or any(not isinstance(v, list) or len(v) != table.m for v in basis):
         raise InputError(f"the left ideal basis must hold {n} vectors of length {table.m}")
-    for v in basis:  # checked only: every leaf must parse
-        read.coords(v)
     field, m = table.field, table.m
+    basis, _ = _common_ints(field, [read.coords(v) for v in basis])
     element = read.coords(_typed(obj.get("rank_one_element"), list, "the rank one element"))
     if len(element) != m:
         raise InputError("coordinate length mismatch")
-    if _int_ideal_rank(table, _common_ints(field, [element])[0][0], n) != 1:
-        problems.append("claimed element does not have ideal rank one")
     images = []  # the coords of each image's rows
     for M in _typed(witness.get("images"), list, "the images"):
         rows = [read.coords(_typed(row, list, "an image row")) for row in _typed(M, list, "an image")]
@@ -419,6 +419,8 @@ def verify_result_json(obj) -> list[str]:
         problems.append("phi(1) is not the identity")
     if found.not_injective:
         problems.append("the images are linearly dependent, so phi is not injective")
+    elif not found.pairs:
+        problems += _claim_problems(table, flat, basis, _common_ints(field, [element])[0][0])
     return problems
 
 

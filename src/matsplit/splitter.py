@@ -113,9 +113,10 @@ def split(
                 raise
             precision *= 2
     embedded = embed_order(emb, order)
-    reduced = lll_reduce(rationalize(embedded, 2 ** max(48, precision // 2)))
+    q = 2 ** max(48, precision // 2)  # 1 / q below is int / int: q >= 2^1024 has no float value
+    reduced = lll_reduce(rationalize(embedded, q))
     slack = 2.0 ** (-(precision // 4))
-    pert = (reduced.perturbation or 0.0) * reduced.rank
+    pert = (float(embedded.error_radius) + 1 / q) * reduced.rank
     # lift maps enumeration coefficients over the reduced basis to the
     # (1, omega) coordinates of the element they name times D, as ints: the
     # z-basis is Order._int's columns over D = its den, so the vectors feed
@@ -199,12 +200,12 @@ def _search_minimal_class(table, reduced, lift, slack, pert):
     which caps the listing over Q; the cap is on the norm, not its square:
     Q n = 2, seed 2 finds 1.0761 > sqrt(gamma_2) = 1.0746.
 
-    The class cut is in norm units like pert, the recorded per-entry
-    perturbation of the rationalized basis times its rank (the listing
-    bound adds it to a norm); the slack covers the float rounding.  pert is
-    not a proven bound on how far a listed norm moves: it leaves out the
-    unimodular history U and sqrt(dim), and Q n = 2, seed 25 moves a
-    reduced basis vector by 1991 pert (ROADMAP item 2, Step A, replaces it
+    The class cut is in norm units like pert, the rank times the per-entry
+    allowance 1/q plus the embedding's error radius of the rationalized
+    basis (the listing bound adds it to a norm); the slack covers the float
+    rounding.  pert is not a proven bound on how far a listed norm moves:
+    it leaves out the unimodular history U and sqrt(dim), and Q n = 2, seed
+    25 moves a reduced basis vector by 1991 pert (ROADMAP item 2, Step A, replaces it
     with a bound that holds).  Were pert such a bound, the unperturbed
     minimum mu would be at most sqrt(lam_sq) + pert, lam_sq the first listed
     squared norm, so a vector of norm mu would list at most
@@ -226,8 +227,8 @@ def _search_minimal_class(table, reduced, lift, slack, pert):
     if not vecs:
         raise PromiseViolation(
             f"no vector of the embedded maximal order has norm within the Berge-Martinet "
-            f"bound gamma'_{n} <= {berge_martinet_upper(n):.6g} (up to the recorded "
-            f"perturbation); a split algebra has one, so the algebra is not M_{n}(Q)"
+            f"bound gamma'_{n} <= {berge_martinet_upper(n):.6g} (plus the rounding "
+            f"allowance); a split algebra has one, so the algebra is not M_{n}(Q)"
         )
     cut = math.sqrt(float(vecs[0][1])) * (1 + slack) + 2 * pert
     # norms, not squares: the first vector's float norm never exceeds the cut

@@ -155,6 +155,23 @@ class TestIdentity:
         with pytest.raises(NoIdentityError):
             find_identity(t)
 
+    # E11, E12 of the first-row matrices: the left identities E11 + c E12, no
+    # right one; E11, E21 of the first-column matrices: the right identities
+    # E11 + c E21, no left one; and the zero algebra
+    ONE_SIDED = {
+        "left_only": [[[1, 0], [0, 1]], [[0, 0], [0, 0]]],
+        "right_only": [[[1, 0], [0, 0]], [[0, 1], [0, 0]]],
+        "zero": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+    }
+
+    @pytest.mark.parametrize("field", [QQ, GAUSS, EISENSTEIN])
+    @pytest.mark.parametrize("name", sorted(ONE_SIDED))
+    def test_the_left_equations_alone_find_no_two_sided_identity(self, name, field):
+        t = StructureConstants(field, self.ONE_SIDED[name])
+        with pytest.raises(NoIdentityError, match="^the table has no two-sided identity$"):
+            find_identity(t)
+        assert "no two-sided identity element" in validate(t)
+
 
 class TestRegularRepresentation:
     """The test-side left_regular, an oracle of other tests."""

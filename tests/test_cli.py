@@ -1,16 +1,18 @@
 """Command line surface: every subcommand, exit codes, schemas, round trips."""
 
 import json
+import random
 import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from matsplit import splitter
+from matsplit import cli, splitter
 from matsplit.algebra import (
     StructureConstants,
     WitnessProblems,
@@ -529,6 +531,65 @@ class TestForgedWitnesses:
         table, _, element = _forged("K^4", field)
         with pytest.raises(PromiseViolation, match="not injective"):
             build_isomorphism(table, element)
+
+
+def _off_by_one_units(n: int, seed: int) -> StructureConstants:
+    """M_n(Q) with one or two products E_ab E_cd of off-diagonal units changed by +-1 in one
+    coordinate, scrambled by a bounded unimodular base change: the identity sum E_ii stays."""
+    rng = random.Random(seed)
+    m = n * n
+    gamma = [[list(gij) for gij in gi] for gi in matrix_units_table(n).gamma]
+    off = [a * n + b for a in range(n) for b in range(n) if a != b]
+    for _ in range(rng.randint(1, 2)):
+        gamma[rng.choice(off)][rng.choice(off)][rng.randrange(m)] += rng.choice((-1, 1))
+    rows = splitter._bounded_unimodular(m, 3, QQ, rng)
+    return splitter.instance_from_base_change(StructureConstants(QQ, gamma), rows, QQ).table
+
+
+class TestSplitGate:
+    """split runs validate only when it fails: a returned witness proves the table valid,
+    and an invalid table still exits 4 whatever failed first."""
+
+    @pytest.fixture
+    def validate_calls(self, monkeypatch):
+        calls = []
+
+        def spy(table, real=cli.validate):
+            calls.append(table)
+            return real(table)
+
+        monkeypatch.setattr(cli, "validate", spy)
+        return calls
+
+    def test_a_valid_split_runs_no_validate(self, runner, validate_calls):
+        gen = run_ok(runner, ["gen", "--n", "3", "--seed", "1"])
+        split = run_ok(runner, ["split", "--seed", "1"], input=gen.output)
+        assert validate_calls == []
+        assert verify_result_json(json.loads(split.output)) == []
+
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in (2, 3, 4) for seed in range(4)])
+    def test_an_off_by_one_table_exits_4(self, runner, validate_calls, n, seed):
+        table = _off_by_one_units(n, seed)
+        start = time.perf_counter()
+        result = runner.invoke(main, ["split", "--seed", "1"], input=json.dumps(algebra_to_json(table)))
+        assert time.perf_counter() - start < 10
+        assert result.exit_code == 4, result.output
+        assert "invalid structure constants" in result.output
+        assert len(validate_calls) == 1
+
+    def test_an_invalid_table_exits_4_when_the_split_raises_a_promise_violation(
+            self, runner, monkeypatch):
+        algebra = algebra_to_json(splitter.generate_instance(2, "Q", 10, 1).table)
+        algebra["gamma"][0][0][0] = str(Fraction(algebra["gamma"][0][0][0]) + 1)
+
+        def refuse(table, config):
+            raise PromiseViolation("the algebra is not M_2(Q)")
+
+        monkeypatch.setattr(splitter, "split", refuse)
+        result = runner.invoke(main, ["split", "--seed", "1"], input=json.dumps(algebra))
+        assert result.exit_code == 4, result.output
+        assert "invalid structure constants" in result.output
+        assert "not M_2(Q)" not in result.output
 
 
 class TestUsageErrors:

@@ -663,7 +663,6 @@ class TestLowestTerms:
             want = [[Fraction(_round_div(x * q, 8), q) for x in v] for v in vectors]
             _assert_lowest_terms(rationalize(emb, q), want)
         basis = _embedded_q3(1)
-        assert basis.perturbation is not None
         _assert_lowest_terms(basis, basis.columns)
 
     def test_lattice_from_json(self):

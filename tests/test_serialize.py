@@ -645,6 +645,59 @@ class TestVerifyReadsTheWitnessCore:
         assert message.startswith("a witness needs 4 images of shape 2 x 2")
 
 
+class TestVerifyChecksTheClaims:
+    """Once the images make an isomorphism phi, verify_result_json checks the printed left
+    ideal basis and rank one element against phi: on the n = 2 seed 1 split, a swapped
+    basis, the images of the seed-5 split and the seed-5 element are each refused, and a
+    nonzero multiple of the element, or of the whole basis, is a true certificate."""
+
+    @pytest.fixture(scope="class")
+    def documents(self):
+        out = {}
+        for name in ("Q", "gauss", "eisenstein"):
+            table = generate_instance(2, name, 10, seed=1).table
+            out[name] = [json.loads(json.dumps(result_to_json(split(table, SplitConfig(seed=s)), table)))
+                         for s in (1, 5)]
+        return out
+
+    @staticmethod
+    def _times(field, c, v):
+        return [scalar_to_json(c * scalar_from_json(field, x)) for x in v]
+
+    @pytest.mark.parametrize("name", ["Q", "gauss", "eisenstein"])
+    def test_tampers(self, documents, name):
+        doc, other = documents[name]
+        assert verify_result_json(doc) == verify_result_json(other) == []
+        assert doc["rank_one_element"] != other["rank_one_element"]
+        swapped = copy.deepcopy(doc)
+        basis = swapped["witness"]["left_ideal_basis"]
+        basis[0], basis[1] = basis[1], basis[0]
+        foreign_images = copy.deepcopy(doc)
+        foreign_images["witness"]["images"] = other["witness"]["images"]
+        foreign_element = {**doc, "rank_one_element": other["rank_one_element"]}
+        acting = ["the images do not act on the left ideal basis as printed"]
+        assert verify_result_json(swapped) == acting
+        assert verify_result_json(foreign_images) == acting
+        assert verify_result_json(foreign_element) == ["the left ideal basis does not span A*C"]
+
+    @pytest.mark.parametrize("name", ["Q", "gauss", "eisenstein"])
+    def test_multiples(self, documents, name):
+        doc, _ = documents[name]
+        field = field_from_json(doc["field"])
+        c = field.coerce(2) if field.is_rational else QuadScalar(field.d, 1, 1)
+        doubled = {**doc, "rank_one_element": self._times(field, c, doc["rank_one_element"])}
+        assert verify_result_json(doubled) == []
+        basis = doc["witness"]["left_ideal_basis"]
+        scaled = copy.deepcopy(doc)
+        scaled["witness"]["left_ideal_basis"] = [self._times(field, c, v) for v in basis]
+        assert verify_result_json(scaled) == []
+        one = copy.deepcopy(doc)
+        one["witness"]["left_ideal_basis"][0] = self._times(field, c, basis[0])
+        assert verify_result_json(one) == ["the images do not act on the left ideal basis as printed"]
+        zero = {**doc, "rank_one_element": self._times(field, field.zero(), doc["rank_one_element"])}
+        assert verify_result_json(zero) == ["claimed element does not have ideal rank one"]
+
+
 class TestOutputsStay:
     """Digests of the serialized outputs of 48 splits: Q n = 2 and 3, gauss
     and eisenstein n = 2, seeds 1-12, SplitConfig(seed=s), each read back
